@@ -11,7 +11,6 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
-    received_covariances,
     sample_channels,
 )
 from .errors import (
@@ -93,7 +92,6 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
-    "received_covariances",
     # precoding
     "PrecoderSet",
     "random_jamming",

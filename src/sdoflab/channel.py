@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .sdof import AntennaConfig
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
-    "received_covariances",
 ]
 
 # Seed-sequence domains; kept distinct so legitimate, eavesdropper and
@@ -130,11 +128,23 @@ def jamming_generator(rng: RngStream) -> np.random.Generator:
     return rng.generator(_DOMAIN_JAMMING, per_use=False)
 
 
-def _slot_stack(mat: np.ndarray, slots: int) -> np.ndarray:
-    """Block-diagonal slot extension of a per-slot matrix (identity for slots=1)."""
-    if slots == 1:
-        return mat
-    return np.kron(np.eye(slots), mat)
+def slot_extend(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
+    """Two-slot block-diagonal extension diag(first, second) of a per-slot matrix.
+
+    ``second`` defaults to ``first``: the matrix is held fixed across both
+    slots.  Pass the second slot's draw for a channel that changes between
+    them.
+    """
+    if second is None:
+        second = first
+    rows, cols = first.shape
+    out = np.zeros(
+        (rows + second.shape[0], cols + second.shape[1]),
+        dtype=np.result_type(first, second),
+    )
+    out[:rows, :cols] = first
+    out[rows:, cols:] = second
+    return out
 
 
 def per_stream_powers(pre, sig: SignalParams) -> tuple[float, float]:
@@ -150,33 +160,3 @@ def per_stream_powers(pre, sig: SignalParams) -> tuple[float, float]:
     p_legit = (1.0 - sig.alpha) * sig.p * pre.slots / legit_cols if legit_cols else 0.0
     p_jam = sig.alpha * sig.p * pre.slots / jam_cols if jam_cols else 0.0
     return p_legit, p_jam
-
-
-def received_covariances(ch: ChannelRealization, pre, sig: SignalParams):
-    """Received signal and jamming covariances at both receivers.
-
-    Returns (legit_signal_cov, legit_jam_cov, eve_signal_cov, eve_jam_cov),
-    all Hermitian positive semidefinite.  For two-slot precoder sets the
-    covariances live on the slot-stacked spaces and the eavesdropper
-    channel is held static across the two slots.
-    """
-    slots = pre.slots
-    h1, h2 = _slot_stack(ch.h1, slots), _slot_stack(ch.h2, slots)
-    g1, g2 = _slot_stack(ch.g1, slots), _slot_stack(ch.g2, slots)
-    for mat, v in ((h1, pre.v1_l), (h2, pre.v2_l), (g1, pre.v1_j), (g2, pre.v2_j)):
-        if mat.shape[1] != v.shape[0]:
-            raise DimensionMismatch("channel and precoder antenna counts disagree")
-    p_legit, p_jam = per_stream_powers(pre, sig)
-
-    def cov(ha, hb, va, vb, power):
-        ea = ha @ va
-        eb = hb @ vb
-        out = power * (ea @ ea.conj().T + eb @ eb.conj().T)
-        return (out + out.conj().T) * 0.5
-
-    return (
-        cov(h1, h2, pre.v1_l, pre.v2_l, p_legit),
-        cov(h1, h2, pre.v1_j, pre.v2_j, p_jam),
-        cov(g1, g2, pre.v1_l, pre.v2_l, p_legit),
-        cov(g1, g2, pre.v1_j, pre.v2_j, p_jam),
-    )

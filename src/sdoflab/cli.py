@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import estimate_dof, sweep
+from .simulate import _resolve_threads, estimate_dof, sweep
 from .subspaces import DEFAULT_TOL, Tolerance
 from .verify import run_verification
 
@@ -172,7 +174,10 @@ def cmd_sdof(args) -> int:
 def cmd_design(args) -> int:
     config = _parse_config_arg(args)
     mode = _MODES[args.mode]
-    rng = RngStream(args.seed, (0, 0))
+    try:
+        rng = RngStream(args.seed, (0, 0))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     ch = sample_channels(config, rng, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
@@ -245,8 +250,15 @@ def _merge_run_settings(args) -> dict:
         "csv_out": "-", "summary_out": "-",
     }
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise _UsageError(f"cannot read run config: {exc}") from exc
+        except ValueError as exc:
+            raise _UsageError(f"run config is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise _UsageError("run config must be a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise _UsageError(f"unknown run-config keys: {sorted(unknown)}")
@@ -262,80 +274,141 @@ def _merge_run_settings(args) -> dict:
     for key, value in overrides.items():
         if value is not None:
             settings[key] = value
-    if args.window_lo is not None:
-        settings["window_db"][0] = args.window_lo
-    if args.window_hi is not None:
-        settings["window_db"][1] = args.window_hi
+    window = settings["window_db"]
+    if not isinstance(window, list) or len(window) != 2:
+        raise _UsageError(f"window_db must be a [low, high] pair in dB, got {window!r}")
+    settings["window_db"] = [
+        window[0] if args.window_lo is None else args.window_lo,
+        window[1] if args.window_hi is None else args.window_hi,
+    ]
     return settings
 
 
-def _validate_run(settings) -> tuple:
+def _setting(settings, key, kind):
+    """settings[key] converted by ``kind`` (int or float), or a usage error.
+
+    A fractional value is rejected as an integer rather than truncated, and
+    a float must be finite.
+    """
+    value = settings[key]
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if kind is int and isinstance(value, float) and converted != value:
+        converted = None
+    if kind is float and converted is not None and not math.isfinite(converted):
+        converted = None
+    if converted is None:
+        noun = "an integer" if kind is int else "a finite number"
+        raise _UsageError(f"{key} must be {noun}, got {value!r}")
+    return converted
+
+
+@dataclass(frozen=True)
+class _RunPlan:
+    """A fully validated simulate run."""
+
+    config: AntennaConfig
+    trials: int
+    seed: int
+    mode: EveMode
+    grid: list
+    sig: SignalParams
+    tol: Tolerance
+    window: tuple
+    threads: int
+    slope_tolerance: float
+
+
+def _validate_run(settings) -> _RunPlan:
+    """Check every run setting before any sampling; the first bad one is a usage error."""
     for key in ("m1", "m2", "n", "ne"):
         if settings[key] is None:
             raise _UsageError(f"missing antenna count '{key}' (flag or run config)")
-    try:
-        config = AntennaConfig(
-            int(settings["m1"]), int(settings["m2"]), int(settings["n"]), int(settings["ne"])
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    trials = int(settings["trials"])
+    counts = [_setting(settings, key, int) for key in ("m1", "m2", "n", "ne")]
+    trials = _setting(settings, "trials", int)
     if trials < 1:
         raise _UsageError("trials must be at least 1")
-    if settings["mode"] not in _MODES:
+    seed = _setting(settings, "master_seed", int)
+    mode = settings["mode"]
+    if not isinstance(mode, str) or mode not in _MODES:
         raise _UsageError(f"mode must be one of {sorted(_MODES)}")
     start, stop, step = (
-        float(settings["p_start_db"]),
-        float(settings["p_stop_db"]),
-        float(settings["p_step_db"]),
+        _setting(settings, key, float) for key in ("p_start_db", "p_stop_db", "p_step_db")
     )
     if step <= 0 or stop < start:
         raise _UsageError("power grid requires p_start_db <= p_stop_db and p_step_db > 0")
-    points = int(np.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + i * step for i in range(points)]
     try:
-        sig = SignalParams(1.0, float(settings["alpha"]), float(settings["sigma2"]))
-        tol = Tolerance(float(settings["rank_rel_tol"]), float(settings["residual_abs_tol"]))
+        lo, hi = (float(edge) for edge in settings["window_db"])
+    except (TypeError, ValueError):
+        raise _UsageError(f"window_db must hold two numbers, got {settings['window_db']!r}") from None
+    threads = settings["threads"]
+    if threads is not None:
+        threads = _setting(settings, "threads", int)
+    for key in ("csv_out", "summary_out"):
+        if not isinstance(settings[key], str):
+            raise _UsageError(f"{key} must be a path string, got {settings[key]!r}")
+    try:
+        config = AntennaConfig(*counts)
+        RngStream(seed)
+        sig = SignalParams(
+            1.0, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
+        )
+        tol = Tolerance(
+            _setting(settings, "rank_rel_tol", float),
+            _setting(settings, "residual_abs_tol", float),
+        )
+        threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    window = (float(settings["window_db"][0]), float(settings["window_db"][1]))
-    return config, trials, grid, sig, tol, window
+    points = int(np.floor((stop - start) / step + 1e-9)) + 1
+    grid = [start + i * step for i in range(points)]
+    covered = sum(1 for p in grid if lo <= p <= hi)
+    if covered < 3:
+        raise _UsageError(
+            f"regression window [{lo}, {hi}] dB covers {covered} grid point(s), need at least 3"
+        )
+    return _RunPlan(
+        config, trials, seed, _MODES[mode], grid, sig, tol, (lo, hi), threads,
+        _setting(settings, "slope_tolerance", float),
+    )
 
 
 def cmd_simulate(args) -> int:
     settings = _merge_run_settings(args)
-    config, trials, grid, sig, tol, window = _validate_run(settings)
+    plan = _validate_run(settings)
+    config = plan.config
     samples = sweep(
         config,
-        sig,
-        grid,
-        trials=trials,
-        master_seed=int(settings["master_seed"]),
-        mode=_MODES[settings["mode"]],
-        tol=tol,
-        threads=settings["threads"],
+        plan.sig,
+        plan.grid,
+        trials=plan.trials,
+        master_seed=plan.seed,
+        mode=plan.mode,
+        tol=plan.tol,
+        threads=plan.threads,
     )
     csv_text = render_csv(samples)
 
-    legit, leakage = estimate_dof(samples, window)
+    legit, leakage = estimate_dof(samples, plan.window)
     theory = sum_sdof(config)
     difference = abs(legit.slope - theory.value)
-    tolerance = float(settings["slope_tolerance"])
     summary = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
-        "mode": settings["mode"],
-        "trials": trials,
-        "master_seed": int(settings["master_seed"]),
-        "p_grid_db": grid,
-        "window_db": list(window),
+        "mode": plan.mode.value,
+        "trials": plan.trials,
+        "master_seed": plan.seed,
+        "p_grid_db": plan.grid,
+        "window_db": list(plan.window),
         "legit_slope": legit.slope,
         "leakage_slope": leakage.slope,
         "r_squared": legit.r_squared,
         "theory_value": theory.value,
         "theory_value_exact": str(theory),
         "abs_difference": difference,
-        "tolerance": tolerance,
-        "passed": difference <= tolerance,
+        "tolerance": plan.slope_tolerance,
+        "passed": difference <= plan.slope_tolerance,
     }
     _write_text(settings["csv_out"], csv_text)
     _write_text(settings["summary_out"], json.dumps(summary, indent=2) + "\n")

@@ -1,11 +1,13 @@
-"""Pure-NumPy implementations of the rate-evaluation kernels.
+"""The log-determinant kernel behind every rate evaluation.
 
-These are the reference semantics for the compiled extension; both
-backends must agree to tight floating-point tolerance (see the kernel
-tests and benchmarks/bench_kernels.py).
+``BACKEND`` names the implementation so run manifests can record it.
 """
 
 import numpy as np
+
+BACKEND = "numpy"
+
+__all__ = ["BACKEND", "logdet_eye_plus_gram"]
 
 
 def logdet_eye_plus_gram(e) -> float:

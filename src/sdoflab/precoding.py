@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, RngStream, jamming_generator
+from .channel import ChannelRealization, RngStream, jamming_generator, slot_extend
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import AntennaConfig, JammingAllocation, JammingMethod
 from .subspaces import (
@@ -167,10 +167,6 @@ def _two_slot_aligned_targets(h1, h2, pairs: int, tol: Tolerance) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _slot_double(mat: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2), mat)
-
-
 def _max_abs(mat: np.ndarray) -> float:
     return float(np.abs(mat).max()) if mat.size else 0.0
 
@@ -199,8 +195,8 @@ def build_precoders(
 def _build_with_report(config, ch, alloc, rng, tol):
     gen = _as_generator(rng)
     slots = 2 if alloc.needs_two_slot else 1
-    h1 = _slot_double(ch.h1) if slots == 2 else ch.h1
-    h2 = _slot_double(ch.h2) if slots == 2 else ch.h2
+    h1 = slot_extend(ch.h1) if slots == 2 else ch.h1
+    h2 = slot_extend(ch.h2) if slots == 2 else ch.h2
 
     def scaled(count) -> int:
         value = count * slots
@@ -329,18 +325,10 @@ def leakage_rank(
     """
     if ch.g1.shape[0] == 0:
         return 0
+    g1, g2 = ch.g1, ch.g2
     if pre.slots == 2:
         other = slot_b if slot_b is not None else ch
-        g1 = np.block([
-            [ch.g1, np.zeros_like(ch.g1)],
-            [np.zeros_like(other.g1), other.g1],
-        ])
-        g2 = np.block([
-            [ch.g2, np.zeros_like(ch.g2)],
-            [np.zeros_like(other.g2), other.g2],
-        ])
-    else:
-        g1, g2 = ch.g1, ch.g2
+        g1, g2 = slot_extend(g1, other.g1), slot_extend(g2, other.g2)
     received = np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j])
     if received.shape[1] == 0:
         return 0

@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels as _kernels
-from .channel import ChannelRealization, EveMode, RngStream, SignalParams, per_stream_powers, sample_channels
+from .channel import (
+    ChannelRealization,
+    EveMode,
+    RngStream,
+    SignalParams,
+    per_stream_powers,
+    sample_channels,
+    slot_extend,
+)
 from .errors import InsufficientData, NumericalFailure
 from .precoding import PrecoderSet, build_precoders
 from .sdof import AntennaConfig, allocate_jamming
@@ -58,10 +66,6 @@ class DofEstimate:
     window: tuple[float, float]
 
 
-def _slot_double(mat: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2), mat)
-
-
 def _logdet(e: np.ndarray) -> float:
     try:
         return _kernels.logdet_eye_plus_gram(e)
@@ -85,8 +89,8 @@ def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> f
     legitimate signal covariance, averaged over slots.  Zero power, zero
     legitimate streams or a zero projector all give exactly 0 bits.
     """
-    h1 = _slot_double(ch.h1) if pre.slots == 2 else ch.h1
-    h2 = _slot_double(ch.h2) if pre.slots == 2 else ch.h2
+    h1 = slot_extend(ch.h1) if pre.slots == 2 else ch.h1
+    h2 = slot_extend(ch.h2) if pre.slots == 2 else ch.h2
     p_legit, _ = per_stream_powers(pre, sig)
     effective = _scaled_blocks(
         (pre.u @ h1, pre.u @ h2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2
@@ -111,18 +115,10 @@ def eve_leakage(
     """
     if ch.g1.shape[0] == 0:
         return 0.0
+    g1, g2 = ch.g1, ch.g2
     if pre.slots == 2:
         other = slot_b if slot_b is not None else ch
-        g1 = np.block([
-            [ch.g1, np.zeros_like(ch.g1)],
-            [np.zeros_like(other.g1), other.g1],
-        ])
-        g2 = np.block([
-            [ch.g2, np.zeros_like(ch.g2)],
-            [np.zeros_like(other.g2), other.g2],
-        ])
-    else:
-        g1, g2 = ch.g1, ch.g2
+        g1, g2 = slot_extend(g1, other.g1), slot_extend(g2, other.g2)
     p_legit, p_jam = per_stream_powers(pre, sig)
     signal = _scaled_blocks((g1, g2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2)
     jamming = _scaled_blocks((g1, g2), (pre.v1_j, pre.v2_j), p_jam, sig.sigma2)
@@ -137,7 +133,10 @@ def _resolve_threads(threads: int | None) -> int:
         return threads
     env = os.environ.get("SDOFLAB_THREADS", "")
     if env.strip():
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"SDOFLAB_THREADS must be an integer, got {env!r}") from None
         if value < 1:
             raise ValueError("SDOFLAB_THREADS must be at least 1")
         return value

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import elimination_rank, max_abs
+from helpers import crandn, elimination_rank
 from sdoflab import (
     AntennaConfig,
-    DimensionMismatch,
     EveMode,
     RngStream,
     SignalParams,
     allocate_jamming,
     build_precoders,
-    received_covariances,
     sample_channels,
 )
-from sdoflab.channel import per_stream_powers
+from sdoflab.channel import per_stream_powers, slot_extend
 
 
 class TestRngStream:
@@ -97,49 +95,13 @@ class TestSignalParams:
         assert SignalParams.from_db(30.0).p == pytest.approx(1000.0)
 
 
-class TestReceivedCovariances:
-    @pytest.fixture()
-    def setup(self):
+class TestPerStreamPowers:
+    def test_transmit_power_accounting(self):
+        # trace of the transmit covariance (before the channel) equals p
         config = AntennaConfig(2, 2, 3, 2)
         rng = RngStream(11)
         ch = sample_channels(config, rng)
-        alloc = allocate_jamming(config)
-        pre = build_precoders(config, ch, alloc, rng)
-        return config, ch, pre
-
-    def test_zero_power(self, setup):
-        _, ch, pre = setup
-        covs = received_covariances(ch, pre, SignalParams(0.0))
-        assert all(max_abs(c) == 0.0 for c in covs)
-
-    def test_no_jamming_means_zero_jam_cov(self):
-        config = AntennaConfig(2, 2, 3, 0)
-        rng = RngStream(3)
-        ch = sample_channels(config, rng)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        _, legit_jam, _, eve_jam = received_covariances(ch, pre, SignalParams(4.0))
-        assert max_abs(legit_jam) == 0.0
-        assert eve_jam.shape == (0, 0)
-
-    def test_hermitian_psd(self, setup):
-        _, ch, pre = setup
-        covs = received_covariances(ch, pre, SignalParams(10.0, alpha=0.3))
-        for cov in covs:
-            assert max_abs(cov - cov.conj().T) < 1e-12
-            eigenvalues = np.linalg.eigvalsh(cov)
-            trace = float(np.trace(cov).real)
-            assert eigenvalues.min() >= -1e-9 * max(trace, 1.0)
-
-    def test_signal_trace_bounded_by_power_times_gain(self, setup):
-        _, ch, pre = setup
-        sig = SignalParams(10.0, alpha=0.4)
-        legit_signal, _, _, _ = received_covariances(ch, pre, sig)
-        gain = max(np.linalg.norm(ch.h1, 2), np.linalg.norm(ch.h2, 2)) ** 2
-        assert float(np.trace(legit_signal).real) <= (1 - sig.alpha) * sig.p * gain + 1e-9
-
-    def test_transmit_power_accounting(self, setup):
-        # trace of the transmit covariance (before the channel) equals p
-        _, _, pre = setup
         sig = SignalParams(7.0, alpha=0.25)
         p_legit, p_jam = per_stream_powers(pre, sig)
         total = 0.0
@@ -162,8 +124,17 @@ class TestReceivedCovariances:
             total += float(np.trace(cov).real)
         assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
 
-    def test_dimension_mismatch(self, setup):
-        config, ch, pre = setup
-        other = sample_channels(AntennaConfig(3, 3, 4, 2), RngStream(1))
-        with pytest.raises(DimensionMismatch):
-            received_covariances(other, pre, SignalParams(1.0))
+
+class TestSlotExtend:
+    def test_repeats_first_block_by_default(self):
+        a = crandn(np.random.default_rng(3), 2, 3)
+        assert np.array_equal(slot_extend(a), np.kron(np.eye(2), a))
+
+    def test_second_slot_draw_on_the_diagonal(self):
+        gen = np.random.default_rng(4)
+        a, b = crandn(gen, 2, 3), crandn(gen, 2, 3)
+        out = slot_extend(a, b)
+        assert out.shape == (4, 6)
+        assert np.array_equal(out[:2, :3], a)
+        assert np.array_equal(out[2:, 3:], b)
+        assert not out[:2, 3:].any() and not out[2:, :3].any()

@@ -168,6 +168,47 @@ class TestExitCodes:
         assert "infeasible" in capsys.readouterr().err
 
 
+_SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, config",
+    [
+        (_SIM + ["--threads", "0"], None, None),
+        (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None, None),
+        (_SIM, "abc", None),
+        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "window_db": 5}),
+        (_SIM + ["--window-lo", "90"], None, None),
+        (_SIM + ["--seed", "-3"], None, None),
+        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": "many"}),
+        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
+        (_SIM + ["--config", "no-such-run.json"], None, None),
+    ],
+    ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
+         "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
+         "trials-fractional", "config-missing"],
+)
+def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the input was validated")
+
+    monkeypatch.setattr(cli, "sample_channels", no_sampling)
+    monkeypatch.setattr(cli, "sweep", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SDOFLAB_THREADS", env)
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_quick_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

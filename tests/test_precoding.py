@@ -192,3 +192,15 @@ class TestLeakageRank:
         assert pre.slots == 2
         assert leakage_rank(ch_a, pre, slot_b=ch_b) == 2
         assert leakage_rank(ch_a, pre) == 1
+
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
+    def test_default_second_slot_matches_oracle(self, cfg):
+        config = AntennaConfig(*cfg)
+        rng = RngStream(8)
+        ch = sample_channels(config, rng)
+        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        g1, g2 = ch.g1, ch.g2
+        if pre.slots == 2:
+            g1, g2 = np.kron(np.eye(2), g1), np.kron(np.eye(2), g2)
+        expected = elimination_rank(np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j]))
+        assert leakage_rank(ch, pre) == leakage_rank(ch, pre, slot_b=ch) == expected

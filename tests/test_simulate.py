@@ -18,6 +18,7 @@ from sdoflab import (
     sum_sdof,
     sweep,
 )
+from sdoflab.channel import per_stream_powers
 from sdoflab.simulate import HALF_LOG2_PER_DB
 
 
@@ -49,6 +50,22 @@ class TestLegitRate:
         high = legit_rate(ch, pre, SignalParams.from_db(40.0))
         assert high > low > 0.0
 
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
+    def test_matches_slogdet_oracle(self, cfg):
+        # E = [U H1 V1l | U H2 V2l] built here with np.kron, not the library
+        # slot helper; the (2, 2, 3, 1) set uses the two-slot extension.
+        _, ch, pre = _build(cfg, seed=4)
+        h1, h2 = ch.h1, ch.h2
+        if pre.slots == 2:
+            h1, h2 = np.kron(np.eye(2), h1), np.kron(np.eye(2), h2)
+        sig = SignalParams.from_db(30.0, alpha=0.4, sigma2=2.0)
+        p_legit, _ = per_stream_powers(pre, sig)
+        e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
+        sign, logdet = np.linalg.slogdet(np.eye(e.shape[0]) + (p_legit / sig.sigma2) * e @ e.conj().T)
+        assert sign.real > 0
+        expected = 0.5 * logdet / np.log(2.0) / pre.slots
+        assert legit_rate(ch, pre, sig) == pytest.approx(expected, rel=1e-10)
+
 
 class TestEveLeakage:
     def test_zero_power(self):
@@ -72,6 +89,12 @@ class TestEveLeakage:
         low = eve_leakage(realization, spy, SignalParams.from_db(40.0))
         high = eve_leakage(realization, spy, SignalParams.from_db(80.0))
         assert high > low + 5.0
+
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
+    def test_default_second_slot_is_the_same_draw(self, cfg):
+        _, ch, pre = _build(cfg, seed=6)
+        sig = SignalParams.from_db(50.0)
+        assert eve_leakage(ch, pre, sig) == eve_leakage(ch, pre, sig, slot_b=ch)
 
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
