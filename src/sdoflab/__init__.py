@@ -11,6 +11,7 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
+    channel_use,
     sample_channels,
 )
 from .errors import (
@@ -92,6 +93,7 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
+    "channel_use",
     # precoding
     "PrecoderSet",
     "random_jamming",

@@ -1,10 +1,10 @@
-"""Random channel realizations and the Gaussian signal model.
+"""Random channel realizations, the eavesdropper model and the Gaussian signal model.
 
-Legitimate channels are drawn once per trial and stay fixed across power
-levels and slots; eavesdropper channels are redrawn per channel use when
-the time-varying mode is active.  All draws are pure functions of
-(master seed, trial index, channel-use index), so trials can run in any
-order or in parallel with identical results.
+A trial draws its channels once, at address (trial, 0); ``channel_use``
+gives the channel a precoder set sees in use k, redrawing a time-varying
+eavesdropper for slot s at (trial, 2k + s).  All draws are pure functions
+of (master seed, trial index, address), so trials can run in any order or
+in parallel with identical results.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
+    "channel_use",
 ]
 
 # Seed-sequence domains; kept distinct so legitimate, eavesdropper and
@@ -34,6 +35,11 @@ _DOMAIN_JAMMING = 2
 class EveMode(Enum):
     STATIC = "static_eve"
     TIME_VARYING = "time_varying_eve"
+
+    @property
+    def varies_per_use(self) -> bool:
+        """Whether the eavesdropper matrices are redrawn every channel use."""
+        return self is EveMode.TIME_VARYING
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,8 @@ class ChannelRealization:
 
     h1 (n x m1) and h2 (n x m2) connect the transmitters to the legitimate
     receiver; g1 (n_e x m1) and g2 (n_e x m2) connect them to the
-    eavesdropper.  n_e may be zero, giving empty g matrices.
+    eavesdropper.  n_e may be zero, giving empty g matrices.  On the slot
+    space of a two-slot set (``channel_use``) each is block diagonal by slot.
     """
 
     h1: np.ndarray
@@ -115,12 +122,50 @@ def sample_channels(
     channel-use index in time-varying mode.
     """
     legit = rng.generator(_DOMAIN_LEGIT, per_use=False)
-    eve = rng.generator(_DOMAIN_EVE, per_use=(mode is EveMode.TIME_VARYING))
     h1 = _complex_gaussian(legit, config.n, config.m1, mean, variance)
     h2 = _complex_gaussian(legit, config.n, config.m2, mean, variance)
+    return ChannelRealization(h1, h2, *_eavesdropper(config, rng, mode, mean, variance))
+
+
+def _eavesdropper(config, rng, mode, mean=0.0, variance=1.0):
+    """The eavesdropper matrices (g1, g2) drawn at one address."""
+    eve = rng.generator(_DOMAIN_EVE, per_use=mode.varies_per_use)
     g1 = _complex_gaussian(eve, config.n_e, config.m1, mean, variance)
     g2 = _complex_gaussian(eve, config.n_e, config.m2, mean, variance)
-    return ChannelRealization(h1, h2, g1, g2)
+    return g1, g2
+
+
+def channel_use(
+    config: AntennaConfig,
+    trial_ch: ChannelRealization,
+    trial_rng: RngStream,
+    use: int,
+    mode: EveMode,
+    slots: int,
+) -> ChannelRealization:
+    """The realization a ``slots``-slot precoder set sees in channel use ``use``.
+
+    ``trial_ch`` is ``sample_channels(config, trial_rng, mode)`` with
+    ``trial_rng`` at address (trial, 0).  The legitimate matrices are the
+    trial's, held over both slots, and so is a static eavesdropper.  A
+    time-varying one draws fresh CN(0, 1) eavesdropper matrices alone for
+    slot s at address (trial, 2 * use + s), where (trial, 0) is the trial draw.
+    """
+    trial, first_use = trial_rng.stream_id
+    if first_use != 0:
+        raise ValueError("trial_rng must address channel use 0 of its trial")
+    eve = [
+        _eavesdropper(config, RngStream(trial_rng.master_seed, (trial, address)), mode)
+        if mode.varies_per_use and address != 0
+        else (trial_ch.g1, trial_ch.g2)
+        for address in range(2 * use, 2 * use + slots)
+    ]
+    if slots == 1:
+        return ChannelRealization(trial_ch.h1, trial_ch.h2, *eve[0])
+    (a1, a2), (b1, b2) = eve
+    return ChannelRealization(
+        slot_extend(trial_ch.h1), slot_extend(trial_ch.h2), slot_extend(a1, b1), slot_extend(a2, b2)
+    )
 
 
 def jamming_generator(rng: RngStream) -> np.random.Generator:

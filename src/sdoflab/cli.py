@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EveMode, RngStream, SignalParams, sample_channels
+from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
 from .errors import InfeasibleAllocation, SdofLabError
 from .precoding import _build_with_report, leakage_rank
 from .sdof import (
@@ -182,11 +182,7 @@ def cmd_design(args) -> int:
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
     pre, report = _build_with_report(config, ch, alloc, rng, DEFAULT_TOL)
-    slot_b = (
-        sample_channels(config, RngStream(args.seed, (0, 1)), mode)
-        if pre.slots == 2 and mode is EveMode.TIME_VARYING
-        else None
-    )
+    seen = channel_use(config, ch, rng, 0, mode, pre.slots)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
         "seed": args.seed,
@@ -228,7 +224,7 @@ def cmd_design(args) -> int:
         "ranks": {
             "u": report.u_rank,
             "legit_post_projection": report.legit_rank,
-            "eavesdropper_jamming": leakage_rank(ch, pre, DEFAULT_TOL, slot_b=slot_b),
+            "eavesdropper_jamming": leakage_rank(seen, pre, DEFAULT_TOL),
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")

@@ -307,29 +307,20 @@ def _build_with_report(config, ch, alloc, rng, tol):
     return pre, report
 
 
-def leakage_rank(
-    ch: ChannelRealization,
-    pre: PrecoderSet,
-    tol: Tolerance = DEFAULT_TOL,
-    slot_b: ChannelRealization | None = None,
-) -> int:
+def leakage_rank(ch: ChannelRealization, pre: PrecoderSet, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j].
 
     Generically equals min(n_e, total jamming streams), which the
     allocations make n_e: the jamming overwhelms the full eavesdropper
-    space.  For two-slot sets the rank is measured on the slot-stacked
-    system (fully jammed means slots * n_e) with ``slot_b`` supplying the
-    second slot's eavesdropper draw; without it the eavesdropper is held
-    static, where a cross-slot aligned pair's images can coincide (the gap
-    that exact fractional alignment would close).
+    space.  ``ch`` is on the precoders' slot space (``channel_use``), so a
+    fully jammed two-slot set has rank 2 n_e.  That needs per-slot
+    eavesdropper draws: against a static eavesdropper a cross-slot aligned
+    pair's images can coincide (the gap that exact fractional alignment
+    would close).
     """
     if ch.g1.shape[0] == 0:
         return 0
-    g1, g2 = ch.g1, ch.g2
-    if pre.slots == 2:
-        other = slot_b if slot_b is not None else ch
-        g1, g2 = slot_extend(g1, other.g1), slot_extend(g2, other.g2)
-    received = np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j])
+    received = np.hstack([ch.g1 @ pre.v1_j, ch.g2 @ pre.v2_j])
     if received.shape[1] == 0:
         return 0
     return orthonormal_basis(received, tol).dim

@@ -23,9 +23,9 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
+    channel_use,
     per_stream_powers,
     sample_channels,
-    slot_extend,
 )
 from .errors import InsufficientData, NumericalFailure
 from .precoding import PrecoderSet, build_precoders
@@ -86,42 +86,32 @@ def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> f
     """Achievable legitimate sum rate after zero-forcing, in bits/channel use.
 
     Computes 0.5 * log2 det(I + U S U^H / sigma2) with S the received
-    legitimate signal covariance, averaged over slots.  Zero power, zero
-    legitimate streams or a zero projector all give exactly 0 bits.
+    legitimate signal covariance, averaged over slots.  ``ch`` is on the
+    precoders' slot space (``channel_use``).  Zero power, zero legitimate
+    streams or a zero projector all give exactly 0 bits.
     """
-    h1 = slot_extend(ch.h1) if pre.slots == 2 else ch.h1
-    h2 = slot_extend(ch.h2) if pre.slots == 2 else ch.h2
     p_legit, _ = per_stream_powers(pre, sig)
     effective = _scaled_blocks(
-        (pre.u @ h1, pre.u @ h2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2
+        (pre.u @ ch.h1, pre.u @ ch.h2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2
     )
     return 0.5 * _logdet(effective) / pre.slots
 
 
-def eve_leakage(
-    ch: ChannelRealization,
-    pre: PrecoderSet,
-    sig: SignalParams,
-    slot_b: ChannelRealization | None = None,
-) -> float:
-    """Upper bound on the eavesdropper's rate about the legitimate signal.
+def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> float:
+    """A lower bound on the eavesdropper's mutual information, in bits/channel use.
 
-    Evaluates, in the log domain, the determinant ratio of the received
-    signal-plus-noise to jamming-plus-noise covariances at the
-    eavesdropper, clamped below at zero bits.  For two-slot schemes the
-    eavesdropper matrices of ``slot_b`` are used in the second slot when
-    given (time-varying mode); otherwise the realization's matrices are
-    held static across both slots.
+    Computes max(0, 0.5 * (log2 det(I + S) - log2 det(I + J))), averaged
+    over slots, with S and J the eavesdropper's received legitimate and
+    jamming covariances over the noise variance.  The mutual information
+    is log2 det(I + S + J) - log2 det(I + J), which is at least this value;
+    making the two agree is open item 1 of ROADMAP.md.  ``ch`` is on the
+    precoders' slot space (``channel_use``).
     """
     if ch.g1.shape[0] == 0:
         return 0.0
-    g1, g2 = ch.g1, ch.g2
-    if pre.slots == 2:
-        other = slot_b if slot_b is not None else ch
-        g1, g2 = slot_extend(g1, other.g1), slot_extend(g2, other.g2)
     p_legit, p_jam = per_stream_powers(pre, sig)
-    signal = _scaled_blocks((g1, g2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2)
-    jamming = _scaled_blocks((g1, g2), (pre.v1_j, pre.v2_j), p_jam, sig.sigma2)
+    signal = _scaled_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2)
+    jamming = _scaled_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j), p_jam, sig.sigma2)
     leak = 0.5 * (_logdet(signal) - _logdet(jamming)) / pre.slots
     return max(0.0, leak)
 
@@ -155,11 +145,10 @@ def sweep(
 ) -> list[RateSample]:
     """Monte Carlo rate samples over a power grid.
 
-    For each trial: fresh legitimate channels, one precoder build, then
-    rates at every grid point (with fresh eavesdropper draws per point in
-    time-varying mode).  Output is ordered by (p_db, trial) and depends
-    only on the arguments, never on thread count (``threads=None`` reads
-    SDOFLAB_THREADS, defaulting to sequential).  An InfeasibleAllocation
+    Per trial: one channel draw and precoder build, then rates at each grid
+    point k on ``channel_use`` k.  Output is ordered by (p_db, trial) and
+    depends only on the arguments, never on thread count (``threads=None``
+    reads SDOFLAB_THREADS, defaulting to sequential).  An InfeasibleAllocation
     from any trial aborts the sweep: feasibility is generic, so a failure
     indicates an allocation bug rather than bad luck.
     """
@@ -172,29 +161,19 @@ def sweep(
         raise ValueError("trials must be at least 1")
 
     alloc = allocate_jamming(config)
-    two_slot = alloc.needs_two_slot
 
     def run_trial(trial: int) -> list[RateSample]:
         rng0 = RngStream(master_seed, (trial, 0))
         ch0 = sample_channels(config, rng0, mode)
         pre = build_precoders(config, ch0, alloc, rng0, tol)
+        if mode.varies_per_use:
+            seen = [channel_use(config, ch0, rng0, k, mode, pre.slots) for k in range(len(grid))]
+        else:
+            seen = [channel_use(config, ch0, rng0, 0, mode, pre.slots)] * len(grid)
         out = []
-        for k, p_db in enumerate(grid):
-            sig = SignalParams(
-                p=10.0 ** (p_db / 10.0), alpha=sig_template.alpha, sigma2=sig_template.sigma2
-            )
-            if mode is EveMode.TIME_VARYING:
-                ch_a = sample_channels(config, RngStream(master_seed, (trial, 2 * k)), mode)
-                ch_b = (
-                    sample_channels(config, RngStream(master_seed, (trial, 2 * k + 1)), mode)
-                    if two_slot
-                    else None
-                )
-            else:
-                ch_a, ch_b = ch0, None
-            legit = legit_rate(ch_a, pre, sig)
-            leak = eve_leakage(ch_a, pre, sig, slot_b=ch_b)
-            out.append(RateSample(p_db, trial, legit, leak))
+        for p_db, ch in zip(grid, seen):
+            sig = SignalParams.from_db(p_db, sig_template.alpha, sig_template.sigma2)
+            out.append(RateSample(p_db, trial, legit_rate(ch, pre, sig), eve_leakage(ch, pre, sig)))
         return out
 
     workers = min(_resolve_threads(threads), trials)

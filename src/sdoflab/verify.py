@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .channel import EveMode, RngStream, SignalParams, sample_channels
+from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
 from .errors import SdofLabError
 from .precoding import _build_with_report, leakage_rank
 from .sdof import (
@@ -28,7 +28,7 @@ from .subspaces import DEFAULT_TOL, Tolerance
 
 __all__ = ["CheckResult", "run_verification"]
 
-# Residual gates for the precoder checks; identical to the acceptance gates.
+# Residual gates of the precoder checks in check_config.
 NULLSPACE_RESIDUAL_MAX = 1e-9
 ALIGNMENT_RESIDUAL_MAX = 1e-8
 UNITARITY_RESIDUAL_MAX = 1e-9
@@ -98,73 +98,59 @@ def check_allocations(max_antennas: int) -> CheckResult:
     return CheckResult("allocation_audits", True, f"{count} allocations audited")
 
 
-def check_precoders(
-    max_antennas: int, seeds: int, tol: Tolerance = DEFAULT_TOL
-) -> CheckResult:
-    """Residual and rank invariants of assembled precoder sets.
+def check_config(config: AntennaConfig, seeds: int, tol: Tolerance = DEFAULT_TOL):
+    """Residual and rank invariants of one configuration's precoder sets.
 
-    Two-slot eavesdropper ranks are measured with per-slot channel draws
-    (the time-varying base model); a static eavesdropper would need the
-    fractional-alignment machinery this artifact deliberately replaces
-    with time sharing.
+    Builds a set for each channel seed 0 .. seeds - 1 and checks its
+    residuals against the gates and its ranks against the allocation, the
+    leakage rank on channel use 0 of a time-varying eavesdropper (a static
+    one would need the fractional alignment that time sharing replaces).
+    Returns (worst residual of each kind, one line per failing seed).
     """
+    alloc = allocate_jamming(config)
+    slots = 2 if alloc.needs_two_slot else 1
+    expect_u_rank = slots * config.n - int(alloc.j_s * slots)
+    expect_legit = int(alloc.d_total * slots)
+    expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)
+    worst = dict.fromkeys(("nullspace", "alignment", "unitarity", "zero-forcing"), 0.0)
+    failures = []
+    for seed in range(seeds):
+        rng = RngStream(seed, (0, 0))
+        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
+        pre, report = _build_with_report(config, ch, alloc, rng, tol)
+        seen = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
+        residuals = (
+            ("nullspace", report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),
+            ("alignment", report.alignment_residual, ALIGNMENT_RESIDUAL_MAX),
+            ("unitarity", report.unitarity_residual, UNITARITY_RESIDUAL_MAX),
+            ("zero-forcing", report.zero_forcing_residual, ZERO_FORCING_RESIDUAL_MAX),
+        )
+        ranks = (
+            ("rank(U)", report.u_rank, expect_u_rank),
+            ("legit rank", report.legit_rank, expect_legit),
+            ("leakage rank", leakage_rank(seen, pre, tol), expect_leak),
+        )
+        for kind, value, _ in residuals:
+            worst[kind] = max(worst[kind], value)
+        problems = [f"{kind} residual {got:.2e}" for kind, got, gate in residuals if got > gate]
+        problems += [f"{name} {got} != {want}" for name, got, want in ranks if got != want]
+        if problems:
+            failures.append(f"{config} seed {seed}: " + "; ".join(problems))
+    return worst, failures
+
+
+def check_precoders(max_antennas: int, seeds: int, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
+    """``check_config`` over the antenna grid, stopping at the first failing configuration."""
     cap = min(max_antennas, PRECODER_ANTENNA_CAP)
     worst = 0.0
     builds = 0
     for config in _grid(cap, include_all_ne=False):
-        alloc = allocate_jamming(config)
-        slots = 2 if alloc.needs_two_slot else 1
-        expect_u_rank = slots * config.n - int(alloc.j_s * slots)
-        expect_legit = int(alloc.d_total * slots)
-        expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)
-        for seed in range(seeds):
-            rng = RngStream(seed, (0, 0))
-            ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-            pre, report = _build_with_report(config, ch, alloc, rng, tol)
-            builds += 1
-            worst = max(
-                worst,
-                report.nullspace_residual,
-                report.alignment_residual,
-                report.unitarity_residual,
-                report.zero_forcing_residual,
-            )
-            problems = []
-            if report.nullspace_residual > NULLSPACE_RESIDUAL_MAX:
-                problems.append(f"nullspace residual {report.nullspace_residual:.2e}")
-            if report.alignment_residual > ALIGNMENT_RESIDUAL_MAX:
-                problems.append(f"alignment residual {report.alignment_residual:.2e}")
-            if report.unitarity_residual > UNITARITY_RESIDUAL_MAX:
-                problems.append(f"unitarity residual {report.unitarity_residual:.2e}")
-            if report.zero_forcing_residual > ZERO_FORCING_RESIDUAL_MAX:
-                problems.append(
-                    f"zero-forcing residual {report.zero_forcing_residual:.2e}"
-                )
-            if report.u_rank != expect_u_rank:
-                problems.append(f"rank(U) {report.u_rank} != {expect_u_rank}")
-            if report.legit_rank != expect_legit:
-                problems.append(f"legit rank {report.legit_rank} != {expect_legit}")
-            slot_b = (
-                sample_channels(config, RngStream(seed, (0, 1)), EveMode.TIME_VARYING)
-                if slots == 2
-                else None
-            )
-            observed_leak = leakage_rank(ch, pre, tol, slot_b=slot_b)
-            if observed_leak != expect_leak:
-                problems.append(f"leakage rank {observed_leak} != {expect_leak}")
-            if problems:
-                return CheckResult(
-                    "precoder_invariants",
-                    False,
-                    f"{config} seed {seed}: " + "; ".join(problems),
-                    worst,
-                )
-    return CheckResult(
-        "precoder_invariants",
-        True,
-        f"{builds} precoder sets checked",
-        worst,
-    )
+        config_worst, failures = check_config(config, seeds, tol)
+        builds += seeds
+        worst = max(worst, *config_worst.values())
+        if failures:
+            return CheckResult("precoder_invariants", False, failures[0], worst)
+    return CheckResult("precoder_invariants", True, f"{builds} precoder sets checked", worst)
 
 
 def check_slopes() -> CheckResult:

@@ -44,6 +44,13 @@ def principal_angle_intersection_dim(qa, qb, tol: float = 1e-8) -> int:
     return int(np.count_nonzero(cosines >= 1.0 - tol))
 
 
+def block_diag2(a, b) -> np.ndarray:
+    """diag(a, b) assembled with np.block: the two-slot slot-space oracle."""
+    top = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
+    bottom = np.zeros((b.shape[0], a.shape[1]), dtype=np.complex128)
+    return np.block([[a, top], [bottom, b]])
+
+
 def max_abs(mat) -> float:
     mat = np.asarray(mat)
     return float(np.abs(mat).max()) if mat.size else 0.0

@@ -5,6 +5,7 @@ criteria share one set of seeded sweeps (module fixture); everything is
 deterministic given the seeds pinned here.
 """
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -15,22 +16,18 @@ import pytest
 from sdoflab import (
     AntennaConfig,
     EveMode,
-    RngStream,
     SignalParams,
     allocate_jamming,
     audit_allocation,
     classify,
     estimate_dof,
-    leakage_rank,
-    sample_channels,
     sum_sdof,
     sweep,
     upper_bounds,
 )
+from sdoflab import verify
 from sdoflab.cli import main as cli_main, render_csv
-from sdoflab.precoding import _build_with_report
 from sdoflab.sdof import Regime, _case_value
-from sdoflab.subspaces import DEFAULT_TOL
 
 GRID_DB = [60.0, 70.0, 80.0, 90.0, 100.0]
 WINDOW_DB = (60.0, 100.0)
@@ -122,69 +119,37 @@ def test_criterion_2_allocation_audits():
     assert elapsed < 5.0
 
 
-def _precoder_config_cell(args):
-    m1, m2, n, n_e, seeds = args
-    config = AntennaConfig(m1, m2, n, n_e)
-    alloc = allocate_jamming(config)
-    slots = 2 if alloc.needs_two_slot else 1
-    expect_u_rank = slots * n - int(alloc.j_s * slots)
-    expect_legit = int(alloc.d_total * slots)
-    expect_leak = int(min(Fraction(n_e), alloc.total_streams) * slots)
-    worst = {"nullspace": 0.0, "alignment": 0.0, "unitarity": 0.0, "zero_forcing": 0.0}
-    failures = []
-    for seed in range(seeds):
-        rng = RngStream(seed)
-        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-        pre, report = _build_with_report(config, ch, alloc, rng, DEFAULT_TOL)
-        worst["nullspace"] = max(worst["nullspace"], report.nullspace_residual)
-        worst["alignment"] = max(worst["alignment"], report.alignment_residual)
-        worst["unitarity"] = max(worst["unitarity"], report.unitarity_residual)
-        worst["zero_forcing"] = max(worst["zero_forcing"], report.zero_forcing_residual)
-        slot_b = (
-            sample_channels(config, RngStream(seed, (0, 1)), EveMode.TIME_VARYING)
-            if slots == 2
-            else None
-        )
-        leak = leakage_rank(ch, pre, DEFAULT_TOL, slot_b=slot_b)
-        if report.nullspace_residual > 1e-9:
-            failures.append(f"{config} seed {seed}: nullspace {report.nullspace_residual:.2e}")
-        if report.alignment_residual > 1e-8:
-            failures.append(f"{config} seed {seed}: alignment {report.alignment_residual:.2e}")
-        if report.unitarity_residual > 1e-9:
-            failures.append(f"{config} seed {seed}: unitarity {report.unitarity_residual:.2e}")
-        if report.u_rank != expect_u_rank:
-            failures.append(f"{config} seed {seed}: rank(U) {report.u_rank} != {expect_u_rank}")
-        if report.legit_rank != expect_legit:
-            failures.append(f"{config} seed {seed}: legit rank {report.legit_rank} != {expect_legit}")
-        if leak != expect_leak:
-            failures.append(f"{config} seed {seed}: leakage rank {leak} != {expect_leak}")
-    return worst, failures
-
-
 def test_criterion_3_precoder_algebra():
+    # verify.check_config holds the gates; pin them here so loosening one
+    # means editing this test.
+    gates = (
+        verify.NULLSPACE_RESIDUAL_MAX,
+        verify.ALIGNMENT_RESIDUAL_MAX,
+        verify.UNITARITY_RESIDUAL_MAX,
+        verify.ZERO_FORCING_RESIDUAL_MAX,
+    )
+    assert gates == (1e-9, 1e-8, 1e-9, 1e-8)
     seeds = 100
-    cells = [
-        (m1, m2, n, n_e, seeds)
+    configs = [
+        AntennaConfig(m1, m2, n, n_e)
         for m1 in range(1, 6)
         for m2 in range(1, 6)
         for n in range(1, 6)
         for n_e in range(0, m1 + m2)
     ]
+    check = functools.partial(verify.check_config, seeds=seeds)
     start = time.perf_counter()
     with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(_precoder_config_cell, cells, chunksize=16))
+        results = list(pool.map(check, configs, chunksize=16))
     elapsed = time.perf_counter() - start
-    failures = [msg for _, cell_failures in results for msg in cell_failures]
-    worst = {
-        key: max(r[0][key] for r in results)
-        for key in ("nullspace", "alignment", "unitarity", "zero_forcing")
-    }
+    failures = [msg for _, config_failures in results for msg in config_failures]
+    worst = {key: max(r[0][key] for r in results) for key in results[0][0]}
     _verdict(
         "criterion 3: precoder algebra",
         not failures,
-        f"{len(cells)} configs x {seeds} seeds in {elapsed:.1f}s; worst residuals "
+        f"{len(configs)} configs x {seeds} seeds in {elapsed:.1f}s; worst residuals "
         f"null={worst['nullspace']:.1e} align={worst['alignment']:.1e} "
-        f"unit={worst['unitarity']:.1e}",
+        f"unit={worst['unitarity']:.1e} zf={worst['zero-forcing']:.1e}",
     )
     assert not failures, failures[:10]
     assert elapsed < 60.0

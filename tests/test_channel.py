@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import crandn, elimination_rank
+from helpers import block_diag2, crandn, elimination_rank
 from sdoflab import (
     AntennaConfig,
     EveMode,
@@ -9,6 +9,7 @@ from sdoflab import (
     SignalParams,
     allocate_jamming,
     build_precoders,
+    channel_use,
     sample_channels,
 )
 from sdoflab.channel import per_stream_powers, slot_extend
@@ -138,3 +139,64 @@ class TestSlotExtend:
         assert np.array_equal(out[:2, :3], a)
         assert np.array_equal(out[2:, 3:], b)
         assert not out[:2, 3:].any() and not out[2:, :3].any()
+
+
+class TestChannelUse:
+    """channel_use against oracles drawn here with sample_channels and np.kron."""
+
+    config = AntennaConfig(2, 2, 3, 2)
+    seed, trial = 7, 3
+
+    def trial_draw(self, mode):
+        rng = RngStream(self.seed, (self.trial, 0))
+        return rng, sample_channels(self.config, rng, mode)
+
+    def draw_at(self, address):
+        rng = RngStream(self.seed, (self.trial, address))
+        return sample_channels(self.config, rng, EveMode.TIME_VARYING)
+
+    @pytest.mark.parametrize("use", [0, 1, 4])
+    def test_time_varying_slot_s_of_use_k_is_the_draw_at_2k_plus_s(self, use):
+        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
+        seen = channel_use(self.config, trial, rng, use, EveMode.TIME_VARYING, 2)
+        ne, m1, m2 = self.config.n_e, self.config.m1, self.config.m2
+        a, b = self.draw_at(2 * use), self.draw_at(2 * use + 1)
+        assert np.array_equal(seen.g1, block_diag2(a.g1, b.g1))
+        assert np.array_equal(seen.g2, block_diag2(a.g2, b.g2))
+        assert seen.g1.shape == (2 * ne, 2 * m1) and seen.g2.shape == (2 * ne, 2 * m2)
+        assert not np.array_equal(a.g1, b.g1)
+
+    def test_slot_a_of_use_0_is_the_trial_draw(self):
+        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
+        seen = channel_use(self.config, trial, rng, 0, EveMode.TIME_VARYING, 2)
+        ne, m1 = self.config.n_e, self.config.m1
+        assert np.array_equal(seen.g1[:ne, :m1], trial.g1)
+        assert np.array_equal(seen.g1[:ne, :m1], self.draw_at(0).g1)
+
+    @pytest.mark.parametrize("use", [0, 2])
+    def test_static_slots_carry_the_trial_eavesdropper(self, use):
+        rng, trial = self.trial_draw(EveMode.STATIC)
+        seen = channel_use(self.config, trial, rng, use, EveMode.STATIC, 2)
+        assert np.array_equal(seen.g1, np.kron(np.eye(2), trial.g1))
+        assert np.array_equal(seen.g2, np.kron(np.eye(2), trial.g2))
+
+    @pytest.mark.parametrize("mode", list(EveMode))
+    def test_legitimate_blocks_hold_the_trial_draw(self, mode):
+        rng, trial = self.trial_draw(mode)
+        seen = channel_use(self.config, trial, rng, 3, mode, 2)
+        assert np.array_equal(seen.h1, np.kron(np.eye(2), trial.h1))
+        assert np.array_equal(seen.h2, np.kron(np.eye(2), trial.h2))
+
+    @pytest.mark.parametrize("use", [0, 3])
+    def test_single_slot_use_k_is_the_draw_at_2k(self, use):
+        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
+        seen = channel_use(self.config, trial, rng, use, EveMode.TIME_VARYING, 1)
+        oracle = self.draw_at(2 * use)
+        assert np.array_equal(seen.h1, trial.h1) and np.array_equal(seen.h2, trial.h2)
+        assert np.array_equal(seen.g1, oracle.g1) and np.array_equal(seen.g2, oracle.g2)
+
+    def test_trial_rng_must_address_use_0(self):
+        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
+        later = RngStream(self.seed, (self.trial, 1))
+        with pytest.raises(ValueError):
+            channel_use(self.config, trial, later, 0, EveMode.TIME_VARYING, 1)

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import max_abs
+import sdoflab
 from sdoflab import cli
 
 
@@ -224,9 +227,12 @@ class TestVerifyCommand:
 
 
 def test_console_entry_point():
+    # The child interpreter finds the package where this one did, installed or not.
+    src = str(Path(sdoflab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "sdoflab.cli", "sdof", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "D_s = 1/2 (0.5)" in result.stdout

@@ -11,6 +11,7 @@ from sdoflab import (
     aligned_jamming,
     allocate_jamming,
     build_precoders,
+    channel_use,
     leakage_rank,
     nullspace_jamming,
     random_jamming,
@@ -186,15 +187,18 @@ class TestLeakageRank:
         # (the gap exact fractional alignment would close).
         config = AntennaConfig(2, 2, 3, 1)
         rng = RngStream(2)
-        ch_a = sample_channels(config, rng, EveMode.TIME_VARYING)
-        ch_b = sample_channels(config, RngStream(2, (0, 1)), EveMode.TIME_VARYING)
-        pre = build_precoders(config, ch_a, allocate_jamming(config), rng)
+        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
+        pre = build_precoders(config, ch, allocate_jamming(config), rng)
         assert pre.slots == 2
-        assert leakage_rank(ch_a, pre, slot_b=ch_b) == 2
-        assert leakage_rank(ch_a, pre) == 1
+        varying = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
+        held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
+        assert leakage_rank(varying, pre) == 2
+        assert leakage_rank(held, pre) == 1
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_matches_oracle(self, cfg):
+        # The static model, sweep()'s default, against a test-built np.kron
+        # slot space and the elimination rank.
         config = AntennaConfig(*cfg)
         rng = RngStream(8)
         ch = sample_channels(config, rng)
@@ -203,4 +207,5 @@ class TestLeakageRank:
         if pre.slots == 2:
             g1, g2 = np.kron(np.eye(2), g1), np.kron(np.eye(2), g2)
         expected = elimination_rank(np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j]))
-        assert leakage_rank(ch, pre) == leakage_rank(ch, pre, slot_b=ch) == expected
+        held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
+        assert leakage_rank(held, pre) == expected

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import block_diag2
 from sdoflab import (
     AntennaConfig,
+    ChannelRealization,
     EveMode,
     InsufficientData,
     PrecoderSet,
@@ -11,6 +13,7 @@ from sdoflab import (
     SignalParams,
     allocate_jamming,
     build_precoders,
+    channel_use,
     estimate_dof,
     eve_leakage,
     legit_rate,
@@ -18,16 +21,23 @@ from sdoflab import (
     sum_sdof,
     sweep,
 )
+from sdoflab import channel, simulate
 from sdoflab.channel import per_stream_powers
 from sdoflab.simulate import HALF_LOG2_PER_DB
 
 
 def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
+    """The config, the channel its precoder set sees in channel use 0, and the set."""
     config = AntennaConfig(*cfg)
     rng = RngStream(seed)
     ch = sample_channels(config, rng, mode)
     pre = build_precoders(config, ch, allocate_jamming(config), rng)
-    return config, ch, pre
+    return config, channel_use(config, ch, rng, 0, mode, pre.slots), pre
+
+
+def _kron2(ch):
+    """Test-built slot space of a channel held over two slots."""
+    return ChannelRealization(*(np.kron(np.eye(2), m) for m in (ch.h1, ch.h2, ch.g1, ch.g2)))
 
 
 class TestLegitRate:
@@ -52,12 +62,14 @@ class TestLegitRate:
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_matches_slogdet_oracle(self, cfg):
-        # E = [U H1 V1l | U H2 V2l] built here with np.kron, not the library
-        # slot helper; the (2, 2, 3, 1) set uses the two-slot extension.
-        _, ch, pre = _build(cfg, seed=4)
-        h1, h2 = ch.h1, ch.h2
+        # E = [U H1 V1l | U H2 V2l] built here from the trial draw with
+        # np.kron, not the library slot helper; the (2, 2, 3, 1) set uses
+        # the two-slot extension.
+        config, ch, pre = _build(cfg, seed=4)
+        trial = sample_channels(config, RngStream(4), EveMode.TIME_VARYING)
         if pre.slots == 2:
-            h1, h2 = np.kron(np.eye(2), h1), np.kron(np.eye(2), h2)
+            trial = _kron2(trial)
+        h1, h2 = trial.h1, trial.h2
         sig = SignalParams.from_db(30.0, alpha=0.4, sigma2=2.0)
         p_legit, _ = per_stream_powers(pre, sig)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
@@ -79,7 +91,7 @@ class TestEveLeakage:
     def test_unjammed_leakage_grows(self):
         # strip the jamming: the eavesdropper sees only noise in the
         # denominator and the ratio grows with power
-        config, ch, pre = _build((2, 2, 3, 1))
+        ch = sample_channels(AntennaConfig(2, 2, 3, 1), RngStream(0), EveMode.TIME_VARYING)
         naked_cfg = AntennaConfig(2, 2, 3, 0)
         rng = RngStream(0)
         naked_ch = sample_channels(naked_cfg, rng)
@@ -92,9 +104,17 @@ class TestEveLeakage:
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_is_the_same_draw(self, cfg):
-        _, ch, pre = _build(cfg, seed=6)
+        # The static model, sweep()'s default, holds the trial's eavesdropper
+        # in both slots of every channel use.
+        config = AntennaConfig(*cfg)
+        rng = RngStream(6)
+        trial = sample_channels(config, rng)
+        pre = build_precoders(config, trial, allocate_jamming(config), rng)
+        held = trial if pre.slots == 1 else _kron2(trial)
         sig = SignalParams.from_db(50.0)
-        assert eve_leakage(ch, pre, sig) == eve_leakage(ch, pre, sig, slot_b=ch)
+        for use in (0, 3):
+            seen = channel_use(config, trial, rng, use, EveMode.STATIC, pre.slots)
+            assert eve_leakage(seen, pre, sig) == eve_leakage(held, pre, sig)
 
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
@@ -123,6 +143,42 @@ class TestSweep:
         sequential = sweep(*args, threads=1)
         threaded = sweep(*args, threads=4)
         assert sequential == threaded
+
+    def test_time_varying_two_slot_draws_once_per_trial(self, monkeypatch):
+        # Per grid point only the eavesdropper is redrawn; sample_channels
+        # runs once per trial, at the trial address.
+        addresses = []
+        real = channel.sample_channels
+
+        def counting(config, rng, *args, **kwargs):
+            addresses.append(rng.stream_id)
+            return real(config, rng, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "sample_channels", counting)
+        monkeypatch.setattr(simulate, "sample_channels", counting)
+        grid = [60.0, 70.0, 80.0]
+        sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), grid, 4, 5, EveMode.TIME_VARYING)
+        assert sorted(addresses) == [(t, 0) for t in range(4)]
+
+    def test_time_varying_grid_point_k_sees_slots_at_2k_and_2k_plus_1(self):
+        config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
+        samples = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
+        for s in samples:
+            k = grid.index(s.p_db)
+            rng = RngStream(seed, (s.trial, 0))
+            trial = sample_channels(config, rng, EveMode.TIME_VARYING)
+            pre = build_precoders(config, trial, allocate_jamming(config), rng)
+            a, b = (
+                sample_channels(config, RngStream(seed, (s.trial, address)), EveMode.TIME_VARYING)
+                for address in (2 * k, 2 * k + 1)
+            )
+            held = _kron2(trial)
+            seen = ChannelRealization(
+                held.h1, held.h2, block_diag2(a.g1, b.g1), block_diag2(a.g2, b.g2)
+            )
+            sig = SignalParams.from_db(s.p_db)
+            assert s.legit_rate == pytest.approx(legit_rate(seen, pre, sig), rel=1e-12)
+            assert s.eve_leakage == pytest.approx(eve_leakage(seen, pre, sig), rel=1e-12, abs=1e-12)
 
     def test_static_mode_reuses_eavesdropper(self):
         grid = [60.0, 70.0, 80.0]
