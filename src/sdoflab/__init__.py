@@ -25,7 +25,6 @@ from .errors import (
 )
 from .precoding import (
     PrecoderSet,
-    aligned_jamming,
     build_precoders,
     leakage_rank,
     nullspace_jamming,
@@ -98,7 +97,6 @@ __all__ = [
     "PrecoderSet",
     "random_jamming",
     "nullspace_jamming",
-    "aligned_jamming",
     "build_precoders",
     "leakage_rank",
     # Monte Carlo

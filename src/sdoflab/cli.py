@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
 from .errors import InfeasibleAllocation, SdofLabError
-from .precoding import _build_with_report, leakage_rank
+from .precoding import build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
     allocate_jamming,
@@ -181,7 +181,7 @@ def cmd_design(args) -> int:
     ch = sample_channels(config, rng, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
-    pre, report = _build_with_report(config, ch, alloc, rng, DEFAULT_TOL)
+    pre = build_precoders(config, ch, alloc, rng, DEFAULT_TOL)
     seen = channel_use(config, ch, rng, 0, mode, pre.slots)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
@@ -216,14 +216,14 @@ def cmd_design(args) -> int:
             "u": _encode_matrix(pre.u),
         },
         "residuals": {
-            "nullspace": _fmt(report.nullspace_residual),
-            "alignment": _fmt(report.alignment_residual),
-            "unitarity": _fmt(report.unitarity_residual),
-            "zero_forcing": _fmt(report.zero_forcing_residual),
+            "nullspace": _fmt(pre.report.nullspace_residual),
+            "alignment": _fmt(pre.report.alignment_residual),
+            "unitarity": _fmt(pre.report.unitarity_residual),
+            "zero_forcing": _fmt(pre.report.zero_forcing_residual),
         },
         "ranks": {
-            "u": report.u_rank,
-            "legit_post_projection": report.legit_rank,
+            "u": pre.report.u_rank,
+            "legit_post_projection": pre.report.legit_rank,
             "eavesdropper_jamming": leakage_rank(seen, pre, DEFAULT_TOL),
         },
     }
@@ -335,6 +335,9 @@ def _validate_run(settings) -> _RunPlan:
     )
     if step <= 0 or stop < start:
         raise _UsageError("power grid requires p_start_db <= p_stop_db and p_step_db > 0")
+    slope_tolerance = _setting(settings, "slope_tolerance", float)
+    if slope_tolerance < 0:
+        raise _UsageError(f"slope_tolerance must be nonnegative, got {slope_tolerance!r}")
     try:
         lo, hi = (float(edge) for edge in settings["window_db"])
     except (TypeError, ValueError):
@@ -366,8 +369,7 @@ def _validate_run(settings) -> _RunPlan:
             f"regression window [{lo}, {hi}] dB covers {covered} grid point(s), need at least 3"
         )
     return _RunPlan(
-        config, trials, seed, _MODES[mode], grid, sig, tol, (lo, hi), threads,
-        _setting(settings, "slope_tolerance", float),
+        config, trials, seed, _MODES[mode], grid, sig, tol, (lo, hi), threads, slope_tolerance
     )
 
 

@@ -40,29 +40,9 @@ __all__ = [
     "PrecoderSet",
     "random_jamming",
     "nullspace_jamming",
-    "aligned_jamming",
     "build_precoders",
     "leakage_rank",
 ]
-
-
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Precoders for both transmitters plus the receiver post-processor.
-
-    For ``slots == 1`` the shapes are v1_l: (m1, d1), v1_j: (m1, j_tx1),
-    likewise for transmitter two, and u is the (n, n) zero-forcing
-    projector.  For ``slots == 2`` every matrix lives on the slot-stacked
-    spaces (rows doubled, stream counts doubled) and rate evaluations
-    normalize per slot.
-    """
-
-    v1_l: np.ndarray
-    v1_j: np.ndarray
-    v2_l: np.ndarray
-    v2_j: np.ndarray
-    u: np.ndarray
-    slots: int = 1
 
 
 @dataclass(frozen=True)
@@ -77,21 +57,33 @@ class BuildReport:
     legit_rank: int
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return jamming_generator(rng)
-    return np.random.default_rng(rng)
+@dataclass(frozen=True)
+class PrecoderSet:
+    """Precoders for both transmitters plus the receiver post-processor.
+
+    For ``slots == 1`` the shapes are v1_l: (m1, d1), v1_j: (m1, j_tx1),
+    likewise for transmitter two, and u is the (n, n) zero-forcing
+    projector.  For ``slots == 2`` every matrix lives on the slot-stacked
+    spaces (rows doubled, stream counts doubled) and rate evaluations
+    normalize per slot.  ``report`` holds the residuals and ranks the
+    build measured on this set.
+    """
+
+    v1_l: np.ndarray
+    v1_j: np.ndarray
+    v2_l: np.ndarray
+    v2_j: np.ndarray
+    u: np.ndarray
+    slots: int
+    report: BuildReport
 
 
-def random_jamming(m: int, streams: int, rng) -> np.ndarray:
+def random_jamming(m: int, streams: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-random orthonormal jamming directions: an m x streams isometry."""
     if streams < 0 or streams > m:
         raise DimensionMismatch(f"cannot place {streams} random streams on {m} antennas")
     if streams == 0:
         return np.zeros((m, 0), dtype=np.complex128)
-    gen = _as_generator(rng)
     z = gen.standard_normal((m, streams)) + 1j * gen.standard_normal((m, streams))
     q, r = np.linalg.qr(z)
     # Fixing the R-diagonal phases makes the column distribution Haar.
@@ -111,60 +103,29 @@ def nullspace_jamming(h, streams: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return ns.basis[:, :streams]
 
 
-def aligned_jamming(h1, h2, streams: int, tol: Tolerance = DEFAULT_TOL):
-    """Jamming precoders steering both transmitters into one shared space.
+def _aligned_targets(h1, h2, pairs: int, slots: int, tol: Tolerance) -> np.ndarray:
+    """Orthonormal receive directions that both transmitters' aligned jamming hits.
 
-    Returns (v1j, v2j, shared) with ``h1 @ v1j = h2 @ v2j = shared.basis``
-    as exact minimum-norm solutions, so the pairwise alignment residual is
-    at numerical noise level.  The shared space is the intersection of the
-    two received column spaces, which generically has positive dimension
-    only when m1 + m2 > n.  Columns are not orthonormal here; assembly
-    re-orthonormalizes them within each transmitter, which mixes the
-    received basis invertibly and preserves all rank counts.
+    ``h1`` and ``h2`` are one slot's channels.  Their received column spaces
+    intersect in c_0, c_1, ..., which generically has positive dimension only
+    when m1 + m2 > n.  One slot takes the first ``pairs`` of these.  Two
+    slots alternate (c_j; c_j)/sqrt(2) and (c_j; -c_j)/sqrt(2) on the doubled
+    receive space: any prefix of that list is orthonormal and gives every
+    transmitter full-rank jamming in each slot.
     """
-    h1 = as_matrix(h1, "h1")
-    h2 = as_matrix(h2, "h2")
-    if h1.shape[0] != h2.shape[0]:
-        raise DimensionMismatch("h1 and h2 must share the receive dimension")
-    shared_full = intersect(orthonormal_basis(h1, tol), orthonormal_basis(h2, tol), tol)
-    if streams > shared_full.dim:
-        raise InfeasibleAllocation(
-            f"received signal spaces intersect in {shared_full.dim} dimensions, "
-            f"cannot align {streams} streams"
-        )
-    shared = Subspace(shared_full.basis[:, :streams])
-    if streams == 0:
-        return (
-            np.zeros((h1.shape[1], 0), dtype=np.complex128),
-            np.zeros((h2.shape[1], 0), dtype=np.complex128),
-            shared,
-        )
-    v1j = solve_into(h1, shared.basis, tol)
-    v2j = solve_into(h2, shared.basis, tol)
-    return v1j, v2j, shared
-
-
-def _two_slot_aligned_targets(h1, h2, pairs: int, tol: Tolerance) -> np.ndarray:
-    """Slot-balanced aligned directions on the doubled receive space.
-
-    From a per-slot intersection basis c_0, c_1, ... the doubled targets
-    alternate (c_j; c_j)/sqrt(2) and (c_j; -c_j)/sqrt(2).  Any prefix of
-    this list is orthonormal and gives every transmitter full-rank jamming
-    in each slot.
-    """
+    if pairs == 0:
+        return np.zeros((slots * h1.shape[0], 0), dtype=np.complex128)
     base = intersect(orthonormal_basis(h1, tol), orthonormal_basis(h2, tol), tol)
-    if pairs > 2 * base.dim:
+    if pairs > slots * base.dim:
         raise InfeasibleAllocation(
-            f"two-slot alignment needs {pairs} doubled directions, intersection "
-            f"offers {2 * base.dim}"
+            f"received signal spaces intersect in {base.dim} dimensions per slot, "
+            f"cannot align {pairs} streams over {slots} slot(s)"
         )
-    cols = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for t in range(pairs):
-        c = base.basis[:, t // 2]
-        sign = 1.0 if t % 2 == 0 else -1.0
-        cols.append(np.concatenate([c, sign * c]) * inv_sqrt2)
-    return np.column_stack(cols)
+    if slots == 1:
+        return base.basis[:, :pairs]
+    t = np.arange(pairs)
+    c = base.basis[:, t // 2]
+    return np.vstack([c, np.where(t % 2 == 0, 1.0, -1.0) * c]) * (1.0 / np.sqrt(2.0))
 
 
 def _max_abs(mat: np.ndarray) -> float:
@@ -175,7 +136,7 @@ def build_precoders(
     config: AntennaConfig,
     ch: ChannelRealization,
     alloc: JammingAllocation,
-    rng,
+    rng: RngStream,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PrecoderSet:
     """Assemble the full precoder set for an audited allocation.
@@ -183,17 +144,14 @@ def build_precoders(
     Jamming blocks are built per method, stacked, and re-orthonormalized
     within each transmitter; legitimate columns are an orthonormal
     completion against the jamming columns; the post-processor u is the
-    complement projector of the received jamming.  InfeasibleAllocation
-    propagates from the per-method constructors when the allocation does
-    not fit the channel (which for generic channels indicates an
-    allocation/configuration mismatch, not bad luck).
+    complement projector of the received jamming.  Random directions come
+    from ``jamming_generator(rng)``.  The set's ``report`` records the
+    construction's residuals and ranks.  InfeasibleAllocation propagates
+    from the per-method constructors when the allocation does not fit the
+    channel (which for generic channels indicates an allocation/configuration
+    mismatch, not bad luck).
     """
-    pre, _ = _build_with_report(config, ch, alloc, rng, tol)
-    return pre
-
-
-def _build_with_report(config, ch, alloc, rng, tol):
-    gen = _as_generator(rng)
+    gen = jamming_generator(rng)
     slots = 2 if alloc.needs_two_slot else 1
     h1 = slot_extend(ch.h1) if slots == 2 else ch.h1
     h2 = slot_extend(ch.h2) if slots == 2 else ch.h2
@@ -208,20 +166,13 @@ def _build_with_report(config, ch, alloc, rng, tol):
     if aligned_pairs != scaled(alloc.method_streams(2, JammingMethod.ALIGNED)):
         raise InfeasibleAllocation("aligned stream counts must match across transmitters")
 
-    alignment_residual = 0.0
-    if aligned_pairs:
-        if slots == 2:
-            targets = _two_slot_aligned_targets(ch.h1, ch.h2, aligned_pairs, tol)
-            v1_aligned = solve_into(h1, targets, tol)
-            v2_aligned = solve_into(h2, targets, tol)
-        else:
-            v1_aligned, v2_aligned, shared = aligned_jamming(h1, h2, aligned_pairs, tol)
-            targets = shared.basis
-        alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
-    else:
-        targets = np.zeros((h1.shape[0], 0), dtype=np.complex128)
-        v1_aligned = np.zeros((h1.shape[1], 0), dtype=np.complex128)
-        v2_aligned = np.zeros((h2.shape[1], 0), dtype=np.complex128)
+    # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
+    # columns are not orthonormal; assembly re-orthonormalizes them within
+    # each transmitter, an invertible mix that keeps every rank count.
+    targets = _aligned_targets(ch.h1, ch.h2, aligned_pairs, slots, tol)
+    v1_aligned = solve_into(h1, targets, tol)
+    v2_aligned = solve_into(h2, targets, tol)
+    alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
 
     # Receiver dimensions actually occupied by jamming: the aligned targets
     # (once; both transmitters land there) plus each random block's image.
@@ -280,7 +231,6 @@ def _build_with_report(config, ch, alloc, rng, tol):
 
     v1_l = legit_completion(v1_j, scaled(alloc.d1))
     v2_l = legit_completion(v2_j, scaled(alloc.d2))
-    pre = PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, slots)
 
     unitarity_residual = 0.0
     for vl, vj in ((v1_l, v1_j), (v2_l, v2_j)):
@@ -304,7 +254,11 @@ def _build_with_report(config, ch, alloc, rng, tol):
         u_rank=u_rank,
         legit_rank=legit_rank,
     )
-    return pre, report
+    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, slots, report)
+
+
+# perfbench/workloads.ENTRY_POINTS still names this; drop it there first (ROADMAP item 6).
+_build_with_report = build_precoders
 
 
 def leakage_rank(ch: ChannelRealization, pre: PrecoderSet, tol: Tolerance = DEFAULT_TOL) -> int:

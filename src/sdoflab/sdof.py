@@ -279,17 +279,16 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
     remaining antennas allow.  For n_e = 0 no jamming is placed; for
     n_e >= m1 + m2 the zero allocation is returned.
     """
-    label = classify(config)
     n, n_e = config.n, config.n_e
 
-    if label.regime is Regime.ZERO:
+    if n_e >= config.m:
         return JammingAllocation((), (), Fraction(0), Fraction(0), Fraction(0))
 
     swapped = config.m2 > config.m1
     work = config.swapped() if swapped else config
     m1, m2 = work.m1, work.m2
 
-    if label.regime is Regime.NO_EAVESDROPPER:
+    if n_e == 0:
         total = Fraction(min(work.m, n))
         d1 = min(Fraction(m1), total)
         nullspace1 = nullspace2 = aligned = random1 = random2 = Fraction(0)

@@ -139,14 +139,14 @@ def sweep(
     p_grid_db: Sequence[float],
     trials: int,
     master_seed: int,
-    mode: EveMode = EveMode.STATIC,
+    mode: EveMode,
     tol: Tolerance = DEFAULT_TOL,
     threads: int | None = None,
 ) -> list[RateSample]:
     """Monte Carlo rate samples over a power grid.
 
     Per trial: one channel draw and precoder build, then rates at each grid
-    point k on ``channel_use`` k.  Output is ordered by (p_db, trial) and
+    point k on ``channel_use`` k under eavesdropper model ``mode``.  Output is ordered by (p_db, trial) and
     depends only on the arguments, never on thread count (``threads=None``
     reads SDOFLAB_THREADS, defaulting to sequential).  An InfeasibleAllocation
     from any trial aborts the sweep: feasibility is generic, so a failure

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
 from .errors import SdofLabError
-from .precoding import _build_with_report, leakage_rank
+from .precoding import build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
     allocate_jamming,
@@ -117,17 +117,17 @@ def check_config(config: AntennaConfig, seeds: int, tol: Tolerance = DEFAULT_TOL
     for seed in range(seeds):
         rng = RngStream(seed, (0, 0))
         ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-        pre, report = _build_with_report(config, ch, alloc, rng, tol)
+        pre = build_precoders(config, ch, alloc, rng, tol)
         seen = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
         residuals = (
-            ("nullspace", report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),
-            ("alignment", report.alignment_residual, ALIGNMENT_RESIDUAL_MAX),
-            ("unitarity", report.unitarity_residual, UNITARITY_RESIDUAL_MAX),
-            ("zero-forcing", report.zero_forcing_residual, ZERO_FORCING_RESIDUAL_MAX),
+            ("nullspace", pre.report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),
+            ("alignment", pre.report.alignment_residual, ALIGNMENT_RESIDUAL_MAX),
+            ("unitarity", pre.report.unitarity_residual, UNITARITY_RESIDUAL_MAX),
+            ("zero-forcing", pre.report.zero_forcing_residual, ZERO_FORCING_RESIDUAL_MAX),
         )
         ranks = (
-            ("rank(U)", report.u_rank, expect_u_rank),
-            ("legit rank", report.legit_rank, expect_legit),
+            ("rank(U)", pre.report.u_rank, expect_u_rank),
+            ("legit rank", pre.report.legit_rank, expect_legit),
             ("leakage rank", leakage_rank(seen, pre, tol), expect_leak),
         )
         for kind, value, _ in residuals:

@@ -208,7 +208,7 @@ def test_criterion_7_zero_sdof_edge(tmp_path):
         assert sum_sdof(config).as_fraction == 0
         alloc = allocate_jamming(config)
         assert alloc.d_total == 0
-        samples = sweep(config, SignalParams(1.0), GRID_DB, 5, 3)
+        samples = sweep(config, SignalParams(1.0), GRID_DB, 5, 3, EveMode.STATIC)
         legit, _ = estimate_dof(samples, WINDOW_DB)
         ok &= abs(legit.slope) <= 0.05
         details.append(f"{cfg}: slope {legit.slope:.4f}")

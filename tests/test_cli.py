@@ -165,7 +165,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise InfeasibleAllocation("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli, "_build_with_report", explode)
+        monkeypatch.setattr(cli, "build_precoders", explode)
         code = run_cli(["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2"])
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
@@ -186,10 +186,11 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": "many"}),
         (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
         (_SIM + ["--config", "no-such-run.json"], None, None),
+        (_SIM + ["--tolerance", "-1"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
-         "trials-fractional", "config-missing"],
+         "trials-fractional", "config-missing", "tolerance-negative"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

@@ -8,7 +8,6 @@ from sdoflab import (
     EveMode,
     InfeasibleAllocation,
     RngStream,
-    aligned_jamming,
     allocate_jamming,
     build_precoders,
     channel_use,
@@ -16,9 +15,27 @@ from sdoflab import (
     nullspace_jamming,
     random_jamming,
     sample_channels,
+    solve_into,
 )
-from sdoflab.precoding import _build_with_report
+from sdoflab.channel import jamming_generator
+from sdoflab.precoding import _aligned_targets
 from sdoflab.subspaces import DEFAULT_TOL
+
+
+def _kron2(h):
+    """Test-built slot space of a channel held over two slots."""
+    return np.kron(np.eye(2), h)
+
+
+def _aligned(h1, h2, pairs, slots):
+    """The build's aligned path: shared targets, then one solve per transmitter.
+
+    Returns v1, v2, the targets and the two slot-space channels.
+    """
+    targets = _aligned_targets(h1, h2, pairs, slots, DEFAULT_TOL)
+    if slots == 2:
+        h1, h2 = _kron2(h1), _kron2(h2)
+    return solve_into(h1, targets), solve_into(h2, targets), targets, h1, h2
 
 
 class TestRandomJamming:
@@ -33,10 +50,12 @@ class TestRandomJamming:
         with pytest.raises(DimensionMismatch):
             random_jamming(2, 3, np.random.default_rng(0))
 
-    def test_accepts_rng_stream(self):
-        a = random_jamming(4, 2, RngStream(5))
-        b = random_jamming(4, 2, RngStream(5))
+    def test_deterministic_through_jamming_generator(self):
+        a = random_jamming(4, 2, jamming_generator(RngStream(5)))
+        b = random_jamming(4, 2, jamming_generator(RngStream(5)))
+        other = random_jamming(4, 2, jamming_generator(RngStream(6)))
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
 
     def test_direction_uniform_on_sphere(self):
         # For a Haar-random unit vector v in C^m, |v_1|^2 ~ Beta(1, m-1).
@@ -66,32 +85,42 @@ class TestNullspaceJamming:
 
 
 class TestAlignedJamming:
+    # One slot takes intersection columns; two slots take their (c; +-c)/sqrt(2)
+    # mixtures on the doubled receive space.  Both go through one path.
     def test_identical_channels(self):
-        v1, v2, shared = aligned_jamming(np.eye(3), np.eye(3), 2)
-        assert max_abs(v1 - v2) < 1e-12
-        assert shared.dim == 2
+        for slots in (1, 2):
+            v1, v2, targets, _, _ = _aligned(np.eye(3), np.eye(3), 2, slots)
+            assert max_abs(v1 - v2) < 1e-12
+            assert targets.shape == (3 * slots, 2)
 
     def test_generic_intersection(self):
         gen = np.random.default_rng(4)
         h1, h2 = crandn(gen, 3, 2), crandn(gen, 3, 2)
-        v1, v2, shared = aligned_jamming(h1, h2, 1)
-        assert max_abs(h1 @ v1 - h2 @ v2) < 1e-8
-        assert max_abs(h1 @ v1 - shared.basis) < 1e-8
+        for slots in (1, 2):
+            # a one-dimensional intersection carries one pair per slot
+            v1, v2, targets, h1s, h2s = _aligned(h1, h2, slots, slots)
+            assert max_abs(h1s @ v1 - h2s @ v2) < 1e-8
+            assert max_abs(h1s @ v1 - targets) < 1e-8
+            assert max_abs(targets.conj().T @ targets - np.eye(slots)) < 1e-12
 
     def test_empty_intersection_is_infeasible(self):
         gen = np.random.default_rng(5)
-        with pytest.raises(InfeasibleAllocation):
-            aligned_jamming(crandn(gen, 4, 2), crandn(gen, 4, 1), 1)
+        empty = (crandn(gen, 4, 2), crandn(gen, 4, 1))
+        line = (crandn(gen, 3, 2), crandn(gen, 3, 2))
+        for (h1, h2), pairs, slots in ((empty, 1, 1), (empty, 1, 2), (line, 2, 1), (line, 3, 2)):
+            with pytest.raises(InfeasibleAllocation):
+                _aligned_targets(h1, h2, pairs, slots, DEFAULT_TOL)
 
     def test_unaligned_at_eavesdropper(self):
         # aligned at the receiver yet generically separate through an
         # independent eavesdropper channel
         gen = np.random.default_rng(6)
         h1, h2 = crandn(gen, 3, 2), crandn(gen, 3, 2)
-        v1, v2, _ = aligned_jamming(h1, h2, 1)
-        g1, g2 = crandn(gen, 2, 2), crandn(gen, 2, 2)
-        received = np.hstack([g1 @ v1, g2 @ v2])
-        assert elimination_rank(received) == 2
+        for slots in (1, 2):
+            v1, v2, _, _, _ = _aligned(h1, h2, 1, slots)
+            g1, g2 = crandn(gen, 2, 2 * slots), crandn(gen, 2, 2 * slots)
+            received = np.hstack([g1 @ v1, g2 @ v2])
+            assert elimination_rank(received) == 2
 
 
 class TestBuildPrecoders:
@@ -100,8 +129,8 @@ class TestBuildPrecoders:
         rng = RngStream(seed)
         ch = sample_channels(config, rng, EveMode.TIME_VARYING)
         alloc = allocate_jamming(config)
-        pre, report = _build_with_report(config, ch, alloc, rng, DEFAULT_TOL)
-        return config, ch, alloc, pre, report
+        pre = build_precoders(config, ch, alloc, rng)
+        return config, ch, alloc, pre, pre.report
 
     def test_random_region(self):
         _, _, _, pre, report = self.build((2, 2, 4, 1))
@@ -127,6 +156,25 @@ class TestBuildPrecoders:
         assert report.u_rank == 5  # 2n - 2 j_s = 6 - 1
         assert report.legit_rank == 5  # 2 (d1 + d2)
 
+    @pytest.mark.parametrize(
+        "cfg", [(2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 1), (4, 4, 6, 3)]
+    )
+    def test_report_matches_recomputation(self, cfg):
+        # The report against its quantities recomputed here on a np.kron
+        # slot space, ranks by elimination; (2, 2, 3, 1) and (4, 4, 6, 3)
+        # use the two-slot extension.
+        _, ch, _, pre, report = self.build(cfg, seed=3)
+        h1, h2 = (ch.h1, ch.h2) if pre.slots == 1 else (_kron2(ch.h1), _kron2(ch.h2))
+        legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
+        jamming = np.hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
+        assert report.u_rank == elimination_rank(pre.u)
+        assert report.legit_rank == elimination_rank(pre.u @ legit)
+        assert report.zero_forcing_residual == max_abs(pre.u @ jamming)
+        stacks = (np.hstack([pre.v1_l, pre.v1_j]), np.hstack([pre.v2_l, pre.v2_j]))
+        assert report.unitarity_residual == max(
+            max_abs(v.conj().T @ v - np.eye(v.shape[1])) for v in stacks
+        )
+
     def test_propagates_infeasibility(self):
         config = AntennaConfig(2, 2, 3, 2)
         alloc = allocate_jamming(AntennaConfig(5, 1, 2, 5))
@@ -145,7 +193,8 @@ class TestBuildPrecoders:
                             rng = RngStream(seed)
                             ch = sample_channels(config, rng, EveMode.TIME_VARYING)
                             alloc = allocate_jamming(config)
-                            pre, report = _build_with_report(config, ch, alloc, rng, DEFAULT_TOL)
+                            pre = build_precoders(config, ch, alloc, rng)
+                            report = pre.report
                             slots = pre.slots
                             stacked1 = np.hstack([pre.v1_l, pre.v1_j])
                             if stacked1.shape[1]:
@@ -197,8 +246,8 @@ class TestLeakageRank:
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_matches_oracle(self, cfg):
-        # The static model, sweep()'s default, against a test-built np.kron
-        # slot space and the elimination rank.
+        # The static model against a test-built np.kron slot space and the
+        # elimination rank.
         config = AntennaConfig(*cfg)
         rng = RngStream(8)
         ch = sample_channels(config, rng)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from sdoflab import (
     ChannelRealization,
     EveMode,
     InsufficientData,
-    PrecoderSet,
     RateSample,
     RngStream,
     SignalParams,
@@ -47,7 +48,7 @@ class TestLegitRate:
 
     def test_zero_projector(self):
         _, ch, pre = _build((2, 2, 3, 2))
-        dead = PrecoderSet(pre.v1_l, pre.v1_j, pre.v2_l, pre.v2_j, np.zeros_like(pre.u), pre.slots)
+        dead = dataclasses.replace(pre, u=np.zeros_like(pre.u))
         assert legit_rate(ch, dead, SignalParams(100.0)) == 0.0
 
     def test_zero_streams(self):
@@ -96,15 +97,14 @@ class TestEveLeakage:
         rng = RngStream(0)
         naked_ch = sample_channels(naked_cfg, rng)
         naked = build_precoders(naked_cfg, naked_ch, allocate_jamming(naked_cfg), rng)
-        spy = PrecoderSet(naked.v1_l, naked.v1_j, naked.v2_l, naked.v2_j, naked.u, naked.slots)
         realization = type(ch)(naked_ch.h1, naked_ch.h2, ch.g1, ch.g2)
-        low = eve_leakage(realization, spy, SignalParams.from_db(40.0))
-        high = eve_leakage(realization, spy, SignalParams.from_db(80.0))
+        low = eve_leakage(realization, naked, SignalParams.from_db(40.0))
+        high = eve_leakage(realization, naked, SignalParams.from_db(80.0))
         assert high > low + 5.0
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_is_the_same_draw(self, cfg):
-        # The static model, sweep()'s default, holds the trial's eavesdropper
+        # The static model holds the trial's eavesdropper
         # in both slots of every channel use.
         config = AntennaConfig(*cfg)
         rng = RngStream(6)
@@ -123,23 +123,23 @@ class TestEveLeakage:
 
 class TestSweep:
     def test_single_point_single_trial(self):
-        samples = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [50.0], 1, 0)
+        samples = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [50.0], 1, 0, EveMode.STATIC)
         assert len(samples) == 1
         assert samples[0].trial == 0
 
     def test_sample_count_and_finiteness(self):
         grid = [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-        samples = sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), grid, 50, 7)
+        samples = sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), grid, 50, 7, EveMode.STATIC)
         assert len(samples) == 350
         assert all(np.isfinite(s.legit_rate) and np.isfinite(s.eve_leakage) for s in samples)
         assert all(s.legit_rate >= 0 and s.eve_leakage >= 0 for s in samples)
 
     def test_deterministic(self):
-        args = (AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 4, 99)
+        args = (AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 4, 99, EveMode.STATIC)
         assert sweep(*args) == sweep(*args)
 
     def test_thread_count_does_not_change_results(self):
-        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5)
+        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
         threaded = sweep(*args, threads=4)
         assert sequential == threaded
@@ -189,9 +189,9 @@ class TestSweep:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0, 60.0], 1, 0)
+            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0, 60.0], 1, 0, EveMode.STATIC)
         with pytest.raises(ValueError):
-            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 0, 0)
+            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 0, 0, EveMode.STATIC)
 
 
 class TestEstimateDof:
@@ -224,7 +224,7 @@ class TestEstimateDof:
 
     def test_end_to_end_slope(self):
         config = AntennaConfig(2, 2, 3, 2)
-        samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 10, 42)
+        samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 10, 42, EveMode.STATIC)
         legit, _ = estimate_dof(samples, (60.0, 100.0))
         assert abs(legit.slope - sum_sdof(config).value) <= 0.15
 
@@ -234,7 +234,7 @@ class TestSecrecyPositivity:
     def test_mean_secrecy_margin_positive_at_high_power(self, cfg):
         config = AntennaConfig(*cfg)
         assert sum_sdof(config).value > 0
-        samples = sweep(config, SignalParams(1.0), [60.0, 80.0, 100.0], 10, 13)
+        samples = sweep(config, SignalParams(1.0), [60.0, 80.0, 100.0], 10, 13, EveMode.STATIC)
         by_power = {}
         for s in samples:
             by_power.setdefault(s.p_db, []).append(s.legit_rate - s.eve_leakage)
@@ -244,7 +244,7 @@ class TestSecrecyPositivity:
 
 class TestThreadEnvironment:
     def test_env_cap_does_not_change_results(self, monkeypatch):
-        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 5, 21)
+        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 5, 21, EveMode.STATIC)
         monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
         baseline = sweep(*args)
         monkeypatch.setenv("SDOFLAB_THREADS", "3")
@@ -253,4 +253,4 @@ class TestThreadEnvironment:
     def test_env_validation(self, monkeypatch):
         monkeypatch.setenv("SDOFLAB_THREADS", "0")
         with pytest.raises(ValueError):
-            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 1, 0)
+            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 1, 0, EveMode.STATIC)
