@@ -47,9 +47,7 @@ from .sdof import (
 )
 from .simulate import DofEstimate, RateSample, estimate_dof, eve_leakage, legit_rate, sweep
 from .subspaces import (
-    DEFAULT_TOL,
     Subspace,
-    Tolerance,
     complement_projector,
     complete_orthonormal,
     intersect,
@@ -63,8 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # subspace algebra
-    "Tolerance",
-    "DEFAULT_TOL",
     "Subspace",
     "orthonormal_basis",
     "nullspace",

@@ -100,38 +100,31 @@ class ChannelRealization:
     g2: np.ndarray
 
 
-def _complex_gaussian(gen, rows, cols, mean, variance):
-    scale = np.sqrt(variance / 2.0)
+def _complex_gaussian(gen, rows, cols):
+    """A rows x cols matrix of i.i.d. CN(0, 1) entries."""
     z = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
-    return mean + scale * z
+    return np.sqrt(0.5) * z
 
 
-def sample_channels(
-    config: AntennaConfig,
-    rng: RngStream,
-    mode: EveMode = EveMode.STATIC,
-    mean: float = 0.0,
-    variance: float = 1.0,
-) -> ChannelRealization:
+def sample_channels(config: AntennaConfig, rng: RngStream, mode: EveMode) -> ChannelRealization:
     """Draw a channel realization for one (trial, channel use) address.
 
-    Entries are i.i.d. circularly-symmetric complex Gaussian with the given
-    mean and variance (defaults give CN(0, 1), which makes all subspace
-    positions generic almost surely).  The legitimate matrices depend only
-    on the trial index; the eavesdropper matrices also depend on the
-    channel-use index in time-varying mode.
+    Entries are i.i.d. circularly-symmetric complex Gaussian CN(0, 1), which
+    makes all subspace positions generic almost surely.  The legitimate
+    matrices depend only on the trial index; the eavesdropper matrices also
+    depend on the channel-use index in time-varying mode.
     """
     legit = rng.generator(_DOMAIN_LEGIT, per_use=False)
-    h1 = _complex_gaussian(legit, config.n, config.m1, mean, variance)
-    h2 = _complex_gaussian(legit, config.n, config.m2, mean, variance)
-    return ChannelRealization(h1, h2, *_eavesdropper(config, rng, mode, mean, variance))
+    h1 = _complex_gaussian(legit, config.n, config.m1)
+    h2 = _complex_gaussian(legit, config.n, config.m2)
+    return ChannelRealization(h1, h2, *_eavesdropper(config, rng, mode))
 
 
-def _eavesdropper(config, rng, mode, mean=0.0, variance=1.0):
+def _eavesdropper(config, rng, mode):
     """The eavesdropper matrices (g1, g2) drawn at one address."""
     eve = rng.generator(_DOMAIN_EVE, per_use=mode.varies_per_use)
-    g1 = _complex_gaussian(eve, config.n_e, config.m1, mean, variance)
-    g2 = _complex_gaussian(eve, config.n_e, config.m2, mean, variance)
+    g1 = _complex_gaussian(eve, config.n_e, config.m1)
+    g2 = _complex_gaussian(eve, config.n_e, config.m2)
     return g1, g2
 
 
@@ -191,17 +184,3 @@ def slot_extend(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarr
     out[rows:, cols:] = second
     return out
 
-
-def per_stream_powers(pre, sig: SignalParams) -> tuple[float, float]:
-    """Per-stream legitimate and jamming powers implied by a precoder set.
-
-    The legitimate budget (1 - alpha) p is split evenly over the d1 + d2
-    legitimate streams and the jamming budget alpha p over the jamming
-    streams, normalized per channel use (slot).  Zero-stream budgets give
-    zero power.
-    """
-    legit_cols = pre.v1_l.shape[1] + pre.v2_l.shape[1]
-    jam_cols = pre.v1_j.shape[1] + pre.v2_j.shape[1]
-    p_legit = (1.0 - sig.alpha) * sig.p * pre.slots / legit_cols if legit_cols else 0.0
-    p_jam = sig.alpha * sig.p * pre.slots / jam_cols if jam_cols else 0.0
-    return p_legit, p_jam

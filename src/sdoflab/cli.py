@@ -33,7 +33,6 @@ from .sdof import (
     upper_bounds,
 )
 from .simulate import _resolve_threads, estimate_dof, sweep
-from .subspaces import DEFAULT_TOL, Tolerance
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
@@ -108,7 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=None,
         help=f"slope pass tolerance in DoF (default {_DEFAULT_SLOPE_TOL})",
     )
-    p_sim.add_argument("--threads", type=int, default=None, help="worker threads (SDOFLAB_THREADS caps)")
+    p_sim.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads (default: SDOFLAB_THREADS if set, else 1)",
+    )
     p_sim.add_argument("--csv", default=None, help="CSV output path ('-' = stdout, default)")
     p_sim.add_argument("--summary", default=None, help="JSON summary path ('-' = stdout, default)")
 
@@ -181,7 +183,7 @@ def cmd_design(args) -> int:
     ch = sample_channels(config, rng, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
-    pre = build_precoders(config, ch, alloc, rng, DEFAULT_TOL)
+    pre = build_precoders(config, ch, alloc, rng)
     seen = channel_use(config, ch, rng, 0, mode, pre.slots)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
@@ -224,7 +226,7 @@ def cmd_design(args) -> int:
         "ranks": {
             "u": pre.report.u_rank,
             "legit_post_projection": pre.report.legit_rank,
-            "eavesdropper_jamming": leakage_rank(seen, pre, DEFAULT_TOL),
+            "eavesdropper_jamming": leakage_rank(seen, pre),
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -240,8 +242,6 @@ def _merge_run_settings(args) -> dict:
         "p_step_db": _DEFAULT_GRID[2],
         "window_db": list(_DEFAULT_WINDOW),
         "slope_tolerance": _DEFAULT_SLOPE_TOL,
-        "rank_rel_tol": DEFAULT_TOL.rank_rel_tol,
-        "residual_abs_tol": DEFAULT_TOL.residual_abs_tol,
         "threads": None,
         "csv_out": "-", "summary_out": "-",
     }
@@ -283,12 +283,12 @@ def _merge_run_settings(args) -> dict:
 def _setting(settings, key, kind):
     """settings[key] converted by ``kind`` (int or float), or a usage error.
 
-    A fractional value is rejected as an integer rather than truncated, and
-    a float must be finite.
+    A JSON ``true``/``false`` is not a number, a fractional value is
+    rejected as an integer rather than truncated, and a float must be finite.
     """
     value = settings[key]
     try:
-        converted = kind(value)
+        converted = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         converted = None
     if kind is int and isinstance(value, float) and converted != value:
@@ -311,7 +311,6 @@ class _RunPlan:
     mode: EveMode
     grid: list
     sig: SignalParams
-    tol: Tolerance
     window: tuple
     threads: int
     slope_tolerance: float
@@ -339,7 +338,8 @@ def _validate_run(settings) -> _RunPlan:
     if slope_tolerance < 0:
         raise _UsageError(f"slope_tolerance must be nonnegative, got {slope_tolerance!r}")
     try:
-        lo, hi = (float(edge) for edge in settings["window_db"])
+        # A JSON true/false edge is dropped, so the pair fails to unpack.
+        lo, hi = (float(edge) for edge in settings["window_db"] if not isinstance(edge, bool))
     except (TypeError, ValueError):
         raise _UsageError(f"window_db must hold two numbers, got {settings['window_db']!r}") from None
     threads = settings["threads"]
@@ -354,10 +354,6 @@ def _validate_run(settings) -> _RunPlan:
         sig = SignalParams(
             1.0, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
         )
-        tol = Tolerance(
-            _setting(settings, "rank_rel_tol", float),
-            _setting(settings, "residual_abs_tol", float),
-        )
         threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -369,7 +365,7 @@ def _validate_run(settings) -> _RunPlan:
             f"regression window [{lo}, {hi}] dB covers {covered} grid point(s), need at least 3"
         )
     return _RunPlan(
-        config, trials, seed, _MODES[mode], grid, sig, tol, (lo, hi), threads, slope_tolerance
+        config, trials, seed, _MODES[mode], grid, sig, (lo, hi), threads, slope_tolerance
     )
 
 
@@ -384,7 +380,6 @@ def cmd_simulate(args) -> int:
         trials=plan.trials,
         master_seed=plan.seed,
         mode=plan.mode,
-        tol=plan.tol,
         threads=plan.threads,
     )
     csv_text = render_csv(samples)

@@ -24,9 +24,7 @@ from .channel import ChannelRealization, RngStream, jamming_generator, slot_exte
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import AntennaConfig, JammingAllocation, JammingMethod
 from .subspaces import (
-    DEFAULT_TOL,
     Subspace,
-    Tolerance,
     as_matrix,
     complement_projector,
     complete_orthonormal,
@@ -91,10 +89,10 @@ def random_jamming(m: int, streams: int, gen: np.random.Generator) -> np.ndarray
     return q * (d / np.abs(d))
 
 
-def nullspace_jamming(h, streams: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def nullspace_jamming(h, streams: int) -> np.ndarray:
     """Orthonormal jamming columns invisible at the receiver: h @ V ~ 0."""
     h = as_matrix(h, "h")
-    ns = nullspace(h, tol)
+    ns = nullspace(h)
     if streams > ns.dim:
         raise InfeasibleAllocation(
             f"nullspace of a {h.shape[0]}x{h.shape[1]} channel has dimension "
@@ -103,7 +101,7 @@ def nullspace_jamming(h, streams: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return ns.basis[:, :streams]
 
 
-def _aligned_targets(h1, h2, pairs: int, slots: int, tol: Tolerance) -> np.ndarray:
+def _aligned_targets(h1, h2, pairs: int, slots: int) -> np.ndarray:
     """Orthonormal receive directions that both transmitters' aligned jamming hits.
 
     ``h1`` and ``h2`` are one slot's channels.  Their received column spaces
@@ -115,7 +113,7 @@ def _aligned_targets(h1, h2, pairs: int, slots: int, tol: Tolerance) -> np.ndarr
     """
     if pairs == 0:
         return np.zeros((slots * h1.shape[0], 0), dtype=np.complex128)
-    base = intersect(orthonormal_basis(h1, tol), orthonormal_basis(h2, tol), tol)
+    base = intersect(orthonormal_basis(h1), orthonormal_basis(h2))
     if pairs > slots * base.dim:
         raise InfeasibleAllocation(
             f"received signal spaces intersect in {base.dim} dimensions per slot, "
@@ -137,7 +135,6 @@ def build_precoders(
     ch: ChannelRealization,
     alloc: JammingAllocation,
     rng: RngStream,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> PrecoderSet:
     """Assemble the full precoder set for an audited allocation.
 
@@ -169,9 +166,9 @@ def build_precoders(
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
     # columns are not orthonormal; assembly re-orthonormalizes them within
     # each transmitter, an invertible mix that keeps every rank count.
-    targets = _aligned_targets(ch.h1, ch.h2, aligned_pairs, slots, tol)
-    v1_aligned = solve_into(h1, targets, tol)
-    v2_aligned = solve_into(h2, targets, tol)
+    targets = _aligned_targets(ch.h1, ch.h2, aligned_pairs, slots)
+    v1_aligned = solve_into(h1, targets)
+    v2_aligned = solve_into(h2, targets)
     alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
 
     # Receiver dimensions actually occupied by jamming: the aligned targets
@@ -191,7 +188,7 @@ def build_precoders(
             if k == 0:
                 continue
             if method is JammingMethod.NULLSPACE:
-                block = nullspace_jamming(h_tx, k, tol)
+                block = nullspace_jamming(h_tx, k)
                 nullspace_residual = max(nullspace_residual, _max_abs(h_tx @ block))
                 blocks.append(block)
             elif method is JammingMethod.ALIGNED:
@@ -242,9 +239,9 @@ def build_precoders(
             )
 
     zero_forcing_residual = _max_abs(u @ received_jam)
-    u_rank = orthonormal_basis(u, tol).dim
+    u_rank = orthonormal_basis(u).dim
     legit_received = np.hstack([h1 @ v1_l, h2 @ v2_l])
-    legit_rank = orthonormal_basis(u @ legit_received, tol).dim
+    legit_rank = orthonormal_basis(u @ legit_received).dim
 
     report = BuildReport(
         nullspace_residual=nullspace_residual,
@@ -261,7 +258,7 @@ def build_precoders(
 _build_with_report = build_precoders
 
 
-def leakage_rank(ch: ChannelRealization, pre: PrecoderSet, tol: Tolerance = DEFAULT_TOL) -> int:
+def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> int:
     """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j].
 
     Generically equals min(n_e, total jamming streams), which the
@@ -277,4 +274,4 @@ def leakage_rank(ch: ChannelRealization, pre: PrecoderSet, tol: Tolerance = DEFA
     received = np.hstack([ch.g1 @ pre.v1_j, ch.g2 @ pre.v2_j])
     if received.shape[1] == 0:
         return 0
-    return orthonormal_basis(received, tol).dim
+    return orthonormal_basis(received).dim

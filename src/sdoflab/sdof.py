@@ -429,11 +429,18 @@ def regime_table(max_antennas: int) -> list[tuple[AntennaConfig, RegimeLabel, SD
     """
     if max_antennas < 1:
         raise ValueError("max_antennas must be at least 1")
-    rows = []
+    return [(config, classify(config), sum_sdof(config)) for config in _antenna_grid(max_antennas)]
+
+
+def _antenna_grid(max_antennas: int, include_all_ne: bool = True):
+    """Configurations with 1 <= m1, m2, n <= max_antennas, in lexicographic order.
+
+    n_e runs over 0 .. m1 + m2, or 0 .. m1 + m2 - 1 without
+    ``include_all_ne`` (dropping the fully jammed, zero-SDoF edge).
+    """
     for m1 in range(1, max_antennas + 1):
         for m2 in range(1, max_antennas + 1):
             for n in range(1, max_antennas + 1):
-                for n_e in range(0, m1 + m2 + 1):
-                    config = AntennaConfig(m1, m2, n, n_e)
-                    rows.append((config, classify(config), sum_sdof(config)))
-    return rows
+                top = m1 + m2 if include_all_ne else m1 + m2 - 1
+                for n_e in range(0, top + 1):
+                    yield AntennaConfig(m1, m2, n, n_e)

@@ -24,13 +24,11 @@ from .channel import (
     RngStream,
     SignalParams,
     channel_use,
-    per_stream_powers,
     sample_channels,
 )
 from .errors import InsufficientData, NumericalFailure
 from .precoding import PrecoderSet, build_precoders
 from .sdof import AntennaConfig, allocate_jamming
-from .subspaces import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "RateSample",
@@ -80,6 +78,21 @@ def _scaled_blocks(channels, precoders, power: float, sigma2: float) -> np.ndarr
         rows = channels[0].shape[0]
         return np.zeros((rows, 0), dtype=np.complex128)
     return np.sqrt(power / sigma2) * np.hstack(cols)
+
+
+def per_stream_powers(pre: PrecoderSet, sig: SignalParams) -> tuple[float, float]:
+    """Per-stream legitimate and jamming powers implied by a precoder set.
+
+    The legitimate budget (1 - alpha) p is split evenly over the d1 + d2
+    legitimate streams and the jamming budget alpha p over the jamming
+    streams, normalized per channel use (slot).  Zero-stream budgets give
+    zero power.
+    """
+    legit_cols = pre.v1_l.shape[1] + pre.v2_l.shape[1]
+    jam_cols = pre.v1_j.shape[1] + pre.v2_j.shape[1]
+    p_legit = (1.0 - sig.alpha) * sig.p * pre.slots / legit_cols if legit_cols else 0.0
+    p_jam = sig.alpha * sig.p * pre.slots / jam_cols if jam_cols else 0.0
+    return p_legit, p_jam
 
 
 def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> float:
@@ -140,7 +153,6 @@ def sweep(
     trials: int,
     master_seed: int,
     mode: EveMode,
-    tol: Tolerance = DEFAULT_TOL,
     threads: int | None = None,
 ) -> list[RateSample]:
     """Monte Carlo rate samples over a power grid.
@@ -165,7 +177,7 @@ def sweep(
     def run_trial(trial: int) -> list[RateSample]:
         rng0 = RngStream(master_seed, (trial, 0))
         ch0 = sample_channels(config, rng0, mode)
-        pre = build_precoders(config, ch0, alloc, rng0, tol)
+        pre = build_precoders(config, ch0, alloc, rng0)
         if mode.varies_per_use:
             seen = [channel_use(config, ch0, rng0, k, mode, pre.slots) for k in range(len(grid))]
         else:

@@ -3,11 +3,12 @@
 Everything here reduces to a handful of SVD-backed primitives: column-space
 bases, nullspaces, subspace intersections, constrained minimum-norm solves,
 orthogonal-complement projectors and orthonormal completions.  Rank
-decisions use a relative singular-value cutoff; residual checks use an
-absolute tolerance (channel entries are O(1) by construction).
+decisions use the relative singular-value cutoff ``RANK_REL_TOL``; residual
+checks use the absolute bound ``RESIDUAL_ABS_TOL`` (channel entries are
+O(1) by construction).
 
-All operations are pure functions of their inputs: identical arguments and
-tolerances produce bitwise-identical outputs, and nothing here holds shared
+All operations are pure functions of their inputs: identical arguments
+produce bitwise-identical outputs, and nothing here holds shared
 mutable state, so concurrent use is safe.
 """
 
@@ -20,8 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidMatrix, Unsolvable
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "Subspace",
     "as_matrix",
     "orthonormal_basis",
@@ -33,30 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical cutoffs for rank decisions and residual checks.
-
-    Parameters
-    ----------
-    rank_rel_tol : float
-        Singular values below ``rank_rel_tol`` times the largest singular
-        value are treated as zero.  Must lie in (0, 1).
-    residual_abs_tol : float
-        Absolute bound accepted for residuals such as ``||H V - T||_max``.
-    """
-
-    rank_rel_tol: float = 1e-10
-    residual_abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.rank_rel_tol < 1.0:
-            raise ValueError("rank_rel_tol must lie in (0, 1)")
-        if self.residual_abs_tol <= 0.0:
-            raise ValueError("residual_abs_tol must be positive")
-
-
-DEFAULT_TOL = Tolerance()
+# Singular values below RANK_REL_TOL times the largest count as zero.  Channel
+# entries are CN(0, 1), so every subspace the construction forms has its
+# generic dimension almost surely and one fixed cutoff serves every build.
+RANK_REL_TOL = 1e-10
+# Largest accepted residual, such as ||H V - T||_max in ``solve_into``.
+RESIDUAL_ABS_TOL = 1e-9
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -106,44 +87,44 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _rank_from_singular_values(s: np.ndarray, tol: Tolerance) -> int:
+def _rank_from_singular_values(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def orthonormal_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def orthonormal_basis(a) -> Subspace:
     """Orthonormal basis of the column space of ``a``.
 
     The returned dimension is the numerical rank of ``a`` under
-    ``tol.rank_rel_tol``; a zero matrix (or a zero-column matrix) yields the
+    ``RANK_REL_TOL``; a zero matrix (or a zero-column matrix) yields the
     trivial subspace.
     """
     a = as_matrix(a)
     if a.shape[1] == 0:
         return Subspace(np.zeros((a.shape[0], 0), dtype=np.complex128))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank_from_singular_values(s)
     return Subspace(u[:, :rank])
 
 
-def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def nullspace(a) -> Subspace:
     """Orthonormal basis of the (right) nullspace of ``a``.
 
     The ambient dimension of the result equals the column count of ``a``
     and its dimension is ``cols(a) - rank(a)``; every basis vector v
-    satisfies ``||a @ v||_max <= tol.residual_abs_tol``.
+    satisfies ``||a @ v||_max <= RESIDUAL_ABS_TOL``.
     """
     a = as_matrix(a)
     cols = a.shape[1]
     if cols == 0:
         return Subspace(np.zeros((0, 0), dtype=np.complex128))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank_from_singular_values(s)
     return Subspace(vh[rank:].conj().T)
 
 
-def intersect(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Computed from the nullspace of the stacked system ``[a.basis | -b.basis]``:
@@ -159,21 +140,21 @@ def intersect(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspac
     if a.dim == 0 or b.dim == 0:
         return Subspace(np.zeros((ambient, 0), dtype=np.complex128))
     stacked = np.hstack([a.basis, -b.basis])
-    coeff = nullspace(stacked, tol)
+    coeff = nullspace(stacked)
     if coeff.dim == 0:
         return Subspace(np.zeros((ambient, 0), dtype=np.complex128))
     vectors = a.basis @ coeff.basis[: a.dim, :]
-    return orthonormal_basis(vectors, tol)
+    return orthonormal_basis(vectors)
 
 
-def solve_into(h, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def solve_into(h, target) -> np.ndarray:
     """Minimum-norm V with ``h @ V = target``.
 
     Raises
     ------
     Unsolvable
         If some target column lies outside the column space of ``h``
-        (max residual beyond ``tol.residual_abs_tol``).  In precoder
+        (max residual beyond ``RESIDUAL_ABS_TOL``).  In precoder
         synthesis this signals aligned jamming being requested outside
         its validity region.
     """
@@ -185,9 +166,9 @@ def solve_into(h, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         )
     if target.shape[1] == 0:
         return np.zeros((h.shape[1], 0), dtype=np.complex128)
-    v, _, _, _ = np.linalg.lstsq(h, target, rcond=tol.rank_rel_tol)
+    v, _, _, _ = np.linalg.lstsq(h, target, rcond=RANK_REL_TOL)
     residual = float(np.abs(h @ v - target).max())
-    if residual > tol.residual_abs_tol:
+    if residual > RESIDUAL_ABS_TOL:
         raise Unsolvable(
             f"target columns are not reachable through h (residual {residual:.3e})"
         )

@@ -187,10 +187,15 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
         (_SIM + ["--config", "no-such-run.json"], None, None),
         (_SIM + ["--tolerance", "-1"], None, None),
+        (["simulate"], None, {"m1": True, "m2": 1, "n": 1, "ne": 1}),
+        (_SIM, None, {"master_seed": False}),
+        (_SIM, None, {"window_db": [True, 100.0]}),
+        (_SIM, None, {"rank_rel_tol": 1e-6}),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
-         "trials-fractional", "config-missing", "tolerance-negative"],
+         "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
+         "config-bool-seed", "config-bool-window", "config-rank-rel-tol"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

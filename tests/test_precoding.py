@@ -19,7 +19,6 @@ from sdoflab import (
 )
 from sdoflab.channel import jamming_generator
 from sdoflab.precoding import _aligned_targets
-from sdoflab.subspaces import DEFAULT_TOL
 
 
 def _kron2(h):
@@ -32,7 +31,7 @@ def _aligned(h1, h2, pairs, slots):
 
     Returns v1, v2, the targets and the two slot-space channels.
     """
-    targets = _aligned_targets(h1, h2, pairs, slots, DEFAULT_TOL)
+    targets = _aligned_targets(h1, h2, pairs, slots)
     if slots == 2:
         h1, h2 = _kron2(h1), _kron2(h2)
     return solve_into(h1, targets), solve_into(h2, targets), targets, h1, h2
@@ -109,7 +108,7 @@ class TestAlignedJamming:
         line = (crandn(gen, 3, 2), crandn(gen, 3, 2))
         for (h1, h2), pairs, slots in ((empty, 1, 1), (empty, 1, 2), (line, 2, 1), (line, 3, 2)):
             with pytest.raises(InfeasibleAllocation):
-                _aligned_targets(h1, h2, pairs, slots, DEFAULT_TOL)
+                _aligned_targets(h1, h2, pairs, slots)
 
     def test_unaligned_at_eavesdropper(self):
         # aligned at the receiver yet generically separate through an
@@ -179,7 +178,7 @@ class TestBuildPrecoders:
         config = AntennaConfig(2, 2, 3, 2)
         alloc = allocate_jamming(AntennaConfig(5, 1, 2, 5))
         rng = RngStream(0)
-        ch = sample_channels(config, rng)
+        ch = sample_channels(config, rng, EveMode.STATIC)
         with pytest.raises(InfeasibleAllocation):
             build_precoders(config, ch, alloc, rng)
 
@@ -211,7 +210,7 @@ class TestLeakageRank:
     def test_no_jamming(self):
         config = AntennaConfig(2, 2, 3, 0)
         rng = RngStream(0)
-        ch = sample_channels(config, rng)
+        ch = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         assert leakage_rank(ch, pre) == 0
 
@@ -219,14 +218,14 @@ class TestLeakageRank:
     def test_aligned_pair_fills_eavesdropper(self, seed):
         config = AntennaConfig(2, 2, 3, 2)
         rng = RngStream(seed)
-        ch = sample_channels(config, rng)
+        ch = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         assert leakage_rank(ch, pre) == 2
 
     def test_full_allocation(self):
         config = AntennaConfig(5, 1, 2, 5)
         rng = RngStream(1)
-        ch = sample_channels(config, rng)
+        ch = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         assert leakage_rank(ch, pre) == 5
 
@@ -250,7 +249,7 @@ class TestLeakageRank:
         # elimination rank.
         config = AntennaConfig(*cfg)
         rng = RngStream(8)
-        ch = sample_channels(config, rng)
+        ch = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         g1, g2 = ch.g1, ch.g2
         if pre.slots == 2:

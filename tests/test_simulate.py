@@ -23,8 +23,7 @@ from sdoflab import (
     sweep,
 )
 from sdoflab import channel, simulate
-from sdoflab.channel import per_stream_powers
-from sdoflab.simulate import HALF_LOG2_PER_DB
+from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
 
 def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
@@ -39,6 +38,36 @@ def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
 def _kron2(ch):
     """Test-built slot space of a channel held over two slots."""
     return ChannelRealization(*(np.kron(np.eye(2), m) for m in (ch.h1, ch.h2, ch.g1, ch.g2)))
+
+
+class TestPerStreamPowers:
+    def test_transmit_power_accounting(self):
+        # trace of the transmit covariance (before the channel) equals p
+        config = AntennaConfig(2, 2, 3, 2)
+        rng = RngStream(11)
+        ch = sample_channels(config, rng, EveMode.STATIC)
+        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        sig = SignalParams(7.0, alpha=0.25)
+        p_legit, p_jam = per_stream_powers(pre, sig)
+        total = 0.0
+        for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
+            cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
+            total += float(np.trace(cov).real)
+        assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
+
+    def test_transmit_power_accounting_two_slot(self):
+        config = AntennaConfig(2, 2, 3, 1)
+        rng = RngStream(19)
+        ch = sample_channels(config, rng, EveMode.STATIC)
+        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        assert pre.slots == 2
+        sig = SignalParams(3.0, alpha=0.5)
+        p_legit, p_jam = per_stream_powers(pre, sig)
+        total = 0.0
+        for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
+            cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
+            total += float(np.trace(cov).real)
+        assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
 
 
 class TestLegitRate:
@@ -95,7 +124,7 @@ class TestEveLeakage:
         ch = sample_channels(AntennaConfig(2, 2, 3, 1), RngStream(0), EveMode.TIME_VARYING)
         naked_cfg = AntennaConfig(2, 2, 3, 0)
         rng = RngStream(0)
-        naked_ch = sample_channels(naked_cfg, rng)
+        naked_ch = sample_channels(naked_cfg, rng, EveMode.STATIC)
         naked = build_precoders(naked_cfg, naked_ch, allocate_jamming(naked_cfg), rng)
         realization = type(ch)(naked_ch.h1, naked_ch.h2, ch.g1, ch.g2)
         low = eve_leakage(realization, naked, SignalParams.from_db(40.0))
@@ -108,7 +137,7 @@ class TestEveLeakage:
         # in both slots of every channel use.
         config = AntennaConfig(*cfg)
         rng = RngStream(6)
-        trial = sample_channels(config, rng)
+        trial = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, trial, allocate_jamming(config), rng)
         held = trial if pre.slots == 1 else _kron2(trial)
         sig = SignalParams.from_db(50.0)
