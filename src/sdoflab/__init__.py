@@ -46,28 +46,11 @@ from .sdof import (
     upper_bounds,
 )
 from .simulate import DofEstimate, RateSample, estimate_dof, eve_leakage, legit_rate, sweep
-from .subspaces import (
-    Subspace,
-    complement_projector,
-    complete_orthonormal,
-    intersect,
-    nullspace,
-    orthonormal_basis,
-    solve_into,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # subspace algebra
-    "Subspace",
-    "orthonormal_basis",
-    "nullspace",
-    "intersect",
-    "solve_into",
-    "complement_projector",
-    "complete_orthonormal",
     # closed form and allocation
     "AntennaConfig",
     "Regime",

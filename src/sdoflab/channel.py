@@ -81,7 +81,11 @@ class SignalParams:
 
     @classmethod
     def from_db(cls, p_db: float, alpha: float = 0.5, sigma2: float = 1.0) -> "SignalParams":
-        return cls(p=10.0 ** (p_db / 10.0), alpha=alpha, sigma2=sigma2)
+        try:
+            p = 10.0 ** (p_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"power {p_db} dB is past the float range") from None
+        return cls(p=p, alpha=alpha, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

@@ -348,17 +348,19 @@ def _validate_run(settings) -> _RunPlan:
     for key in ("csv_out", "summary_out"):
         if not isinstance(settings[key], str):
             raise _UsageError(f"{key} must be a path string, got {settings[key]!r}")
+    points = int(np.floor((stop - start) / step + 1e-9)) + 1
+    grid = [start + i * step for i in range(points)]
     try:
         config = AntennaConfig(*counts)
         RngStream(seed)
         sig = SignalParams(
             1.0, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
         )
+        # The grid's top point must be a float power.
+        SignalParams.from_db(grid[-1], sig.alpha, sig.sigma2)
         threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    points = int(np.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + i * step for i in range(points)]
     covered = sum(1 for p in grid if lo <= p <= hi)
     if covered < 3:
         raise _UsageError(

@@ -24,7 +24,6 @@ from .channel import ChannelRealization, RngStream, jamming_generator, slot_exte
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import AntennaConfig, JammingAllocation, JammingMethod
 from .subspaces import (
-    Subspace,
     as_matrix,
     complement_projector,
     complete_orthonormal,
@@ -93,12 +92,12 @@ def nullspace_jamming(h, streams: int) -> np.ndarray:
     """Orthonormal jamming columns invisible at the receiver: h @ V ~ 0."""
     h = as_matrix(h, "h")
     ns = nullspace(h)
-    if streams > ns.dim:
+    if streams > ns.shape[1]:
         raise InfeasibleAllocation(
             f"nullspace of a {h.shape[0]}x{h.shape[1]} channel has dimension "
-            f"{ns.dim}, cannot take {streams} streams"
+            f"{ns.shape[1]}, cannot take {streams} streams"
         )
-    return ns.basis[:, :streams]
+    return ns[:, :streams]
 
 
 def _aligned_targets(h1, h2, pairs: int, slots: int) -> np.ndarray:
@@ -114,15 +113,15 @@ def _aligned_targets(h1, h2, pairs: int, slots: int) -> np.ndarray:
     if pairs == 0:
         return np.zeros((slots * h1.shape[0], 0), dtype=np.complex128)
     base = intersect(orthonormal_basis(h1), orthonormal_basis(h2))
-    if pairs > slots * base.dim:
+    if pairs > slots * base.shape[1]:
         raise InfeasibleAllocation(
-            f"received signal spaces intersect in {base.dim} dimensions per slot, "
+            f"received signal spaces intersect in {base.shape[1]} dimensions per slot, "
             f"cannot align {pairs} streams over {slots} slot(s)"
         )
     if slots == 1:
-        return base.basis[:, :pairs]
+        return base[:, :pairs]
     t = np.arange(pairs)
-    c = base.basis[:, t // 2]
+    c = base[:, t // 2]
     return np.vstack([c, np.where(t % 2 == 0, 1.0, -1.0) * c]) * (1.0 / np.sqrt(2.0))
 
 
@@ -146,12 +145,15 @@ def build_precoders(
     construction's residuals and ranks.  InfeasibleAllocation propagates
     from the per-method constructors when the allocation does not fit the
     channel (which for generic channels indicates an allocation/configuration
-    mismatch, not bad luck).
+    mismatch, not bad luck).  InvalidMatrix means ``ch.h1`` or ``ch.h2`` is
+    not a finite two-dimensional matrix.
     """
+    h1_slot = as_matrix(ch.h1, "h1")
+    h2_slot = as_matrix(ch.h2, "h2")
     gen = jamming_generator(rng)
     slots = 2 if alloc.needs_two_slot else 1
-    h1 = slot_extend(ch.h1) if slots == 2 else ch.h1
-    h2 = slot_extend(ch.h2) if slots == 2 else ch.h2
+    h1 = slot_extend(h1_slot) if slots == 2 else h1_slot
+    h2 = slot_extend(h2_slot) if slots == 2 else h2_slot
 
     def scaled(count) -> int:
         value = count * slots
@@ -166,7 +168,7 @@ def build_precoders(
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
     # columns are not orthonormal; assembly re-orthonormalizes them within
     # each transmitter, an invertible mix that keeps every rank count.
-    targets = _aligned_targets(ch.h1, ch.h2, aligned_pairs, slots)
+    targets = _aligned_targets(h1_slot, h2_slot, aligned_pairs, slots)
     v1_aligned = solve_into(h1, targets)
     v2_aligned = solve_into(h2, targets)
     alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
@@ -213,16 +215,16 @@ def build_precoders(
         # Haar-mix the completion into general position: the structured
         # (Householder) complement of an aligned jamming column can overlap
         # the receive-space intersection preimage and cost legitimate rank.
-        space = Subspace(vj)
-        comp_dim = space.ambient_dim - space.dim
+        antennas, jam_cols = vj.shape
+        comp_dim = antennas - jam_cols
         if d_cols > comp_dim:
             raise InfeasibleAllocation(
-                f"{d_cols} legitimate streams do not fit next to {space.dim} "
-                f"jamming columns on {space.ambient_dim} antenna dimensions"
+                f"{d_cols} legitimate streams do not fit next to {jam_cols} "
+                f"jamming columns on {antennas} antenna dimensions"
             )
         if d_cols == 0:
-            return np.zeros((space.ambient_dim, 0), dtype=np.complex128)
-        comp = complete_orthonormal(space, comp_dim)
+            return np.zeros((antennas, 0), dtype=np.complex128)
+        comp = complete_orthonormal(vj, comp_dim)
         comp = comp @ random_jamming(comp_dim, comp_dim, gen)
         return comp[:, :d_cols]
 
@@ -239,9 +241,9 @@ def build_precoders(
             )
 
     zero_forcing_residual = _max_abs(u @ received_jam)
-    u_rank = orthonormal_basis(u).dim
+    u_rank = orthonormal_basis(u).shape[1]
     legit_received = np.hstack([h1 @ v1_l, h2 @ v2_l])
-    legit_rank = orthonormal_basis(u @ legit_received).dim
+    legit_rank = orthonormal_basis(u @ legit_received).shape[1]
 
     report = BuildReport(
         nullspace_residual=nullspace_residual,
@@ -267,11 +269,14 @@ def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> int:
     fully jammed two-slot set has rank 2 n_e.  That needs per-slot
     eavesdropper draws: against a static eavesdropper a cross-slot aligned
     pair's images can coincide (the gap that exact fractional alignment
-    would close).
+    would close).  InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a
+    finite two-dimensional matrix.
     """
     if ch.g1.shape[0] == 0:
         return 0
-    received = np.hstack([ch.g1 @ pre.v1_j, ch.g2 @ pre.v2_j])
+    g1 = as_matrix(ch.g1, "g1")
+    g2 = as_matrix(ch.g2, "g2")
+    received = np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j])
     if received.shape[1] == 0:
         return 0
-    return orthonormal_basis(received).dim
+    return orthonormal_basis(received).shape[1]

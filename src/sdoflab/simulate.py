@@ -10,6 +10,7 @@ can run them on any number of threads with bit-identical results.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,9 +67,13 @@ class DofEstimate:
 
 def _logdet(e: np.ndarray) -> float:
     try:
-        return _kernels.logdet_eye_plus_gram(e)
+        value = _kernels.logdet_eye_plus_gram(e)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailure(f"log-determinant evaluation failed: {exc}") from exc
+    # An overflowed power gives an infinite block, whose SVD returns NaN.
+    if not math.isfinite(value):
+        raise NumericalFailure(f"log-determinant evaluation failed: result is {value}")
+    return value
 
 
 def _scaled_blocks(channels, precoders, power: float, sigma2: float) -> np.ndarray:

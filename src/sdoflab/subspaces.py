@@ -7,6 +7,10 @@ decisions use the relative singular-value cutoff ``RANK_REL_TOL``; residual
 checks use the absolute bound ``RESIDUAL_ABS_TOL`` (channel entries are
 O(1) by construction).
 
+The primitives take and return plain complex ndarrays and do not re-check
+them: their inputs are matrices the library built itself.  Outside input
+is checked once, by ``as_matrix``, where a channel enters the library.
+
 All operations are pure functions of their inputs: identical arguments
 produce bitwise-identical outputs, and nothing here holds shared
 mutable state, so concurrent use is safe.
@@ -14,14 +18,11 @@ mutable state, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMatrix, Unsolvable
 
 __all__ = [
-    "Subspace",
     "as_matrix",
     "orthonormal_basis",
     "nullspace",
@@ -52,102 +53,56 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of C^ambient_dim held as an orthonormal column basis.
-
-    ``basis`` has shape (ambient_dim, dim); dim may be zero (the trivial
-    subspace), which is how empty precoder blocks flow through the library.
-    """
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.complex128)
-        if basis.ndim != 2:
-            raise InvalidMatrix("subspace basis must be two-dimensional")
-        if basis.size and not np.isfinite(basis).all():
-            raise InvalidMatrix("subspace basis contains non-finite entries")
-        if basis.shape[1] > basis.shape[0]:
-            raise DimensionMismatch(
-                f"basis of shape {basis.shape} has more columns than ambient dimensions"
-            )
-        if basis.shape[1]:
-            gram_err = np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max()
-            if gram_err > 1e-10:
-                raise InvalidMatrix(f"basis columns not orthonormal (error {gram_err:.3e})")
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def _rank_from_singular_values(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def orthonormal_basis(a) -> Subspace:
+def orthonormal_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of ``a``.
 
-    The returned dimension is the numerical rank of ``a`` under
-    ``RANK_REL_TOL``; a zero matrix (or a zero-column matrix) yields the
-    trivial subspace.
+    The basis has ``rank(a)`` columns under ``RANK_REL_TOL``; a zero
+    matrix (or a zero-column matrix) yields a zero-column basis.
     """
-    a = as_matrix(a)
     if a.shape[1] == 0:
-        return Subspace(np.zeros((a.shape[0], 0), dtype=np.complex128))
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = _rank_from_singular_values(s)
-    return Subspace(u[:, :rank])
+    return u[:, : _rank_from_singular_values(s)]
 
 
-def nullspace(a) -> Subspace:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace of ``a``.
 
-    The ambient dimension of the result equals the column count of ``a``
-    and its dimension is ``cols(a) - rank(a)``; every basis vector v
-    satisfies ``||a @ v||_max <= RESIDUAL_ABS_TOL``.
+    The basis has ``cols(a)`` rows and ``cols(a) - rank(a)`` columns; every
+    basis vector v satisfies ``||a @ v||_max <= RESIDUAL_ABS_TOL``.
     """
-    a = as_matrix(a)
-    cols = a.shape[1]
-    if cols == 0:
-        return Subspace(np.zeros((0, 0), dtype=np.complex128))
+    if a.shape[1] == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = _rank_from_singular_values(s)
-    return Subspace(vh[rank:].conj().T)
+    return vh[_rank_from_singular_values(s) :].conj().T
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space.
+def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the intersection of two orthonormal column spans.
 
-    Computed from the nullspace of the stacked system ``[a.basis | -b.basis]``:
-    a null vector (x; y) certifies ``a.basis @ x = b.basis @ y``, which is a
-    coefficient representation of an intersection vector.  For subspaces in
-    generic position the dimension is ``max(0, a.dim + b.dim - ambient_dim)``.
+    Computed from the nullspace of the stacked system ``[a | -b]``: a null
+    vector (x; y) certifies ``a @ x = b @ y``, which is a coefficient
+    representation of an intersection vector.  For subspaces in generic
+    position the basis has ``max(0, cols(a) + cols(b) - rows)`` columns.
     """
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    ambient = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(np.zeros((ambient, 0), dtype=np.complex128))
-    stacked = np.hstack([a.basis, -b.basis])
-    coeff = nullspace(stacked)
-    if coeff.dim == 0:
-        return Subspace(np.zeros((ambient, 0), dtype=np.complex128))
-    vectors = a.basis @ coeff.basis[: a.dim, :]
-    return orthonormal_basis(vectors)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    ambient = a.shape[0]
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((ambient, 0), dtype=np.complex128)
+    coeff = nullspace(np.hstack([a, -b]))
+    if coeff.shape[1] == 0:
+        return np.zeros((ambient, 0), dtype=np.complex128)
+    return orthonormal_basis(a @ coeff[: a.shape[1], :])
 
 
-def solve_into(h, target) -> np.ndarray:
+def solve_into(h: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum-norm V with ``h @ V = target``.
 
     Raises
@@ -158,8 +113,6 @@ def solve_into(h, target) -> np.ndarray:
         synthesis this signals aligned jamming being requested outside
         its validity region.
     """
-    h = as_matrix(h, "h")
-    target = as_matrix(target, "target")
     if h.shape[0] != target.shape[0]:
         raise DimensionMismatch(
             f"row counts differ: h has {h.shape[0]}, target has {target.shape[0]}"
@@ -175,35 +128,33 @@ def solve_into(h, target) -> np.ndarray:
     return v
 
 
-def complement_projector(cols) -> np.ndarray:
+def complement_projector(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the complement of the column space of ``cols``.
 
     Returns the N x N matrix ``I - Q Q^H`` where Q spans col(cols); it is
     Hermitian, idempotent, annihilates every column of ``cols`` and has rank
     ``N - rank(cols)``.  Zero-column input yields the identity.
     """
-    cols = as_matrix(cols, "cols")
-    n = cols.shape[0]
-    q = orthonormal_basis(cols).basis
-    u = np.eye(n, dtype=np.complex128) - q @ q.conj().T
+    q = orthonormal_basis(cols)
+    u = np.eye(cols.shape[0], dtype=np.complex128) - q @ q.conj().T
     return (u + u.conj().T) * 0.5
 
 
-def complete_orthonormal(partial: Subspace, extra: int) -> np.ndarray:
-    """``extra`` orthonormal columns orthogonal to an existing partial basis.
+def complete_orthonormal(partial: np.ndarray, extra: int) -> np.ndarray:
+    """``extra`` orthonormal columns orthogonal to an orthonormal ``partial``.
 
-    Stacking ``[partial.basis | result]`` gives an isometry; with
-    ``partial.dim + extra == ambient_dim`` the stack is unitary.  Used to
+    Stacking ``[partial | result]`` gives an isometry; with
+    ``cols(partial) + extra == rows(partial)`` the stack is unitary.  Used to
     fill legitimate precoder columns around already-placed jamming columns.
     """
     if extra < 0:
         raise DimensionMismatch("extra must be nonnegative")
-    n, d = partial.ambient_dim, partial.dim
+    n, d = partial.shape
     if d + extra > n:
         raise DimensionMismatch(
             f"cannot add {extra} orthonormal columns to a dim-{d} basis in ambient {n}"
         )
     if extra == 0:
         return np.zeros((n, 0), dtype=np.complex128)
-    u, _, _ = np.linalg.svd(partial.basis, full_matrices=True)
+    u, _, _ = np.linalg.svd(partial, full_matrices=True)
     return u[:, d : d + extra]

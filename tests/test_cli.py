@@ -191,11 +191,14 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (_SIM, None, {"master_seed": False}),
         (_SIM, None, {"window_db": [True, 100.0]}),
         (_SIM, None, {"rank_rel_tol": 1e-6}),
+        (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
+                 "--window-hi", "3100"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
-         "config-bool-seed", "config-bool-window", "config-rank-rel-tol"],
+         "config-bool-seed", "config-bool-window", "config-rank-rel-tol",
+         "power-overflow"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sdoflab import (
     DimensionMismatch,
     EveMode,
     InfeasibleAllocation,
+    InvalidMatrix,
     RngStream,
     allocate_jamming,
     build_precoders,
@@ -15,10 +18,10 @@ from sdoflab import (
     nullspace_jamming,
     random_jamming,
     sample_channels,
-    solve_into,
 )
 from sdoflab.channel import jamming_generator
 from sdoflab.precoding import _aligned_targets
+from sdoflab.subspaces import solve_into
 
 
 def _kron2(h):
@@ -182,6 +185,16 @@ class TestBuildPrecoders:
         with pytest.raises(InfeasibleAllocation):
             build_precoders(config, ch, alloc, rng)
 
+    def test_rejects_nonfinite_channel(self):
+        # Outside input is checked where it enters the build.
+        config = AntennaConfig(2, 2, 3, 2)
+        rng = RngStream(0)
+        ch = sample_channels(config, rng, EveMode.STATIC)
+        h1 = ch.h1.copy()
+        h1[0, 1] = np.nan
+        with pytest.raises(InvalidMatrix):
+            build_precoders(config, dataclasses.replace(ch, h1=h1), allocate_jamming(config), rng)
+
     def test_precoder_invariants_small_sweep(self):
         for m1 in range(1, 4):
             for m2 in range(1, 4):
@@ -242,6 +255,16 @@ class TestLeakageRank:
         held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
         assert leakage_rank(varying, pre) == 2
         assert leakage_rank(held, pre) == 1
+
+    def test_rejects_nonfinite_channel(self):
+        config = AntennaConfig(2, 2, 3, 2)
+        rng = RngStream(0)
+        ch = sample_channels(config, rng, EveMode.STATIC)
+        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        g1 = ch.g1.copy()
+        g1[0, 1] = np.nan
+        with pytest.raises(InvalidMatrix):
+            leakage_rank(dataclasses.replace(ch, g1=g1), pre)
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_matches_oracle(self, cfg):

@@ -9,6 +9,7 @@ from sdoflab import (
     ChannelRealization,
     EveMode,
     InsufficientData,
+    NumericalFailure,
     RateSample,
     RngStream,
     SignalParams,
@@ -145,6 +146,13 @@ class TestEveLeakage:
             seen = channel_use(config, trial, rng, use, EveMode.STATIC, pre.slots)
             assert eve_leakage(seen, pre, sig) == eve_leakage(held, pre, sig)
 
+    def test_overflowed_power_is_an_error(self):
+        # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows to
+        # inf; that must fail, not clamp a NaN leakage to 0.
+        config, ch, pre = _build((2, 2, 3, 1))
+        with pytest.raises(NumericalFailure):
+            eve_leakage(ch, pre, SignalParams(1.7e308, alpha=0.9))
+
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
         assert eve_leakage(ch, pre, SignalParams.from_db(80.0)) >= 0.0
@@ -256,6 +264,14 @@ class TestEstimateDof:
         samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 10, 42, EveMode.STATIC)
         legit, _ = estimate_dof(samples, (60.0, 100.0))
         assert abs(legit.slope - sum_sdof(config).value) <= 0.15
+
+    def test_slope_holds_far_above_100_db(self):
+        # Rates stay exact where I + E E^H is numerically E E^H.
+        config = AntennaConfig(2, 2, 3, 2)
+        grid = [140.0, 150.0, 160.0, 170.0]
+        samples = sweep(config, SignalParams(1.0), grid, 20, 0, EveMode.TIME_VARYING)
+        legit, _ = estimate_dof(samples, (140.0, 170.0))
+        assert abs(legit.slope - sum_sdof(config).value) <= 1e-3
 
 
 class TestSecrecyPositivity:
