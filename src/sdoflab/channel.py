@@ -96,6 +96,8 @@ class ChannelRealization:
     receiver; g1 (n_e x m1) and g2 (n_e x m2) connect them to the
     eavesdropper.  n_e may be zero, giving empty g matrices.  On the slot
     space of a two-slot set (``channel_use``) each is block diagonal by slot.
+    For ``simulate.eve_leakage`` over a power grid, g1 and g2 may also be
+    stacked along a leading grid axis, one channel use per grid point.
     """
 
     h1: np.ndarray

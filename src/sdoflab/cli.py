@@ -32,7 +32,7 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import _resolve_threads, estimate_dof, sweep
+from .simulate import _resolve_threads, estimate_dof, per_stream_powers, sweep
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
@@ -357,10 +357,16 @@ def _validate_run(settings) -> _RunPlan:
             1.0, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
         )
         # The grid's top point must be a float power.
-        SignalParams.from_db(grid[-1], sig.alpha, sig.sigma2)
+        top = SignalParams.from_db(grid[-1], sig.alpha, sig.sigma2)
         threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    # ... and so must the per-stream powers it splits into.
+    alloc = allocate_jamming(config)
+    slots = alloc.slots
+    powers = per_stream_powers(slots, alloc.d_total * slots, alloc.total_streams * slots, top)
+    if not all(math.isfinite(power) for power in powers):
+        raise _UsageError(f"per-stream power at {grid[-1]} dB is past the float range")
     covered = sum(1 for p in grid if lo <= p <= hi)
     if covered < 3:
         raise _UsageError(

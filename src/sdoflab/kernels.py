@@ -1,6 +1,8 @@
-"""The log-determinant kernel behind every rate evaluation.
+"""The log-determinant kernel behind every rate evaluation, over a power grid.
 
-``BACKEND`` names the implementation so run manifests can record it.
+A rate at power p is ``log2 det(I + p E E^H)`` for a unit-power matrix E,
+so one SVD of E serves every grid point.  ``BACKEND`` names the
+implementation so run manifests can record it.
 """
 
 import numpy as np
@@ -10,16 +12,21 @@ BACKEND = "numpy"
 __all__ = ["BACKEND", "logdet_eye_plus_gram"]
 
 
-def logdet_eye_plus_gram(e) -> float:
-    """log2 det(I + E E^H) for a complex matrix E of shape (n, k).
+def logdet_eye_plus_gram(e, powers) -> np.ndarray:
+    """log2 det(I + p_k E E^H) at every power p_k of a grid.
 
-    Computed as ``sum_i log2(1 + s_i^2)`` over the singular values s_i of
-    E, so no Gram matrix is formed: the sum stays accurate to roundoff in
-    every term at any power level, where a factorization of ``I + E E^H``
-    loses the identity once ``s_i^2`` outgrows 1 / eps.
+    ``e`` is one complex (n, k) matrix, held over the grid, or a stacked
+    (grid, n, k) array with one matrix per grid point.  ``powers`` is the
+    1-D grid of nonnegative scale factors.  Returns one value per grid
+    point, ``sum_i log2(1 + p_k s_i^2)`` over the singular values s_i of
+    the matrix at that point, so no Gram matrix is formed: each term stays
+    accurate to roundoff at any power level, where a factorization of
+    ``I + p E E^H`` loses the identity once ``p s_i^2`` outgrows 1 / eps.
+    A zero power gives exactly 0.
     """
     e = np.asarray(e, dtype=np.complex128)
-    if e.size == 0:
-        return 0.0
+    powers = np.asarray(powers, dtype=float)
+    if e.shape[-2] == 0 or e.shape[-1] == 0:
+        return np.zeros(powers.shape)
     s = np.linalg.svd(e, compute_uv=False)
-    return float(np.sum(np.log2(1.0 + s * s)))
+    return np.sum(np.log2(1.0 + powers[:, None] * (s * s)), axis=-1)

@@ -151,7 +151,7 @@ def build_precoders(
     h1_slot = as_matrix(ch.h1, "h1")
     h2_slot = as_matrix(ch.h2, "h2")
     gen = jamming_generator(rng)
-    slots = 2 if alloc.needs_two_slot else 1
+    slots = alloc.slots
     h1 = slot_extend(h1_slot) if slots == 2 else h1_slot
     h2 = slot_extend(h2_slot) if slots == 2 else h2_slot
 

@@ -173,6 +173,11 @@ class JammingAllocation:
     def d_total(self) -> Fraction:
         return self.d1 + self.d2
 
+    @property
+    def slots(self) -> int:
+        """Channel uses the precoders span: 2 with the two-slot extension, else 1."""
+        return 2 if self.needs_two_slot else 1
+
 
 def _pos(x: int) -> int:
     return x if x > 0 else 0

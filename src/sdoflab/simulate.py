@@ -1,19 +1,21 @@
 """Monte Carlo rate evaluation and high-SNR slope estimation.
 
-Per trial, channels are drawn once and precoders built once; each power
-grid point then costs three log-determinant evaluations (legitimate rate
-plus the two sides of the leakage ratio).  Rates are in bits per channel
-use (base-2 logs, averaged over slots for two-slot schemes).  Trials are
-independent work items keyed by (master seed, trial index), so the sweep
-can run them on any number of threads with bit-identical results.
+Per trial, channels are drawn once and precoders built once.  Both
+per-stream powers are linear in p, so every effective matrix is a scale
+of its unit-power value, and one SVD per matrix gives its log-determinant
+at every grid point: one for the legitimate rate and one for each side of
+the leakage ratio, stacked over the grid when the eavesdropper varies per
+channel use.  Rates are in bits per channel use (base-2 logs, averaged
+over slots for two-slot schemes).  Trials are independent work items
+keyed by (master seed, trial index), so the sweep can run them on any
+number of threads with bit-identical results.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,73 +67,92 @@ class DofEstimate:
     window: tuple[float, float]
 
 
-def _logdet(e: np.ndarray) -> float:
+def _logdet(e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     try:
-        value = _kernels.logdet_eye_plus_gram(e)
+        values = _kernels.logdet_eye_plus_gram(e, powers)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailure(f"log-determinant evaluation failed: {exc}") from exc
-    # An overflowed power gives an infinite block, whose SVD returns NaN.
-    if not math.isfinite(value):
-        raise NumericalFailure(f"log-determinant evaluation failed: result is {value}")
-    return value
+    # An overflowed power or scaled singular value gives inf or NaN.
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise NumericalFailure(f"log-determinant evaluation failed: result is {bad[0]}")
+    return values
 
 
-def _scaled_blocks(channels, precoders, power: float, sigma2: float) -> np.ndarray:
-    """Concatenate sqrt(power/sigma2) * (channel @ precoder) blocks."""
-    cols = [ch @ v for ch, v in zip(channels, precoders) if v.shape[1]]
-    if not cols:
-        rows = channels[0].shape[0]
-        return np.zeros((rows, 0), dtype=np.complex128)
-    return np.sqrt(power / sigma2) * np.hstack(cols)
+def _unit_blocks(channels, precoders) -> np.ndarray:
+    """Concatenate the unit-power channel @ precoder blocks column-wise.
 
-
-def per_stream_powers(pre: PrecoderSet, sig: SignalParams) -> tuple[float, float]:
-    """Per-stream legitimate and jamming powers implied by a precoder set.
-
-    The legitimate budget (1 - alpha) p is split evenly over the d1 + d2
-    legitimate streams and the jamming budget alpha p over the jamming
-    streams, normalized per channel use (slot).  Zero-stream budgets give
-    zero power.
+    A channel may carry a leading grid axis; the blocks then stack over it.
     """
-    legit_cols = pre.v1_l.shape[1] + pre.v2_l.shape[1]
-    jam_cols = pre.v1_j.shape[1] + pre.v2_j.shape[1]
-    p_legit = (1.0 - sig.alpha) * sig.p * pre.slots / legit_cols if legit_cols else 0.0
-    p_jam = sig.alpha * sig.p * pre.slots / jam_cols if jam_cols else 0.0
+    return np.concatenate([ch @ v for ch, v in zip(channels, precoders)], axis=-1)
+
+
+def per_stream_powers(
+    slots: int, legit_cols: int, jam_cols: int, sig: SignalParams
+) -> tuple[float, float]:
+    """Per-stream legitimate and jamming powers of a scheme at one power level.
+
+    The legitimate budget (1 - alpha) p is split evenly over the
+    ``legit_cols`` legitimate streams and the jamming budget alpha p over
+    the ``jam_cols`` jamming streams, both counted on the slot space of a
+    ``slots``-slot scheme and normalized per channel use (slot).  Zero-stream
+    budgets give zero power.  An overflowed power is ``inf``.
+    """
+    p_legit = (1.0 - sig.alpha) * sig.p * slots / legit_cols if legit_cols else 0.0
+    p_jam = sig.alpha * sig.p * slots / jam_cols if jam_cols else 0.0
     return p_legit, p_jam
 
 
-def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> float:
+def _grid_powers(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
+    """Per-stream (legitimate, jamming) powers over the noise variance: shape (2, grid)."""
+    counts = (
+        pre.slots,
+        pre.v1_l.shape[1] + pre.v2_l.shape[1],
+        pre.v1_j.shape[1] + pre.v2_j.shape[1],
+    )
+    powers = [np.divide(per_stream_powers(*counts, sig), sig.sigma2) for sig in sigs]
+    return np.array(powers, dtype=float).reshape(-1, 2).T
+
+
+def legit_rate(
+    ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
+) -> np.ndarray:
     """Achievable legitimate sum rate after zero-forcing, in bits/channel use.
 
-    Computes 0.5 * log2 det(I + U S U^H / sigma2) with S the received
-    legitimate signal covariance, averaged over slots.  ``ch`` is on the
-    precoders' slot space (``channel_use``).  Zero power, zero legitimate
-    streams or a zero projector all give exactly 0 bits.
+    Returns one rate per grid point ``sigs[k]``: 0.5 * log2 det(I + U S_k
+    U^H / sigma2) with S_k the received legitimate signal covariance,
+    averaged over slots, from one SVD of the unit-power effective matrix.
+    ``ch`` is on the precoders' slot space (``channel_use``).  Zero power,
+    zero legitimate streams or a zero projector all give exactly 0 bits.
     """
-    p_legit, _ = per_stream_powers(pre, sig)
-    effective = _scaled_blocks(
-        (pre.u @ ch.h1, pre.u @ ch.h2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2
-    )
-    return 0.5 * _logdet(effective) / pre.slots
+    p_legit, _ = _grid_powers(pre, sigs)
+    effective = _unit_blocks((pre.u @ ch.h1, pre.u @ ch.h2), (pre.v1_l, pre.v2_l))
+    return 0.5 * _logdet(effective, p_legit) / pre.slots
 
 
-def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> float:
+def eve_leakage(
+    ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
+) -> np.ndarray:
     """A lower bound on the eavesdropper's mutual information, in bits/channel use.
 
-    Computes max(0, 0.5 * (log2 det(I + S) - log2 det(I + J))), averaged
-    over slots, with S and J the eavesdropper's received legitimate and
-    jamming covariances over the noise variance.  The mutual information
-    is log2 det(I + S + J) - log2 det(I + J), which is at least this value;
-    making the two agree is open item 1 of ROADMAP.md.  ``ch`` is on the
-    precoders' slot space (``channel_use``).
+    Returns one value per grid point ``sigs[k]``: max(0, 0.5 * (log2 det(I
+    + S_k) - log2 det(I + J_k))), averaged over slots, with S_k and J_k the
+    eavesdropper's received legitimate and jamming covariances over the
+    noise variance.  The mutual information is log2 det(I + S + J) - log2
+    det(I + J), which is at least this value; making the two agree is open
+    item 1 of ROADMAP.md.  ``ch`` is on the precoders' slot space
+    (``channel_use``); its ``g1`` and ``g2`` are either one pair of
+    matrices held over the grid (two SVDs in all) or stacks with a leading
+    grid axis, one ``channel_use`` per grid point (one stacked SVD per
+    block).
     """
-    if ch.g1.shape[0] == 0:
-        return 0.0
-    p_legit, p_jam = per_stream_powers(pre, sig)
-    signal = _scaled_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l), p_legit, sig.sigma2)
-    jamming = _scaled_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j), p_jam, sig.sigma2)
-    leak = 0.5 * (_logdet(signal) - _logdet(jamming)) / pre.slots
-    return max(0.0, leak)
+    if ch.g1.shape[-2] == 0:
+        return np.zeros(len(sigs))
+    p_legit, p_jam = _grid_powers(pre, sigs)
+    signal = _unit_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l))
+    jamming = _unit_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j))
+    leak = 0.5 * (_logdet(signal, p_legit) - _logdet(jamming, p_jam)) / pre.slots
+    return np.maximum(leak, 0.0)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -163,11 +184,12 @@ def sweep(
     """Monte Carlo rate samples over a power grid.
 
     Per trial: one channel draw and precoder build, then rates at each grid
-    point k on ``channel_use`` k under eavesdropper model ``mode``.  Output is ordered by (p_db, trial) and
-    depends only on the arguments, never on thread count (``threads=None``
-    reads SDOFLAB_THREADS, defaulting to sequential).  An InfeasibleAllocation
-    from any trial aborts the sweep: feasibility is generic, so a failure
-    indicates an allocation bug rather than bad luck.
+    point k on ``channel_use`` k under eavesdropper model ``mode``, from one
+    call of each rate function over the whole grid.  Output is ordered by
+    (p_db, trial) and depends only on the arguments, never on thread count
+    (``threads=None`` reads SDOFLAB_THREADS, defaulting to sequential).  An
+    InfeasibleAllocation from any trial aborts the sweep: feasibility is
+    generic, so a failure indicates an allocation bug rather than bad luck.
     """
     grid = [float(p) for p in p_grid_db]
     if len(grid) == 0:
@@ -178,20 +200,23 @@ def sweep(
         raise ValueError("trials must be at least 1")
 
     alloc = allocate_jamming(config)
+    sigs = [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
 
     def run_trial(trial: int) -> list[RateSample]:
         rng0 = RngStream(master_seed, (trial, 0))
         ch0 = sample_channels(config, rng0, mode)
         pre = build_precoders(config, ch0, alloc, rng0)
+        ch = channel_use(config, ch0, rng0, 0, mode, pre.slots)
         if mode.varies_per_use:
-            seen = [channel_use(config, ch0, rng0, k, mode, pre.slots) for k in range(len(grid))]
-        else:
-            seen = [channel_use(config, ch0, rng0, 0, mode, pre.slots)] * len(grid)
-        out = []
-        for p_db, ch in zip(grid, seen):
-            sig = SignalParams.from_db(p_db, sig_template.alpha, sig_template.sigma2)
-            out.append(RateSample(p_db, trial, legit_rate(ch, pre, sig), eve_leakage(ch, pre, sig)))
-        return out
+            uses = [ch] + [
+                channel_use(config, ch0, rng0, k, mode, pre.slots) for k in range(1, len(grid))
+            ]
+            ch = replace(
+                ch, g1=np.stack([u.g1 for u in uses]), g2=np.stack([u.g2 for u in uses])
+            )
+        legit = legit_rate(ch, pre, sigs).tolist()
+        leak = eve_leakage(ch, pre, sigs).tolist()
+        return [RateSample(p, trial, a, b) for p, a, b in zip(grid, legit, leak)]
 
     workers = min(_resolve_threads(threads), trials)
     if workers == 1:

@@ -99,7 +99,7 @@ def check_config(config: AntennaConfig, seeds: int):
     Returns (worst residual of each kind, one line per failing seed).
     """
     alloc = allocate_jamming(config)
-    slots = 2 if alloc.needs_two_slot else 1
+    slots = alloc.slots
     expect_u_rank = slots * config.n - int(alloc.j_s * slots)
     expect_legit = int(alloc.d_total * slots)
     expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)

@@ -97,6 +97,12 @@ class TestSimulateCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "p_db,trial,legit_rate_bits,eve_leakage_bits"
         assert len(lines) == 1 + 5 * 8
+        # Every value is a plain number: a NumPy scalar repr would not parse.
+        for line in lines[1:]:
+            p_db, trial, legit, leak = line.split(",")
+            assert float(p_db) in (60.0, 70.0, 80.0, 90.0, 100.0)
+            assert 0 <= int(trial) < 8
+            assert float(legit) >= 0.0 and float(leak) >= 0.0
         summary = json.loads(summary_path.read_text())
         assert summary["passed"] is True
         assert abs(summary["legit_slope"] - 0.5) <= 0.15
@@ -193,12 +199,15 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (_SIM, None, {"rank_rel_tol": 1e-6}),
         (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
                  "--window-hi", "3100"], None, None),
+        (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--alpha", "0.9",
+          "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
+          "--window-hi", "3080", "--trials", "1"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
          "config-bool-seed", "config-bool-window", "config-rank-rel-tol",
-         "power-overflow"],
+         "power-overflow", "per-stream-overflow"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

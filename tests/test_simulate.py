@@ -23,7 +23,7 @@ from sdoflab import (
     sum_sdof,
     sweep,
 )
-from sdoflab import channel, simulate
+from sdoflab import channel, kernels, simulate
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
 
@@ -34,6 +34,17 @@ def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
     ch = sample_channels(config, rng, mode)
     pre = build_precoders(config, ch, allocate_jamming(config), rng)
     return config, channel_use(config, ch, rng, 0, mode, pre.slots), pre
+
+
+def _columns(pre):
+    """Legitimate and jamming column counts of a precoder set."""
+    return pre.v1_l.shape[1] + pre.v2_l.shape[1], pre.v1_j.shape[1] + pre.v2_j.shape[1]
+
+
+def _at(rate, ch, pre, sig):
+    """A rate function at one power level: a one-point grid."""
+    (value,) = rate(ch, pre, [sig])
+    return value
 
 
 def _kron2(ch):
@@ -49,7 +60,7 @@ class TestPerStreamPowers:
         ch = sample_channels(config, rng, EveMode.STATIC)
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         sig = SignalParams(7.0, alpha=0.25)
-        p_legit, p_jam = per_stream_powers(pre, sig)
+        p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
             cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
@@ -63,7 +74,7 @@ class TestPerStreamPowers:
         pre = build_precoders(config, ch, allocate_jamming(config), rng)
         assert pre.slots == 2
         sig = SignalParams(3.0, alpha=0.5)
-        p_legit, p_jam = per_stream_powers(pre, sig)
+        p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
             cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
@@ -74,21 +85,21 @@ class TestPerStreamPowers:
 class TestLegitRate:
     def test_zero_power(self):
         _, ch, pre = _build((2, 2, 3, 2))
-        assert legit_rate(ch, pre, SignalParams(0.0)) == 0.0
+        assert _at(legit_rate, ch, pre, SignalParams(0.0)) == 0.0
 
     def test_zero_projector(self):
         _, ch, pre = _build((2, 2, 3, 2))
         dead = dataclasses.replace(pre, u=np.zeros_like(pre.u))
-        assert legit_rate(ch, dead, SignalParams(100.0)) == 0.0
+        assert _at(legit_rate, ch, dead, SignalParams(100.0)) == 0.0
 
     def test_zero_streams(self):
         _, ch, pre = _build((1, 1, 4, 2))  # zero-SDoF regime
-        assert legit_rate(ch, pre, SignalParams(1e8)) == 0.0
+        assert _at(legit_rate, ch, pre, SignalParams(1e8)) == 0.0
 
     def test_rate_increases_with_power(self):
         _, ch, pre = _build((2, 2, 3, 2))
-        low = legit_rate(ch, pre, SignalParams.from_db(20.0))
-        high = legit_rate(ch, pre, SignalParams.from_db(40.0))
+        low = _at(legit_rate, ch, pre, SignalParams.from_db(20.0))
+        high = _at(legit_rate, ch, pre, SignalParams.from_db(40.0))
         assert high > low > 0.0
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
@@ -101,23 +112,25 @@ class TestLegitRate:
         if pre.slots == 2:
             trial = _kron2(trial)
         h1, h2 = trial.h1, trial.h2
-        sig = SignalParams.from_db(30.0, alpha=0.4, sigma2=2.0)
-        p_legit, _ = per_stream_powers(pre, sig)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
-        sign, logdet = np.linalg.slogdet(np.eye(e.shape[0]) + (p_legit / sig.sigma2) * e @ e.conj().T)
-        assert sign.real > 0
-        expected = 0.5 * logdet / np.log(2.0) / pre.slots
-        assert legit_rate(ch, pre, sig) == pytest.approx(expected, rel=1e-10)
+        sigs = [SignalParams.from_db(p_db, alpha=0.4, sigma2=2.0) for p_db in (20.0, 30.0, 40.0)]
+        for sig, value in zip(sigs, legit_rate(ch, pre, sigs)):
+            p_legit, _ = per_stream_powers(pre.slots, *_columns(pre), sig)
+            gram = np.eye(e.shape[0]) + (p_legit / sig.sigma2) * e @ e.conj().T
+            sign, logdet = np.linalg.slogdet(gram)
+            assert sign.real > 0
+            expected = 0.5 * logdet / np.log(2.0) / pre.slots
+            assert value == pytest.approx(expected, rel=1e-10)
 
 
 class TestEveLeakage:
     def test_zero_power(self):
         _, ch, pre = _build((2, 2, 3, 2))
-        assert eve_leakage(ch, pre, SignalParams(0.0)) == 0.0
+        assert _at(eve_leakage, ch, pre, SignalParams(0.0)) == 0.0
 
     def test_no_eavesdropper(self):
         _, ch, pre = _build((2, 2, 3, 0))
-        assert eve_leakage(ch, pre, SignalParams(100.0)) == 0.0
+        assert _at(eve_leakage, ch, pre, SignalParams(100.0)) == 0.0
 
     def test_unjammed_leakage_grows(self):
         # strip the jamming: the eavesdropper sees only noise in the
@@ -128,8 +141,8 @@ class TestEveLeakage:
         naked_ch = sample_channels(naked_cfg, rng, EveMode.STATIC)
         naked = build_precoders(naked_cfg, naked_ch, allocate_jamming(naked_cfg), rng)
         realization = type(ch)(naked_ch.h1, naked_ch.h2, ch.g1, ch.g2)
-        low = eve_leakage(realization, naked, SignalParams.from_db(40.0))
-        high = eve_leakage(realization, naked, SignalParams.from_db(80.0))
+        low = _at(eve_leakage, realization, naked, SignalParams.from_db(40.0))
+        high = _at(eve_leakage, realization, naked, SignalParams.from_db(80.0))
         assert high > low + 5.0
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
@@ -144,18 +157,18 @@ class TestEveLeakage:
         sig = SignalParams.from_db(50.0)
         for use in (0, 3):
             seen = channel_use(config, trial, rng, use, EveMode.STATIC, pre.slots)
-            assert eve_leakage(seen, pre, sig) == eve_leakage(held, pre, sig)
+            assert _at(eve_leakage, seen, pre, sig) == _at(eve_leakage, held, pre, sig)
 
     def test_overflowed_power_is_an_error(self):
         # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows to
         # inf; that must fail, not clamp a NaN leakage to 0.
         config, ch, pre = _build((2, 2, 3, 1))
         with pytest.raises(NumericalFailure):
-            eve_leakage(ch, pre, SignalParams(1.7e308, alpha=0.9))
+            _at(eve_leakage, ch, pre, SignalParams(1.7e308, alpha=0.9))
 
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
-        assert eve_leakage(ch, pre, SignalParams.from_db(80.0)) >= 0.0
+        assert _at(eve_leakage, ch, pre, SignalParams.from_db(80.0)) >= 0.0
 
 
 class TestSweep:
@@ -197,6 +210,28 @@ class TestSweep:
         sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), grid, 4, 5, EveMode.TIME_VARYING)
         assert sorted(addresses) == [(t, 0) for t in range(4)]
 
+    @pytest.mark.parametrize("mode", list(EveMode))
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
+    def test_log_determinants_per_trial_do_not_grow_with_the_grid(self, cfg, mode, monkeypatch):
+        # One SVD per block serves the whole grid: the legitimate block and
+        # the two leakage blocks, stacked over the grid when the
+        # eavesdropper varies per channel use.
+        calls = []
+        real = kernels.logdet_eye_plus_gram
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "logdet_eye_plus_gram", counting)
+        trials, per_trial = 2, []
+        for points in (3, 17):
+            calls.clear()
+            grid = [60.0 + 2.5 * i for i in range(points)]
+            sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 1, mode, threads=1)
+            per_trial.append(len(calls) / trials)
+        assert per_trial[0] == per_trial[1] <= 3
+
     def test_time_varying_grid_point_k_sees_slots_at_2k_and_2k_plus_1(self):
         config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
         samples = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
@@ -214,8 +249,10 @@ class TestSweep:
                 held.h1, held.h2, block_diag2(a.g1, b.g1), block_diag2(a.g2, b.g2)
             )
             sig = SignalParams.from_db(s.p_db)
-            assert s.legit_rate == pytest.approx(legit_rate(seen, pre, sig), rel=1e-12)
-            assert s.eve_leakage == pytest.approx(eve_leakage(seen, pre, sig), rel=1e-12, abs=1e-12)
+            assert s.legit_rate == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
+            assert s.eve_leakage == pytest.approx(
+                _at(eve_leakage, seen, pre, sig), rel=1e-12, abs=1e-12
+            )
 
     def test_static_mode_reuses_eavesdropper(self):
         grid = [60.0, 70.0, 80.0]
