@@ -22,6 +22,7 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
+    "stack_trials",
     "channel_use",
 ]
 
@@ -97,7 +98,9 @@ class ChannelRealization:
     eavesdropper.  n_e may be zero, giving empty g matrices.  On the slot
     space of a two-slot set (``channel_use``) each is block diagonal by slot.
     For ``simulate.eve_leakage`` over a power grid, g1 and g2 may also be
-    stacked along a leading grid axis, one channel use per grid point.
+    stacked along a leading grid axis, one channel use per grid point; for
+    ``precoding.build_precoders`` over several trials, every matrix is
+    stacked along a leading trial axis (``stack_trials``).
     """
 
     h1: np.ndarray
@@ -106,10 +109,18 @@ class ChannelRealization:
     g2: np.ndarray
 
 
-def _complex_gaussian(gen, rows, cols):
-    """A rows x cols matrix of i.i.d. CN(0, 1) entries."""
-    z = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
-    return np.sqrt(0.5) * z
+def _complex_gaussian_pair(gen, rows, cols1, cols2):
+    """Two matrices, rows x cols1 and rows x cols2, of i.i.d. CN(0, 1) entries.
+
+    One ``standard_normal`` call draws all four real blocks in the order
+    real 1, imaginary 1, real 2, imaginary 2: the same stream, bit for bit,
+    as four successive per-block calls, at a quarter of the dispatch.
+    """
+    a, b = rows * cols1, rows * cols2
+    z = gen.standard_normal(2 * (a + b))
+    first = np.sqrt(0.5) * (z[:a] + 1j * z[a : 2 * a])
+    second = np.sqrt(0.5) * (z[2 * a : 2 * a + b] + 1j * z[2 * a + b :])
+    return first.reshape(rows, cols1), second.reshape(rows, cols2)
 
 
 def sample_channels(config: AntennaConfig, rng: RngStream, mode: EveMode) -> ChannelRealization:
@@ -121,17 +132,20 @@ def sample_channels(config: AntennaConfig, rng: RngStream, mode: EveMode) -> Cha
     depend on the channel-use index in time-varying mode.
     """
     legit = rng.generator(_DOMAIN_LEGIT, per_use=False)
-    h1 = _complex_gaussian(legit, config.n, config.m1)
-    h2 = _complex_gaussian(legit, config.n, config.m2)
+    h1, h2 = _complex_gaussian_pair(legit, config.n, config.m1, config.m2)
     return ChannelRealization(h1, h2, *_eavesdropper(config, rng, mode))
+
+
+def stack_trials(realizations) -> ChannelRealization:
+    """Several trials' realizations as one, each matrix stacked along a leading trial axis."""
+    h1, h2, g1, g2 = zip(*((ch.h1, ch.h2, ch.g1, ch.g2) for ch in realizations))
+    return ChannelRealization(np.array(h1), np.array(h2), np.array(g1), np.array(g2))
 
 
 def _eavesdropper(config, rng, mode):
     """The eavesdropper matrices (g1, g2) drawn at one address."""
     eve = rng.generator(_DOMAIN_EVE, per_use=mode.varies_per_use)
-    g1 = _complex_gaussian(eve, config.n_e, config.m1)
-    g2 = _complex_gaussian(eve, config.n_e, config.m2)
-    return g1, g2
+    return _complex_gaussian_pair(eve, config.n_e, config.m1, config.m2)
 
 
 def channel_use(
@@ -177,16 +191,17 @@ def slot_extend(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarr
 
     ``second`` defaults to ``first``: the matrix is held fixed across both
     slots.  Pass the second slot's draw for a channel that changes between
-    them.
+    them.  Stacks of matrices, with equal leading axes, extend member by
+    member.
     """
     if second is None:
         second = first
-    rows, cols = first.shape
+    rows, cols = first.shape[-2:]
     out = np.zeros(
-        (rows + second.shape[0], cols + second.shape[1]),
+        first.shape[:-2] + (rows + second.shape[-2], cols + second.shape[-1]),
         dtype=np.result_type(first, second),
     )
-    out[:rows, :cols] = first
-    out[rows:, cols:] = second
+    out[..., :rows, :cols] = first
+    out[..., rows:, cols:] = second
     return out
 

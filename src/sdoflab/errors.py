@@ -2,7 +2,13 @@
 
 
 class SdofLabError(Exception):
-    """Base class for all errors raised by sdoflab."""
+    """Base class for all errors raised by sdoflab.
+
+    ``member`` is the index of the failing matrix when a function on a
+    stack of matrices fails for that member alone, else None.
+    """
+
+    member: int | None = None
 
 
 class InvalidMatrix(SdofLabError):
@@ -27,3 +33,12 @@ class NumericalFailure(SdofLabError):
 
 class InsufficientData(SdofLabError):
     """Not enough samples or grid points for the requested estimate."""
+
+
+def located(exc: SdofLabError, where: str) -> SdofLabError:
+    """A new error of ``exc``'s type, its message prefixed with ``where``.
+
+    Callers name what reproduces the failure (config, trial, seed) and
+    raise it ``from exc``; keeping the type keeps the CLI exit code.
+    """
+    return type(exc)(f"{where}: {exc}")

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
-from .errors import SdofLabError
+from .channel import (
+    EveMode,
+    RngStream,
+    SignalParams,
+    channel_use,
+    sample_channels,
+    stack_trials,
+)
+from .errors import SdofLabError, located
 from .precoding import build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
@@ -92,11 +99,13 @@ def check_allocations(max_antennas: int) -> CheckResult:
 def check_config(config: AntennaConfig, seeds: int):
     """Residual and rank invariants of one configuration's precoder sets.
 
-    Builds a set for each channel seed 0 .. seeds - 1 and checks its
-    residuals against the gates and its ranks against the allocation, the
-    leakage rank on channel use 0 of a time-varying eavesdropper (a static
-    one would need the fractional alignment that time sharing replaces).
-    Returns (worst residual of each kind, one line per failing seed).
+    Builds a set for each channel seed 0 .. seeds - 1, all in one stacked
+    build, and checks its residuals against the gates and its ranks
+    against the allocation, the leakage rank on channel use 0 of a
+    time-varying eavesdropper (a static one would need the fractional
+    alignment that time sharing replaces).  Returns (worst residual of each
+    kind, one line per failing seed).  A build that fails raises its own
+    error type, its message naming the config and the seed.
     """
     alloc = allocate_jamming(config)
     slots = alloc.slots
@@ -105,10 +114,14 @@ def check_config(config: AntennaConfig, seeds: int):
     expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)
     worst = dict.fromkeys(("nullspace", "alignment", "unitarity", "zero-forcing"), 0.0)
     failures = []
-    for seed in range(seeds):
-        rng = RngStream(seed, (0, 0))
-        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-        pre = build_precoders(config, ch, alloc, rng)
+    rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
+    draws = [sample_channels(config, rng, EveMode.TIME_VARYING) for rng in rngs]
+    try:
+        sets = build_precoders(config, stack_trials(draws), alloc, rngs)
+    except SdofLabError as exc:
+        # A failure that is not one member's fails every seed alike.
+        raise located(exc, f"{config} seed {exc.member or 0}") from exc
+    for seed, (rng, ch, pre) in enumerate(zip(rngs, draws, sets)):
         seen = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
         residuals = (
             ("nullspace", pre.report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),

@@ -10,6 +10,7 @@ from sdoflab import (
     EveMode,
     InfeasibleAllocation,
     InvalidMatrix,
+    NumericalFailure,
     RngStream,
     allocate_jamming,
     build_precoders,
@@ -19,9 +20,9 @@ from sdoflab import (
     random_jamming,
     sample_channels,
 )
-from sdoflab.channel import jamming_generator
+from sdoflab.channel import jamming_generator, stack_trials
 from sdoflab.precoding import _aligned_targets
-from sdoflab.subspaces import solve_into
+from sdoflab.subspaces import orthonormal_basis, solve_into
 
 
 def _kron2(h):
@@ -29,12 +30,17 @@ def _kron2(h):
     return np.kron(np.eye(2), h)
 
 
+def _targets(h1, h2, pairs, slots):
+    """Aligned targets from one slot's channels, through their received bases."""
+    return _aligned_targets(orthonormal_basis(h1), orthonormal_basis(h2), pairs, slots)
+
+
 def _aligned(h1, h2, pairs, slots):
     """The build's aligned path: shared targets, then one solve per transmitter.
 
     Returns v1, v2, the targets and the two slot-space channels.
     """
-    targets = _aligned_targets(h1, h2, pairs, slots)
+    targets = _targets(h1, h2, pairs, slots)
     if slots == 2:
         h1, h2 = _kron2(h1), _kron2(h2)
     return solve_into(h1, targets), solve_into(h2, targets), targets, h1, h2
@@ -111,7 +117,7 @@ class TestAlignedJamming:
         line = (crandn(gen, 3, 2), crandn(gen, 3, 2))
         for (h1, h2), pairs, slots in ((empty, 1, 1), (empty, 1, 2), (line, 2, 1), (line, 3, 2)):
             with pytest.raises(InfeasibleAllocation):
-                _aligned_targets(h1, h2, pairs, slots)
+                _targets(h1, h2, pairs, slots)
 
     def test_unaligned_at_eavesdropper(self):
         # aligned at the receiver yet generically separate through an
@@ -280,3 +286,84 @@ class TestLeakageRank:
         expected = elimination_rank(np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j]))
         held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
         assert leakage_rank(held, pre) == expected
+
+
+def _trial_stack(config, trials, seed=4, mode=EveMode.TIME_VARYING):
+    """The trials' RNG streams and their draws, stacked along a leading trial axis."""
+    rngs = [RngStream(seed, (t, 0)) for t in trials]
+    return rngs, stack_trials([sample_channels(config, r, mode) for r in rngs])
+
+
+def _same_set(a, b):
+    """Bit-for-bit equality of two precoder sets, report included."""
+    matrices = ("v1_l", "v1_j", "v2_l", "v2_j", "u")
+    return (
+        all(np.array_equal(getattr(a, k), getattr(b, k)) for k in matrices)
+        and a.slots == b.slots
+        and a.report == b.report
+    )
+
+
+class TestStackedBuild:
+    # (4, 1, 2, 1) nullspace, (2, 2, 4, 1) random, (2, 2, 3, 2) aligned,
+    # (5, 1, 2, 5) all three, (2, 2, 3, 1) and (4, 4, 6, 3) two slots,
+    # (2, 2, 3, 0) no jamming.
+    configs = [(4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 2), (5, 1, 2, 5), (2, 2, 3, 1),
+               (4, 4, 6, 3), (2, 2, 3, 0)]
+
+    @pytest.mark.parametrize("cfg", configs)
+    def test_a_trial_does_not_depend_on_its_stack(self, cfg):
+        config = AntennaConfig(*cfg)
+        alloc = allocate_jamming(config)
+        rngs, stacked = _trial_stack(config, range(7))
+        whole = build_precoders(config, stacked, alloc, rngs)
+        assert len(whole) == 7
+        for part in (range(0, 3), range(3, 7), range(5, 6)):
+            sub_rngs, sub = _trial_stack(config, part)
+            for t, pre in zip(part, build_precoders(config, sub, alloc, sub_rngs)):
+                assert _same_set(pre, whole[t])
+        # a single trial is a stack of one
+        rng = rngs[6]
+        alone = build_precoders(config, sample_channels(config, rng, EveMode.TIME_VARYING), alloc, rng)
+        assert _same_set(alone, whole[6])
+
+    @pytest.mark.parametrize("cfg", configs)
+    def test_every_trial_meets_the_invariants(self, cfg):
+        config = AntennaConfig(*cfg)
+        alloc = allocate_jamming(config)
+        rngs, stacked = _trial_stack(config, range(5), seed=9)
+        for t, pre in enumerate(build_precoders(config, stacked, alloc, rngs)):
+            slots = pre.slots
+            h1, h2 = stacked.h1[t], stacked.h2[t]
+            if slots == 2:
+                h1, h2 = _kron2(h1), _kron2(h2)
+            legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
+            assert pre.report.u_rank == elimination_rank(pre.u) == slots * config.n - int(alloc.j_s * slots)
+            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == int(alloc.d_total * slots)
+            assert pre.report.zero_forcing_residual < 1e-8
+
+    def test_needs_one_stream_per_trial(self):
+        config = AntennaConfig(2, 2, 3, 2)
+        rngs, stacked = _trial_stack(config, range(3))
+        with pytest.raises(DimensionMismatch):
+            build_precoders(config, stacked, allocate_jamming(config), rngs[:2])
+
+    def test_non_finite_trial_is_named(self):
+        config = AntennaConfig(2, 2, 3, 2)
+        rngs, stacked = _trial_stack(config, range(4))
+        h2 = stacked.h2.copy()
+        h2[2, 0, 0] = np.nan
+        with pytest.raises(InvalidMatrix, match="stack member 2: h2") as exc:
+            build_precoders(config, dataclasses.replace(stacked, h2=h2), allocate_jamming(config), rngs)
+        assert exc.value.member == 2
+
+    def test_rank_deficient_trial_is_named(self):
+        # A nullspace block's width is the channel's nullity: a rank-one
+        # channel in a stack of generic ones changes it for that trial alone.
+        config = AntennaConfig(4, 1, 2, 1)
+        rngs, stacked = _trial_stack(config, range(4))
+        h1 = stacked.h1.copy()
+        h1[3] = np.outer(h1[3][:, 0], h1[3][0])
+        with pytest.raises(NumericalFailure, match="stack member 3:") as exc:
+            build_precoders(config, dataclasses.replace(stacked, h1=h1), allocate_jamming(config), rngs)
+        assert exc.value.member == 3

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sdoflab import (
     ChannelRealization,
     EveMode,
     InsufficientData,
+    InvalidMatrix,
     NumericalFailure,
     RateSample,
     RngStream,
@@ -23,7 +25,7 @@ from sdoflab import (
     sum_sdof,
     sweep,
 )
-from sdoflab import channel, kernels, simulate
+from sdoflab import channel, cli, kernels, simulate, verify
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
 
@@ -266,6 +268,105 @@ class TestSweep:
             sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0, 60.0], 1, 0, EveMode.STATIC)
         with pytest.raises(ValueError):
             sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 0, 0, EveMode.STATIC)
+
+
+def _sample_bytes(samples):
+    return np.array([(s.p_db, s.trial, s.legit_rate, s.eve_leakage) for s in samples]).tobytes()
+
+
+class TestStackedSweep:
+    """A trial's samples do not depend on the chunk its precoders were built in."""
+
+    grid = [60.0, 80.0, 100.0]
+
+    def run(self, cfg, trials, mode, threads=1):
+        return sweep(AntennaConfig(*cfg), SignalParams(1.0), self.grid, trials, 11, mode, threads=threads)
+
+    @pytest.mark.parametrize("mode", list(EveMode))
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1), (5, 1, 2, 5)])
+    def test_threads_chunks_and_trial_count_do_not_change_samples(self, cfg, mode, monkeypatch):
+        seven = self.run(cfg, 7, mode)
+        for threads in (2, 3):
+            assert _sample_bytes(self.run(cfg, 7, mode, threads)) == _sample_bytes(seven)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", 2)
+        assert _sample_bytes(self.run(cfg, 7, mode)) == _sample_bytes(seven)
+        first_three = [s for s in seven if s.trial < 3]
+        assert _sample_bytes(self.run(cfg, 3, mode)) == _sample_bytes(first_three)
+
+    @pytest.mark.parametrize(
+        "trials, threads, cap, builds", [(7, 1, 64, 1), (7, 2, 64, 2), (7, 3, 64, 3), (7, 1, 3, 3), (2, 4, 64, 2)]
+    )
+    def test_one_stacked_build_per_chunk(self, trials, threads, cap, builds, monkeypatch):
+        stacks = []
+        real = simulate.build_precoders
+
+        def counting(config, ch, alloc, rngs):
+            stacks.append([rng.stream_id[0] for rng in rngs])
+            return real(config, ch, alloc, rngs)
+
+        monkeypatch.setattr(simulate, "build_precoders", counting)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
+        self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
+        assert len(stacks) == builds
+        assert sorted(t for stack in stacks for t in stack) == list(range(trials))
+        assert all(stack == list(range(stack[0], stack[0] + len(stack))) for stack in stacks)
+        assert max(map(len, stacks)) <= cap
+
+
+class TestFailureAddress:
+    """A failing trial is named with the config and master seed that reproduce it."""
+
+    @pytest.fixture
+    def nan_trial_3(self, monkeypatch):
+        real = simulate.sample_channels
+
+        def poisoned(config, rng, mode):
+            ch = real(config, rng, mode)
+            if rng.stream_id[0] == 3:
+                h1 = ch.h1.copy()
+                h1[0, 0] = np.nan
+                ch = dataclasses.replace(ch, h1=h1)
+            return ch
+
+        monkeypatch.setattr(simulate, "sample_channels", poisoned)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads):
+        config = AntennaConfig(2, 2, 3, 2)
+        with pytest.raises(InvalidMatrix) as exc:
+            sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.STATIC, threads=threads)
+        message = str(exc.value)
+        assert f"{config} trial 3 master seed 11:" in message
+        assert "h1 contains non-finite entries" in message
+
+    def test_cli_exit_code_is_unchanged(self, nan_trial_3, tmp_path, capsys):
+        code = cli.main(
+            ["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--trials", "5",
+             "--seed", "11", "--csv", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "trial 3 master seed 11" in err and err.count("\n") == 1
+
+    def test_check_config_names_config_and_seed(self, monkeypatch):
+        real = verify.sample_channels
+
+        def poisoned(config, rng, mode):
+            ch = real(config, rng, mode)
+            if rng.master_seed == 2:
+                ch = dataclasses.replace(ch, h2=np.full_like(ch.h2, np.inf))
+            return ch
+
+        monkeypatch.setattr(verify, "sample_channels", poisoned)
+        config = AntennaConfig(2, 2, 3, 1)
+        with pytest.raises(InvalidMatrix, match=re.escape(f"{config} seed 2: stack member 2: h2")):
+            verify.check_config(config, 4)
+
+    def test_rate_failure_names_trial_and_seed(self):
+        # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows.
+        config = AntennaConfig(2, 2, 3, 1)
+        with pytest.raises(NumericalFailure, match=re.escape(f"{config} trial 0 master seed 5:")):
+            sweep(config, SignalParams(1.0, alpha=0.9), [3079.0, 3080.0], 2, 5, EveMode.STATIC)
 
 
 class TestEstimateDof:

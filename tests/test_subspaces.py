@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from helpers import crandn, elimination_rank, max_abs, principal_angle_intersection_dim
-from sdoflab import DimensionMismatch, Unsolvable
+from sdoflab import DimensionMismatch, InvalidMatrix, NumericalFailure, Unsolvable
 from sdoflab.subspaces import (
     RESIDUAL_ABS_TOL,
+    as_matrix,
     complement_projector,
     complete_orthonormal,
     intersect,
     nullspace,
     orthonormal_basis,
+    ranks,
     solve_into,
+    svd,
 )
 
 
@@ -223,3 +226,116 @@ class TestTolerance:
         a = np.diag([1.0, 1e-13]).astype(complex)
         assert orthonormal_basis(a).shape[1] == 1
         assert orthonormal_basis(1e-20 * np.eye(3, dtype=complex)).shape[1] == 3
+
+
+def _stack(gen, members, rows, cols, rank=None):
+    """A stack of CN(0, 1) matrices, of generic rank or of rank ``rank``."""
+    if rank is None:
+        return np.stack([crandn(gen, rows, cols) for _ in range(members)])
+    return np.stack([crandn(gen, rows, rank) @ crandn(gen, rank, cols) for _ in range(members)])
+
+
+class TestStacks:
+    """Each member of a stack against the independent oracles and against its own 2-D call."""
+
+    shapes = [(3, 2), (2, 4), (4, 4), (5, 3), (1, 3)]
+
+    @pytest.mark.parametrize("rows, cols", shapes)
+    def test_basis_and_nullspace_per_member(self, rows, cols):
+        gen = np.random.default_rng(rows * 10 + cols)
+        a = _stack(gen, 6, rows, cols)
+        basis, null = orthonormal_basis(a), nullspace(a)
+        factors = svd(a)
+        assert np.array_equal(orthonormal_basis(a, factors), basis)
+        assert np.array_equal(nullspace(a, factors), null)
+        for member, q, n in zip(a, basis, null):
+            assert q.shape[1] == elimination_rank(member)
+            assert n.shape[1] == cols - elimination_rank(member)
+            assert max_abs(q @ (q.conj().T @ member) - member) < 1e-10
+            assert max_abs(member @ n) < RESIDUAL_ABS_TOL
+            assert np.array_equal(q, orthonormal_basis(member))
+            assert np.array_equal(n, nullspace(member))
+
+    def test_ranks_decided_per_member(self):
+        gen = np.random.default_rng(41)
+        a = np.stack([crandn(gen, 4, r) @ crandn(gen, r, 5) for r in (0, 1, 2, 3, 4)])
+        got = ranks(a)
+        assert got.tolist() == [elimination_rank(member) for member in a] == [0, 1, 2, 3, 4]
+        assert int(ranks(a[2])) == 2
+
+    @pytest.mark.parametrize("ambient, da, db", [(3, 2, 2), (5, 3, 4), (4, 2, 1), (6, 4, 4)])
+    def test_intersect_per_member(self, ambient, da, db):
+        gen = np.random.default_rng(ambient * 100 + da * 10 + db)
+        qa = orthonormal_basis(_stack(gen, 5, ambient, da))
+        qb = orthonormal_basis(_stack(gen, 5, ambient, db))
+        inter = intersect(qa, qb)
+        for a, b, c in zip(qa, qb, inter):
+            assert c.shape[1] == principal_angle_intersection_dim(a, b)
+            assert np.array_equal(c, intersect(a, b))
+
+    def test_solve_per_member(self):
+        gen = np.random.default_rng(17)
+        h = _stack(gen, 4, 3, 2)
+        target = h @ _stack(gen, 4, 2, 1)
+        v = solve_into(h, target)
+        assert np.array_equal(solve_into(h, target, svd(h)), v)
+        for hm, tm, vm in zip(h, target, v):
+            assert max_abs(hm @ vm - tm) < RESIDUAL_ABS_TOL
+            assert max_abs(vm - solve_into(hm, tm)) < 1e-12
+            # minimum norm: v lies in the row space of h
+            assert max_abs(nullspace(hm).conj().T @ vm) < 1e-10
+
+    def test_solve_on_a_wide_channel_is_minimum_norm(self):
+        gen = np.random.default_rng(18)
+        h = _stack(gen, 3, 2, 5)
+        target = _stack(gen, 3, 2, 2)
+        v = solve_into(h, target)
+        for hm, tm, vm in zip(h, target, v):
+            assert max_abs(hm @ vm - tm) < RESIDUAL_ABS_TOL
+            assert max_abs(vm - np.linalg.pinv(hm) @ tm) < 1e-10
+
+    def test_projector_and_completion_per_member(self):
+        gen = np.random.default_rng(19)
+        cols = _stack(gen, 4, 5, 2)
+        u = complement_projector(cols)
+        partial = orthonormal_basis(cols)
+        extra = complete_orthonormal(partial, 3)
+        for c, um, p, e in zip(cols, u, partial, extra):
+            assert elimination_rank(um) == 3
+            assert max_abs(um @ c) < 1e-10
+            assert np.array_equal(um, complement_projector(c))
+            full = np.hstack([p, e])
+            assert max_abs(full.conj().T @ full - np.eye(5)) < 1e-10
+            assert np.array_equal(e, complete_orthonormal(p, 3))
+
+    @pytest.mark.parametrize("odd", [0, 2, 4])
+    def test_rank_deficient_member_is_named(self, odd):
+        # A rank that sets a shape must be shared by the whole stack.
+        gen = np.random.default_rng(23 + odd)
+        a = _stack(gen, 5, 4, 3)
+        a[odd] = crandn(gen, 4, 1) @ crandn(gen, 1, 3)
+        for primitive in (orthonormal_basis, nullspace, complement_projector):
+            with pytest.raises(NumericalFailure, match=f"stack member {odd}:") as exc:
+                primitive(a)
+            assert exc.value.member == odd
+        assert ranks(a).tolist() == [1 if m == odd else 3 for m in range(5)]
+
+    def test_unreachable_target_names_its_member(self):
+        gen = np.random.default_rng(29)
+        h = _stack(gen, 3, 4, 2)
+        target = h @ _stack(gen, 3, 2, 1)
+        target[1] = crandn(gen, 4, 1)
+        with pytest.raises(Unsolvable, match="stack member 1:") as exc:
+            solve_into(h, target)
+        assert exc.value.member == 1
+
+    def test_as_matrix_names_the_non_finite_member(self):
+        a = np.ones((4, 2, 3))
+        a[2, 1, 0] = np.inf
+        with pytest.raises(InvalidMatrix, match="stack member 2: h1 contains non-finite") as exc:
+            as_matrix(a, "h1", stack=True)
+        assert exc.value.member == 2
+        with pytest.raises(InvalidMatrix, match="stack of matrices"):
+            as_matrix(np.ones((2, 3)), "h1", stack=True)
+        with pytest.raises(InvalidMatrix, match="two-dimensional"):
+            as_matrix(a, "h1")
