@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: SDOFLAB_THREADS if set, else 1)",
+        help="worker threads, at most the CPU count (default: SDOFLAB_THREADS if set, else 1)",
     )
     p_sim.add_argument("--csv", default=None, help="CSV output path ('-' = stdout, default)")
     p_sim.add_argument("--summary", default=None, help="JSON summary path ('-' = stdout, default)")

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, RngStream, jamming_generator, slot_extend
+from .channel import ChannelRealization, RngStream, jamming_generators, slot_extend
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import AntennaConfig, JammingAllocation, JammingMethod
 from .subspaces import (
@@ -180,14 +180,14 @@ def build_precoders(
     within each transmitter; legitimate columns are an orthonormal
     completion against the jamming columns; the post-processor u is the
     complement projector of the received jamming.  Random directions come
-    from ``jamming_generator(rng)``.  The set's ``report`` records the
-    construction's residuals and ranks.
+    from ``jamming_generators``, one per trial.  The set's ``report``
+    records the construction's residuals and ranks.
 
     One trial: ``ch.h1`` and ``ch.h2`` are matrices, ``rng`` is the
     trial's ``RngStream`` and the result is its ``PrecoderSet``.  A stack
     of trials: ``ch.h1`` and ``ch.h2`` carry a leading trial axis
-    (``channel.stack_trials``), ``rng`` is a sequence with one
-    ``RngStream`` per trial, and the result is a list with one
+    (``sample_channels`` on a sequence of streams), ``rng`` is a sequence
+    with one ``RngStream`` per trial, and the result is a list with one
     ``PrecoderSet`` per trial, each with its own report.  Every SVD and QR
     runs once over the whole stack, and each trial draws from its own
     generator in a fixed order (transmitter one's random block,
@@ -213,7 +213,7 @@ def build_precoders(
             raise DimensionMismatch(
                 f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
             )
-    sets = _build_stack(h1, h2, alloc, [jamming_generator(r) for r in rngs])
+    sets = _build_stack(h1, h2, alloc, jamming_generators(rngs))
     return sets[0] if isinstance(rng, RngStream) else sets
 
 

@@ -1,7 +1,8 @@
 """Monte Carlo rate evaluation and high-SNR slope estimation.
 
-Per trial, channels are drawn once and precoders built once, in one
-stacked build for each chunk of trials.  Both per-stream powers are
+Per trial, channels are drawn once and precoders built once; each chunk
+of trials draws its channels from one batch of seeds and builds its
+precoders in one stacked build.  Both per-stream powers are
 linear in p, so every effective matrix is a scale of its unit-power
 value, and one SVD per matrix gives its log-determinant at every grid
 point: one for the legitimate rate and one for each side of the leakage
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +28,8 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
-    channel_use,
+    channel_uses,
     sample_channels,
-    stack_trials,
 )
 from .errors import InsufficientData, NumericalFailure, SdofLabError, located
 from .precoding import PrecoderSet, build_precoders
@@ -103,22 +103,58 @@ def per_stream_powers(
     ``legit_cols`` legitimate streams and the jamming budget alpha p over
     the ``jam_cols`` jamming streams, both counted on the slot space of a
     ``slots``-slot scheme and normalized per channel use (slot).  Zero-stream
-    budgets give zero power.  An overflowed power is ``inf``.
+    budgets give zero power.  An overflowed power is ``inf``.  Only
+    ``sig.p`` and ``sig.alpha`` are read: given as arrays, one entry per
+    grid point, they give each power as an array.
     """
     p_legit = (1.0 - sig.alpha) * sig.p * slots / legit_cols if legit_cols else 0.0
     p_jam = sig.alpha * sig.p * slots / jam_cols if jam_cols else 0.0
     return p_legit, p_jam
 
 
-def _grid_powers(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
-    """Per-stream (legitimate, jamming) powers over the noise variance: shape (2, grid)."""
-    counts = (
+@dataclass(frozen=True, eq=False)
+class _PowerGrid:
+    """A power grid's ``SignalParams`` as arrays, one entry per grid point.
+
+    ``sweep`` converts its grid once, and every trial's rate calls read the
+    power split it caches per scheme; the rate functions also take the
+    plain list.
+    """
+
+    p: np.ndarray
+    alpha: np.ndarray
+    sigma2: np.ndarray
+    _split: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, sigs: "Sequence[SignalParams] | _PowerGrid") -> "_PowerGrid":
+        if isinstance(sigs, cls):
+            return sigs
+        fields = ("p", "alpha", "sigma2")
+        return cls(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in fields))
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def powers(self, slots: int, legit_cols: int, jam_cols: int) -> np.ndarray:
+        """Per-stream (legitimate, jamming) powers over the noise variance: shape (2, grid)."""
+        key = (slots, legit_cols, jam_cols)
+        if key not in self._split:
+            with np.errstate(over="ignore"):  # an overflowed power is inf, as in floats
+                legit, jam = per_stream_powers(slots, legit_cols, jam_cols, self)
+            # A zero-stream budget is a scalar 0.0: spread it over the grid.
+            split = np.stack(np.broadcast_arrays(legit, jam, self.p)[:2])
+            self._split[key] = split / self.sigma2
+        return self._split[key]
+
+
+def _grid_powers(pre: PrecoderSet, sigs) -> np.ndarray:
+    """Per-stream (legitimate, jamming) powers of ``pre`` over the noise variance, (2, grid)."""
+    return _PowerGrid.of(sigs).powers(
         pre.slots,
         pre.v1_l.shape[1] + pre.v2_l.shape[1],
         pre.v1_j.shape[1] + pre.v2_j.shape[1],
     )
-    powers = [np.divide(per_stream_powers(*counts, sig), sig.sigma2) for sig in sigs]
-    return np.array(powers, dtype=float).reshape(-1, 2).T
 
 
 def legit_rate(
@@ -198,14 +234,18 @@ def sweep(
     """Monte Carlo rate samples over a power grid.
 
     Per trial: one channel draw and precoder build, then rates at each grid
-    point k on ``channel_use`` k under eavesdropper model ``mode``, from one
+    point k on channel use k under eavesdropper model ``mode``, from one
     call of each rate function over the whole grid.  The trials are split
     into contiguous chunks, at least one per worker thread and none longer
-    than ``CHUNK_TRIALS_MAX``; each chunk builds all its precoder sets in
-    one stacked ``build_precoders`` call.  A trial's set does not depend on its
+    than ``CHUNK_TRIALS_MAX``.  Each chunk draws its trials' channels in
+    one ``sample_channels`` call and a time-varying eavesdropper's every
+    use in one ``channel_uses`` call, each seeding all its addresses in one
+    batch, and builds all its precoder sets in one stacked
+    ``build_precoders`` call.  A trial's draws and set do not depend on its
     chunk, so the output, ordered by (p_db, trial), depends only on the
     arguments, never on thread count (``threads=None`` reads
-    SDOFLAB_THREADS, defaulting to sequential).  An InfeasibleAllocation
+    SDOFLAB_THREADS, defaulting to sequential; either way no more worker
+    threads start than ``os.cpu_count()`` or ``trials``).  An InfeasibleAllocation
     from any trial aborts the sweep: feasibility is generic, so a failure
     indicates an allocation bug rather than bad luck.  A failing build or
     rate evaluation raises its own error type, its message naming the
@@ -220,41 +260,34 @@ def sweep(
         raise ValueError("trials must be at least 1")
 
     alloc = allocate_jamming(config)
-    sigs = [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
-
-    def rates(trial: int, rng0: RngStream, ch0: ChannelRealization, pre: PrecoderSet):
-        ch = channel_use(config, ch0, rng0, 0, mode, pre.slots)
-        if mode.varies_per_use:
-            uses = [ch] + [
-                channel_use(config, ch0, rng0, k, mode, pre.slots) for k in range(1, len(grid))
-            ]
-            ch = replace(
-                ch, g1=np.stack([u.g1 for u in uses]), g2=np.stack([u.g2 for u in uses])
-            )
-        legit = legit_rate(ch, pre, sigs).tolist()
-        leak = eve_leakage(ch, pre, sigs).tolist()
-        return [RateSample(p, trial, a, b) for p, a, b in zip(grid, legit, leak)]
+    sigs = _PowerGrid.of(
+        [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
+    )
 
     def where(trial: int) -> str:
         return f"{config} trial {trial} master seed {master_seed}"
 
     def run_chunk(chunk: range) -> list[list[RateSample]]:
         rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
-        draws = [sample_channels(config, rng, mode) for rng in rngs]
+        draws = sample_channels(config, rngs, mode)
         try:
-            sets = build_precoders(config, stack_trials(draws), alloc, rngs)
+            sets = build_precoders(config, draws, alloc, rngs)
         except SdofLabError as exc:
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
+        seen = channel_uses(config, draws, rngs, range(len(grid)), mode, alloc.slots)
         out = []
-        for trial, rng, ch0, pre in zip(chunk, rngs, draws, sets):
+        for i, (trial, pre) in enumerate(zip(chunk, sets)):
+            ch = ChannelRealization(seen.h1[i], seen.h2[i], seen.g1[i], seen.g2[i])
             try:
-                out.append(rates(trial, rng, ch0, pre))
+                legit = legit_rate(ch, pre, sigs).tolist()
+                leak = eve_leakage(ch, pre, sigs).tolist()
             except SdofLabError as exc:
                 raise located(exc, where(trial)) from exc
+            out.append([RateSample(p, trial, a, b) for p, a, b in zip(grid, legit, leak)])
         return out
 
-    workers = min(_resolve_threads(threads), trials)
+    workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
     chunks = _chunks(trials, workers)
     if workers == 1:
         per_chunk = [run_chunk(c) for c in chunks]

@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .channel import (
+    ChannelRealization,
     EveMode,
     RngStream,
     SignalParams,
-    channel_use,
+    channel_uses,
     sample_channels,
-    stack_trials,
 )
 from .errors import SdofLabError, located
 from .precoding import build_precoders, leakage_rank
@@ -115,14 +115,15 @@ def check_config(config: AntennaConfig, seeds: int):
     worst = dict.fromkeys(("nullspace", "alignment", "unitarity", "zero-forcing"), 0.0)
     failures = []
     rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
-    draws = [sample_channels(config, rng, EveMode.TIME_VARYING) for rng in rngs]
+    draws = sample_channels(config, rngs, EveMode.TIME_VARYING)
     try:
-        sets = build_precoders(config, stack_trials(draws), alloc, rngs)
+        sets = build_precoders(config, draws, alloc, rngs)
     except SdofLabError as exc:
         # A failure that is not one member's fails every seed alike.
         raise located(exc, f"{config} seed {exc.member or 0}") from exc
-    for seed, (rng, ch, pre) in enumerate(zip(rngs, draws, sets)):
-        seen = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
+    uses = channel_uses(config, draws, rngs, [0], EveMode.TIME_VARYING, slots)
+    for seed, pre in enumerate(sets):
+        seen = ChannelRealization(uses.h1[seed], uses.h2[seed], uses.g1[seed, 0], uses.g2[seed, 0])
         residuals = (
             ("nullspace", pre.report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),
             ("alignment", pre.report.alignment_residual, ALIGNMENT_RESIDUAL_MAX),

@@ -12,7 +12,14 @@ from sdoflab import (
     channel_use,
     sample_channels,
 )
-from sdoflab.channel import slot_extend
+from sdoflab.channel import (
+    SEED_HASH_MIN_KEYS,
+    _generators,
+    _seed_words,
+    channel_uses,
+    jamming_generators,
+    slot_extend,
+)
 
 # SHA-256 of _draw_digest() below: the channel stream every Monte Carlo result rests on.
 DRAW_DIGEST = "06b9acd788148f629348af498eef5cf67dac7221adb4bcaa8b6f2e377de27edc"
@@ -29,6 +36,13 @@ class TestRngStream:
         a = RngStream(42, (5, 3)).generator(0).standard_normal(8)
         b = RngStream(42, (5, 3)).generator(0).standard_normal(8)
         assert np.array_equal(a, b)
+
+    def test_components_fit_64_bits(self):
+        RngStream(2**64 - 1, (2**64 - 1, 2**64 - 1))
+        with pytest.raises(ValueError):
+            RngStream(3, (2**64, 0))
+        with pytest.raises(ValueError):
+            RngStream(3, (0, 2**64))
 
     def test_domains_are_distinct(self):
         a = RngStream(42, (5, 3)).generator(0).standard_normal(8)
@@ -166,6 +180,102 @@ class TestChannelUse:
         later = RngStream(self.seed, (self.trial, 1))
         with pytest.raises(ValueError):
             channel_use(self.config, trial, later, 0, EveMode.TIME_VARYING, 1)
+
+
+def _seed_sequence_words(master, keys):
+    return np.array(
+        [np.random.SeedSequence(entropy=master, spawn_key=k).generate_state(4, np.uint64) for k in keys]
+    )
+
+
+# Key components that take one uint32 word and ones that take two.
+_COMPONENTS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**33 + 5, 2**63, 2**64 - 1)
+
+
+def _keys(count, seed):
+    """``count`` spawn keys of length 2 and 3, components one and two words wide."""
+    gen = np.random.default_rng(seed)
+
+    def pick():
+        if gen.random() < 0.5:
+            return _COMPONENTS[int(gen.integers(len(_COMPONENTS)))]
+        return int(gen.integers(0, 2**62))
+
+    return [tuple(pick() for _ in range(int(gen.integers(2, 4)))) for _ in range(count)]
+
+
+class TestSeedWords:
+    """The vectorised hash against NumPy's own SeedSequence."""
+
+    masters = [0, 2**32 - 1, 2**32, 2**64 - 1, 12_345, 2**40 + 17, 9_876_543_210_123_456_789]
+    counts = [1, SEED_HASH_MIN_KEYS - 1, SEED_HASH_MIN_KEYS, 40]
+
+    @pytest.mark.parametrize("master", masters)
+    @pytest.mark.parametrize("count", counts)
+    def test_matches_seed_sequence(self, master, count):
+        keys = _keys(count, seed=count + master % 1000)
+        assert np.array_equal(_seed_words(master, keys), _seed_sequence_words(master, keys))
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_a_master_seed_per_key(self, length):
+        gen = np.random.default_rng(length)
+        keys = gen.integers(0, 2**63, size=(25, length), dtype=np.uint64)
+        keys[::4, -1] = np.uint64(2**64 - 1)
+        keys[1::4, 0] = 5
+        masters = gen.integers(0, 2**63, size=25, dtype=np.uint64).tolist()
+        masters[0] = 2**64 - 1
+        keys = [tuple(k) for k in keys.tolist()]
+        got = _seed_words(masters, keys)
+        for m, k, words in zip(masters, keys, got):
+            assert np.array_equal(words, _seed_sequence_words(m, [k])[0])
+
+    @pytest.mark.parametrize("count", counts)
+    def test_generators_draw_as_seed_sequence_ones(self, count):
+        keys = _keys(count, seed=99)
+        masters = [(3 * i) << 33 for i in range(count)]
+        drawn = [g.standard_normal(6) for g in _generators(masters, keys)]
+        for m, k, z in zip(masters, keys, drawn):
+            oracle = np.random.default_rng(np.random.SeedSequence(entropy=m, spawn_key=k))
+            assert np.array_equal(z, oracle.standard_normal(6))
+
+    @pytest.mark.parametrize("count", [1, SEED_HASH_MIN_KEYS + 3])
+    def test_jamming_generators_match_each_stream_alone(self, count):
+        rngs = [RngStream(8, (t, 0)) for t in range(count)]
+        for rng, gen in zip(rngs, jamming_generators(rngs)):
+            assert np.array_equal(gen.standard_normal(5), jamming_generators([rng])[0].standard_normal(5))
+
+
+class TestStackedDraws:
+    """Stacked draws equal the per-address calls member by member, on both sides of the crossover."""
+
+    @pytest.mark.parametrize("mode", list(EveMode))
+    @pytest.mark.parametrize("trials", [1, 3, SEED_HASH_MIN_KEYS + 2])
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (3, 2, 4, 1), (2, 1, 2, 0)])
+    def test_sample_channels(self, cfg, trials, mode):
+        config = AntennaConfig(*cfg)
+        rngs = [RngStream(2**40 + 3, (2**32 + t, 2 * t)) for t in range(trials)]
+        stacked = sample_channels(config, rngs, mode)
+        for i, rng in enumerate(rngs):
+            alone = sample_channels(config, rng, mode)
+            for name in ("h1", "h2", "g1", "g2"):
+                assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name))
+
+    @pytest.mark.parametrize("mode", list(EveMode))
+    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize("trials", [1, SEED_HASH_MIN_KEYS + 1])
+    def test_channel_uses(self, trials, slots, mode):
+        config = AntennaConfig(3, 2, 4, 2)
+        rngs = [RngStream(17, (t, 0)) for t in range(trials)]
+        draws = sample_channels(config, rngs, mode)
+        uses = [0, 1, 4]
+        seen = channel_uses(config, draws, rngs, uses, mode, slots)
+        for i, rng in enumerate(rngs):
+            trial = sample_channels(config, rng, mode)
+            for j, use in enumerate(uses):
+                alone = channel_use(config, trial, rng, use, mode, slots)
+                g1, g2 = (seen.g1[i, j], seen.g2[i, j]) if mode.varies_per_use else (seen.g1[i], seen.g2[i])
+                assert np.array_equal(seen.h1[i], alone.h1) and np.array_equal(seen.h2[i], alone.h2)
+                assert np.array_equal(g1, alone.g1) and np.array_equal(g2, alone.g2)
 
 
 def _draw_digest() -> str:

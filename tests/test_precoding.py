@@ -20,7 +20,7 @@ from sdoflab import (
     random_jamming,
     sample_channels,
 )
-from sdoflab.channel import jamming_generator, stack_trials
+from sdoflab.channel import jamming_generators
 from sdoflab.precoding import _aligned_targets
 from sdoflab.subspaces import orthonormal_basis, solve_into
 
@@ -59,9 +59,9 @@ class TestRandomJamming:
             random_jamming(2, 3, np.random.default_rng(0))
 
     def test_deterministic_through_jamming_generator(self):
-        a = random_jamming(4, 2, jamming_generator(RngStream(5)))
-        b = random_jamming(4, 2, jamming_generator(RngStream(5)))
-        other = random_jamming(4, 2, jamming_generator(RngStream(6)))
+        a = random_jamming(4, 2, jamming_generators([RngStream(5)])[0])
+        b = random_jamming(4, 2, jamming_generators([RngStream(5)])[0])
+        other = random_jamming(4, 2, jamming_generators([RngStream(6)])[0])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
 
@@ -291,7 +291,7 @@ class TestLeakageRank:
 def _trial_stack(config, trials, seed=4, mode=EveMode.TIME_VARYING):
     """The trials' RNG streams and their draws, stacked along a leading trial axis."""
     rngs = [RngStream(seed, (t, 0)) for t in trials]
-    return rngs, stack_trials([sample_channels(config, r, mode) for r in rngs])
+    return rngs, sample_channels(config, rngs, mode)
 
 
 def _same_set(a, b):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -203,7 +204,8 @@ class TestSweep:
         real = channel.sample_channels
 
         def counting(config, rng, *args, **kwargs):
-            addresses.append(rng.stream_id)
+            streams = [rng] if isinstance(rng, RngStream) else rng
+            addresses.extend(r.stream_id for r in streams)
             return real(config, rng, *args, **kwargs)
 
         monkeypatch.setattr(channel, "sample_channels", counting)
@@ -306,11 +308,66 @@ class TestStackedSweep:
 
         monkeypatch.setattr(simulate, "build_precoders", counting)
         monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
+        # The chunk count follows the worker count, which the host's CPU count caps.
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
         assert sorted(t for stack in stacks for t in stack) == list(range(trials))
         assert all(stack == list(range(stack[0], stack[0] + len(stack))) for stack in stacks)
         assert max(map(len, stacks)) <= cap
+
+
+class TestChunkDraws:
+    def test_time_varying_chunks_construct_no_seed_sequence_per_eavesdropper_draw(self, monkeypatch):
+        # A chunk of 16 trials seeds its trial, per-use and jamming draws in
+        # batches above the crossover: no SeedSequence per address.
+        spawn_keys = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            spawn_keys.append(kwargs.get("spawn_key", ()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        assert 16 >= channel.SEED_HASH_MIN_KEYS  # the smallest batch: 16 jamming streams
+        sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 16, 5, EveMode.TIME_VARYING)
+        assert [key for key in spawn_keys if key[:1] == (1,)] == []
+
+
+class TestWorkerCap:
+    """``sweep`` starts no more worker threads than the host has CPUs."""
+
+    @pytest.mark.parametrize("cpus, workers", [(3, [3, 3]), (None, [])])
+    def test_workers_are_capped_at_the_cpu_count(self, cpus, workers, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs every task in the calling thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        def no_threads(self):
+            raise AssertionError("a thread was started")
+
+        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 80.0], 7, 4, EveMode.STATIC)
+        sequential = sweep(*args, threads=1)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        assert sweep(*args, threads=100_000) == sequential
+        monkeypatch.setenv("SDOFLAB_THREADS", "100000")
+        assert sweep(*args) == sequential
+        assert pools == workers
 
 
 class TestFailureAddress:
@@ -320,11 +377,12 @@ class TestFailureAddress:
     def nan_trial_3(self, monkeypatch):
         real = simulate.sample_channels
 
-        def poisoned(config, rng, mode):
-            ch = real(config, rng, mode)
-            if rng.stream_id[0] == 3:
+        def poisoned(config, rngs, mode):
+            ch = real(config, rngs, mode)
+            trials = [rng.stream_id[0] for rng in rngs]
+            if 3 in trials:
                 h1 = ch.h1.copy()
-                h1[0, 0] = np.nan
+                h1[trials.index(3), 0, 0] = np.nan
                 ch = dataclasses.replace(ch, h1=h1)
             return ch
 
@@ -351,10 +409,13 @@ class TestFailureAddress:
     def test_check_config_names_config_and_seed(self, monkeypatch):
         real = verify.sample_channels
 
-        def poisoned(config, rng, mode):
-            ch = real(config, rng, mode)
-            if rng.master_seed == 2:
-                ch = dataclasses.replace(ch, h2=np.full_like(ch.h2, np.inf))
+        def poisoned(config, rngs, mode):
+            ch = real(config, rngs, mode)
+            seeds = [rng.master_seed for rng in rngs]
+            if 2 in seeds:
+                h2 = ch.h2.copy()
+                h2[seeds.index(2)] = np.inf
+                ch = dataclasses.replace(ch, h2=h2)
             return ch
 
         monkeypatch.setattr(verify, "sample_channels", poisoned)
