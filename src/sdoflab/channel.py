@@ -78,13 +78,10 @@ class RngStream:
         if not (0 <= trial < 2**64 and 0 <= use < 2**64):
             raise ValueError("stream_id components must be 64-bit nonnegative integers")
 
-    def _key(self, domain: int, per_use: bool = True) -> tuple[int, ...]:
-        """The ``SeedSequence`` spawn key of this address in ``domain``."""
-        trial, use = self.stream_id
-        return (domain, trial, use) if per_use else (domain, trial)
 
-    def generator(self, domain: int, per_use: bool = True) -> np.random.Generator:
-        return next(_generators([self.master_seed], [self._key(domain, per_use)]))
+def _spawn_key(domain: int, trial: int, use: int | None = None) -> tuple[int, ...]:
+    """The ``SeedSequence`` spawn key of address (trial[, use]) in ``domain``."""
+    return (domain, trial) if use is None else (domain, trial, use)
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -312,8 +309,9 @@ def sample_channels(
     draw at its own stream.
     """
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
-    keys = [r._key(_DOMAIN_LEGIT, per_use=False) for r in rngs]
-    keys += [r._key(_DOMAIN_EVE, per_use=mode.varies_per_use) for r in rngs]
+    keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
+    per_use = mode.varies_per_use
+    keys += [_spawn_key(_DOMAIN_EVE, r.stream_id[0], r.stream_id[1] if per_use else None) for r in rngs]
     gens = _generators([r.master_seed for r in rngs] * 2, keys)
     h1, h2 = _complex_gaussian_pairs(gens, len(rngs), config.n, config.m1, config.m2)
     g1, g2 = _complex_gaussian_pairs(gens, len(rngs), config.n_e, config.m1, config.m2)
@@ -361,7 +359,7 @@ def channel_uses(
     new = addresses[held:]
     per_address = [[g[:, None]] if held else [] for g in (trial_ch.g1, trial_ch.g2)]
     if new:
-        keys = [(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
+        keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
         seeds = [r.master_seed for r in trial_rngs for _ in new]
         gens = _generators(seeds, keys)
         drawn = _complex_gaussian_pairs(gens, len(keys), config.n_e, config.m1, config.m2)
@@ -400,7 +398,7 @@ def channel_use(
 
 def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
     """Per-trial generators for random jamming directions, seeded in one batch."""
-    keys = [r._key(_DOMAIN_JAMMING, per_use=False) for r in rngs]
+    keys = [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]
     return list(_generators([r.master_seed for r in rngs], keys))
 
 

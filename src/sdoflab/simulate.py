@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,49 +112,34 @@ def per_stream_powers(
     return p_legit, p_jam
 
 
-@dataclass(frozen=True, eq=False)
-class _PowerGrid:
-    """A power grid's ``SignalParams`` as arrays, one entry per grid point.
-
-    ``sweep`` converts its grid once, and every trial's rate calls read the
-    power split it caches per scheme; the rate functions also take the
-    plain list.
-    """
+class _Grid(NamedTuple):
+    """A power grid's ``SignalParams`` fields as arrays, one entry per grid point."""
 
     p: np.ndarray
     alpha: np.ndarray
     sigma2: np.ndarray
-    _split: dict = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def of(cls, sigs: "Sequence[SignalParams] | _PowerGrid") -> "_PowerGrid":
-        if isinstance(sigs, cls):
-            return sigs
-        fields = ("p", "alpha", "sigma2")
-        return cls(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in fields))
 
-    def __len__(self) -> int:
-        return len(self.p)
-
-    def powers(self, slots: int, legit_cols: int, jam_cols: int) -> np.ndarray:
-        """Per-stream (legitimate, jamming) powers over the noise variance: shape (2, grid)."""
-        key = (slots, legit_cols, jam_cols)
-        if key not in self._split:
-            with np.errstate(over="ignore"):  # an overflowed power is inf, as in floats
-                legit, jam = per_stream_powers(slots, legit_cols, jam_cols, self)
-            # A zero-stream budget is a scalar 0.0: spread it over the grid.
-            split = np.stack(np.broadcast_arrays(legit, jam, self.p)[:2])
-            self._split[key] = split / self.sigma2
-        return self._split[key]
+def _as_grid(sigs: "Sequence[SignalParams] | _Grid") -> _Grid:
+    """The grid as arrays: ``sweep`` converts its list once, the rate functions take either."""
+    if isinstance(sigs, _Grid):
+        return sigs
+    return _Grid(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in _Grid._fields))
 
 
 def _grid_powers(pre: PrecoderSet, sigs) -> np.ndarray:
     """Per-stream (legitimate, jamming) powers of ``pre`` over the noise variance, (2, grid)."""
-    return _PowerGrid.of(sigs).powers(
+    grid = _as_grid(sigs)
+    counts = (
         pre.slots,
         pre.v1_l.shape[1] + pre.v2_l.shape[1],
         pre.v1_j.shape[1] + pre.v2_j.shape[1],
     )
+    with np.errstate(over="ignore"):  # an overflowed power is inf, as in floats
+        legit, jam = per_stream_powers(*counts, grid)
+    powers = np.empty((2, len(grid.p)))
+    powers[0], powers[1] = legit, jam  # a zero-stream budget is a scalar 0.0
+    return powers / grid.sigma2
 
 
 def legit_rate(
@@ -189,9 +174,9 @@ def eve_leakage(
     grid axis, one ``channel_use`` per grid point (one stacked SVD per
     block).
     """
-    if ch.g1.shape[-2] == 0:
-        return np.zeros(len(sigs))
     p_legit, p_jam = _grid_powers(pre, sigs)
+    if ch.g1.shape[-2] == 0:
+        return np.zeros_like(p_legit)
     signal = _unit_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l))
     jamming = _unit_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j))
     leak = 0.5 * (_logdet(signal, p_legit) - _logdet(jamming, p_jam)) / pre.slots
@@ -260,7 +245,7 @@ def sweep(
         raise ValueError("trials must be at least 1")
 
     alloc = allocate_jamming(config)
-    sigs = _PowerGrid.of(
+    sigs = _as_grid(
         [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
     )
 

@@ -227,7 +227,7 @@ def test_criterion_7_zero_sdof_edge(tmp_path):
     assert ok, details
 
 
-def test_criterion_8_determinism(sweeps, tmp_path):
+def test_criterion_8_determinism(sweeps, tmp_path, uncapped_workers):
     ok = True
     details = []
     for cfg in SLOPE_TARGETS:

@@ -191,7 +191,7 @@ class TestSweep:
         args = (AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 4, 99, EveMode.STATIC)
         assert sweep(*args) == sweep(*args)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, uncapped_workers):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
         threaded = sweep(*args, threads=4)
@@ -286,7 +286,9 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1), (5, 1, 2, 5)])
-    def test_threads_chunks_and_trial_count_do_not_change_samples(self, cfg, mode, monkeypatch):
+    def test_threads_chunks_and_trial_count_do_not_change_samples(
+        self, cfg, mode, monkeypatch, uncapped_workers
+    ):
         seven = self.run(cfg, 7, mode)
         for threads in (2, 3):
             assert _sample_bytes(self.run(cfg, 7, mode, threads)) == _sample_bytes(seven)
@@ -298,7 +300,9 @@ class TestStackedSweep:
     @pytest.mark.parametrize(
         "trials, threads, cap, builds", [(7, 1, 64, 1), (7, 2, 64, 2), (7, 3, 64, 3), (7, 1, 3, 3), (2, 4, 64, 2)]
     )
-    def test_one_stacked_build_per_chunk(self, trials, threads, cap, builds, monkeypatch):
+    def test_one_stacked_build_per_chunk(
+        self, trials, threads, cap, builds, monkeypatch, uncapped_workers
+    ):
         stacks = []
         real = simulate.build_precoders
 
@@ -308,8 +312,6 @@ class TestStackedSweep:
 
         monkeypatch.setattr(simulate, "build_precoders", counting)
         monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
-        # The chunk count follows the worker count, which the host's CPU count caps.
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
         assert sorted(t for stack in stacks for t in stack) == list(range(trials))
@@ -389,7 +391,7 @@ class TestFailureAddress:
         monkeypatch.setattr(simulate, "sample_channels", poisoned)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads):
+    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads, uncapped_workers):
         config = AntennaConfig(2, 2, 3, 2)
         with pytest.raises(InvalidMatrix) as exc:
             sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.STATIC, threads=threads)
@@ -487,7 +489,7 @@ class TestSecrecyPositivity:
 
 
 class TestThreadEnvironment:
-    def test_env_cap_does_not_change_results(self, monkeypatch):
+    def test_env_cap_does_not_change_results(self, monkeypatch, uncapped_workers):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 5, 21, EveMode.STATIC)
         monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
         baseline = sweep(*args)

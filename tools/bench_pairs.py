@@ -8,12 +8,14 @@ the working tree as the files git would commit (tracked and untracked,
 ignored ones left out).  For every workload the two sides run
 ``perfbench/run.py --trace 0`` in ``--pairs`` pairs, one seed per pair and
 the same on both sides, alternating which side runs first; then each
-traced workload runs once per side with ``--trace 1``.  Every run's final
-JSON line is kept.  The record, ``BENCH_<date>-<slug>.json`` in the
-checkout root, holds the runs and, per end-to-end metric of
-``BENCHMARK.json``, the medians, the parent's interquartile range, the
-change's percent difference and in how many pairs the change was better.
-Nothing under ``perfbench/`` is written.
+workload of ``TRACED`` runs once per side with ``--trace 1``.  The
+workloads and end-to-end metrics are those of ``BENCHMARK.json``.  Every
+run's exit code and final JSON line are kept.  The record,
+``BENCH_<date>-<slug>.json`` in the checkout root, holds the runs and,
+per end-to-end metric, the medians, the parent's interquartile range, the
+change's percent difference and in how many of all the pairs the change
+was better; a run that exits nonzero or prints no result is listed as
+crashed and loses its pair.  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sweep-tv-dense", "verify-precoders", "simulate-static-threads2")
+# Workloads also run once per side with --trace 1, for their per-layer metrics.
+TRACED = ("sweep-tv-dense", "simulate-static-threads2")
 
 
 def parse_args(argv):
@@ -40,9 +43,6 @@ def parse_args(argv):
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
     parser.add_argument("--slug", required=True, help="name part of the output file")
     parser.add_argument("--change", default="", help="one-line description of the change")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    parser.add_argument("--traced", nargs="*", default=["sweep-tv-dense"], choices=WORKLOADS,
-                        help="workloads also run once per side with --trace 1")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=300, help="seed of pair 0; pair i uses seed + i")
@@ -86,27 +86,49 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return {"exit": done.returncode, **result}
 
 
+def crashed(run: dict) -> bool:
+    """Whether a run exited nonzero or printed no result."""
+    return run["exit"] != 0 or run["failed"] is None
+
+
 def summarize(parent_runs, change_runs, metrics) -> dict:
-    """Medians, the parent's IQR, percent change and pair wins per end-to-end metric."""
+    """Medians, the parent's IQR, percent change and pair wins per end-to-end metric.
+
+    Medians and quartiles are over the runs that reported the metric; wins
+    count out of all pairs, and a pair is a win only when both runs
+    reported the metric and the change's value is better.  ``failed`` sums
+    the failed operations the runs reported, and ``crashed`` lists the
+    pairs whose run on each side crashed.
+    """
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(p[name], c[name]) for p, c in zip(parent_runs, change_runs) if name in p and name in c]
-        if not pairs:
-            continue
-        before, after = zip(*pairs)
-        q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive") if len(before) > 1 else (before[0],) * 3
-        wins = sum((a < b) if lower else (a > b) for b, a in pairs)
-        out[name] = {
-            "parent_median": statistics.median(before),
-            "parent_iqr": q3 - q1,
-            "change_median": statistics.median(after),
-            "change_pct": 100.0 * (statistics.median(after) / statistics.median(before) - 1.0),
-            "change_wins": f"{wins} of {len(pairs)}",
+        before = [r[name] for r in parent_runs if name in r]
+        after = [r[name] for r in change_runs if name in r]
+        wins = sum(
+            name in p and name in c and ((c[name] < p[name]) if lower else (c[name] > p[name]))
+            for p, c in zip(parent_runs, change_runs)
+        )
+        entry = {
+            "parent_median": statistics.median(before) if before else None,
+            "parent_iqr": None,
+            "change_median": statistics.median(after) if after else None,
+            "change_pct": None,
+            "change_wins": f"{wins} of {len(parent_runs)}",
         }
+        if before:
+            q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive") if len(before) > 1 else (before[0],) * 3
+            entry["parent_iqr"] = q3 - q1
+        if before and after:
+            entry["change_pct"] = 100.0 * (entry["change_median"] / entry["parent_median"] - 1.0)
+        out[name] = entry
     out["failed"] = {
         "parent": sum(r["failed"] or 0 for r in parent_runs),
         "change": sum(r["failed"] or 0 for r in change_runs),
+    }
+    out["crashed"] = {
+        "parent": [r["pair"] for r in parent_runs if crashed(r)],
+        "change": [r["pair"] for r in change_runs if crashed(r)],
     }
     return out
 
@@ -134,7 +156,8 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench-pairs-"))
     sides = {"parent": scratch / "parent", "change": scratch / "change"}
@@ -155,7 +178,9 @@ def main(argv=None) -> int:
             "alternating which side runs first; the parent ran from a `git archive` copy of its "
             "commit, the change from a copy of the working tree (tools/bench_pairs.py). Quartiles use "
             "statistics.quantiles(n=4, method='inclusive'). Times are perfbench reference seconds. "
-            "A pair is a win when the change's value is better."
+            "A pair is a win when both runs reported the metric and the change's value is "
+            "better; wins count out of all pairs, and `crashed` lists the pairs whose run "
+            "exited nonzero or printed no result."
         ),
         "parent_commit": parent_commit,
         "change": args.change,
@@ -163,7 +188,7 @@ def main(argv=None) -> int:
         "workloads": {},
         "traced": {"method": f"one {args.seconds} s `--trace 1` run per side, seed {args.seed}"},
     }
-    for workload in args.workloads:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             seed = args.seed + pair
@@ -179,12 +204,13 @@ def main(argv=None) -> int:
         record["workloads"][workload] = {
             side: {"runs": runs[side]} for side in ("parent", "change")
         } | {"summary": summarize(runs["parent"], runs["change"], metrics)}
-    for workload in args.traced:
+    for workload in TRACED:
         record["traced"][workload] = {}
         for side in ("parent", "change"):
             result = run_bench(sides[side], workload, args.seed, args.seconds, trace=1)
             record["traced"][workload][side] = {
                 "seed": args.seed,
+                "exit": result["exit"],
                 "failed": result.get("failed"),
                 "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
             }
