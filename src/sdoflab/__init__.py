@@ -11,7 +11,6 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
-    channel_use,
     sample_channels,
 )
 from .errors import (
@@ -27,8 +26,6 @@ from .precoding import (
     PrecoderSet,
     build_precoders,
     leakage_rank,
-    nullspace_jamming,
-    random_jamming,
 )
 from .sdof import (
     AntennaConfig,
@@ -71,11 +68,8 @@ __all__ = [
     "SignalParams",
     "ChannelRealization",
     "sample_channels",
-    "channel_use",
     # precoding
     "PrecoderSet",
-    "random_jamming",
-    "nullspace_jamming",
     "build_precoders",
     "leakage_rank",
     # Monte Carlo

@@ -1,10 +1,13 @@
 """Random channel realizations, the eavesdropper model and the Gaussian signal model.
 
-A trial draws its channels once, at address (trial, 0); ``channel_use``
-gives the channel a precoder set sees in use k, redrawing a time-varying
-eavesdropper for slot s at (trial, 2k + s).  All draws are pure functions
-of (master seed, trial index, address), so trials can run in any order or
-in parallel with identical results.
+Every function here works on a stack of trials: it takes one ``RngStream``
+per trial and returns matrices with a leading trial axis.  A trial draws
+its channels once, at address (trial, 0); ``channel_uses`` gives the
+channels a precoder set sees in a run of channel uses, redrawing a
+time-varying eavesdropper for slot s of use k at (trial, 2k + s).  All
+draws are pure functions of (master seed, trial index, address), so a
+trial's draws do not depend on its stack, and trials can run in any
+order or in parallel with identical results.
 
 Every address seeds its own PCG64 generator from NumPy's ``SeedSequence``
 of the master seed and a spawn key (domain, trial[, use]).  A batch of at
@@ -36,7 +39,6 @@ __all__ = [
     "ChannelRealization",
     "sample_channels",
     "channel_uses",
-    "channel_use",
 ]
 
 # Seed-sequence domains; kept distinct so legitimate, eavesdropper and
@@ -255,17 +257,14 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the four channel matrices.
+    """The four channel matrices of a stack of trials.
 
-    h1 (n x m1) and h2 (n x m2) connect the transmitters to the legitimate
-    receiver; g1 (n_e x m1) and g2 (n_e x m2) connect them to the
-    eavesdropper.  n_e may be zero, giving empty g matrices.  On the slot
-    space of a two-slot set (``channel_use``) each is block diagonal by slot.
-    For ``simulate.eve_leakage`` over a power grid, g1 and g2 may also be
-    stacked along a leading grid axis, one channel use per grid point; for
-    several trials (``sample_channels`` and ``channel_uses`` on a sequence
-    of streams, ``precoding.build_precoders``), every matrix is stacked
-    along a leading trial axis.
+    h1 (trials, n, m1) and h2 (trials, n, m2) connect the transmitters to
+    the legitimate receiver; g1 (trials, n_e, m1) and g2 (trials, n_e, m2)
+    connect them to the eavesdropper.  n_e may be zero, giving empty g
+    matrices.  On the slot space of a two-slot set (``channel_uses``) each
+    matrix is block diagonal by slot, and g1 and g2 carry a channel-use axis
+    after the trial axis.
     """
 
     h1: np.ndarray
@@ -296,27 +295,24 @@ def _complex_gaussian_pairs(gens, count, rows, cols1, cols2):
 
 
 def sample_channels(
-    config: AntennaConfig, rng: RngStream | Sequence[RngStream], mode: EveMode
+    config: AntennaConfig, rngs: Sequence[RngStream], mode: EveMode
 ) -> ChannelRealization:
-    """Draw a channel realization for one (trial, channel use) address, or for a stack of them.
+    """Draw the channel realization of every (trial, channel use) address of ``rngs``.
 
     Entries are i.i.d. circularly-symmetric complex Gaussian CN(0, 1), which
     makes all subspace positions generic almost surely.  The legitimate
     matrices depend only on the trial index; the eavesdropper matrices also
-    depend on the channel-use index in time-varying mode.  With a sequence
-    of ``RngStream``s every matrix is stacked along a leading trial axis,
-    and all the addresses are seeded in one batch; each member equals the
-    draw at its own stream.
+    depend on the channel-use index in time-varying mode.  Every matrix is
+    stacked along a leading trial axis, one member per stream, and all the
+    addresses are seeded in one batch; each member equals the draw at its
+    own stream, whatever the rest of the stack.
     """
-    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
     per_use = mode.varies_per_use
     keys += [_spawn_key(_DOMAIN_EVE, r.stream_id[0], r.stream_id[1] if per_use else None) for r in rngs]
     gens = _generators([r.master_seed for r in rngs] * 2, keys)
     h1, h2 = _complex_gaussian_pairs(gens, len(rngs), config.n, config.m1, config.m2)
     g1, g2 = _complex_gaussian_pairs(gens, len(rngs), config.n_e, config.m1, config.m2)
-    if isinstance(rng, RngStream):
-        return ChannelRealization(h1[0], h2[0], g1[0], g2[0])
     return ChannelRealization(h1, h2, g1, g2)
 
 
@@ -336,24 +332,25 @@ def channel_uses(
     """The realizations a ``slots``-slot precoder set sees in channel uses ``uses``, per trial.
 
     ``trial_ch`` is ``sample_channels(config, trial_rngs, mode)``, each
-    stream at address (trial, 0).  Every matrix of the result is on the slot
-    space, with a leading trial axis.  The legitimate matrices are the
-    trials', held over both slots, and so is a static eavesdropper, whose g1
-    and g2 carry no use axis.  A time-varying one's g1 and g2 carry a use
-    axis after the trial axis, one entry per use of ``uses`` (nonempty and
-    strictly increasing): slot s of use k holds fresh CN(0, 1) eavesdropper
-    matrices drawn at address (trial, 2k + s), where (trial, 0) is the
-    trial draw, and every fresh draw of the stack is seeded in one batch.
+    stream at address (trial, 0), and ``uses`` is nonempty and strictly
+    increasing.  Every matrix of the result is on the slot space, with a
+    leading trial axis; g1 and g2 also carry a use axis after it.  The
+    legitimate matrices are the trials', held over both slots.  A static
+    eavesdropper is too, on a use axis of length 1 that broadcasts over
+    ``uses``.  A time-varying one has one entry per use of ``uses``: slot s
+    of use k holds fresh CN(0, 1) eavesdropper matrices drawn at address
+    (trial, 2k + s), where (trial, 0) is the trial draw, and every fresh
+    draw of the stack is seeded in one batch.
     """
     if any(r.stream_id[1] != 0 for r in trial_rngs):
-        raise ValueError("trial_rng must address channel use 0 of its trial")
-    h1, h2 = _on_slots(trial_ch.h1, slots), _on_slots(trial_ch.h2, slots)
-    if not mode.varies_per_use:
-        g1, g2 = _on_slots(trial_ch.g1, slots), _on_slots(trial_ch.g2, slots)
-        return ChannelRealization(h1, h2, g1, g2)
+        raise ValueError("trial_rngs must address channel use 0 of their trials")
     trials, uses = len(trial_rngs), list(uses)
     if not uses or any(b <= a for a, b in zip(uses, uses[1:])):
         raise ValueError("uses must be a nonempty, strictly increasing sequence")
+    h1, h2 = _on_slots(trial_ch.h1, slots), _on_slots(trial_ch.h2, slots)
+    if not mode.varies_per_use:
+        g1, g2 = _on_slots(trial_ch.g1, slots), _on_slots(trial_ch.g2, slots)
+        return ChannelRealization(h1, h2, g1[:, None], g2[:, None])
     addresses = [2 * use + s for use in uses for s in range(slots)]
     held = addresses[0] == 0  # address (trial, 0) is the trial draw
     new = addresses[held:]
@@ -371,29 +368,6 @@ def channel_uses(
         g = g.reshape(trials, len(uses), slots, *g.shape[2:])
         blocks.append(g[:, :, 0] if slots == 1 else slot_extend(g[:, :, 0], g[:, :, 1]))
     return ChannelRealization(h1, h2, *blocks)
-
-
-def channel_use(
-    config: AntennaConfig,
-    trial_ch: ChannelRealization,
-    trial_rng: RngStream,
-    use: int,
-    mode: EveMode,
-    slots: int,
-) -> ChannelRealization:
-    """The realization a ``slots``-slot precoder set sees in channel use ``use``.
-
-    ``trial_ch`` is ``sample_channels(config, trial_rng, mode)`` with
-    ``trial_rng`` at address (trial, 0).  This is ``channel_uses`` for one
-    trial and one use: the legitimate matrices are the trial's, held over
-    both slots, and so is a static eavesdropper; a time-varying one draws
-    fresh CN(0, 1) eavesdropper matrices alone for slot s at address
-    (trial, 2 * use + s), where (trial, 0) is the trial draw.
-    """
-    h1, h2, g1, g2 = (m[None] for m in (trial_ch.h1, trial_ch.h2, trial_ch.g1, trial_ch.g2))
-    seen = channel_uses(config, ChannelRealization(h1, h2, g1, g2), [trial_rng], [use], mode, slots)
-    g1, g2 = (seen.g1[0, 0], seen.g2[0, 0]) if mode.varies_per_use else (seen.g1[0], seen.g2[0])
-    return ChannelRealization(seen.h1[0], seen.h2[0], g1, g2)
 
 
 def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EveMode, RngStream, SignalParams, channel_use, sample_channels
+from .channel import EveMode, RngStream, SignalParams, channel_uses, sample_channels
 from .errors import InfeasibleAllocation, SdofLabError
 from .precoding import build_precoders, leakage_rank
 from .sdof import (
@@ -177,14 +177,15 @@ def cmd_design(args) -> int:
     config = _parse_config_arg(args)
     mode = _MODES[args.mode]
     try:
-        rng = RngStream(args.seed, (0, 0))
+        rngs = [RngStream(args.seed, (0, 0))]
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    ch = sample_channels(config, rng, mode)
+    # A stack of one trial: the report shows member 0 of every array.
+    ch = sample_channels(config, rngs, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
-    pre = build_precoders(config, ch, alloc, rng)
-    seen = channel_use(config, ch, rng, 0, mode, pre.slots)
+    pre = build_precoders(config, ch, alloc, rngs)
+    seen = channel_uses(config, ch, rngs, [0], mode, pre.slots)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
         "seed": args.seed,
@@ -205,28 +206,28 @@ def cmd_design(args) -> int:
             ],
         },
         "channel": {
-            "h1": _encode_matrix(ch.h1),
-            "h2": _encode_matrix(ch.h2),
-            "g1": _encode_matrix(ch.g1),
-            "g2": _encode_matrix(ch.g2),
+            "h1": _encode_matrix(ch.h1[0]),
+            "h2": _encode_matrix(ch.h2[0]),
+            "g1": _encode_matrix(ch.g1[0]),
+            "g2": _encode_matrix(ch.g2[0]),
         },
         "precoders": {
-            "v1_l": _encode_matrix(pre.v1_l),
-            "v1_j": _encode_matrix(pre.v1_j),
-            "v2_l": _encode_matrix(pre.v2_l),
-            "v2_j": _encode_matrix(pre.v2_j),
-            "u": _encode_matrix(pre.u),
+            "v1_l": _encode_matrix(pre.v1_l[0]),
+            "v1_j": _encode_matrix(pre.v1_j[0]),
+            "v2_l": _encode_matrix(pre.v2_l[0]),
+            "v2_j": _encode_matrix(pre.v2_j[0]),
+            "u": _encode_matrix(pre.u[0]),
         },
         "residuals": {
-            "nullspace": _fmt(pre.report.nullspace_residual),
-            "alignment": _fmt(pre.report.alignment_residual),
-            "unitarity": _fmt(pre.report.unitarity_residual),
-            "zero_forcing": _fmt(pre.report.zero_forcing_residual),
+            "nullspace": _fmt(pre.report.nullspace_residual[0]),
+            "alignment": _fmt(pre.report.alignment_residual[0]),
+            "unitarity": _fmt(pre.report.unitarity_residual[0]),
+            "zero_forcing": _fmt(pre.report.zero_forcing_residual[0]),
         },
         "ranks": {
-            "u": pre.report.u_rank,
-            "legit_post_projection": pre.report.legit_rank,
-            "eavesdropper_jamming": leakage_rank(seen, pre),
+            "u": int(pre.report.u_rank[0]),
+            "legit_post_projection": int(pre.report.legit_rank[0]),
+            "eavesdropper_jamming": int(leakage_rank(seen, pre)[0, 0]),
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")

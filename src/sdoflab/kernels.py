@@ -1,8 +1,11 @@
 """The log-determinant kernel behind every rate evaluation, over a power grid.
 
 A rate at power p is ``log2 det(I + p E E^H)`` for a unit-power matrix E,
-so one SVD of E serves every grid point.  ``BACKEND`` names the
-implementation so run manifests can record it.
+so one SVD of E serves every grid point.  The rate functions pass one
+stack per chunk of trials, shaped (trials, 1 | grid, rows, cols): a length-1
+axis holds one matrix per trial over the whole grid, a grid axis holds
+one matrix per grid point.  ``BACKEND`` names the implementation so run
+manifests can record it.
 """
 
 import numpy as np
@@ -15,14 +18,19 @@ __all__ = ["BACKEND", "logdet_eye_plus_gram"]
 def logdet_eye_plus_gram(e, powers) -> np.ndarray:
     """log2 det(I + p_k E E^H) at every power p_k of a grid.
 
-    ``e`` is one complex (n, k) matrix, held over the grid, or a stacked
-    (grid, n, k) array with one matrix per grid point.  ``powers`` is the
-    1-D grid of nonnegative scale factors.  Returns one value per grid
-    point, ``sum_i log2(1 + p_k s_i^2)`` over the singular values s_i of
-    the matrix at that point, so no Gram matrix is formed: each term stays
-    accurate to roundoff at any power level, where a factorization of
-    ``I + p E E^H`` loses the identity once ``p s_i^2`` outgrows 1 / eps.
-    A zero power gives exactly 0.
+    ``e`` is one complex (n, k) matrix, held over the grid, or a stack
+    whose axis next to the matrix axes has length 1 (a matrix held over
+    the grid) or the grid's length (one matrix per grid point), after any
+    leading axes: ``simulate`` passes (trials, 1 | grid, n, k).  ``powers``
+    is the 1-D grid of nonnegative scale factors.  Returns the leading
+    axes and a grid axis, (grid,) for a matrix and (trials, grid) for
+    ``simulate``: ``sum_i log2(1 + p_k s_i^2)`` over the singular values
+    s_i of the matrix at grid point k.  No Gram matrix is formed, so each
+    term stays accurate to roundoff at any power level, where a
+    factorization of ``I + p E E^H`` loses the identity once ``p s_i^2``
+    outgrows 1 / eps.
+    A zero power gives exactly 0, and an empty matrix gives zeros of the
+    grid's shape, which broadcast against the stack's.
     """
     e = np.asarray(e, dtype=np.complex128)
     powers = np.asarray(powers, dtype=float)

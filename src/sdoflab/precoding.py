@@ -13,10 +13,12 @@ mixtures of the per-slot intersection basis: a slot-pure doubled basis
 would leave one slot's eavesdropper under-jammed, so each aligned column
 carries equal energy in both slots by construction.
 
-The build runs on a stack of trials: every matrix carries a leading trial
-axis, one stacked SVD or QR per step serves all trials, and each trial
-draws its random directions from its own generator, so a trial's set does
-not depend on the stack it was built in.
+The build runs on a stack of trials and returns one set for the stack:
+every matrix carries a leading trial axis, as do the channels it was built
+from, and every entry of its report is an array with one value per trial.
+One stacked SVD or QR per step serves all trials, and each trial draws its
+random directions from its own generator, so a trial's member of the set
+does not depend on the stack it was built in.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .subspaces import (
 
 __all__ = [
     "PrecoderSet",
-    "random_jamming",
-    "nullspace_jamming",
     "build_precoders",
     "leakage_rank",
 ]
@@ -52,26 +52,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BuildReport:
-    """Residuals and ranks recorded while assembling a precoder set."""
+    """Residuals and ranks recorded while assembling a precoder set: arrays, one entry per trial."""
 
-    nullspace_residual: float
-    alignment_residual: float
-    unitarity_residual: float
-    zero_forcing_residual: float
-    u_rank: int
-    legit_rank: int
+    nullspace_residual: np.ndarray
+    alignment_residual: np.ndarray
+    unitarity_residual: np.ndarray
+    zero_forcing_residual: np.ndarray
+    u_rank: np.ndarray
+    legit_rank: np.ndarray
 
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Precoders for both transmitters plus the receiver post-processor.
+    """Precoders for both transmitters plus the receiver post-processor, per trial.
 
-    For ``slots == 1`` the shapes are v1_l: (m1, d1), v1_j: (m1, j_tx1),
-    likewise for transmitter two, and u is the (n, n) zero-forcing
+    Every matrix carries a leading trial axis.  For ``slots == 1`` the
+    shapes are v1_l: (trials, m1, d1), v1_j: (trials, m1, j_tx1), likewise
+    for transmitter two, and u is the (trials, n, n) zero-forcing
     projector.  For ``slots == 2`` every matrix lives on the slot-stacked
     spaces (rows doubled, stream counts doubled) and rate evaluations
     normalize per slot.  ``report`` holds the residuals and ranks the
-    build measured on this set.
+    build measured on each trial.
     """
 
     v1_l: np.ndarray
@@ -85,20 +86,13 @@ class PrecoderSet:
 
 def _haar_columns(m: int, streams: int, gens) -> np.ndarray:
     """One Haar-random m x streams isometry per generator, stacked in their order."""
+    if streams > m:
+        raise DimensionMismatch(f"cannot place {streams} random streams on {m} antennas")
     w = np.array([g.standard_normal((2, m, streams)) for g in gens])
     q, r = np.linalg.qr(w[:, 0] + 1j * w[:, 1])
     # Fixing the R-diagonal phases makes the column distribution Haar.
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_jamming(m: int, streams: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-random orthonormal jamming directions: an m x streams isometry."""
-    if streams < 0 or streams > m:
-        raise DimensionMismatch(f"cannot place {streams} random streams on {m} antennas")
-    if streams == 0:
-        return np.zeros((m, 0), dtype=np.complex128)
-    return _haar_columns(m, streams, [gen])[0]
 
 
 def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
@@ -109,11 +103,6 @@ def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
             f"{ns.shape[-1]}, cannot take {streams} streams"
         )
     return ns[..., :streams]
-
-
-def nullspace_jamming(h, streams: int) -> np.ndarray:
-    """Orthonormal jamming columns invisible at the receiver: h @ V ~ 0."""
-    return _nullspace_block(as_matrix(h, "h"), streams)
 
 
 def _aligned_targets(q1: np.ndarray, q2: np.ndarray, pairs: int, slots: int) -> np.ndarray:
@@ -172,52 +161,40 @@ def build_precoders(
     config: AntennaConfig,
     ch: ChannelRealization,
     alloc: JammingAllocation,
-    rng: RngStream | Sequence[RngStream],
-) -> PrecoderSet | list[PrecoderSet]:
-    """Assemble the full precoder set for an audited allocation.
+    rngs: Sequence[RngStream],
+) -> PrecoderSet:
+    """Assemble the precoder set of an audited allocation for a stack of trials.
 
     Jamming blocks are built per method, stacked, and re-orthonormalized
     within each transmitter; legitimate columns are an orthonormal
     completion against the jamming columns; the post-processor u is the
-    complement projector of the received jamming.  Random directions come
-    from ``jamming_generators``, one per trial.  The set's ``report``
-    records the construction's residuals and ranks.
-
-    One trial: ``ch.h1`` and ``ch.h2`` are matrices, ``rng`` is the
-    trial's ``RngStream`` and the result is its ``PrecoderSet``.  A stack
-    of trials: ``ch.h1`` and ``ch.h2`` carry a leading trial axis
-    (``sample_channels`` on a sequence of streams), ``rng`` is a sequence
-    with one ``RngStream`` per trial, and the result is a list with one
-    ``PrecoderSet`` per trial, each with its own report.  Every SVD and QR
-    runs once over the whole stack, and each trial draws from its own
-    generator in a fixed order (transmitter one's random block,
-    transmitter two's, then the legitimate completions of one and two), so
-    a trial's set is bit for bit the same in any stack, alone or not.
+    complement projector of the received jamming.  ``ch.h1`` and ``ch.h2``
+    carry a leading trial axis (``sample_channels``) and ``rngs`` holds one
+    ``RngStream`` per trial; so does every matrix of the result, and its
+    ``report`` records each trial's residuals and ranks.  Every SVD and QR
+    runs once over the whole stack, and each trial draws its random
+    directions from its own generator (``jamming_generators``) in a fixed
+    order (transmitter one's random block, transmitter two's, then the
+    legitimate completions of one and two), so a trial's member is bit for
+    bit the same in any stack, alone or not.
 
     InfeasibleAllocation propagates from the per-method constructors when
     the allocation does not fit the channel (which for generic channels
     indicates an allocation/configuration mismatch, not bad luck).
-    InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a finite matrix, or
-    stack of matrices.  A trial whose channel has a non-generic rank fails
-    the stack with NumericalFailure; the error's ``member`` names it.
+    InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a finite stack of
+    matrices.  A trial whose channel has a non-generic rank fails the stack
+    with NumericalFailure; the error's ``member`` names it.
     """
-    if isinstance(rng, RngStream):
-        h1 = as_matrix(ch.h1, "h1")[None]
-        h2 = as_matrix(ch.h2, "h2")[None]
-        rngs = [rng]
-    else:
-        h1 = as_matrix(ch.h1, "h1", stack=True)
-        h2 = as_matrix(ch.h2, "h2", stack=True)
-        rngs = list(rng)
-        if not len(h1) == len(h2) == len(rngs):
-            raise DimensionMismatch(
-                f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
-            )
-    sets = _build_stack(h1, h2, alloc, jamming_generators(rngs))
-    return sets[0] if isinstance(rng, RngStream) else sets
+    h1 = as_matrix(ch.h1, "h1", stack=True)
+    h2 = as_matrix(ch.h2, "h2", stack=True)
+    if not len(h1) == len(h2) == len(rngs):
+        raise DimensionMismatch(
+            f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
+        )
+    return _build_stack(h1, h2, alloc, jamming_generators(rngs))
 
 
-def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> list[PrecoderSet]:
+def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSet:
     """``build_precoders`` on validated (trials, n, m) channel stacks, one generator per trial."""
     slots = alloc.slots
     h1 = slot_extend(h1_slot) if slots == 2 else h1_slot
@@ -327,7 +304,7 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> list[Preco
     u_rank = ranks(u)
     legit_rank = ranks(u @ _hstack([h1 @ v1_l, h2 @ v2_l]))
 
-    columns = (
+    report = BuildReport(
         nullspace_residual,
         alignment_residual,
         unitarity_residual,
@@ -335,31 +312,29 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> list[Preco
         u_rank,
         legit_rank,
     )
-    reports = [BuildReport(*values) for values in zip(*(c.tolist() for c in columns))]
-    return [
-        PrecoderSet(v1_l[t], v1_j[t], v2_l[t], v2_j[t], u[t], slots, report)
-        for t, report in enumerate(reports)
-    ]
+    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, slots, report)
 
 
 # perfbench/workloads.ENTRY_POINTS still names this; drop it there first (ROADMAP item 6).
 _build_with_report = build_precoders
 
 
-def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> int:
-    """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j].
+def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> np.ndarray:
+    """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j], per trial and use.
 
     Generically equals min(n_e, total jamming streams), which the
     allocations make n_e: the jamming overwhelms the full eavesdropper
-    space.  ``ch`` is on the precoders' slot space (``channel_use``), so a
+    space.  ``ch`` is on the precoders' slot space (``channel_uses``), so a
     fully jammed two-slot set has rank 2 n_e.  That needs per-slot
     eavesdropper draws: against a static eavesdropper a cross-slot aligned
     pair's images can coincide (the gap that exact fractional alignment
-    would close).  InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a
-    finite two-dimensional matrix.
+    would close).  Returns a (trials, uses) int array from one stacked
+    rank decision.  InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a
+    finite (trials, uses, rows, cols) stack; its ``member`` counts the
+    matrices in trial-major order.
     """
-    if ch.g1.shape[0] == 0:
-        return 0
-    g1 = as_matrix(ch.g1, "g1")
-    g2 = as_matrix(ch.g2, "g2")
-    return int(ranks(np.concatenate([g1 @ pre.v1_j, g2 @ pre.v2_j], axis=1)))
+    if ch.g1.shape[-2] == 0:
+        return np.zeros(ch.g1.shape[:-2], dtype=int)
+    g1 = as_matrix(ch.g1.reshape(-1, *ch.g1.shape[-2:]), "g1", stack=True).reshape(ch.g1.shape)
+    g2 = as_matrix(ch.g2.reshape(-1, *ch.g2.shape[-2:]), "g2", stack=True).reshape(ch.g2.shape)
+    return ranks(np.concatenate([g1 @ pre.v1_j[:, None], g2 @ pre.v2_j[:, None]], axis=-1))

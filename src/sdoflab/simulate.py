@@ -1,16 +1,17 @@
 """Monte Carlo rate evaluation and high-SNR slope estimation.
 
-Per trial, channels are drawn once and precoders built once; each chunk
-of trials draws its channels from one batch of seeds and builds its
-precoders in one stacked build.  Both per-stream powers are
-linear in p, so every effective matrix is a scale of its unit-power
-value, and one SVD per matrix gives its log-determinant at every grid
-point: one for the legitimate rate and one for each side of the leakage
-ratio, stacked over the grid when the eavesdropper varies per channel
-use.  Rates are in bits per channel use (base-2 logs, averaged
-over slots for two-slot schemes).  Trials are independent work items
-keyed by (master seed, trial index), so the sweep can run them on any
-number of threads with bit-identical results.
+Everything runs on a stack of trials, from the draw to the rates.  Each
+chunk of trials draws its channels from one batch of seeds, builds its
+precoder set in one stacked build and evaluates each rate in one call.
+Both per-stream powers are linear in p, so every effective matrix is a
+scale of its unit-power value, and one SVD per matrix gives its
+log-determinant at every grid point: one stacked SVD for the legitimate
+rate and one for each side of the leakage ratio, over the trials and,
+when the eavesdropper varies per channel use, the grid.  Rates are
+(trials, grid) arrays in bits per channel use (base-2 logs, averaged over
+slots for two-slot schemes).  Trials are independent work items keyed by
+(master seed, trial index), so the sweep can run them in any chunks on
+any number of threads with bit-identical results.
 """
 
 from __future__ import annotations
@@ -74,24 +75,40 @@ class DofEstimate:
     window: tuple[float, float]
 
 
+def _failure(message: str, bad_trials: np.ndarray) -> NumericalFailure:
+    """A failed log-determinant whose ``member`` is the first trial flagged in ``bad_trials``."""
+    exc = NumericalFailure(f"log-determinant evaluation failed: {message}")
+    if bad_trials.any():
+        exc.member = int(np.argmax(bad_trials))
+    return exc
+
+
 def _logdet(e: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Log-determinants of a (trials, 1 | grid, rows, cols) stack over the grid: (trials, grid).
+
+    A non-finite matrix or value fails the evaluation, naming the first
+    trial that has one.
+    """
     try:
         values = _kernels.logdet_eye_plus_gram(e, powers)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailure(f"log-determinant evaluation failed: {exc}") from exc
+        # A NaN entry fails the SVD of the whole stack.
+        raise _failure(str(exc), ~np.isfinite(e).all(axis=(1, 2, 3))) from exc
+    values = np.broadcast_to(values, e.shape[:1] + powers.shape)
     # An overflowed power or scaled singular value gives inf or NaN.
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise NumericalFailure(f"log-determinant evaluation failed: result is {bad[0]}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise _failure(f"result is {values[bad][0]}", bad.any(axis=-1))
     return values
 
 
 def _unit_blocks(channels, precoders) -> np.ndarray:
     """Concatenate the unit-power channel @ precoder blocks column-wise.
 
-    A channel may carry a leading grid axis; the blocks then stack over it.
+    Each channel is a (trials, 1 | grid, rows, cols) stack and each
+    precoder a (trials, cols, streams) stack.
     """
-    return np.concatenate([ch @ v for ch, v in zip(channels, precoders)], axis=-1)
+    return np.concatenate([ch @ v[:, None] for ch, v in zip(channels, precoders)], axis=-1)
 
 
 def per_stream_powers(
@@ -120,24 +137,17 @@ class _Grid(NamedTuple):
     sigma2: np.ndarray
 
 
-def _as_grid(sigs: "Sequence[SignalParams] | _Grid") -> _Grid:
-    """The grid as arrays: ``sweep`` converts its list once, the rate functions take either."""
-    if isinstance(sigs, _Grid):
-        return sigs
-    return _Grid(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in _Grid._fields))
-
-
-def _grid_powers(pre: PrecoderSet, sigs) -> np.ndarray:
+def _grid_powers(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
     """Per-stream (legitimate, jamming) powers of ``pre`` over the noise variance, (2, grid)."""
-    grid = _as_grid(sigs)
+    grid = _Grid(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in _Grid._fields))
     counts = (
         pre.slots,
-        pre.v1_l.shape[1] + pre.v2_l.shape[1],
-        pre.v1_j.shape[1] + pre.v2_j.shape[1],
+        pre.v1_l.shape[-1] + pre.v2_l.shape[-1],
+        pre.v1_j.shape[-1] + pre.v2_j.shape[-1],
     )
     with np.errstate(over="ignore"):  # an overflowed power is inf, as in floats
         legit, jam = per_stream_powers(*counts, grid)
-    powers = np.empty((2, len(grid.p)))
+    powers = np.empty((2, len(sigs)))
     powers[0], powers[1] = legit, jam  # a zero-stream budget is a scalar 0.0
     return powers / grid.sigma2
 
@@ -147,14 +157,16 @@ def legit_rate(
 ) -> np.ndarray:
     """Achievable legitimate sum rate after zero-forcing, in bits/channel use.
 
-    Returns one rate per grid point ``sigs[k]``: 0.5 * log2 det(I + U S_k
-    U^H / sigma2) with S_k the received legitimate signal covariance,
-    averaged over slots, from one SVD of the unit-power effective matrix.
-    ``ch`` is on the precoders' slot space (``channel_use``).  Zero power,
-    zero legitimate streams or a zero projector all give exactly 0 bits.
+    Returns a (trials, grid) array, one rate per trial of the stack and
+    grid point ``sigs[k]``: 0.5 * log2 det(I + U S_k U^H / sigma2) with S_k
+    the received legitimate signal covariance, averaged over slots, from
+    one stacked SVD of the unit-power effective matrices.  ``ch`` is on the
+    precoders' slot space (``channel_uses``).  Zero power, zero legitimate
+    streams or a zero projector all give exactly 0 bits.
     """
     p_legit, _ = _grid_powers(pre, sigs)
-    effective = _unit_blocks((pre.u @ ch.h1, pre.u @ ch.h2), (pre.v1_l, pre.v2_l))
+    received = ((pre.u @ ch.h1)[:, None], (pre.u @ ch.h2)[:, None])
+    effective = _unit_blocks(received, (pre.v1_l, pre.v2_l))
     return 0.5 * _logdet(effective, p_legit) / pre.slots
 
 
@@ -163,20 +175,20 @@ def eve_leakage(
 ) -> np.ndarray:
     """A lower bound on the eavesdropper's mutual information, in bits/channel use.
 
-    Returns one value per grid point ``sigs[k]``: max(0, 0.5 * (log2 det(I
-    + S_k) - log2 det(I + J_k))), averaged over slots, with S_k and J_k the
-    eavesdropper's received legitimate and jamming covariances over the
-    noise variance.  The mutual information is log2 det(I + S + J) - log2
-    det(I + J), which is at least this value; making the two agree is open
-    item 1 of ROADMAP.md.  ``ch`` is on the precoders' slot space
-    (``channel_use``); its ``g1`` and ``g2`` are either one pair of
-    matrices held over the grid (two SVDs in all) or stacks with a leading
-    grid axis, one ``channel_use`` per grid point (one stacked SVD per
-    block).
+    Returns a (trials, grid) array, one value per trial of the stack and
+    grid point ``sigs[k]``: max(0, 0.5 * (log2 det(I + S_k) - log2 det(I +
+    J_k))), averaged over slots, with S_k and J_k the eavesdropper's
+    received legitimate and jamming covariances over the noise variance.
+    The mutual information is log2 det(I + S + J) - log2 det(I + J), which
+    is at least this value; making the two agree is open item 1 of
+    ROADMAP.md.  ``ch`` is on the precoders' slot space (``channel_uses``
+    over the grid): a static eavesdropper's use axis of length 1 is held
+    over the grid, a time-varying one has an entry per grid point.  One
+    stacked SVD per block serves every trial and grid point.
     """
     p_legit, p_jam = _grid_powers(pre, sigs)
     if ch.g1.shape[-2] == 0:
-        return np.zeros_like(p_legit)
+        return np.zeros((len(ch.g1), len(sigs)))
     signal = _unit_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l))
     jamming = _unit_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j))
     leak = 0.5 * (_logdet(signal, p_legit) - _logdet(jamming, p_jam)) / pre.slots
@@ -219,22 +231,23 @@ def sweep(
     """Monte Carlo rate samples over a power grid.
 
     Per trial: one channel draw and precoder build, then rates at each grid
-    point k on channel use k under eavesdropper model ``mode``, from one
-    call of each rate function over the whole grid.  The trials are split
-    into contiguous chunks, at least one per worker thread and none longer
-    than ``CHUNK_TRIALS_MAX``.  Each chunk draws its trials' channels in
-    one ``sample_channels`` call and a time-varying eavesdropper's every
-    use in one ``channel_uses`` call, each seeding all its addresses in one
-    batch, and builds all its precoder sets in one stacked
-    ``build_precoders`` call.  A trial's draws and set do not depend on its
-    chunk, so the output, ordered by (p_db, trial), depends only on the
-    arguments, never on thread count (``threads=None`` reads
+    point k on channel use k under eavesdropper model ``mode``.  The trials
+    are split into contiguous chunks, at least one per worker thread and
+    none longer than ``CHUNK_TRIALS_MAX``.  Each chunk draws its trials'
+    channels in one ``sample_channels`` call and a time-varying
+    eavesdropper's every use in one ``channel_uses`` call, each seeding all
+    its addresses in one batch, builds its precoder set in one stacked
+    ``build_precoders`` call and evaluates each rate function once over all
+    its trials and the whole grid.  A trial's draws, set and rates do not
+    depend on its chunk, so the output, ordered by (p_db, trial), depends
+    only on the arguments, never on thread count (``threads=None`` reads
     SDOFLAB_THREADS, defaulting to sequential; either way no more worker
-    threads start than ``os.cpu_count()`` or ``trials``).  An InfeasibleAllocation
-    from any trial aborts the sweep: feasibility is generic, so a failure
-    indicates an allocation bug rather than bad luck.  A failing build or
-    rate evaluation raises its own error type, its message naming the
-    config, the trial and the master seed that reproduce it.
+    threads start than ``os.cpu_count()`` or ``trials``).  An
+    InfeasibleAllocation from any trial aborts the sweep: feasibility is
+    generic, so a failure indicates an allocation bug rather than bad
+    luck.  A failing build or rate evaluation raises its own error type,
+    its message naming the config, the trial and the master seed that
+    reproduce it.
     """
     grid = [float(p) for p in p_grid_db]
     if len(grid) == 0:
@@ -245,9 +258,7 @@ def sweep(
         raise ValueError("trials must be at least 1")
 
     alloc = allocate_jamming(config)
-    sigs = _as_grid(
-        [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
-    )
+    sigs = [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
 
     def where(trial: int) -> str:
         return f"{config} trial {trial} master seed {master_seed}"
@@ -255,22 +266,18 @@ def sweep(
     def run_chunk(chunk: range) -> list[list[RateSample]]:
         rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
         draws = sample_channels(config, rngs, mode)
+        seen = channel_uses(config, draws, rngs, range(len(grid)), mode, alloc.slots)
         try:
-            sets = build_precoders(config, draws, alloc, rngs)
+            pre = build_precoders(config, draws, alloc, rngs)
+            legit = legit_rate(seen, pre, sigs).tolist()
+            leak = eve_leakage(seen, pre, sigs).tolist()
         except SdofLabError as exc:
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
-        seen = channel_uses(config, draws, rngs, range(len(grid)), mode, alloc.slots)
-        out = []
-        for i, (trial, pre) in enumerate(zip(chunk, sets)):
-            ch = ChannelRealization(seen.h1[i], seen.h2[i], seen.g1[i], seen.g2[i])
-            try:
-                legit = legit_rate(ch, pre, sigs).tolist()
-                leak = eve_leakage(ch, pre, sigs).tolist()
-            except SdofLabError as exc:
-                raise located(exc, where(trial)) from exc
-            out.append([RateSample(p, trial, a, b) for p, a, b in zip(grid, legit, leak)])
-        return out
+        return [
+            [RateSample(p, trial, a, b) for p, a, b in zip(grid, trial_legit, trial_leak)]
+            for trial, trial_legit, trial_leak in zip(chunk, legit, leak)
+        ]
 
     workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
     chunks = _chunks(trials, workers)

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .channel import (
-    ChannelRealization,
     EveMode,
     RngStream,
     SignalParams,
@@ -103,45 +104,57 @@ def check_config(config: AntennaConfig, seeds: int):
     build, and checks its residuals against the gates and its ranks
     against the allocation, the leakage rank on channel use 0 of a
     time-varying eavesdropper (a static one would need the fractional
-    alignment that time sharing replaces).  Returns (worst residual of each
-    kind, one line per failing seed).  A build that fails raises its own
-    error type, its message naming the config and the seed.
+    alignment that time sharing replaces).  Every gate compares all the
+    seeds at once.  Returns (worst residual of each kind, one line per
+    failing seed).  A build that fails raises its own error type, its
+    message naming the config and the seed.
     """
     alloc = allocate_jamming(config)
     slots = alloc.slots
     expect_u_rank = slots * config.n - int(alloc.j_s * slots)
     expect_legit = int(alloc.d_total * slots)
     expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)
-    worst = dict.fromkeys(("nullspace", "alignment", "unitarity", "zero-forcing"), 0.0)
-    failures = []
     rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
     draws = sample_channels(config, rngs, EveMode.TIME_VARYING)
     try:
-        sets = build_precoders(config, draws, alloc, rngs)
+        pre = build_precoders(config, draws, alloc, rngs)
     except SdofLabError as exc:
         # A failure that is not one member's fails every seed alike.
         raise located(exc, f"{config} seed {exc.member or 0}") from exc
     uses = channel_uses(config, draws, rngs, [0], EveMode.TIME_VARYING, slots)
-    for seed, pre in enumerate(sets):
-        seen = ChannelRealization(uses.h1[seed], uses.h2[seed], uses.g1[seed, 0], uses.g2[seed, 0])
-        residuals = (
-            ("nullspace", pre.report.nullspace_residual, NULLSPACE_RESIDUAL_MAX),
-            ("alignment", pre.report.alignment_residual, ALIGNMENT_RESIDUAL_MAX),
-            ("unitarity", pre.report.unitarity_residual, UNITARITY_RESIDUAL_MAX),
-            ("zero-forcing", pre.report.zero_forcing_residual, ZERO_FORCING_RESIDUAL_MAX),
-        )
-        ranks = (
-            ("rank(U)", pre.report.u_rank, expect_u_rank),
-            ("legit rank", pre.report.legit_rank, expect_legit),
-            ("leakage rank", leakage_rank(seen, pre), expect_leak),
-        )
-        for kind, value, _ in residuals:
-            worst[kind] = max(worst[kind], value)
-        problems = [f"{kind} residual {got:.2e}" for kind, got, gate in residuals if got > gate]
-        problems += [f"{name} {got} != {want}" for name, got, want in ranks if got != want]
-        if problems:
-            failures.append(f"{config} seed {seed}: " + "; ".join(problems))
-    return worst, failures
+    report = pre.report
+    kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
+    residuals = np.array([
+        report.nullspace_residual,
+        report.alignment_residual,
+        report.unitarity_residual,
+        report.zero_forcing_residual,
+    ])
+    gates = np.array([
+        NULLSPACE_RESIDUAL_MAX,
+        ALIGNMENT_RESIDUAL_MAX,
+        UNITARITY_RESIDUAL_MAX,
+        ZERO_FORCING_RESIDUAL_MAX,
+    ])
+    names = ("rank(U)", "legit rank", "leakage rank")
+    ranks = np.array([report.u_rank, report.legit_rank, leakage_rank(uses, pre)[:, 0]])
+    expected = np.array([expect_u_rank, expect_legit, expect_leak])
+    # Rows are checks, columns seeds.
+    over, wrong = residuals > gates[:, None], ranks != expected[:, None]
+    failures = []
+    for seed in np.flatnonzero(over.any(axis=0) | wrong.any(axis=0)):
+        problems = [
+            f"{kind} residual {got:.2e}"
+            for kind, got, bad in zip(kinds, residuals[:, seed], over[:, seed])
+            if bad
+        ]
+        problems += [
+            f"{name} {got} != {want}"
+            for name, got, want, bad in zip(names, ranks[:, seed], expected, wrong[:, seed])
+            if bad
+        ]
+        failures.append(f"{config} seed {seed}: " + "; ".join(problems))
+    return dict(zip(kinds, residuals.max(axis=1).tolist())), failures
 
 
 def check_precoders(max_antennas: int, seeds: int) -> CheckResult:

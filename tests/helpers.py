@@ -6,6 +6,8 @@ dimensions by principal angles, so the checks stay independent of what
 they verify.
 """
 
+import dataclasses
+
 import numpy as np
 
 
@@ -65,3 +67,20 @@ def ks_statistic(samples, cdf) -> float:
     empirical_lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(empirical_hi - theoretical),
                                    np.abs(theoretical - empirical_lo))))
+
+
+def member(stack, t: int):
+    """Member ``t`` of a trial-stacked dataclass: every array and nested dataclass indexed at ``t``.
+
+    Turns ``sample_channels`` draws, ``build_precoders`` sets and their
+    reports into one trial's matrices and scalars for the oracles above.
+    """
+    values = {}
+    for field in dataclasses.fields(stack):
+        value = getattr(stack, field.name)
+        if dataclasses.is_dataclass(value):
+            value = member(value, t)
+        elif isinstance(value, np.ndarray):
+            value = value[t]
+        values[field.name] = value
+    return type(stack)(**values)

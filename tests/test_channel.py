@@ -3,13 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import block_diag2, crandn, elimination_rank
+from helpers import block_diag2, crandn, elimination_rank, member
 from sdoflab import (
     AntennaConfig,
+    ChannelRealization,
     EveMode,
     RngStream,
     SignalParams,
-    channel_use,
     sample_channels,
 )
 from sdoflab.channel import (
@@ -24,6 +24,18 @@ from sdoflab.channel import (
 
 # SHA-256 of _draw_digest() below: the channel stream every Monte Carlo result rests on.
 DRAW_DIGEST = "06b9acd788148f629348af498eef5cf67dac7221adb4bcaa8b6f2e377de27edc"
+
+
+def _draw(config, rng, mode):
+    """The draw at one stream, as a stack of one, and its member: (stack, matrices)."""
+    stack = sample_channels(config, [rng], mode)
+    return stack, member(stack, 0)
+
+
+def _use(config, trial_stack, rng, use, mode, slots):
+    """The matrices one trial's set sees in channel use ``use``: ``channel_uses`` on a stack of one."""
+    seen = channel_uses(config, trial_stack, [rng], [use], mode, slots)
+    return ChannelRealization(seen.h1[0], seen.h2[0], seen.g1[0, 0], seen.g2[0, 0])
 
 
 def _generator(rng, domain):
@@ -59,40 +71,40 @@ class TestRngStream:
 class TestSampleChannels:
     def test_shapes_and_rank(self):
         config = AntennaConfig(2, 2, 3, 2)
-        ch = sample_channels(config, RngStream(1), EveMode.STATIC)
-        assert ch.h1.shape == (3, 2)
-        assert ch.h2.shape == (3, 2)
-        assert ch.g1.shape == (2, 2)
-        assert elimination_rank(ch.h1) == 2
+        ch = sample_channels(config, [RngStream(1)], EveMode.STATIC)
+        assert ch.h1.shape == (1, 3, 2)
+        assert ch.h2.shape == (1, 3, 2)
+        assert ch.g1.shape == (1, 2, 2)
+        assert elimination_rank(ch.h1[0]) == 2
 
     def test_no_eavesdropper_gives_empty_g(self):
-        ch = sample_channels(AntennaConfig(2, 1, 2, 0), RngStream(1), EveMode.STATIC)
-        assert ch.g1.shape == (0, 2)
+        ch = sample_channels(AntennaConfig(2, 1, 2, 0), [RngStream(1)], EveMode.STATIC)
+        assert ch.g1.shape == (1, 0, 2)
 
     def test_determinism(self):
         config = AntennaConfig(3, 2, 4, 1)
-        first = sample_channels(config, RngStream(9, (2, 1)), EveMode.STATIC)
-        second = sample_channels(config, RngStream(9, (2, 1)), EveMode.STATIC)
+        first = sample_channels(config, [RngStream(9, (2, 1))], EveMode.STATIC)
+        second = sample_channels(config, [RngStream(9, (2, 1))], EveMode.STATIC)
         assert np.array_equal(first.h1, second.h1)
         assert np.array_equal(first.g2, second.g2)
 
     def test_legit_static_across_uses_eve_varies(self):
         config = AntennaConfig(2, 2, 3, 2)
-        use0 = sample_channels(config, RngStream(7, (0, 0)), EveMode.TIME_VARYING)
-        use1 = sample_channels(config, RngStream(7, (0, 1)), EveMode.TIME_VARYING)
+        use0 = sample_channels(config, [RngStream(7, (0, 0))], EveMode.TIME_VARYING)
+        use1 = sample_channels(config, [RngStream(7, (0, 1))], EveMode.TIME_VARYING)
         assert np.array_equal(use0.h1, use1.h1)
         assert not np.array_equal(use0.g1, use1.g1)
 
     def test_static_eve_ignores_use_index(self):
         config = AntennaConfig(2, 2, 3, 2)
-        use0 = sample_channels(config, RngStream(7, (0, 0)), EveMode.STATIC)
-        use1 = sample_channels(config, RngStream(7, (0, 5)), EveMode.STATIC)
+        use0 = sample_channels(config, [RngStream(7, (0, 0))], EveMode.STATIC)
+        use1 = sample_channels(config, [RngStream(7, (0, 5))], EveMode.STATIC)
         assert np.array_equal(use0.g1, use1.g1)
 
     def test_empirical_moments(self):
         # pool ~1e5 entries from one large draw
         config = AntennaConfig(220, 230, 222, 0)
-        ch = sample_channels(config, RngStream(123), EveMode.STATIC)
+        ch = sample_channels(config, [RngStream(123)], EveMode.STATIC)
         entries = np.concatenate([ch.h1.ravel(), ch.h2.ravel()])
         assert entries.size >= 99_000
         assert np.var(entries) == pytest.approx(1.0, abs=0.02)
@@ -128,23 +140,27 @@ class TestSlotExtend:
 
 
 class TestChannelUse:
-    """channel_use against oracles drawn here with sample_channels and np.kron."""
+    """One trial's ``channel_uses`` against oracles drawn here with sample_channels and np.kron."""
 
     config = AntennaConfig(2, 2, 3, 2)
     seed, trial = 7, 3
 
     def trial_draw(self, mode):
+        """The trial's stream, its draw as a stack of one, and that draw's matrices."""
         rng = RngStream(self.seed, (self.trial, 0))
-        return rng, sample_channels(self.config, rng, mode)
+        return (rng, *_draw(self.config, rng, mode))
 
     def draw_at(self, address):
         rng = RngStream(self.seed, (self.trial, address))
-        return sample_channels(self.config, rng, EveMode.TIME_VARYING)
+        return _draw(self.config, rng, EveMode.TIME_VARYING)[1]
+
+    def seen(self, mode, use, slots, rng=None):
+        trial_rng, stack, _ = self.trial_draw(mode)
+        return _use(self.config, stack, rng or trial_rng, use, mode, slots)
 
     @pytest.mark.parametrize("use", [0, 1, 4])
     def test_time_varying_slot_s_of_use_k_is_the_draw_at_2k_plus_s(self, use):
-        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
-        seen = channel_use(self.config, trial, rng, use, EveMode.TIME_VARYING, 2)
+        seen = self.seen(EveMode.TIME_VARYING, use, 2)
         ne, m1, m2 = self.config.n_e, self.config.m1, self.config.m2
         a, b = self.draw_at(2 * use), self.draw_at(2 * use + 1)
         assert np.array_equal(seen.g1, block_diag2(a.g1, b.g1))
@@ -153,39 +169,38 @@ class TestChannelUse:
         assert not np.array_equal(a.g1, b.g1)
 
     def test_slot_a_of_use_0_is_the_trial_draw(self):
-        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
-        seen = channel_use(self.config, trial, rng, 0, EveMode.TIME_VARYING, 2)
+        _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
+        seen = self.seen(EveMode.TIME_VARYING, 0, 2)
         ne, m1 = self.config.n_e, self.config.m1
         assert np.array_equal(seen.g1[:ne, :m1], trial.g1)
         assert np.array_equal(seen.g1[:ne, :m1], self.draw_at(0).g1)
 
     @pytest.mark.parametrize("use", [0, 2])
     def test_static_slots_carry_the_trial_eavesdropper(self, use):
-        rng, trial = self.trial_draw(EveMode.STATIC)
-        seen = channel_use(self.config, trial, rng, use, EveMode.STATIC, 2)
+        _, _, trial = self.trial_draw(EveMode.STATIC)
+        seen = self.seen(EveMode.STATIC, use, 2)
         assert np.array_equal(seen.g1, np.kron(np.eye(2), trial.g1))
         assert np.array_equal(seen.g2, np.kron(np.eye(2), trial.g2))
 
     @pytest.mark.parametrize("mode", list(EveMode))
     def test_legitimate_blocks_hold_the_trial_draw(self, mode):
-        rng, trial = self.trial_draw(mode)
-        seen = channel_use(self.config, trial, rng, 3, mode, 2)
+        _, _, trial = self.trial_draw(mode)
+        seen = self.seen(mode, 3, 2)
         assert np.array_equal(seen.h1, np.kron(np.eye(2), trial.h1))
         assert np.array_equal(seen.h2, np.kron(np.eye(2), trial.h2))
 
     @pytest.mark.parametrize("use", [0, 3])
     def test_single_slot_use_k_is_the_draw_at_2k(self, use):
-        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
-        seen = channel_use(self.config, trial, rng, use, EveMode.TIME_VARYING, 1)
+        _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
+        seen = self.seen(EveMode.TIME_VARYING, use, 1)
         oracle = self.draw_at(2 * use)
         assert np.array_equal(seen.h1, trial.h1) and np.array_equal(seen.h2, trial.h2)
         assert np.array_equal(seen.g1, oracle.g1) and np.array_equal(seen.g2, oracle.g2)
 
     def test_trial_rng_must_address_use_0(self):
-        rng, trial = self.trial_draw(EveMode.TIME_VARYING)
         later = RngStream(self.seed, (self.trial, 1))
         with pytest.raises(ValueError):
-            channel_use(self.config, trial, later, 0, EveMode.TIME_VARYING, 1)
+            self.seen(EveMode.TIME_VARYING, 0, 1, rng=later)
 
 
 def _seed_sequence_words(master, keys):
@@ -262,7 +277,7 @@ class TestStackedDraws:
         rngs = [RngStream(2**40 + 3, (2**32 + t, 2 * t)) for t in range(trials)]
         stacked = sample_channels(config, rngs, mode)
         for i, rng in enumerate(rngs):
-            alone = sample_channels(config, rng, mode)
+            _, alone = _draw(config, rng, mode)
             for name in ("h1", "h2", "g1", "g2"):
                 assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name))
 
@@ -275,11 +290,14 @@ class TestStackedDraws:
         draws = sample_channels(config, rngs, mode)
         uses = [0, 1, 4]
         seen = channel_uses(config, draws, rngs, uses, mode, slots)
+        # A static eavesdropper's use axis has length 1 and holds over every use.
+        assert seen.g1.shape[1] == (len(uses) if mode.varies_per_use else 1)
         for i, rng in enumerate(rngs):
-            trial = sample_channels(config, rng, mode)
+            trial, _ = _draw(config, rng, mode)
             for j, use in enumerate(uses):
-                alone = channel_use(config, trial, rng, use, mode, slots)
-                g1, g2 = (seen.g1[i, j], seen.g2[i, j]) if mode.varies_per_use else (seen.g1[i], seen.g2[i])
+                alone = _use(config, trial, rng, use, mode, slots)
+                at = j if mode.varies_per_use else 0
+                g1, g2 = seen.g1[i, at], seen.g2[i, at]
                 assert np.array_equal(seen.h1[i], alone.h1) and np.array_equal(seen.h2[i], alone.h2)
                 assert np.array_equal(g1, alone.g1) and np.array_equal(g2, alone.g2)
 
@@ -292,9 +310,9 @@ def _draw_digest() -> str:
         for seed, trial in ((0, 0), (11, 4)):
             for mode in EveMode:
                 rng = RngStream(seed, (trial, 0))
-                trial_ch = sample_channels(config, rng, mode)
+                stack, trial_ch = _draw(config, rng, mode)
                 seen = [
-                    channel_use(config, trial_ch, rng, use, mode, slots)
+                    _use(config, stack, rng, use, mode, slots)
                     for slots in (1, 2)
                     for use in (0, 1, 3)
                 ]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import crandn, elimination_rank, ks_statistic, max_abs
+from helpers import crandn, elimination_rank, ks_statistic, max_abs, member
 from sdoflab import (
     AntennaConfig,
     DimensionMismatch,
@@ -14,15 +14,12 @@ from sdoflab import (
     RngStream,
     allocate_jamming,
     build_precoders,
-    channel_use,
     leakage_rank,
-    nullspace_jamming,
-    random_jamming,
     sample_channels,
 )
-from sdoflab.channel import jamming_generators
-from sdoflab.precoding import _aligned_targets
-from sdoflab.subspaces import orthonormal_basis, solve_into
+from sdoflab.channel import channel_uses, jamming_generators
+from sdoflab.precoding import _aligned_targets, _haar_columns, _nullspace_block
+from sdoflab.subspaces import as_matrix, orthonormal_basis, solve_into
 
 
 def _kron2(h):
@@ -47,49 +44,52 @@ def _aligned(h1, h2, pairs, slots):
 
 
 class TestRandomJamming:
+    # The build's random block: one Haar isometry per trial's generator.
     def test_zero_streams(self):
-        assert random_jamming(3, 0, np.random.default_rng(0)).shape == (3, 0)
+        assert _haar_columns(3, 0, [np.random.default_rng(0)]).shape == (1, 3, 0)
 
     def test_orthonormal(self):
-        v = random_jamming(4, 2, np.random.default_rng(1))
+        (v,) = _haar_columns(4, 2, [np.random.default_rng(1)])
         assert max_abs(v.conj().T @ v - np.eye(2)) < 1e-10
 
     def test_too_many_streams(self):
         with pytest.raises(DimensionMismatch):
-            random_jamming(2, 3, np.random.default_rng(0))
+            _haar_columns(2, 3, [np.random.default_rng(0)])
 
     def test_deterministic_through_jamming_generator(self):
-        a = random_jamming(4, 2, jamming_generators([RngStream(5)])[0])
-        b = random_jamming(4, 2, jamming_generators([RngStream(5)])[0])
-        other = random_jamming(4, 2, jamming_generators([RngStream(6)])[0])
+        a = _haar_columns(4, 2, jamming_generators([RngStream(5)]))
+        b = _haar_columns(4, 2, jamming_generators([RngStream(5)]))
+        other = _haar_columns(4, 2, jamming_generators([RngStream(6)]))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
 
     def test_direction_uniform_on_sphere(self):
         # For a Haar-random unit vector v in C^m, |v_1|^2 ~ Beta(1, m-1).
+        # 2000 draws in turn from one generator, as a stack of 2000.
         m = 4
         gen = np.random.default_rng(2024)
-        samples = [abs(random_jamming(m, 1, gen)[0, 0]) ** 2 for _ in range(2000)]
+        samples = np.abs(_haar_columns(m, 1, [gen] * 2000)[:, 0, 0]) ** 2
         stat = ks_statistic(samples, lambda x: 1.0 - (1.0 - np.asarray(x)) ** (m - 1))
         assert stat < 0.05  # ~alpha 1e-3 critical value for n=2000
 
 
 class TestNullspaceJamming:
+    # The build's nullspace block, on a channel as it enters the library.
     def test_full_rank_square_is_infeasible(self):
-        h = np.eye(3)
+        h = as_matrix(np.eye(3))
         with pytest.raises(InfeasibleAllocation):
-            nullspace_jamming(h, 1)
+            _nullspace_block(h, 1)
 
     def test_wide_channel(self):
         gen = np.random.default_rng(3)
         h = crandn(gen, 2, 5)
-        v = nullspace_jamming(h, 3)
+        v = _nullspace_block(h, 3)
         assert v.shape == (5, 3)
         assert max_abs(h @ v) < 1e-9
         assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-10
 
     def test_zero_streams(self):
-        assert nullspace_jamming(np.eye(3), 0).shape == (3, 0)
+        assert _nullspace_block(as_matrix(np.eye(3)), 0).shape == (3, 0)
 
 
 class TestAlignedJamming:
@@ -131,14 +131,20 @@ class TestAlignedJamming:
             assert elimination_rank(received) == 2
 
 
+def _build_one(config, rng, mode=EveMode.TIME_VARYING):
+    """One trial built as a stack of one: its streams, draw and set."""
+    rngs = [rng]
+    ch = sample_channels(config, rngs, mode)
+    return rngs, ch, build_precoders(config, ch, allocate_jamming(config), rngs)
+
+
 class TestBuildPrecoders:
     def build(self, cfg, seed=0):
+        """The config, one trial's matrices, the allocation, its set and report."""
         config = AntennaConfig(*cfg)
-        rng = RngStream(seed)
-        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-        alloc = allocate_jamming(config)
-        pre = build_precoders(config, ch, alloc, rng)
-        return config, ch, alloc, pre, pre.report
+        _, ch, pre = _build_one(config, RngStream(seed))
+        pre = member(pre, 0)
+        return config, member(ch, 0), allocate_jamming(config), pre, pre.report
 
     def test_random_region(self):
         _, _, _, pre, report = self.build((2, 2, 4, 1))
@@ -186,32 +192,34 @@ class TestBuildPrecoders:
     def test_propagates_infeasibility(self):
         config = AntennaConfig(2, 2, 3, 2)
         alloc = allocate_jamming(AntennaConfig(5, 1, 2, 5))
-        rng = RngStream(0)
-        ch = sample_channels(config, rng, EveMode.STATIC)
+        rngs = [RngStream(0)]
+        ch = sample_channels(config, rngs, EveMode.STATIC)
         with pytest.raises(InfeasibleAllocation):
-            build_precoders(config, ch, alloc, rng)
+            build_precoders(config, ch, alloc, rngs)
 
     def test_rejects_nonfinite_channel(self):
         # Outside input is checked where it enters the build.
         config = AntennaConfig(2, 2, 3, 2)
-        rng = RngStream(0)
-        ch = sample_channels(config, rng, EveMode.STATIC)
+        rngs = [RngStream(0)]
+        ch = sample_channels(config, rngs, EveMode.STATIC)
         h1 = ch.h1.copy()
-        h1[0, 1] = np.nan
+        h1[0, 0, 1] = np.nan
         with pytest.raises(InvalidMatrix):
-            build_precoders(config, dataclasses.replace(ch, h1=h1), allocate_jamming(config), rng)
+            build_precoders(config, dataclasses.replace(ch, h1=h1), allocate_jamming(config), rngs)
 
     def test_precoder_invariants_small_sweep(self):
+        # Master seeds 0, 1 and 2 of each config in one stack.
+        rngs = [RngStream(seed) for seed in range(3)]
         for m1 in range(1, 4):
             for m2 in range(1, 4):
                 for n in range(1, 4):
                     for n_e in range(0, m1 + m2):
+                        config = AntennaConfig(m1, m2, n, n_e)
+                        ch = sample_channels(config, rngs, EveMode.TIME_VARYING)
+                        alloc = allocate_jamming(config)
+                        stack = build_precoders(config, ch, alloc, rngs)
                         for seed in range(3):
-                            config = AntennaConfig(m1, m2, n, n_e)
-                            rng = RngStream(seed)
-                            ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-                            alloc = allocate_jamming(config)
-                            pre = build_precoders(config, ch, alloc, rng)
+                            pre = member(stack, seed)
                             report = pre.report
                             slots = pre.slots
                             stacked1 = np.hstack([pre.v1_l, pre.v1_j])
@@ -225,67 +233,75 @@ class TestBuildPrecoders:
                             assert report.zero_forcing_residual < 1e-8
 
 
+def _leakage_rank(config, ch, rngs, pre, mode):
+    """The one trial's leakage rank in channel use 0 under ``mode``."""
+    ranks = leakage_rank(channel_uses(config, ch, rngs, [0], mode, pre.slots), pre)
+    assert ranks.shape == (1, 1)
+    return ranks[0, 0]
+
+
 class TestLeakageRank:
     def test_no_jamming(self):
         config = AntennaConfig(2, 2, 3, 0)
-        rng = RngStream(0)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        assert leakage_rank(ch, pre) == 0
+        rngs, ch, pre = _build_one(config, RngStream(0), EveMode.STATIC)
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_aligned_pair_fills_eavesdropper(self, seed):
         config = AntennaConfig(2, 2, 3, 2)
-        rng = RngStream(seed)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        assert leakage_rank(ch, pre) == 2
+        rngs, ch, pre = _build_one(config, RngStream(seed), EveMode.STATIC)
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 2
 
     def test_full_allocation(self):
         config = AntennaConfig(5, 1, 2, 5)
-        rng = RngStream(1)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        assert leakage_rank(ch, pre) == 5
+        rngs, ch, pre = _build_one(config, RngStream(1), EveMode.STATIC)
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 5
 
     def test_two_slot_needs_per_slot_draws(self):
         # With per-slot eavesdropper draws the doubled system is fully
         # jammed; a static eavesdropper sees the cross-slot pair collapse
         # (the gap exact fractional alignment would close).
         config = AntennaConfig(2, 2, 3, 1)
-        rng = RngStream(2)
-        ch = sample_channels(config, rng, EveMode.TIME_VARYING)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        rngs, ch, pre = _build_one(config, RngStream(2))
         assert pre.slots == 2
-        varying = channel_use(config, ch, rng, 0, EveMode.TIME_VARYING, pre.slots)
-        held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
-        assert leakage_rank(varying, pre) == 2
-        assert leakage_rank(held, pre) == 1
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.TIME_VARYING) == 2
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 1
 
     def test_rejects_nonfinite_channel(self):
         config = AntennaConfig(2, 2, 3, 2)
-        rng = RngStream(0)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        g1 = ch.g1.copy()
-        g1[0, 1] = np.nan
+        rngs, ch, pre = _build_one(config, RngStream(0), EveMode.STATIC)
+        seen = channel_uses(config, ch, rngs, [0], EveMode.STATIC, pre.slots)
+        g1 = seen.g1.copy()
+        g1[0, 0, 0, 1] = np.nan
         with pytest.raises(InvalidMatrix):
-            leakage_rank(dataclasses.replace(ch, g1=g1), pre)
+            leakage_rank(dataclasses.replace(seen, g1=g1), pre)
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_matches_oracle(self, cfg):
         # The static model against a test-built np.kron slot space and the
         # elimination rank.
         config = AntennaConfig(*cfg)
-        rng = RngStream(8)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
-        g1, g2 = ch.g1, ch.g2
+        rngs, ch, pre = _build_one(config, RngStream(8), EveMode.STATIC)
+        one, trial = member(pre, 0), member(ch, 0)
+        g1, g2 = trial.g1, trial.g2
         if pre.slots == 2:
             g1, g2 = np.kron(np.eye(2), g1), np.kron(np.eye(2), g2)
-        expected = elimination_rank(np.hstack([g1 @ pre.v1_j, g2 @ pre.v2_j]))
-        held = channel_use(config, ch, rng, 0, EveMode.STATIC, pre.slots)
-        assert leakage_rank(held, pre) == expected
+        expected = elimination_rank(np.hstack([g1 @ one.v1_j, g2 @ one.v2_j]))
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == expected
+
+    def test_one_rank_per_trial_and_use(self):
+        # A stack of trials over several uses: each entry is that trial's
+        # rank in that use, the same as built and ranked alone.
+        config = AntennaConfig(2, 2, 3, 1)
+        rngs, stacked = _trial_stack(config, range(4))
+        pre = build_precoders(config, stacked, allocate_jamming(config), rngs)
+        ranks = leakage_rank(channel_uses(config, stacked, rngs, [0, 1, 5], EveMode.TIME_VARYING, 2), pre)
+        assert ranks.shape == (4, 3)
+        for t, rng in enumerate(rngs):
+            alone_rngs, ch, alone = _build_one(config, rng)
+            seen = channel_uses(config, ch, alone_rngs, [0, 1, 5], EveMode.TIME_VARYING, 2)
+            assert np.array_equal(ranks[t], leakage_rank(seen, alone)[0])
+        assert (ranks == 2).all()
 
 
 def _trial_stack(config, trials, seed=4, mode=EveMode.TIME_VARYING):
@@ -295,7 +311,7 @@ def _trial_stack(config, trials, seed=4, mode=EveMode.TIME_VARYING):
 
 
 def _same_set(a, b):
-    """Bit-for-bit equality of two precoder sets, report included."""
+    """Bit-for-bit equality of two one-trial precoder sets (``member``), report included."""
     matrices = ("v1_l", "v1_j", "v2_l", "v2_j", "u")
     return (
         all(np.array_equal(getattr(a, k), getattr(b, k)) for k in matrices)
@@ -317,22 +333,22 @@ class TestStackedBuild:
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(7))
         whole = build_precoders(config, stacked, alloc, rngs)
-        assert len(whole) == 7
+        assert len(whole.u) == 7
+        assert all(len(values) == 7 for values in dataclasses.astuple(whole.report))
         for part in (range(0, 3), range(3, 7), range(5, 6)):
             sub_rngs, sub = _trial_stack(config, part)
-            for t, pre in zip(part, build_precoders(config, sub, alloc, sub_rngs)):
-                assert _same_set(pre, whole[t])
-        # a single trial is a stack of one
-        rng = rngs[6]
-        alone = build_precoders(config, sample_channels(config, rng, EveMode.TIME_VARYING), alloc, rng)
-        assert _same_set(alone, whole[6])
+            pre = build_precoders(config, sub, alloc, sub_rngs)
+            for i, t in enumerate(part):
+                assert _same_set(member(pre, i), member(whole, t))
 
     @pytest.mark.parametrize("cfg", configs)
     def test_every_trial_meets_the_invariants(self, cfg):
         config = AntennaConfig(*cfg)
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(5), seed=9)
-        for t, pre in enumerate(build_precoders(config, stacked, alloc, rngs)):
+        whole = build_precoders(config, stacked, alloc, rngs)
+        for t in range(5):
+            pre = member(whole, t)
             slots = pre.slots
             h1, h2 = stacked.h1[t], stacked.h2[t]
             if slots == 2:

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import block_diag2
+from helpers import block_diag2, member
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -18,7 +18,6 @@ from sdoflab import (
     SignalParams,
     allocate_jamming,
     build_precoders,
-    channel_use,
     estimate_dof,
     eve_leakage,
     legit_rate,
@@ -27,27 +26,38 @@ from sdoflab import (
     sweep,
 )
 from sdoflab import channel, cli, kernels, simulate, verify
+from sdoflab.channel import channel_uses
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
 
+def _trial(config, seed, mode=EveMode.TIME_VARYING):
+    """One trial as a stack of one: its streams, its draw and its precoder set."""
+    rngs = [RngStream(seed)]
+    ch = sample_channels(config, rngs, mode)
+    return rngs, ch, build_precoders(config, ch, allocate_jamming(config), rngs)
+
+
 def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
-    """The config, the channel its precoder set sees in channel use 0, and the set."""
+    """The config, the channels one trial's set sees in channel use 0, and the set (stacks of one)."""
     config = AntennaConfig(*cfg)
-    rng = RngStream(seed)
-    ch = sample_channels(config, rng, mode)
-    pre = build_precoders(config, ch, allocate_jamming(config), rng)
-    return config, channel_use(config, ch, rng, 0, mode, pre.slots), pre
+    rngs, ch, pre = _trial(config, seed, mode)
+    return config, channel_uses(config, ch, rngs, [0], mode, pre.slots), pre
 
 
 def _columns(pre):
     """Legitimate and jamming column counts of a precoder set."""
-    return pre.v1_l.shape[1] + pre.v2_l.shape[1], pre.v1_j.shape[1] + pre.v2_j.shape[1]
+    return pre.v1_l.shape[-1] + pre.v2_l.shape[-1], pre.v1_j.shape[-1] + pre.v2_j.shape[-1]
 
 
 def _at(rate, ch, pre, sig):
-    """A rate function at one power level: a one-point grid."""
-    (value,) = rate(ch, pre, [sig])
+    """A rate function on one trial at one power level: a one-point grid."""
+    ((value,),) = rate(ch, pre, [sig])
     return value
+
+
+def _one_use(ch):
+    """One trial's slot-space matrices as a stack of one trial and one channel use."""
+    return ChannelRealization(ch.h1[None], ch.h2[None], ch.g1[None, None], ch.g2[None, None])
 
 
 def _kron2(ch):
@@ -58,10 +68,8 @@ def _kron2(ch):
 class TestPerStreamPowers:
     def test_transmit_power_accounting(self):
         # trace of the transmit covariance (before the channel) equals p
-        config = AntennaConfig(2, 2, 3, 2)
-        rng = RngStream(11)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        _, _, pre = _trial(AntennaConfig(2, 2, 3, 2), 11, EveMode.STATIC)
+        pre = member(pre, 0)
         sig = SignalParams(7.0, alpha=0.25)
         p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
         total = 0.0
@@ -71,10 +79,8 @@ class TestPerStreamPowers:
         assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
 
     def test_transmit_power_accounting_two_slot(self):
-        config = AntennaConfig(2, 2, 3, 1)
-        rng = RngStream(19)
-        ch = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, ch, allocate_jamming(config), rng)
+        _, _, pre = _trial(AntennaConfig(2, 2, 3, 1), 19, EveMode.STATIC)
+        pre = member(pre, 0)
         assert pre.slots == 2
         sig = SignalParams(3.0, alpha=0.5)
         p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
@@ -110,14 +116,15 @@ class TestLegitRate:
         # E = [U H1 V1l | U H2 V2l] built here from the trial draw with
         # np.kron, not the library slot helper; the (2, 2, 3, 1) set uses
         # the two-slot extension.
-        config, ch, pre = _build(cfg, seed=4)
-        trial = sample_channels(config, RngStream(4), EveMode.TIME_VARYING)
+        config, ch, stack = _build(cfg, seed=4)
+        pre = member(stack, 0)
+        trial = member(sample_channels(config, [RngStream(4)], EveMode.TIME_VARYING), 0)
         if pre.slots == 2:
             trial = _kron2(trial)
         h1, h2 = trial.h1, trial.h2
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
         sigs = [SignalParams.from_db(p_db, alpha=0.4, sigma2=2.0) for p_db in (20.0, 30.0, 40.0)]
-        for sig, value in zip(sigs, legit_rate(ch, pre, sigs)):
+        for sig, value in zip(sigs, legit_rate(ch, stack, sigs)[0]):
             p_legit, _ = per_stream_powers(pre.slots, *_columns(pre), sig)
             gram = np.eye(e.shape[0]) + (p_legit / sig.sigma2) * e @ e.conj().T
             sign, logdet = np.linalg.slogdet(gram)
@@ -138,12 +145,9 @@ class TestEveLeakage:
     def test_unjammed_leakage_grows(self):
         # strip the jamming: the eavesdropper sees only noise in the
         # denominator and the ratio grows with power
-        ch = sample_channels(AntennaConfig(2, 2, 3, 1), RngStream(0), EveMode.TIME_VARYING)
-        naked_cfg = AntennaConfig(2, 2, 3, 0)
-        rng = RngStream(0)
-        naked_ch = sample_channels(naked_cfg, rng, EveMode.STATIC)
-        naked = build_precoders(naked_cfg, naked_ch, allocate_jamming(naked_cfg), rng)
-        realization = type(ch)(naked_ch.h1, naked_ch.h2, ch.g1, ch.g2)
+        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [RngStream(0)], EveMode.TIME_VARYING)
+        _, naked_ch, naked = _trial(AntennaConfig(2, 2, 3, 0), 0, EveMode.STATIC)
+        realization = type(ch)(naked_ch.h1, naked_ch.h2, ch.g1[:, None], ch.g2[:, None])
         low = _at(eve_leakage, realization, naked, SignalParams.from_db(40.0))
         high = _at(eve_leakage, realization, naked, SignalParams.from_db(80.0))
         assert high > low + 5.0
@@ -153,13 +157,12 @@ class TestEveLeakage:
         # The static model holds the trial's eavesdropper
         # in both slots of every channel use.
         config = AntennaConfig(*cfg)
-        rng = RngStream(6)
-        trial = sample_channels(config, rng, EveMode.STATIC)
-        pre = build_precoders(config, trial, allocate_jamming(config), rng)
-        held = trial if pre.slots == 1 else _kron2(trial)
+        rngs, trial, pre = _trial(config, 6, EveMode.STATIC)
+        held = member(trial, 0)
+        held = _one_use(held if pre.slots == 1 else _kron2(held))
         sig = SignalParams.from_db(50.0)
         for use in (0, 3):
-            seen = channel_use(config, trial, rng, use, EveMode.STATIC, pre.slots)
+            seen = channel_uses(config, trial, rngs, [use], EveMode.STATIC, pre.slots)
             assert _at(eve_leakage, seen, pre, sig) == _at(eve_leakage, held, pre, sig)
 
     def test_overflowed_power_is_an_error(self):
@@ -203,10 +206,9 @@ class TestSweep:
         addresses = []
         real = channel.sample_channels
 
-        def counting(config, rng, *args, **kwargs):
-            streams = [rng] if isinstance(rng, RngStream) else rng
-            addresses.extend(r.stream_id for r in streams)
-            return real(config, rng, *args, **kwargs)
+        def counting(config, rngs, *args, **kwargs):
+            addresses.extend(r.stream_id for r in rngs)
+            return real(config, rngs, *args, **kwargs)
 
         monkeypatch.setattr(channel, "sample_channels", counting)
         monkeypatch.setattr(simulate, "sample_channels", counting)
@@ -217,9 +219,9 @@ class TestSweep:
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_log_determinants_per_trial_do_not_grow_with_the_grid(self, cfg, mode, monkeypatch):
-        # One SVD per block serves the whole grid: the legitimate block and
-        # the two leakage blocks, stacked over the grid when the
-        # eavesdropper varies per channel use.
+        # One stacked SVD per block serves every trial of the chunk and the
+        # whole grid: the legitimate block and the two leakage blocks,
+        # stacked over the grid when the eavesdropper varies per channel use.
         calls = []
         real = kernels.logdet_eye_plus_gram
 
@@ -228,29 +230,28 @@ class TestSweep:
             return real(*args)
 
         monkeypatch.setattr(kernels, "logdet_eye_plus_gram", counting)
-        trials, per_trial = 2, []
-        for points in (3, 17):
-            calls.clear()
-            grid = [60.0 + 2.5 * i for i in range(points)]
-            sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 1, mode, threads=1)
-            per_trial.append(len(calls) / trials)
-        assert per_trial[0] == per_trial[1] <= 3
+        for trials in (1, 2, 7):
+            for points in (3, 17):
+                calls.clear()
+                grid = [60.0 + 2.5 * i for i in range(points)]
+                sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 1, mode, threads=1)
+                assert len(calls) == 3, (trials, points)
 
     def test_time_varying_grid_point_k_sees_slots_at_2k_and_2k_plus_1(self):
         config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
         samples = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
         for s in samples:
             k = grid.index(s.p_db)
-            rng = RngStream(seed, (s.trial, 0))
-            trial = sample_channels(config, rng, EveMode.TIME_VARYING)
-            pre = build_precoders(config, trial, allocate_jamming(config), rng)
+            rngs = [RngStream(seed, (s.trial, 0))]
+            trial = sample_channels(config, rngs, EveMode.TIME_VARYING)
+            pre = build_precoders(config, trial, allocate_jamming(config), rngs)
             a, b = (
-                sample_channels(config, RngStream(seed, (s.trial, address)), EveMode.TIME_VARYING)
+                member(sample_channels(config, [RngStream(seed, (s.trial, address))], EveMode.TIME_VARYING), 0)
                 for address in (2 * k, 2 * k + 1)
             )
-            held = _kron2(trial)
-            seen = ChannelRealization(
-                held.h1, held.h2, block_diag2(a.g1, b.g1), block_diag2(a.g2, b.g2)
+            held = _kron2(member(trial, 0))
+            seen = _one_use(
+                ChannelRealization(held.h1, held.h2, block_diag2(a.g1, b.g1), block_diag2(a.g2, b.g2))
             )
             sig = SignalParams.from_db(s.p_db)
             assert s.legit_rate == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
@@ -292,8 +293,9 @@ class TestStackedSweep:
         seven = self.run(cfg, 7, mode)
         for threads in (2, 3):
             assert _sample_bytes(self.run(cfg, 7, mode, threads)) == _sample_bytes(seven)
-        monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", 2)
-        assert _sample_bytes(self.run(cfg, 7, mode)) == _sample_bytes(seven)
+        for cap in (2, 1):  # chunks of two trials, then stacks of one
+            monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
+            assert _sample_bytes(self.run(cfg, 7, mode)) == _sample_bytes(seven)
         first_three = [s for s in seven if s.trial < 3]
         assert _sample_bytes(self.run(cfg, 3, mode)) == _sample_bytes(first_three)
 
@@ -424,6 +426,51 @@ class TestFailureAddress:
         config = AntennaConfig(2, 2, 3, 1)
         with pytest.raises(InvalidMatrix, match=re.escape(f"{config} seed 2: stack member 2: h2")):
             verify.check_config(config, 4)
+
+    def test_check_config_writes_one_line_per_failing_seed(self, monkeypatch):
+        # The gates compare all seeds at once; each failing seed still gets
+        # its own line naming every check it failed.
+        real = verify.leakage_rank
+
+        def off_at_seed_1(ch, pre):
+            ranks = real(ch, pre).copy()
+            ranks[1] += 1
+            return ranks
+
+        monkeypatch.setattr(verify, "leakage_rank", off_at_seed_1)
+        config = AntennaConfig(2, 2, 3, 2)  # aligned jamming only: no nullspace residual
+        _, failures = verify.check_config(config, 3)
+        assert failures == [f"{config} seed 1: leakage rank 3 != 2"]
+        monkeypatch.setattr(verify, "NULLSPACE_RESIDUAL_MAX", -1.0)
+        _, failures = verify.check_config(config, 3)
+        assert failures == [
+            f"{config} seed 0: nullspace residual 0.00e+00",
+            f"{config} seed 1: nullspace residual 0.00e+00; leakage rank 3 != 2",
+            f"{config} seed 2: nullspace residual 0.00e+00",
+        ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stacked_rate_failure_names_its_trial(self, threads, monkeypatch, uncapped_workers):
+        # An inf entry in each of trial 3's eavesdropper matrices gives NaN
+        # singular values, and so NaN rates, for that trial alone: a stacked
+        # SVD does not fail the whole chunk on an inf member.  NumPy warns
+        # about the products with inf before the rates fail.
+        real = simulate.channel_uses
+
+        def poisoned(config, trial_ch, rngs, *args):
+            seen = real(config, trial_ch, rngs, *args)
+            trials = [rng.stream_id[0] for rng in rngs]
+            if 3 in trials:
+                g1 = seen.g1.copy()
+                g1[trials.index(3), :, 0, 0] = np.inf
+                seen = dataclasses.replace(seen, g1=g1)
+            return seen
+
+        monkeypatch.setattr(simulate, "channel_uses", poisoned)
+        config = AntennaConfig(2, 2, 3, 2)
+        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NumericalFailure) as exc:
+            sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.TIME_VARYING, threads=threads)
+        assert f"{config} trial 3 master seed 11:" in str(exc.value)
 
     def test_rate_failure_names_trial_and_seed(self):
         # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows.

@@ -15,7 +15,7 @@ run's exit code and final JSON line are kept.  The record,
 per end-to-end metric, the medians, the parent's interquartile range, the
 change's percent difference and in how many of all the pairs the change
 was better; a run that exits nonzero or prints no result is listed as
-crashed and loses its pair.  Nothing under ``perfbench/`` is written.
+crashed, loses its pair and stays out of the medians.  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -94,19 +94,23 @@ def crashed(run: dict) -> bool:
 def summarize(parent_runs, change_runs, metrics) -> dict:
     """Medians, the parent's IQR, percent change and pair wins per end-to-end metric.
 
-    Medians and quartiles are over the runs that reported the metric; wins
-    count out of all pairs, and a pair is a win only when both runs
-    reported the metric and the change's value is better.  ``failed`` sums
-    the failed operations the runs reported, and ``crashed`` lists the
-    pairs whose run on each side crashed.
+    Medians and quartiles are over the runs that did not crash and
+    reported the metric; wins count out of all pairs, and a pair is a win
+    only when neither run crashed, both reported the metric and the
+    change's value is better.  ``failed`` sums the failed operations the
+    runs reported, and ``crashed`` lists the pairs whose run on each side
+    crashed.
     """
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        before = [r[name] for r in parent_runs if name in r]
-        after = [r[name] for r in change_runs if name in r]
+        before = [r[name] for r in parent_runs if name in r and not crashed(r)]
+        after = [r[name] for r in change_runs if name in r and not crashed(r)]
         wins = sum(
-            name in p and name in c and ((c[name] < p[name]) if lower else (c[name] > p[name]))
+            not (crashed(p) or crashed(c))
+            and name in p
+            and name in c
+            and ((c[name] < p[name]) if lower else (c[name] > p[name]))
             for p, c in zip(parent_runs, change_runs)
         )
         entry = {
@@ -178,9 +182,10 @@ def main(argv=None) -> int:
             "alternating which side runs first; the parent ran from a `git archive` copy of its "
             "commit, the change from a copy of the working tree (tools/bench_pairs.py). Quartiles use "
             "statistics.quantiles(n=4, method='inclusive'). Times are perfbench reference seconds. "
-            "A pair is a win when both runs reported the metric and the change's value is "
-            "better; wins count out of all pairs, and `crashed` lists the pairs whose run "
-            "exited nonzero or printed no result."
+            "A pair is a win when neither run crashed, both reported the metric and the "
+            "change's value is better; wins count out of all pairs, medians leave crashed "
+            "runs out, and `crashed` lists the pairs whose run exited nonzero or printed no "
+            "result."
         ),
         "parent_commit": parent_commit,
         "change": args.change,
