@@ -29,7 +29,7 @@ from sdoflab.sdof import Regime, _case_value
 
 GRID_DB = [60.0, 70.0, 80.0, 90.0, 100.0]
 WINDOW_DB = (60.0, 100.0)
-TRIALS = 30
+TRIALS = 120
 MASTER_SEED = 20240
 
 # Slope targets hand-derived from the closed form
