@@ -2,12 +2,20 @@
 
 Every function here works on a stack of trials: it takes one ``RngStream``
 per trial and returns matrices with a leading trial axis.  A trial draws
-its channels once, at address (trial, 0); ``channel_uses`` gives the
-channels a precoder set sees in a run of channel uses, redrawing a
-time-varying eavesdropper for slot s of use k at (trial, 2k + s).  All
-draws are pure functions of (master seed, trial index, address), so a
-trial's draws do not depend on its stack, and trials can run in any
-order or in parallel with identical results.
+its complex channels once, at address (trial, 0); ``channel_uses`` gives
+the channels a precoder set sees in a run of channel uses, redrawing a
+time-varying eavesdropper for use k at (trial, 2k).  All draws are pure
+functions of (master seed, trial index, address), so a trial's draws do
+not depend on its stack, and trials can run in any order or in parallel
+with identical results.
+
+Signals are real-valued (asymmetric complex signalling): a precoder acts
+on ``real_form`` of each complex channel, [[Re H, -Im H], [Im H, Re H]],
+the map of one channel use on the real and imaginary parts of its input.
+A half-integer stream count is then a whole number of real streams, so
+every allocation is realized in a single channel use.  ``real_form`` is
+the one place a channel enters the library: it rejects non-finite
+entries and empty stacks.
 
 Every address seeds its own PCG64 generator from NumPy's ``SeedSequence``
 of the master seed and a spawn key (domain, trial[, use]).  A batch of at
@@ -31,6 +39,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .sdof import AntennaConfig
+from .subspaces import as_matrix
 
 __all__ = [
     "EveMode",
@@ -39,6 +48,7 @@ __all__ = [
     "ChannelRealization",
     "sample_channels",
     "channel_uses",
+    "real_form",
 ]
 
 # Seed-sequence domains; kept distinct so legitimate, eavesdropper and
@@ -257,14 +267,13 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """The four channel matrices of a stack of trials.
+    """The four complex channel matrices of a stack of trials.
 
     h1 (trials, n, m1) and h2 (trials, n, m2) connect the transmitters to
     the legitimate receiver; g1 (trials, n_e, m1) and g2 (trials, n_e, m2)
     connect them to the eavesdropper.  n_e may be zero, giving empty g
-    matrices.  On the slot space of a two-slot set (``channel_uses``) each
-    matrix is block diagonal by slot, and g1 and g2 carry a channel-use axis
-    after the trial axis.
+    matrices.  In the realizations of ``channel_uses``, g1 and g2 carry a
+    channel-use axis after the trial axis.
     """
 
     h1: np.ndarray
@@ -316,58 +325,47 @@ def sample_channels(
     return ChannelRealization(h1, h2, g1, g2)
 
 
-def _on_slots(m: np.ndarray, slots: int) -> np.ndarray:
-    """A per-slot matrix (or stack) held over the slots of a ``slots``-slot set."""
-    return slot_extend(m) if slots == 2 else m
-
-
 def channel_uses(
     config: AntennaConfig,
     trial_ch: ChannelRealization,
     trial_rngs: Sequence[RngStream],
     uses: Sequence[int],
     mode: EveMode,
-    slots: int,
 ) -> ChannelRealization:
-    """The realizations a ``slots``-slot precoder set sees in channel uses ``uses``, per trial.
+    """The realizations a precoder set sees in channel uses ``uses``, per trial.
 
     ``trial_ch`` is ``sample_channels(config, trial_rngs, mode)``, each
     stream at address (trial, 0), and ``uses`` is nonempty and strictly
-    increasing.  Every matrix of the result is on the slot space, with a
-    leading trial axis; g1 and g2 also carry a use axis after it.  The
-    legitimate matrices are the trials', held over both slots.  A static
-    eavesdropper is too, on a use axis of length 1 that broadcasts over
-    ``uses``.  A time-varying one has one entry per use of ``uses``: slot s
-    of use k holds fresh CN(0, 1) eavesdropper matrices drawn at address
-    (trial, 2k + s), where (trial, 0) is the trial draw, and every fresh
-    draw of the stack is seeded in one batch.
+    increasing.  Every matrix of the result has a leading trial axis; g1
+    and g2 also carry a use axis after it.  The legitimate matrices are
+    the trials'.  A static eavesdropper is too, on a use axis of length 1
+    that broadcasts over ``uses``.  A time-varying one has one entry per
+    use of ``uses``: use k holds fresh CN(0, 1) eavesdropper matrices
+    drawn at address (trial, 2k), where (trial, 0) is the trial draw, and
+    every fresh draw of the stack is seeded in one batch.
     """
     if any(r.stream_id[1] != 0 for r in trial_rngs):
         raise ValueError("trial_rngs must address channel use 0 of their trials")
     trials, uses = len(trial_rngs), list(uses)
     if not uses or any(b <= a for a, b in zip(uses, uses[1:])):
         raise ValueError("uses must be a nonempty, strictly increasing sequence")
-    h1, h2 = _on_slots(trial_ch.h1, slots), _on_slots(trial_ch.h2, slots)
     if not mode.varies_per_use:
-        g1, g2 = _on_slots(trial_ch.g1, slots), _on_slots(trial_ch.g2, slots)
-        return ChannelRealization(h1, h2, g1[:, None], g2[:, None])
-    addresses = [2 * use + s for use in uses for s in range(slots)]
-    held = addresses[0] == 0  # address (trial, 0) is the trial draw
-    new = addresses[held:]
-    per_address = [[g[:, None]] if held else [] for g in (trial_ch.g1, trial_ch.g2)]
+        return ChannelRealization(trial_ch.h1, trial_ch.h2, trial_ch.g1[:, None], trial_ch.g2[:, None])
+    held = uses[0] == 0  # address (trial, 0) is the trial draw
+    # Use k draws at (trial, 2k) and the odd addresses stay unused, so the
+    # pinned draws (DRAW_DIGEST in the tests), and the Monte Carlo results
+    # that rest on them, keep their values.
+    new = [2 * use for use in uses[held:]]
+    per_use = [[g[:, None]] if held else [] for g in (trial_ch.g1, trial_ch.g2)]
     if new:
         keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
         seeds = [r.master_seed for r in trial_rngs for _ in new]
         gens = _generators(seeds, keys)
         drawn = _complex_gaussian_pairs(gens, len(keys), config.n_e, config.m1, config.m2)
-        for parts, fresh in zip(per_address, drawn):
+        for parts, fresh in zip(per_use, drawn):
             parts.append(fresh.reshape(trials, len(new), *fresh.shape[1:]))
-    blocks = []
-    for parts in per_address:
-        g = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        g = g.reshape(trials, len(uses), slots, *g.shape[2:])
-        blocks.append(g[:, :, 0] if slots == 1 else slot_extend(g[:, :, 0], g[:, :, 1]))
-    return ChannelRealization(h1, h2, *blocks)
+    g1, g2 = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1) for parts in per_use)
+    return ChannelRealization(trial_ch.h1, trial_ch.h2, g1, g2)
 
 
 def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
@@ -376,21 +374,21 @@ def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
     return list(_generators([r.master_seed for r in rngs], keys))
 
 
-def slot_extend(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
-    """Two-slot block-diagonal extension diag(first, second) of a per-slot matrix.
+def real_form(stack, name: str) -> np.ndarray:
+    """The real representation [[Re A, -Im A], [Im A, Re A]] of every complex matrix of a stack.
 
-    ``second`` defaults to ``first``: the matrix is held fixed across both
-    slots.  Pass the second slot's draw for a channel that changes between
-    them.  Stacks of matrices, with equal leading axes, extend member by
-    member.
+    ``stack`` is a (trials, ..., rows, cols) array of channel matrices: a
+    draw (trials, rows, cols) or the realizations of ``channel_uses``
+    (trials, uses, rows, cols).  The result is float64, (trials, ...,
+    2 rows, 2 cols), and maps the stacked real and imaginary parts of an
+    input to those of the output.  InvalidMatrix means the stack is empty,
+    has a matrix without rows, or has a non-finite entry, in which case
+    the error's ``member`` names the trial.
     """
-    if second is None:
-        second = first
-    rows, cols = first.shape[-2:]
-    out = np.zeros(
-        first.shape[:-2] + (rows + second.shape[-2], cols + second.shape[-1]),
-        dtype=np.result_type(first, second),
-    )
-    out[..., :rows, :cols] = first
-    out[..., rows:, cols:] = second
+    a = as_matrix(stack, name, stack=True)
+    rows, cols = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * rows, 2 * cols))
+    out[..., :rows, :cols] = out[..., rows:, cols:] = a.real
+    out[..., rows:, :cols] = a.imag
+    np.negative(a.imag, out=out[..., :rows, cols:])
     return out

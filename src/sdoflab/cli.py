@@ -32,7 +32,7 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import _resolve_threads, estimate_dof, per_stream_powers, sweep
+from .simulate import _resolve_threads, _stream_snrs, estimate_dof, sweep
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
@@ -165,10 +165,9 @@ def cmd_sdof(args) -> int:
             return "none"
         return ", ".join(f"{method.value} {count}" for method, count in entries)
 
-    extension = "; two-slot extension" if alloc.needs_two_slot else ""
     print(
         f"allocation: tx1 [{side(alloc.tx1)}], tx2 [{side(alloc.tx2)}], "
-        f"j_s = {alloc.j_s}, d1 = {alloc.d1}, d2 = {alloc.d2}{extension}"
+        f"j_s = {alloc.j_s}, d1 = {alloc.d1}, d2 = {alloc.d2}"
     )
     return 0
 
@@ -185,12 +184,11 @@ def cmd_design(args) -> int:
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
     pre = build_precoders(config, ch, alloc, rngs)
-    seen = channel_uses(config, ch, rngs, [0], mode, pre.slots)
+    seen = channel_uses(config, ch, rngs, [0], mode)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
         "seed": args.seed,
         "mode": mode.value,
-        "slots": pre.slots,
         "sdof": str(sum_sdof(config)),
         "allocation": {
             "tx1": [[m.value, str(c)] for m, c in alloc.tx1],
@@ -198,7 +196,6 @@ def cmd_design(args) -> int:
             "j_s": str(alloc.j_s),
             "d1": str(alloc.d1),
             "d2": str(alloc.d2),
-            "needs_two_slot": alloc.needs_two_slot,
             "audit_passed": audit.ok,
             "audit": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -362,12 +359,11 @@ def _validate_run(settings) -> _RunPlan:
         threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    # ... and so must the per-stream powers it splits into.
+    # ... and so must the per-stream signal-to-noise ratios it splits into.
     alloc = allocate_jamming(config)
-    slots = alloc.slots
-    powers = per_stream_powers(slots, alloc.d_total * slots, alloc.total_streams * slots, top)
-    if not all(math.isfinite(power) for power in powers):
-        raise _UsageError(f"per-stream power at {grid[-1]} dB is past the float range")
+    snrs = _stream_snrs(int(2 * alloc.d_total), int(2 * alloc.total_streams), [top])
+    if not np.isfinite(snrs).all():
+        raise _UsageError(f"per-stream SNR at {grid[-1]} dB is past the float range")
     covered = sum(1 for p in grid if lo <= p <= hi)
     if covered < 3:
         raise _UsageError(

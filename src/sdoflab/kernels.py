@@ -1,11 +1,11 @@
 """The log-determinant kernel behind every rate evaluation, over a power grid.
 
-A rate at power p is ``log2 det(I + p E E^H)`` for a unit-power matrix E,
-so one SVD of E serves every grid point.  The rate functions pass one
-stack per chunk of trials, shaped (trials, 1 | grid, rows, cols): a length-1
-axis holds one matrix per trial over the whole grid, a grid axis holds
-one matrix per grid point.  ``BACKEND`` names the implementation so run
-manifests can record it.
+A rate at power p is ``log2 det(I + p E E^H)`` for a unit-power real or
+complex matrix E, so one SVD of E serves every grid point.  The rate
+functions pass one real stack per chunk of trials, shaped (trials, 1 |
+grid, rows, cols): a length-1 axis holds one matrix per trial over the
+whole grid, a grid axis holds one matrix per grid point.  ``BACKEND``
+names the implementation so run manifests can record it.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ __all__ = ["BACKEND", "logdet_eye_plus_gram"]
 def logdet_eye_plus_gram(e, powers) -> np.ndarray:
     """log2 det(I + p_k E E^H) at every power p_k of a grid.
 
-    ``e`` is one complex (n, k) matrix, held over the grid, or a stack
-    whose axis next to the matrix axes has length 1 (a matrix held over
+    ``e`` is one real or complex (n, k) matrix, held over the grid, or a
+    stack whose axis next to the matrix axes has length 1 (a matrix held over
     the grid) or the grid's length (one matrix per grid point), after any
     leading axes: ``simulate`` passes (trials, 1 | grid, n, k).  ``powers``
     is the 1-D grid of nonnegative scale factors.  Returns the leading
@@ -32,7 +32,7 @@ def logdet_eye_plus_gram(e, powers) -> np.ndarray:
     A zero power gives exactly 0, and an empty matrix gives zeros of the
     grid's shape, which broadcast against the stack's.
     """
-    e = np.asarray(e, dtype=np.complex128)
+    e = np.asarray(e)
     powers = np.asarray(powers, dtype=float)
     if e.shape[-2] == 0 or e.shape[-1] == 0:
         return np.zeros(powers.shape)

@@ -6,12 +6,13 @@ and completed with orthonormal legitimate columns.  The receiver-side
 post-processor is the orthogonal projector onto the complement of the
 received jamming columns.
 
-Two-slot allocations (half-integer stream counts) are realized on a
-slot-doubled block-diagonal channel, where every count becomes integral.
-The doubled aligned directions are built as explicitly slot-balanced
-mixtures of the per-slot intersection basis: a slot-pure doubled basis
-would leave one slot's eavesdropper under-jammed, so each aligned column
-carries equal energy in both slots by construction.
+Precoders are real-valued and act on the real form of each complex
+channel (``channel.real_form``), so an allocation count c is 2c real
+streams: half-integer counts are whole numbers of real streams in one
+channel use.  An aligned pair hits one real receive direction from both
+transmitters, while the eavesdropper, whose channel generically rotates
+the two streams by different complex gains, sees them apart; every
+allocation therefore jams the eavesdropper fully, static or not.
 
 The build runs on a stack of trials and returns one set for the stack:
 every matrix carries a leading trial axis, as do the channels it was built
@@ -28,11 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, RngStream, jamming_generators, slot_extend
+from .channel import ChannelRealization, RngStream, jamming_generators, real_form
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import AntennaConfig, JammingAllocation, JammingMethod
 from .subspaces import (
-    as_matrix,
     complement_projector,
     complete_orthonormal,
     intersect,
@@ -66,13 +66,11 @@ class BuildReport:
 class PrecoderSet:
     """Precoders for both transmitters plus the receiver post-processor, per trial.
 
-    Every matrix carries a leading trial axis.  For ``slots == 1`` the
-    shapes are v1_l: (trials, m1, d1), v1_j: (trials, m1, j_tx1), likewise
-    for transmitter two, and u is the (trials, n, n) zero-forcing
-    projector.  For ``slots == 2`` every matrix lives on the slot-stacked
-    spaces (rows doubled, stream counts doubled) and rate evaluations
-    normalize per slot.  ``report`` holds the residuals and ranks the
-    build measured on each trial.
+    Every matrix is real, in real dimensions, with a leading trial axis:
+    v1_l is (trials, 2 m1, 2 d1), v1_j (trials, 2 m1, 2 j_tx1), likewise
+    for transmitter two, and u is the (trials, 2 n, 2 n) zero-forcing
+    projector.  ``report`` holds the residuals and ranks the build
+    measured on each trial.
     """
 
     v1_l: np.ndarray
@@ -80,19 +78,16 @@ class PrecoderSet:
     v2_l: np.ndarray
     v2_j: np.ndarray
     u: np.ndarray
-    slots: int
     report: BuildReport
 
 
 def _haar_columns(m: int, streams: int, gens) -> np.ndarray:
-    """One Haar-random m x streams isometry per generator, stacked in their order."""
+    """One Haar-random real m x streams isometry per generator, stacked in their order."""
     if streams > m:
-        raise DimensionMismatch(f"cannot place {streams} random streams on {m} antennas")
-    w = np.array([g.standard_normal((2, m, streams)) for g in gens])
-    q, r = np.linalg.qr(w[:, 0] + 1j * w[:, 1])
-    # Fixing the R-diagonal phases makes the column distribution Haar.
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+        raise DimensionMismatch(f"cannot place {streams} random streams on {m} dimensions")
+    q, r = np.linalg.qr(np.array([g.standard_normal((m, streams)) for g in gens]))
+    # Fixing the R-diagonal signs makes the column distribution Haar.
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
@@ -105,45 +100,21 @@ def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
     return ns[..., :streams]
 
 
-def _aligned_targets(q1: np.ndarray, q2: np.ndarray, pairs: int, slots: int) -> np.ndarray:
+def _aligned_targets(q1: np.ndarray, q2: np.ndarray, pairs: int) -> np.ndarray:
     """Orthonormal receive directions that both transmitters' aligned jamming hits.
 
-    ``q1`` and ``q2`` are orthonormal bases of one slot's received signal
-    spaces, the column spaces of h1 and h2 (stacks allowed).  They
-    intersect in c_0, c_1, ..., which generically has positive dimension
-    only when m1 + m2 > n.  One slot takes the first ``pairs`` of these.
-    Two slots alternate (c_j; c_j)/sqrt(2) and (c_j; -c_j)/sqrt(2) on the
-    doubled receive space: any prefix of that list is orthonormal and gives
-    every transmitter full-rank jamming in each slot.
+    ``q1`` and ``q2`` are orthonormal bases of the received signal spaces,
+    the column spaces of h1 and h2 (stacks allowed).  The first ``pairs``
+    columns of a basis of their intersection, which generically has
+    positive dimension only when m1 + m2 > n.
     """
     base = intersect(q1, q2)
-    if pairs > slots * base.shape[-1]:
+    if pairs > base.shape[-1]:
         raise InfeasibleAllocation(
-            f"received signal spaces intersect in {base.shape[-1]} dimensions per slot, "
-            f"cannot align {pairs} streams over {slots} slot(s)"
+            f"received signal spaces intersect in {base.shape[-1]} real dimensions, "
+            f"cannot align {pairs} real streams"
         )
-    if slots == 1:
-        return base[..., :pairs]
-    t = np.arange(pairs)
-    c = base[..., t // 2]
-    signed = np.where(t % 2 == 0, 1.0, -1.0) * c
-    return np.concatenate([c, signed], axis=-2) * (1.0 / np.sqrt(2.0))
-
-
-def _solve_per_slot(h_slot: np.ndarray, targets: np.ndarray, factors) -> np.ndarray:
-    """Minimum-norm V with ``h @ V = targets``, h the one- or two-slot channel of ``h_slot``.
-
-    The two-slot channel diag(h_slot, h_slot) is block diagonal, so its
-    minimum-norm solution is each slot's half of ``targets`` solved through
-    ``h_slot`` alone: one solve with both halves side by side.
-    """
-    n = h_slot.shape[-2]
-    if targets.shape[-2] == n:
-        return solve_into(h_slot, targets, factors)
-    pairs = targets.shape[-1]
-    side_by_side = np.concatenate([targets[..., :n, :], targets[..., n:, :]], axis=-1)
-    v = solve_into(h_slot, side_by_side, factors)
-    return np.concatenate([v[..., :pairs], v[..., pairs:]], axis=-2)
+    return base[..., :pairs]
 
 
 def _max_abs(mat: np.ndarray) -> np.ndarray:
@@ -168,25 +139,26 @@ def build_precoders(
     Jamming blocks are built per method, stacked, and re-orthonormalized
     within each transmitter; legitimate columns are an orthonormal
     completion against the jamming columns; the post-processor u is the
-    complement projector of the received jamming.  ``ch.h1`` and ``ch.h2``
-    carry a leading trial axis (``sample_channels``) and ``rngs`` holds one
-    ``RngStream`` per trial; so does every matrix of the result, and its
-    ``report`` records each trial's residuals and ranks.  Every SVD and QR
-    runs once over the whole stack, and each trial draws its random
-    directions from its own generator (``jamming_generators``) in a fixed
-    order (transmitter one's random block, transmitter two's, then the
-    legitimate completions of one and two), so a trial's member is bit for
-    bit the same in any stack, alone or not.
+    complement projector of the received jamming, all real and built on
+    the real forms of ``ch.h1`` and ``ch.h2``.  Those carry a leading trial
+    axis (``sample_channels``) and ``rngs`` holds one ``RngStream`` per
+    trial; so does every matrix of the result, and its ``report`` records
+    each trial's residuals and ranks.  Every SVD and QR runs once over the
+    whole stack, and each trial draws its random directions from its own
+    generator (``jamming_generators``) in a fixed order (transmitter one's
+    random block, transmitter two's, then the legitimate completions of
+    one and two), so a trial's member is bit for bit the same in any
+    stack, alone or not.
 
     InfeasibleAllocation propagates from the per-method constructors when
     the allocation does not fit the channel (which for generic channels
     indicates an allocation/configuration mismatch, not bad luck).
-    InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a finite stack of
-    matrices.  A trial whose channel has a non-generic rank fails the stack
-    with NumericalFailure; the error's ``member`` names it.
+    InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a finite, nonempty
+    stack of matrices.  A trial whose channel has a non-generic rank fails
+    the stack with NumericalFailure; the error's ``member`` names it.
     """
-    h1 = as_matrix(ch.h1, "h1", stack=True)
-    h2 = as_matrix(ch.h2, "h2", stack=True)
+    h1 = real_form(ch.h1, "h1")
+    h2 = real_form(ch.h2, "h2")
     if not len(h1) == len(h2) == len(rngs):
         raise DimensionMismatch(
             f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
@@ -194,43 +166,36 @@ def build_precoders(
     return _build_stack(h1, h2, alloc, jamming_generators(rngs))
 
 
-def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSet:
-    """``build_precoders`` on validated (trials, n, m) channel stacks, one generator per trial."""
-    slots = alloc.slots
-    h1 = slot_extend(h1_slot) if slots == 2 else h1_slot
-    h2 = slot_extend(h2_slot) if slots == 2 else h2_slot
+def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
+    """``build_precoders`` on the real forms of validated channel stacks, one generator per trial."""
 
-    def scaled(count) -> int:
-        value, rest = divmod(count.numerator * slots, count.denominator)
-        if rest:
-            raise InfeasibleAllocation(f"stream count {count} not integral over {slots} slot(s)")
-        return value
+    def real_streams(count) -> int:
+        return int(2 * count)
 
-    aligned_pairs = scaled(alloc.method_streams(1, JammingMethod.ALIGNED))
-    if aligned_pairs != scaled(alloc.method_streams(2, JammingMethod.ALIGNED)):
+    aligned_pairs = real_streams(alloc.method_streams(1, JammingMethod.ALIGNED))
+    if aligned_pairs != real_streams(alloc.method_streams(2, JammingMethod.ALIGNED)):
         raise InfeasibleAllocation("aligned stream counts must match across transmitters")
 
-    # One SVD per channel serves its received basis, its aligned solve
-    # and, on one slot, its nullspace block.  A two-slot nullspace block
-    # factors the slot-space channel itself.
-    def factored(h_slot, entries):
-        nulls = slots == 1 and any(m is JammingMethod.NULLSPACE and c for m, c in entries)
-        return svd(h_slot) if aligned_pairs or nulls else None
+    # One SVD per channel serves its received basis, its aligned solve and
+    # its nullspace block.
+    def factored(h, entries):
+        nulls = any(m is JammingMethod.NULLSPACE and c for m, c in entries)
+        return svd(h) if aligned_pairs or nulls else None
 
-    f1 = factored(h1_slot, alloc.tx1)
-    f2 = factored(h2_slot, alloc.tx2)
+    f1 = factored(h1, alloc.tx1)
+    f2 = factored(h2, alloc.tx2)
 
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
     # columns are not orthonormal; assembly re-orthonormalizes them within
     # each transmitter, an invertible mix that keeps every rank count.
     if aligned_pairs:
-        bases = orthonormal_basis(h1_slot, f1), orthonormal_basis(h2_slot, f2)
-        targets = _aligned_targets(*bases, aligned_pairs, slots)
-        v1_aligned = _solve_per_slot(h1_slot, targets, f1)
-        v2_aligned = _solve_per_slot(h2_slot, targets, f2)
+        bases = orthonormal_basis(h1, f1), orthonormal_basis(h2, f2)
+        targets = _aligned_targets(*bases, aligned_pairs)
+        v1_aligned = solve_into(h1, targets, f1)
+        v2_aligned = solve_into(h2, targets, f2)
         alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
     else:
-        targets = np.zeros(h1.shape[:-1] + (0,), dtype=np.complex128)
+        targets = np.zeros(h1.shape[:-1] + (0,))
         v1_aligned = v2_aligned = None  # no transmitter has an aligned block
         alignment_residual = np.zeros(len(gens))
 
@@ -246,7 +211,7 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSe
         nonlocal nullspace_residual
         blocks = []
         for method, count in entries:
-            k = scaled(count)
+            k = real_streams(count)
             if k == 0:
                 continue
             if method is JammingMethod.NULLSPACE:
@@ -260,12 +225,12 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSe
                 visible_received.append(h_tx @ block)
                 blocks.append(block)
         if not blocks:
-            return np.zeros(h_tx.shape[:-2] + (h_tx.shape[-1], 0), dtype=np.complex128)
+            return np.zeros(h_tx.shape[:-2] + (h_tx.shape[-1], 0))
         q, _ = np.linalg.qr(_hstack(blocks))
         return q
 
-    v1_j = assemble(alloc.tx1, h1, f1 if slots == 1 else None, v1_aligned)
-    v2_j = assemble(alloc.tx2, h2, f2 if slots == 1 else None, v2_aligned)
+    v1_j = assemble(alloc.tx1, h1, f1, v1_aligned)
+    v2_j = assemble(alloc.tx2, h2, f2, v2_aligned)
     del f1, f2  # the factors are among a long stack's largest arrays
 
     received_jam = _hstack([h1 @ v1_j, h2 @ v2_j])
@@ -283,19 +248,19 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSe
                 f"jamming columns on {antennas} antenna dimensions"
             )
         if d_cols == 0:
-            return np.zeros(vj.shape[:-2] + (antennas, 0), dtype=np.complex128)
+            return np.zeros(vj.shape[:-2] + (antennas, 0))
         comp = complete_orthonormal(vj, comp_dim)
         comp = comp @ _haar_columns(comp_dim, comp_dim, gens)
         return comp[..., :d_cols]
 
-    v1_l = legit_completion(v1_j, scaled(alloc.d1))
-    v2_l = legit_completion(v2_j, scaled(alloc.d2))
+    v1_l = legit_completion(v1_j, real_streams(alloc.d1))
+    v2_l = legit_completion(v2_j, real_streams(alloc.d2))
 
     unitarity_residual = np.zeros(len(gens))
     for vl, vj in ((v1_l, v1_j), (v2_l, v2_j)):
         stacked = _hstack([vl, vj])
         if stacked.shape[-1]:
-            gram = stacked.conj().swapaxes(-1, -2) @ stacked
+            gram = stacked.swapaxes(-1, -2) @ stacked
             unitarity_residual = np.maximum(
                 unitarity_residual, _max_abs(gram - np.eye(stacked.shape[-1]))
             )
@@ -312,7 +277,7 @@ def _build_stack(h1_slot, h2_slot, alloc: JammingAllocation, gens) -> PrecoderSe
         u_rank,
         legit_rank,
     )
-    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, slots, report)
+    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, report)
 
 
 # perfbench/workloads.ENTRY_POINTS still names this; drop it there first (ROADMAP item 6).
@@ -322,19 +287,17 @@ _build_with_report = build_precoders
 def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> np.ndarray:
     """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j], per trial and use.
 
-    Generically equals min(n_e, total jamming streams), which the
-    allocations make n_e: the jamming overwhelms the full eavesdropper
-    space.  ``ch`` is on the precoders' slot space (``channel_uses``), so a
-    fully jammed two-slot set has rank 2 n_e.  That needs per-slot
-    eavesdropper draws: against a static eavesdropper a cross-slot aligned
-    pair's images can coincide (the gap that exact fractional alignment
-    would close).  Returns a (trials, uses) int array from one stacked
-    rank decision.  InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a
-    finite (trials, uses, rows, cols) stack; its ``member`` counts the
-    matrices in trial-major order.
+    The products are taken on the real forms of g1 and g2, so the rank
+    counts real dimensions.  It generically equals 2 min(n_e, total
+    jamming streams), which the allocations make 2 n_e: the jamming
+    overwhelms the full eavesdropper space, against a static eavesdropper
+    as against a time-varying one.  ``ch`` holds a (trials, uses, n_e, m)
+    stack of each eavesdropper channel (``channel_uses``).  Returns a
+    (trials, uses) int array from one stacked rank decision.
+    InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a finite stack; its
+    ``member`` names the trial.
     """
     if ch.g1.shape[-2] == 0:
         return np.zeros(ch.g1.shape[:-2], dtype=int)
-    g1 = as_matrix(ch.g1.reshape(-1, *ch.g1.shape[-2:]), "g1", stack=True).reshape(ch.g1.shape)
-    g2 = as_matrix(ch.g2.reshape(-1, *ch.g2.shape[-2:]), "g2", stack=True).reshape(ch.g2.shape)
+    g1, g2 = real_form(ch.g1, "g1"), real_form(ch.g2, "g2")
     return ranks(np.concatenate([g1 @ pre.v1_j[:, None], g2 @ pre.v2_j[:, None]], axis=-1))

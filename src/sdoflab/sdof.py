@@ -25,10 +25,10 @@ transmitter and method:
 The allocator spends the ``n_e`` mandatory jamming streams greedily in
 that order (cheapest at the receiver first), which reproduces the
 closed-form value for every configuration; ``audit_allocation`` checks
-the accounting identities exactly.  When the aligned budget comes out
-half-integer the allocation is flagged ``needs_two_slot`` and all stream
-counts are per-slot averages of a two-slot time extension (realized
-downstream on a slot-doubled channel, where every count is integral).
+the accounting identities exactly.  The aligned budget, and with it
+other counts, can come out half-integer: every count c is realized
+downstream as 2c real-valued streams on the real form of one complex
+channel use, where it is integral.
 """
 
 from __future__ import annotations
@@ -142,10 +142,9 @@ class JammingMethod(Enum):
 class JammingAllocation:
     """Per-transmitter jamming budgets plus the legitimate stream split.
 
-    Stream counts are exact rationals; they are per-slot averages when
-    ``needs_two_slot`` is set (each aligned count then realizes an odd
-    number of streams over a two-slot extension) and plain integers
-    otherwise.  ``j_s`` is the number of receiver dimensions the jamming
+    Stream counts are exact rationals, integers or halves of odd
+    integers, counted in complex dimensions (a count c is 2c real
+    streams).  ``j_s`` is the number of receiver dimensions the jamming
     occupies; ``d1``/``d2`` are the legitimate stream counts.
     """
 
@@ -154,7 +153,6 @@ class JammingAllocation:
     j_s: Fraction
     d1: Fraction
     d2: Fraction
-    needs_two_slot: bool = False
 
     def streams(self, tx: int) -> Fraction:
         """Total jamming streams sent by transmitter ``tx`` (1 or 2)."""
@@ -172,11 +170,6 @@ class JammingAllocation:
     @property
     def d_total(self) -> Fraction:
         return self.d1 + self.d2
-
-    @property
-    def slots(self) -> int:
-        """Channel uses the precoders span: 2 with the two-slot extension, else 1."""
-        return 2 if self.needs_two_slot else 1
 
 
 def _pos(x: int) -> int:
@@ -298,7 +291,6 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
         d1 = min(Fraction(m1), total)
         nullspace1 = nullspace2 = aligned = random1 = random2 = Fraction(0)
         j_s = Fraction(0)
-        two_slot = False
     else:
         nullspace1 = Fraction(min(n_e, _pos(m1 - n)))
         nullspace2 = Fraction(min(n_e - nullspace1, _pos(m2 - n)))
@@ -308,7 +300,6 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
         antenna_cap1 = Fraction(m1) - nullspace1
         antenna_cap2 = Fraction(m2) - nullspace2
         aligned = min(rem / 2, intersection_cap, antenna_cap1, antenna_cap2)
-        two_slot = aligned.denominator == 2
 
         rem_random = rem - 2 * aligned
         random1 = min(rem_random, antenna_cap1 - aligned)
@@ -339,7 +330,7 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
     if swapped:
         tx1, tx2 = tx2, tx1
         d1, d2 = d2, d1
-    return JammingAllocation(tx1, tx2, j_s, d1, d2, two_slot)
+    return JammingAllocation(tx1, tx2, j_s, d1, d2)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,13 @@ Both per-stream powers are linear in p, so every effective matrix is a
 scale of its unit-power value, and one SVD per matrix gives its
 log-determinant at every grid point: one stacked SVD for the legitimate
 rate and one for each side of the leakage ratio, over the trials and,
-when the eavesdropper varies per channel use, the grid.  Rates are
-(trials, grid) arrays in bits per channel use (base-2 logs, averaged over
-slots for two-slot schemes).  Trials are independent work items keyed by
-(master seed, trial index), so the sweep can run them in any chunks on
-any number of threads with bit-identical results.
+when the eavesdropper varies per channel use, the grid.  Signals are real
+(``channel.real_form``) and noise is N(0, sigma2 / 2) per real dimension.
+Rates are (trials, grid) arrays in bits per real dimension, half the
+mutual information per complex channel use, so their slope against
+0.5 log2 P is the degrees of freedom.  Trials are independent work items
+keyed by (master seed, trial index), so the sweep can run them in any
+chunks on any number of threads with bit-identical results.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .channel import (
     RngStream,
     SignalParams,
     channel_uses,
+    real_form,
     sample_channels,
 )
 from .errors import InsufficientData, NumericalFailure, SdofLabError, located
@@ -90,12 +93,13 @@ def _logdet(e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     trial that has one.
     """
     try:
-        values = _kernels.logdet_eye_plus_gram(e, powers)
+        with np.errstate(over="ignore"):  # an overflowed scaled singular value is inf
+            values = _kernels.logdet_eye_plus_gram(e, powers)
     except (np.linalg.LinAlgError, ValueError) as exc:
         # A NaN entry fails the SVD of the whole stack.
         raise _failure(str(exc), ~np.isfinite(e).all(axis=(1, 2, 3))) from exc
     values = np.broadcast_to(values, e.shape[:1] + powers.shape)
-    # An overflowed power or scaled singular value gives inf or NaN.
+    # An overflowed SNR or scaled singular value gives inf or NaN.
     bad = ~np.isfinite(values)
     if bad.any():
         raise _failure(f"result is {values[bad][0]}", bad.any(axis=-1))
@@ -111,21 +115,18 @@ def _unit_blocks(channels, precoders) -> np.ndarray:
     return np.concatenate([ch @ v[:, None] for ch, v in zip(channels, precoders)], axis=-1)
 
 
-def per_stream_powers(
-    slots: int, legit_cols: int, jam_cols: int, sig: SignalParams
-) -> tuple[float, float]:
+def per_stream_powers(legit_cols: int, jam_cols: int, sig: SignalParams) -> tuple[float, float]:
     """Per-stream legitimate and jamming powers of a scheme at one power level.
 
     The legitimate budget (1 - alpha) p is split evenly over the
-    ``legit_cols`` legitimate streams and the jamming budget alpha p over
-    the ``jam_cols`` jamming streams, both counted on the slot space of a
-    ``slots``-slot scheme and normalized per channel use (slot).  Zero-stream
-    budgets give zero power.  An overflowed power is ``inf``.  Only
-    ``sig.p`` and ``sig.alpha`` are read: given as arrays, one entry per
-    grid point, they give each power as an array.
+    ``legit_cols`` legitimate real streams and the jamming budget alpha p
+    over the ``jam_cols`` jamming real streams, so the transmit covariances
+    have trace p per channel use.  Zero-stream budgets give zero power.
+    Only ``sig.p`` and ``sig.alpha`` are read: given as arrays, one entry
+    per grid point, they give each power as an array.
     """
-    p_legit = (1.0 - sig.alpha) * sig.p * slots / legit_cols if legit_cols else 0.0
-    p_jam = sig.alpha * sig.p * slots / jam_cols if jam_cols else 0.0
+    p_legit = (1.0 - sig.alpha) * sig.p / legit_cols if legit_cols else 0.0
+    p_jam = sig.alpha * sig.p / jam_cols if jam_cols else 0.0
     return p_legit, p_jam
 
 
@@ -137,61 +138,73 @@ class _Grid(NamedTuple):
     sigma2: np.ndarray
 
 
-def _grid_powers(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
-    """Per-stream (legitimate, jamming) powers of ``pre`` over the noise variance, (2, grid)."""
+def _stream_snrs(legit_cols: int, jam_cols: int, sigs: Sequence[SignalParams]) -> np.ndarray:
+    """Per-stream (legitimate, jamming) powers over the real noise variance sigma2 / 2, (2, grid).
+
+    These scale the unit-power log-determinants of the rates.  An
+    overflowed value is ``inf``.
+    """
     grid = _Grid(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in _Grid._fields))
-    counts = (
-        pre.slots,
-        pre.v1_l.shape[-1] + pre.v2_l.shape[-1],
-        pre.v1_j.shape[-1] + pre.v2_j.shape[-1],
-    )
-    with np.errstate(over="ignore"):  # an overflowed power is inf, as in floats
-        legit, jam = per_stream_powers(*counts, grid)
-    powers = np.empty((2, len(sigs)))
-    powers[0], powers[1] = legit, jam  # a zero-stream budget is a scalar 0.0
-    return powers / grid.sigma2
+    snrs = np.empty((2, len(sigs)))
+    with np.errstate(over="ignore"):  # an overflow is inf, as in floats
+        snrs[0], snrs[1] = per_stream_powers(legit_cols, jam_cols, grid)
+        return snrs / (0.5 * grid.sigma2)
+
+
+def _snrs(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
+    """``_stream_snrs`` of the real streams of ``pre``."""
+    legit_cols = pre.v1_l.shape[-1] + pre.v2_l.shape[-1]
+    return _stream_snrs(legit_cols, pre.v1_j.shape[-1] + pre.v2_j.shape[-1], sigs)
 
 
 def legit_rate(
     ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
 ) -> np.ndarray:
-    """Achievable legitimate sum rate after zero-forcing, in bits/channel use.
+    """Achievable legitimate sum rate after zero-forcing, in bits per real dimension.
 
     Returns a (trials, grid) array, one rate per trial of the stack and
-    grid point ``sigs[k]``: 0.5 * log2 det(I + U S_k U^H / sigma2) with S_k
-    the received legitimate signal covariance, averaged over slots, from
-    one stacked SVD of the unit-power effective matrices.  ``ch`` is on the
-    precoders' slot space (``channel_uses``).  Zero power, zero legitimate
-    streams or a zero projector all give exactly 0 bits.
+    grid point ``sigs[k]``: 0.25 * log2 det(I + (2 / sigma2) U H Q_k H^T U)
+    with H the real form of [h1 | h2] and Q_k the legitimate transmit
+    covariance, which is half the mutual information per complex channel
+    use, from one stacked SVD of the unit-power effective matrices.
+    ``ch`` holds the complex channels (``sample_channels`` or
+    ``channel_uses``); InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a
+    finite stack, and its ``member`` names the trial.  Zero power, zero
+    legitimate streams or a zero projector all give exactly 0 bits.
     """
-    p_legit, _ = _grid_powers(pre, sigs)
-    received = ((pre.u @ ch.h1)[:, None], (pre.u @ ch.h2)[:, None])
+    p_legit, _ = _snrs(pre, sigs)
+    h1, h2 = real_form(ch.h1, "h1"), real_form(ch.h2, "h2")
+    received = ((pre.u @ h1)[:, None], (pre.u @ h2)[:, None])
     effective = _unit_blocks(received, (pre.v1_l, pre.v2_l))
-    return 0.5 * _logdet(effective, p_legit) / pre.slots
+    return 0.25 * _logdet(effective, p_legit)
 
 
 def eve_leakage(
     ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
 ) -> np.ndarray:
-    """A lower bound on the eavesdropper's mutual information, in bits/channel use.
+    """A lower bound on the eavesdropper's mutual information, in bits per real dimension.
 
     Returns a (trials, grid) array, one value per trial of the stack and
-    grid point ``sigs[k]``: max(0, 0.5 * (log2 det(I + S_k) - log2 det(I +
-    J_k))), averaged over slots, with S_k and J_k the eavesdropper's
-    received legitimate and jamming covariances over the noise variance.
-    The mutual information is log2 det(I + S + J) - log2 det(I + J), which
-    is at least this value; making the two agree is open item 1 of
-    ROADMAP.md.  ``ch`` is on the precoders' slot space (``channel_uses``
-    over the grid): a static eavesdropper's use axis of length 1 is held
-    over the grid, a time-varying one has an entry per grid point.  One
-    stacked SVD per block serves every trial and grid point.
+    grid point ``sigs[k]``: max(0, 0.25 * (log2 det(I + S_k) - log2 det(I +
+    J_k))), with S_k and J_k the eavesdropper's received legitimate and
+    jamming covariances, on the real forms of g1 and g2, over the real
+    noise variance sigma2 / 2.  The mutual information (halved, as for
+    ``legit_rate``) is 0.25 * (log2 det(I + S + J) - log2 det(I + J)),
+    which is at least this value; making the two agree is an open item of
+    ROADMAP.md.  ``ch`` holds the eavesdropper channels over the grid
+    (``channel_uses``): a static eavesdropper's use axis of length 1 is
+    held over the grid, a time-varying one has an entry per grid point.
+    InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a finite stack, and
+    its ``member`` names the trial.  One stacked SVD per block serves
+    every trial and grid point.
     """
-    p_legit, p_jam = _grid_powers(pre, sigs)
+    p_legit, p_jam = _snrs(pre, sigs)
     if ch.g1.shape[-2] == 0:
         return np.zeros((len(ch.g1), len(sigs)))
-    signal = _unit_blocks((ch.g1, ch.g2), (pre.v1_l, pre.v2_l))
-    jamming = _unit_blocks((ch.g1, ch.g2), (pre.v1_j, pre.v2_j))
-    leak = 0.5 * (_logdet(signal, p_legit) - _logdet(jamming, p_jam)) / pre.slots
+    g1, g2 = real_form(ch.g1, "g1"), real_form(ch.g2, "g2")
+    signal = _unit_blocks((g1, g2), (pre.v1_l, pre.v2_l))
+    jamming = _unit_blocks((g1, g2), (pre.v1_j, pre.v2_j))
+    leak = 0.25 * (_logdet(signal, p_legit) - _logdet(jamming, p_jam))
     return np.maximum(leak, 0.0)
 
 
@@ -266,7 +279,7 @@ def sweep(
     def run_chunk(chunk: range) -> list[list[RateSample]]:
         rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
         draws = sample_channels(config, rngs, mode)
-        seen = channel_uses(config, draws, rngs, range(len(grid)), mode, alloc.slots)
+        seen = channel_uses(config, draws, rngs, range(len(grid)), mode)
         try:
             pre = build_precoders(config, draws, alloc, rngs)
             legit = legit_rate(seen, pre, sigs).tolist()

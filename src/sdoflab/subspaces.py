@@ -1,4 +1,4 @@
-"""Complex-matrix subspace algebra used by every precoder construction.
+"""Subspace algebra used by every precoder construction.
 
 Everything here reduces to a handful of SVD-backed primitives: column-space
 bases, nullspaces, subspace intersections, constrained minimum-norm solves,
@@ -16,9 +16,11 @@ members of a stack must agree on it: a member that does not raises
 ``orthonormal_basis``, ``nullspace`` and ``solve_into`` all accept its
 result, so one SVD per channel serves all three.
 
-The primitives take and return plain complex ndarrays and do not re-check
+The primitives take plain real or complex ndarrays, return arrays of the
+same kind (the library passes real float64 ones) and do not re-check
 them: their inputs are matrices the library built itself.  Outside input
-is checked once, by ``as_matrix``, where a channel enters the library.
+is checked once, by ``as_matrix``, where a channel enters the library
+(``channel.real_form``).
 
 All operations are pure functions of their inputs: identical arguments
 produce bitwise-identical outputs, a member's result does not depend on
@@ -65,18 +67,20 @@ def _member_error(cls, a: np.ndarray, member: int, message: str):
 def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Return ``a`` as a dense complex128 matrix, rejecting NaN/Inf entries.
 
-    With ``stack`` the input must be a ``(members, rows, cols)`` stack of
-    matrices, and a non-finite entry is reported with its member's index.
+    With ``stack`` the input must be a nonempty ``(members, ..., rows,
+    cols)`` stack of matrices, and a non-finite entry is reported with the
+    index of its member along the first axis.
     """
     arr = np.asarray(a, dtype=np.complex128)
-    ndim = 3 if stack else 2
-    if arr.ndim != ndim:
+    if (arr.ndim < 3) if stack else (arr.ndim != 2):
         kind = "a stack of matrices" if stack else "two-dimensional"
         raise InvalidMatrix(f"{name} must be {kind}, got shape {arr.shape}")
+    if stack and len(arr) == 0:
+        raise InvalidMatrix(f"{name} is an empty stack of matrices, got shape {arr.shape}")
     if arr.shape[-2] < 1:
         raise InvalidMatrix(f"{name} must have at least one row, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
-        finite = np.isfinite(arr).reshape(-1, arr.shape[-2] * arr.shape[-1]).all(axis=1)
+        finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
         member = int(np.argmin(finite))
         raise _member_error(InvalidMatrix, arr, member, f"{name} contains non-finite entries")
     return arr
@@ -143,7 +147,7 @@ def orthonormal_basis(a: np.ndarray, factors=None) -> np.ndarray:
     ``factors`` is ``svd(a)`` if already computed.
     """
     if a.shape[-1] == 0:
-        return np.zeros(a.shape, dtype=np.complex128)
+        return np.zeros(a.shape, dtype=a.dtype)
     u, s, _ = np.linalg.svd(a, full_matrices=False) if factors is None else factors
     return u[..., : _shared_rank(a, s)]
 
@@ -157,7 +161,7 @@ def nullspace(a: np.ndarray, factors=None) -> np.ndarray:
     """
     cols = a.shape[-1]
     if cols == 0:
-        return np.zeros(a.shape[:-2] + (0, 0), dtype=np.complex128)
+        return np.zeros(a.shape[:-2] + (0, 0), dtype=a.dtype)
     _, s, vh = svd(a) if factors is None else factors
     return _adjoint(vh[..., _shared_rank(a, s) :, :])
 
@@ -172,7 +176,7 @@ def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[-2] != b.shape[-2]:
         raise DimensionMismatch(f"ambient dimensions differ: {a.shape[-2]} vs {b.shape[-2]}")
-    empty = np.zeros(a.shape[:-1] + (0,), dtype=np.complex128)
+    empty = np.zeros(a.shape[:-1] + (0,), dtype=np.result_type(a, b))
     if a.shape[-1] == 0 or b.shape[-1] == 0:
         return empty
     coeff = nullspace(np.concatenate([a, -b], axis=-1))
@@ -201,7 +205,7 @@ def solve_into(h: np.ndarray, target: np.ndarray, factors=None) -> np.ndarray:
             f"row counts differ: h has {h.shape[-2]}, target has {target.shape[-2]}"
         )
     if target.shape[-1] == 0:
-        return np.zeros(h.shape[:-2] + (h.shape[-1], 0), dtype=np.complex128)
+        return np.zeros(h.shape[:-2] + (h.shape[-1], 0), dtype=np.result_type(h, target))
     u, s, vh = svd(h) if factors is None else factors
     k = s.shape[-1]
     kept = s > RANK_REL_TOL * s[..., :1]
@@ -230,7 +234,7 @@ def complement_projector(cols: np.ndarray) -> np.ndarray:
     the identity.
     """
     q = orthonormal_basis(cols)
-    u = np.eye(cols.shape[-2], dtype=np.complex128) - q @ _adjoint(q)
+    u = np.eye(cols.shape[-2], dtype=q.dtype) - q @ _adjoint(q)
     u += _adjoint(u)
     u *= 0.5
     return u
@@ -251,6 +255,6 @@ def complete_orthonormal(partial: np.ndarray, extra: int) -> np.ndarray:
             f"cannot add {extra} orthonormal columns to a dim-{d} basis in ambient {n}"
         )
     if extra == 0:
-        return np.zeros(partial.shape[:-1] + (0,), dtype=np.complex128)
+        return np.zeros(partial.shape[:-1] + (0,), dtype=partial.dtype)
     u, _, _ = np.linalg.svd(partial, full_matrices=True)
     return u[..., d : d + extra]

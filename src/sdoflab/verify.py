@@ -101,27 +101,27 @@ def check_config(config: AntennaConfig, seeds: int):
     """Residual and rank invariants of one configuration's precoder sets.
 
     Builds a set for each channel seed 0 .. seeds - 1, all in one stacked
-    build, and checks its residuals against the gates and its ranks
-    against the allocation, the leakage rank on channel use 0 of a
-    time-varying eavesdropper (a static one would need the fractional
-    alignment that time sharing replaces).  Every gate compares all the
-    seeds at once.  Returns (worst residual of each kind, one line per
-    failing seed).  A build that fails raises its own error type, its
-    message naming the config and the seed.
+    build, and checks its residuals against the gates and its ranks, in
+    real dimensions, against twice the allocation's counts; the leakage
+    rank is taken against a static eavesdropper, which every allocation
+    jams fully in one channel use.  Every gate compares all the seeds at
+    once.  Returns (worst residual of each kind, one line per failing
+    seed).  A build that fails raises its own error type, its message
+    naming the config and the seed; no seeds at all is an empty stack,
+    which raises InvalidMatrix.
     """
     alloc = allocate_jamming(config)
-    slots = alloc.slots
-    expect_u_rank = slots * config.n - int(alloc.j_s * slots)
-    expect_legit = int(alloc.d_total * slots)
-    expect_leak = int(min(Fraction(config.n_e), alloc.total_streams) * slots)
+    expect_u_rank = 2 * config.n - int(2 * alloc.j_s)
+    expect_legit = int(2 * alloc.d_total)
+    expect_leak = int(2 * min(Fraction(config.n_e), alloc.total_streams))
     rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
-    draws = sample_channels(config, rngs, EveMode.TIME_VARYING)
+    draws = sample_channels(config, rngs, EveMode.STATIC)
     try:
         pre = build_precoders(config, draws, alloc, rngs)
     except SdofLabError as exc:
         # A failure that is not one member's fails every seed alike.
-        raise located(exc, f"{config} seed {exc.member or 0}") from exc
-    uses = channel_uses(config, draws, rngs, [0], EveMode.TIME_VARYING, slots)
+        raise located(exc, f"{config} seed {exc.member or 0}" if seeds else str(config)) from exc
+    uses = channel_uses(config, draws, rngs, [0], EveMode.STATIC)
     report = pre.report
     kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
     residuals = np.array([

@@ -46,11 +46,10 @@ def principal_angle_intersection_dim(qa, qb, tol: float = 1e-8) -> int:
     return int(np.count_nonzero(cosines >= 1.0 - tol))
 
 
-def block_diag2(a, b) -> np.ndarray:
-    """diag(a, b) assembled with np.block: the two-slot slot-space oracle."""
-    top = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    bottom = np.zeros((b.shape[0], a.shape[1]), dtype=np.complex128)
-    return np.block([[a, top], [bottom, b]])
+def real2(a) -> np.ndarray:
+    """The real form [[Re a, -Im a], [Im a, Re a]] of one complex matrix, assembled with np.block."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
 def max_abs(mat) -> float:

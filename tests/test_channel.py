@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import block_diag2, crandn, elimination_rank, member
+from helpers import crandn, elimination_rank, member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
     EveMode,
+    InvalidMatrix,
     RngStream,
     SignalParams,
     sample_channels,
@@ -19,11 +20,11 @@ from sdoflab.channel import (
     _spawn_key,
     channel_uses,
     jamming_generators,
-    slot_extend,
+    real_form,
 )
 
 # SHA-256 of _draw_digest() below: the channel stream every Monte Carlo result rests on.
-DRAW_DIGEST = "06b9acd788148f629348af498eef5cf67dac7221adb4bcaa8b6f2e377de27edc"
+DRAW_DIGEST = "f520ace6410f421bf4687d509066e2cdc2f036535c4a194f7ce498abdd322127"
 
 
 def _draw(config, rng, mode):
@@ -32,9 +33,9 @@ def _draw(config, rng, mode):
     return stack, member(stack, 0)
 
 
-def _use(config, trial_stack, rng, use, mode, slots):
+def _use(config, trial_stack, rng, use, mode):
     """The matrices one trial's set sees in channel use ``use``: ``channel_uses`` on a stack of one."""
-    seen = channel_uses(config, trial_stack, [rng], [use], mode, slots)
+    seen = channel_uses(config, trial_stack, [rng], [use], mode)
     return ChannelRealization(seen.h1[0], seen.h2[0], seen.g1[0, 0], seen.g2[0, 0])
 
 
@@ -124,23 +125,39 @@ class TestSignalParams:
         assert SignalParams.from_db(30.0).p == pytest.approx(1000.0)
 
 
-class TestSlotExtend:
-    def test_repeats_first_block_by_default(self):
-        a = crandn(np.random.default_rng(3), 2, 3)
-        assert np.array_equal(slot_extend(a), np.kron(np.eye(2), a))
+class TestRealForm:
+    def test_matches_the_block_oracle(self):
+        gen = np.random.default_rng(3)
+        stack = np.stack([crandn(gen, 2, 3) for _ in range(4)]).reshape(2, 2, 2, 3)
+        out = real_form(stack, "g1")
+        assert out.dtype == np.float64 and out.shape == (2, 2, 4, 6)
+        for t in range(2):
+            for k in range(2):
+                assert np.array_equal(out[t, k], real2(stack[t, k]))
 
-    def test_second_slot_draw_on_the_diagonal(self):
+    def test_maps_real_and_imaginary_parts(self):
+        # [Re y; Im y] = real_form(H) [Re x; Im x] for y = H x.
         gen = np.random.default_rng(4)
-        a, b = crandn(gen, 2, 3), crandn(gen, 2, 3)
-        out = slot_extend(a, b)
-        assert out.shape == (4, 6)
-        assert np.array_equal(out[:2, :3], a)
-        assert np.array_equal(out[2:, 3:], b)
-        assert not out[:2, 3:].any() and not out[2:, :3].any()
+        h, x = crandn(gen, 3, 2), crandn(gen, 2, 1)
+        y = h @ x
+        out = real_form(h[None], "h1")[0] @ np.vstack([x.real, x.imag])
+        assert np.allclose(out, np.vstack([y.real, y.imag]), atol=1e-14)
+
+    def test_non_finite_entry_names_its_trial(self):
+        # The member is the trial (first axis), whatever axes follow it.
+        stack = np.ones((3, 4, 2, 2), dtype=complex)
+        stack[2, 3, 1, 0] = np.inf
+        with pytest.raises(InvalidMatrix, match="stack member 2: g1 contains non-finite") as exc:
+            real_form(stack, "g1")
+        assert exc.value.member == 2
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(InvalidMatrix, match="h1 is an empty stack"):
+            real_form(np.zeros((0, 3, 2), dtype=complex), "h1")
 
 
 class TestChannelUse:
-    """One trial's ``channel_uses`` against oracles drawn here with sample_channels and np.kron."""
+    """One trial's ``channel_uses`` against oracles drawn here with sample_channels."""
 
     config = AntennaConfig(2, 2, 3, 2)
     seed, trial = 7, 3
@@ -154,45 +171,47 @@ class TestChannelUse:
         rng = RngStream(self.seed, (self.trial, address))
         return _draw(self.config, rng, EveMode.TIME_VARYING)[1]
 
-    def seen(self, mode, use, slots, rng=None):
+    def seen(self, mode, use, rng=None):
         trial_rng, stack, _ = self.trial_draw(mode)
-        return _use(self.config, stack, rng or trial_rng, use, mode, slots)
+        return _use(self.config, stack, rng or trial_rng, use, mode)
 
     @pytest.mark.parametrize("use", [0, 1, 4])
     def test_time_varying_slot_s_of_use_k_is_the_draw_at_2k_plus_s(self, use):
-        seen = self.seen(EveMode.TIME_VARYING, use, 2)
+        # A use has one slot, s = 0, at the even address 2k: the odd
+        # address 2k + 1 is never drawn, and use k + 1 is at 2k + 2.
+        seen = self.seen(EveMode.TIME_VARYING, use)
+        after = self.seen(EveMode.TIME_VARYING, use + 1)
         ne, m1, m2 = self.config.n_e, self.config.m1, self.config.m2
-        a, b = self.draw_at(2 * use), self.draw_at(2 * use + 1)
-        assert np.array_equal(seen.g1, block_diag2(a.g1, b.g1))
-        assert np.array_equal(seen.g2, block_diag2(a.g2, b.g2))
-        assert seen.g1.shape == (2 * ne, 2 * m1) and seen.g2.shape == (2 * ne, 2 * m2)
-        assert not np.array_equal(a.g1, b.g1)
+        a, skipped, b = (self.draw_at(2 * use + s) for s in range(3))
+        assert np.array_equal(seen.g1, a.g1) and np.array_equal(seen.g2, a.g2)
+        assert np.array_equal(after.g1, b.g1) and np.array_equal(after.g2, b.g2)
+        assert seen.g1.shape == (ne, m1) and seen.g2.shape == (ne, m2)
+        assert not np.array_equal(skipped.g1, seen.g1) and not np.array_equal(skipped.g1, after.g1)
 
     def test_slot_a_of_use_0_is_the_trial_draw(self):
         _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
-        seen = self.seen(EveMode.TIME_VARYING, 0, 2)
-        ne, m1 = self.config.n_e, self.config.m1
-        assert np.array_equal(seen.g1[:ne, :m1], trial.g1)
-        assert np.array_equal(seen.g1[:ne, :m1], self.draw_at(0).g1)
+        seen = self.seen(EveMode.TIME_VARYING, 0)
+        assert np.array_equal(seen.g1, trial.g1) and np.array_equal(seen.g2, trial.g2)
+        assert np.array_equal(seen.g1, self.draw_at(0).g1)
 
     @pytest.mark.parametrize("use", [0, 2])
     def test_static_slots_carry_the_trial_eavesdropper(self, use):
         _, _, trial = self.trial_draw(EveMode.STATIC)
-        seen = self.seen(EveMode.STATIC, use, 2)
-        assert np.array_equal(seen.g1, np.kron(np.eye(2), trial.g1))
-        assert np.array_equal(seen.g2, np.kron(np.eye(2), trial.g2))
+        seen = self.seen(EveMode.STATIC, use)
+        assert np.array_equal(seen.g1, trial.g1)
+        assert np.array_equal(seen.g2, trial.g2)
 
     @pytest.mark.parametrize("mode", list(EveMode))
     def test_legitimate_blocks_hold_the_trial_draw(self, mode):
         _, _, trial = self.trial_draw(mode)
-        seen = self.seen(mode, 3, 2)
-        assert np.array_equal(seen.h1, np.kron(np.eye(2), trial.h1))
-        assert np.array_equal(seen.h2, np.kron(np.eye(2), trial.h2))
+        seen = self.seen(mode, 3)
+        assert np.array_equal(seen.h1, trial.h1)
+        assert np.array_equal(seen.h2, trial.h2)
 
     @pytest.mark.parametrize("use", [0, 3])
     def test_single_slot_use_k_is_the_draw_at_2k(self, use):
         _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
-        seen = self.seen(EveMode.TIME_VARYING, use, 1)
+        seen = self.seen(EveMode.TIME_VARYING, use)
         oracle = self.draw_at(2 * use)
         assert np.array_equal(seen.h1, trial.h1) and np.array_equal(seen.h2, trial.h2)
         assert np.array_equal(seen.g1, oracle.g1) and np.array_equal(seen.g2, oracle.g2)
@@ -200,7 +219,7 @@ class TestChannelUse:
     def test_trial_rng_must_address_use_0(self):
         later = RngStream(self.seed, (self.trial, 1))
         with pytest.raises(ValueError):
-            self.seen(EveMode.TIME_VARYING, 0, 1, rng=later)
+            self.seen(EveMode.TIME_VARYING, 0, rng=later)
 
 
 def _seed_sequence_words(master, keys):
@@ -282,20 +301,22 @@ class TestStackedDraws:
                 assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name))
 
     @pytest.mark.parametrize("mode", list(EveMode))
-    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize("offset", [1, 2])
     @pytest.mark.parametrize("trials", [1, SEED_HASH_MIN_KEYS + 1])
-    def test_channel_uses(self, trials, slots, mode):
+    def test_channel_uses(self, trials, offset, mode):
+        # Offset 1 runs uses 0, 1 and 4, starting with the trial draw; offset
+        # 2 runs uses 1, 2 and 5, all fresh draws.
         config = AntennaConfig(3, 2, 4, 2)
         rngs = [RngStream(17, (t, 0)) for t in range(trials)]
         draws = sample_channels(config, rngs, mode)
-        uses = [0, 1, 4]
-        seen = channel_uses(config, draws, rngs, uses, mode, slots)
+        uses = [offset - 1, offset, offset + 3]
+        seen = channel_uses(config, draws, rngs, uses, mode)
         # A static eavesdropper's use axis has length 1 and holds over every use.
         assert seen.g1.shape[1] == (len(uses) if mode.varies_per_use else 1)
         for i, rng in enumerate(rngs):
             trial, _ = _draw(config, rng, mode)
             for j, use in enumerate(uses):
-                alone = _use(config, trial, rng, use, mode, slots)
+                alone = _use(config, trial, rng, use, mode)
                 at = j if mode.varies_per_use else 0
                 g1, g2 = seen.g1[i, at], seen.g2[i, at]
                 assert np.array_equal(seen.h1[i], alone.h1) and np.array_equal(seen.h2[i], alone.h2)
@@ -303,7 +324,7 @@ class TestStackedDraws:
 
 
 def _draw_digest() -> str:
-    """SHA-256 over trial draws and channel uses for fixed seeds, both modes, 1 and 2 slots."""
+    """SHA-256 over trial draws and channel uses for fixed seeds, both modes."""
     digest = hashlib.sha256()
     for cfg in ((2, 2, 3, 1), (3, 2, 4, 2), (2, 1, 2, 0)):
         config = AntennaConfig(*cfg)
@@ -311,11 +332,7 @@ def _draw_digest() -> str:
             for mode in EveMode:
                 rng = RngStream(seed, (trial, 0))
                 stack, trial_ch = _draw(config, rng, mode)
-                seen = [
-                    _use(config, stack, rng, use, mode, slots)
-                    for slots in (1, 2)
-                    for use in (0, 1, 3)
-                ]
+                seen = [_use(config, stack, rng, use, mode) for use in (0, 1, 3)]
                 for ch in (trial_ch, *seen):
                     for mat in (ch.h1, ch.h2, ch.g1, ch.g2):
                         digest.update(repr(mat.shape).encode())

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import max_abs
+from helpers import max_abs, real2
 import sdoflab
 from sdoflab import cli
 
@@ -23,7 +23,7 @@ class TestSdofCommand:
         assert "D_s = 5/2 (2.5)" in out
         assert "C2" in out
         assert "bounds:" in out
-        assert "two-slot" in out
+        assert "j_s = 1/2, d1 = 3/2, d2 = 1\n" in out
 
     def test_zero_clamp(self, capsys):
         assert run_cli(["sdof", "--m1", "1", "--m2", "1", "--n", "4", "--ne", "2"]) == 0
@@ -50,8 +50,9 @@ class TestDesignCommand:
         assert doc["allocation"]["audit_passed"] is True
 
         # re-parse and re-check: the recorded verdicts must be reproducible
-        h1 = cli.decode_matrix(doc["channel"]["h1"])
-        h2 = cli.decode_matrix(doc["channel"]["h2"])
+        # on the real forms of the recorded complex channels
+        h1 = real2(cli.decode_matrix(doc["channel"]["h1"]))
+        h2 = real2(cli.decode_matrix(doc["channel"]["h2"]))
         v1_j = cli.decode_matrix(doc["precoders"]["v1_j"])
         v2_j = cli.decode_matrix(doc["precoders"]["v2_j"])
         u = cli.decode_matrix(doc["precoders"]["u"])
@@ -70,7 +71,7 @@ class TestDesignCommand:
         ) == 0
         doc = json.loads(out.read_text())
         u = cli.decode_matrix(doc["precoders"]["u"])
-        assert max_abs(u - np.eye(2)) <= 1e-9
+        assert max_abs(u - np.eye(4)) <= 1e-9  # on the 2n real receive dimensions
 
     def test_no_eavesdropper_gives_empty_jamming(self, tmp_path):
         out = tmp_path / "design.json"
@@ -200,7 +201,7 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
                  "--window-hi", "3100"], None, None),
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--alpha", "0.9",
-          "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
+          "--sigma2", "0.5", "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
           "--window-hi", "3080", "--trials", "1"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import crandn, elimination_rank, ks_statistic, max_abs, member
+from helpers import crandn, elimination_rank, ks_statistic, max_abs, member, real2
 from sdoflab import (
     AntennaConfig,
     DimensionMismatch,
@@ -19,28 +19,22 @@ from sdoflab import (
 )
 from sdoflab.channel import channel_uses, jamming_generators
 from sdoflab.precoding import _aligned_targets, _haar_columns, _nullspace_block
+from sdoflab.sdof import _antenna_grid
 from sdoflab.subspaces import as_matrix, orthonormal_basis, solve_into
 
 
-def _kron2(h):
-    """Test-built slot space of a channel held over two slots."""
-    return np.kron(np.eye(2), h)
+def _targets(h1, h2, pairs):
+    """Aligned targets of two channels, through their received bases."""
+    return _aligned_targets(orthonormal_basis(h1), orthonormal_basis(h2), pairs)
 
 
-def _targets(h1, h2, pairs, slots):
-    """Aligned targets from one slot's channels, through their received bases."""
-    return _aligned_targets(orthonormal_basis(h1), orthonormal_basis(h2), pairs, slots)
-
-
-def _aligned(h1, h2, pairs, slots):
+def _aligned(h1, h2, pairs):
     """The build's aligned path: shared targets, then one solve per transmitter.
 
-    Returns v1, v2, the targets and the two slot-space channels.
+    Returns v1, v2 and the targets.
     """
-    targets = _targets(h1, h2, pairs, slots)
-    if slots == 2:
-        h1, h2 = _kron2(h1), _kron2(h2)
-    return solve_into(h1, targets), solve_into(h2, targets), targets, h1, h2
+    targets = _targets(h1, h2, pairs)
+    return solve_into(h1, targets), solve_into(h2, targets), targets
 
 
 class TestRandomJamming:
@@ -50,7 +44,8 @@ class TestRandomJamming:
 
     def test_orthonormal(self):
         (v,) = _haar_columns(4, 2, [np.random.default_rng(1)])
-        assert max_abs(v.conj().T @ v - np.eye(2)) < 1e-10
+        assert v.dtype == np.float64
+        assert max_abs(v.T @ v - np.eye(2)) < 1e-10
 
     def test_too_many_streams(self):
         with pytest.raises(DimensionMismatch):
@@ -64,12 +59,12 @@ class TestRandomJamming:
         assert not np.array_equal(a, other)
 
     def test_direction_uniform_on_sphere(self):
-        # For a Haar-random unit vector v in C^m, |v_1|^2 ~ Beta(1, m-1).
-        # 2000 draws in turn from one generator, as a stack of 2000.
-        m = 4
+        # For a Haar-random unit vector v in R^3, |v_1| is uniform on [0, 1]
+        # (Archimedes' hat-box theorem), so v_1^2 has CDF sqrt(x).  2000
+        # draws in turn from one generator, as a stack of 2000.
         gen = np.random.default_rng(2024)
-        samples = np.abs(_haar_columns(m, 1, [gen] * 2000)[:, 0, 0]) ** 2
-        stat = ks_statistic(samples, lambda x: 1.0 - (1.0 - np.asarray(x)) ** (m - 1))
+        samples = _haar_columns(3, 1, [gen] * 2000)[:, 0, 0] ** 2
+        stat = ks_statistic(samples, lambda x: np.sqrt(np.asarray(x)))
         assert stat < 0.05  # ~alpha 1e-3 critical value for n=2000
 
 
@@ -93,40 +88,42 @@ class TestNullspaceJamming:
 
 
 class TestAlignedJamming:
-    # One slot takes intersection columns; two slots take their (c; +-c)/sqrt(2)
-    # mixtures on the doubled receive space.  Both go through one path.
+    # Aligned targets are the first columns of a basis of the intersection
+    # of the received signal spaces, here of real forms of complex channels.
     def test_identical_channels(self):
-        for slots in (1, 2):
-            v1, v2, targets, _, _ = _aligned(np.eye(3), np.eye(3), 2, slots)
-            assert max_abs(v1 - v2) < 1e-12
-            assert targets.shape == (3 * slots, 2)
+        h = real2(np.eye(3))
+        v1, v2, targets = _aligned(h, h, 2)
+        assert max_abs(v1 - v2) < 1e-12
+        assert targets.shape == (6, 2)
 
     def test_generic_intersection(self):
+        # Two complex planes in C^3 meet in a line: two real dimensions.
         gen = np.random.default_rng(4)
-        h1, h2 = crandn(gen, 3, 2), crandn(gen, 3, 2)
-        for slots in (1, 2):
-            # a one-dimensional intersection carries one pair per slot
-            v1, v2, targets, h1s, h2s = _aligned(h1, h2, slots, slots)
-            assert max_abs(h1s @ v1 - h2s @ v2) < 1e-8
-            assert max_abs(h1s @ v1 - targets) < 1e-8
-            assert max_abs(targets.conj().T @ targets - np.eye(slots)) < 1e-12
+        h1, h2 = real2(crandn(gen, 3, 2)), real2(crandn(gen, 3, 2))
+        for pairs in (1, 2):
+            v1, v2, targets = _aligned(h1, h2, pairs)
+            assert max_abs(h1 @ v1 - h2 @ v2) < 1e-8
+            assert max_abs(h1 @ v1 - targets) < 1e-8
+            assert max_abs(targets.T @ targets - np.eye(pairs)) < 1e-12
 
     def test_empty_intersection_is_infeasible(self):
         gen = np.random.default_rng(5)
-        empty = (crandn(gen, 4, 2), crandn(gen, 4, 1))
-        line = (crandn(gen, 3, 2), crandn(gen, 3, 2))
-        for (h1, h2), pairs, slots in ((empty, 1, 1), (empty, 1, 2), (line, 2, 1), (line, 3, 2)):
+        empty = (real2(crandn(gen, 4, 2)), real2(crandn(gen, 4, 1)))
+        line = (real2(crandn(gen, 3, 2)), real2(crandn(gen, 3, 2)))
+        for (h1, h2), pairs in ((empty, 1), (line, 3)):
             with pytest.raises(InfeasibleAllocation):
-                _targets(h1, h2, pairs, slots)
+                _targets(h1, h2, pairs)
 
     def test_unaligned_at_eavesdropper(self):
-        # aligned at the receiver yet generically separate through an
-        # independent eavesdropper channel
+        # Aligned at the receiver, yet apart at a one-antenna eavesdropper:
+        # its channel turns the two streams by different complex gains.
+        # One real pair (a half-integer count) already fills both of its
+        # real dimensions.
         gen = np.random.default_rng(6)
-        h1, h2 = crandn(gen, 3, 2), crandn(gen, 3, 2)
-        for slots in (1, 2):
-            v1, v2, _, _, _ = _aligned(h1, h2, 1, slots)
-            g1, g2 = crandn(gen, 2, 2 * slots), crandn(gen, 2, 2 * slots)
+        h1, h2 = real2(crandn(gen, 3, 2)), real2(crandn(gen, 3, 2))
+        for pairs in (1, 2):
+            v1, v2, _ = _aligned(h1, h2, pairs)
+            g1, g2 = real2(crandn(gen, 1, 2)), real2(crandn(gen, 1, 2))
             received = np.hstack([g1 @ v1, g2 @ v2])
             assert elimination_rank(received) == 2
 
@@ -146,27 +143,30 @@ class TestBuildPrecoders:
         pre = member(pre, 0)
         return config, member(ch, 0), allocate_jamming(config), pre, pre.report
 
+    # Ranks count real dimensions: twice the allocation's counts.
     def test_random_region(self):
         _, _, _, pre, report = self.build((2, 2, 4, 1))
-        assert report.u_rank == 3
-        assert report.legit_rank == 3
+        assert report.u_rank == 6
+        assert report.legit_rank == 6
 
     def test_nullspace_region_has_identity_projector(self):
         _, ch, _, pre, report = self.build((4, 1, 2, 1))
-        assert max_abs(ch.h1 @ pre.v1_j) < 1e-9
-        assert max_abs(pre.u - np.eye(2)) < 1e-9
-        assert report.legit_rank == 2
+        assert max_abs(real2(ch.h1) @ pre.v1_j) < 1e-9
+        assert max_abs(pre.u - np.eye(4)) < 1e-9
+        assert report.legit_rank == 4
 
     def test_aligned_region(self):
         _, _, _, pre, report = self.build((2, 2, 3, 2))
-        assert report.u_rank == 2
-        assert report.legit_rank == 2
+        assert report.u_rank == 4
+        assert report.legit_rank == 4
         assert report.alignment_residual < 1e-8
 
     def test_two_slot_extension(self):
+        # A half-integer allocation (aligned 1/2 per transmitter) is whole
+        # in real streams, in one channel use.
         config, ch, alloc, pre, report = self.build((2, 2, 3, 1))
-        assert pre.slots == 2
-        assert pre.v1_j.shape == (4, 1)  # doubled antenna space
+        assert pre.v1_j.dtype == np.float64
+        assert pre.v1_j.shape == (4, 1)  # 2 m1 real antenna dimensions, one real stream
         assert report.u_rank == 5  # 2n - 2 j_s = 6 - 1
         assert report.legit_rank == 5  # 2 (d1 + d2)
 
@@ -174,11 +174,11 @@ class TestBuildPrecoders:
         "cfg", [(2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 1), (4, 4, 6, 3)]
     )
     def test_report_matches_recomputation(self, cfg):
-        # The report against its quantities recomputed here on a np.kron
-        # slot space, ranks by elimination; (2, 2, 3, 1) and (4, 4, 6, 3)
-        # use the two-slot extension.
+        # The report against its quantities recomputed here on real forms
+        # built with np.block, ranks by elimination; (2, 2, 3, 1) and
+        # (4, 4, 6, 3) have half-integer allocations.
         _, ch, _, pre, report = self.build(cfg, seed=3)
-        h1, h2 = (ch.h1, ch.h2) if pre.slots == 1 else (_kron2(ch.h1), _kron2(ch.h2))
+        h1, h2 = real2(ch.h1), real2(ch.h2)
         legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
         jamming = np.hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
         assert report.u_rank == elimination_rank(pre.u)
@@ -221,26 +221,26 @@ class TestBuildPrecoders:
                         for seed in range(3):
                             pre = member(stack, seed)
                             report = pre.report
-                            slots = pre.slots
                             stacked1 = np.hstack([pre.v1_l, pre.v1_j])
                             if stacked1.shape[1]:
-                                gram = stacked1.conj().T @ stacked1
+                                gram = stacked1.T @ stacked1
                                 assert max_abs(gram - np.eye(stacked1.shape[1])) < 1e-9
                             assert max_abs(pre.u @ pre.u - pre.u) < 1e-9
-                            assert max_abs(pre.u - pre.u.conj().T) < 1e-12
-                            assert report.u_rank == slots * n - int(alloc.j_s * slots)
-                            assert report.legit_rank == int(alloc.d_total * slots)
+                            assert max_abs(pre.u - pre.u.T) < 1e-12
+                            assert report.u_rank == 2 * n - int(2 * alloc.j_s)
+                            assert report.legit_rank == int(2 * alloc.d_total)
                             assert report.zero_forcing_residual < 1e-8
 
 
 def _leakage_rank(config, ch, rngs, pre, mode):
     """The one trial's leakage rank in channel use 0 under ``mode``."""
-    ranks = leakage_rank(channel_uses(config, ch, rngs, [0], mode, pre.slots), pre)
+    ranks = leakage_rank(channel_uses(config, ch, rngs, [0], mode), pre)
     assert ranks.shape == (1, 1)
     return ranks[0, 0]
 
 
 class TestLeakageRank:
+    # Ranks count real dimensions: a fully jammed eavesdropper has 2 n_e.
     def test_no_jamming(self):
         config = AntennaConfig(2, 2, 3, 0)
         rngs, ch, pre = _build_one(config, RngStream(0), EveMode.STATIC)
@@ -250,27 +250,43 @@ class TestLeakageRank:
     def test_aligned_pair_fills_eavesdropper(self, seed):
         config = AntennaConfig(2, 2, 3, 2)
         rngs, ch, pre = _build_one(config, RngStream(seed), EveMode.STATIC)
-        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 2
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 4
 
     def test_full_allocation(self):
         config = AntennaConfig(5, 1, 2, 5)
         rngs, ch, pre = _build_one(config, RngStream(1), EveMode.STATIC)
-        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 5
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 10
 
-    def test_two_slot_needs_per_slot_draws(self):
-        # With per-slot eavesdropper draws the doubled system is fully
-        # jammed; a static eavesdropper sees the cross-slot pair collapse
-        # (the gap exact fractional alignment would close).
-        config = AntennaConfig(2, 2, 3, 1)
+    @pytest.mark.parametrize("cfg", [(1, 1, 1, 1), (2, 2, 3, 1)])
+    def test_half_integer_allocation_fully_jams_a_static_eavesdropper(self, cfg):
+        # One real aligned stream per transmitter fills both real dimensions
+        # of the eavesdropper's one antenna, held fixed or redrawn.
+        config = AntennaConfig(*cfg)
         rngs, ch, pre = _build_one(config, RngStream(2))
-        assert pre.slots == 2
         assert _leakage_rank(config, ch, rngs, pre, EveMode.TIME_VARYING) == 2
-        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 1
+        assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == 2
+
+    def test_static_eavesdropper_is_fully_jammed_at_every_config(self):
+        # All 750 configurations with m1, m2, n <= 5 and n_e < m1 + m2, three
+        # channel seeds each in one stack.
+        rngs = [RngStream(seed) for seed in range(3)]
+        short = []
+        configs = list(_antenna_grid(5, include_all_ne=False))
+        assert len(configs) == 750
+        for config in configs:
+            alloc = allocate_jamming(config)
+            ch = sample_channels(config, rngs, EveMode.STATIC)
+            pre = build_precoders(config, ch, alloc, rngs)
+            got = leakage_rank(channel_uses(config, ch, rngs, [0], EveMode.STATIC), pre)
+            want = int(2 * min(config.n_e, alloc.total_streams))
+            if (got != want).any():
+                short.append((config, got.ravel().tolist(), want))
+        assert not short, short[:5]
 
     def test_rejects_nonfinite_channel(self):
         config = AntennaConfig(2, 2, 3, 2)
         rngs, ch, pre = _build_one(config, RngStream(0), EveMode.STATIC)
-        seen = channel_uses(config, ch, rngs, [0], EveMode.STATIC, pre.slots)
+        seen = channel_uses(config, ch, rngs, [0], EveMode.STATIC)
         g1 = seen.g1.copy()
         g1[0, 0, 0, 1] = np.nan
         with pytest.raises(InvalidMatrix):
@@ -278,15 +294,14 @@ class TestLeakageRank:
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_matches_oracle(self, cfg):
-        # The static model against a test-built np.kron slot space and the
-        # elimination rank.
+        # The static model against test-built real forms of the trial's
+        # eavesdropper and the elimination rank.
         config = AntennaConfig(*cfg)
         rngs, ch, pre = _build_one(config, RngStream(8), EveMode.STATIC)
         one, trial = member(pre, 0), member(ch, 0)
-        g1, g2 = trial.g1, trial.g2
-        if pre.slots == 2:
-            g1, g2 = np.kron(np.eye(2), g1), np.kron(np.eye(2), g2)
+        g1, g2 = real2(trial.g1), real2(trial.g2)
         expected = elimination_rank(np.hstack([g1 @ one.v1_j, g2 @ one.v2_j]))
+        assert expected == 2 * config.n_e
         assert _leakage_rank(config, ch, rngs, pre, EveMode.STATIC) == expected
 
     def test_one_rank_per_trial_and_use(self):
@@ -295,11 +310,11 @@ class TestLeakageRank:
         config = AntennaConfig(2, 2, 3, 1)
         rngs, stacked = _trial_stack(config, range(4))
         pre = build_precoders(config, stacked, allocate_jamming(config), rngs)
-        ranks = leakage_rank(channel_uses(config, stacked, rngs, [0, 1, 5], EveMode.TIME_VARYING, 2), pre)
+        ranks = leakage_rank(channel_uses(config, stacked, rngs, [0, 1, 5], EveMode.TIME_VARYING), pre)
         assert ranks.shape == (4, 3)
         for t, rng in enumerate(rngs):
             alone_rngs, ch, alone = _build_one(config, rng)
-            seen = channel_uses(config, ch, alone_rngs, [0, 1, 5], EveMode.TIME_VARYING, 2)
+            seen = channel_uses(config, ch, alone_rngs, [0, 1, 5], EveMode.TIME_VARYING)
             assert np.array_equal(ranks[t], leakage_rank(seen, alone)[0])
         assert (ranks == 2).all()
 
@@ -315,15 +330,14 @@ def _same_set(a, b):
     matrices = ("v1_l", "v1_j", "v2_l", "v2_j", "u")
     return (
         all(np.array_equal(getattr(a, k), getattr(b, k)) for k in matrices)
-        and a.slots == b.slots
         and a.report == b.report
     )
 
 
 class TestStackedBuild:
     # (4, 1, 2, 1) nullspace, (2, 2, 4, 1) random, (2, 2, 3, 2) aligned,
-    # (5, 1, 2, 5) all three, (2, 2, 3, 1) and (4, 4, 6, 3) two slots,
-    # (2, 2, 3, 0) no jamming.
+    # (5, 1, 2, 5) all three, (2, 2, 3, 1) and (4, 4, 6, 3) half-integer
+    # counts, (2, 2, 3, 0) no jamming.
     configs = [(4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 2), (5, 1, 2, 5), (2, 2, 3, 1),
                (4, 4, 6, 3), (2, 2, 3, 0)]
 
@@ -349,13 +363,10 @@ class TestStackedBuild:
         whole = build_precoders(config, stacked, alloc, rngs)
         for t in range(5):
             pre = member(whole, t)
-            slots = pre.slots
-            h1, h2 = stacked.h1[t], stacked.h2[t]
-            if slots == 2:
-                h1, h2 = _kron2(h1), _kron2(h2)
+            h1, h2 = real2(stacked.h1[t]), real2(stacked.h2[t])
             legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
-            assert pre.report.u_rank == elimination_rank(pre.u) == slots * config.n - int(alloc.j_s * slots)
-            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == int(alloc.d_total * slots)
+            assert pre.report.u_rank == elimination_rank(pre.u) == 2 * config.n - int(2 * alloc.j_s)
+            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == int(2 * alloc.d_total)
             assert pre.report.zero_forcing_residual < 1e-8
 
     def test_needs_one_stream_per_trial(self):

@@ -137,7 +137,6 @@ class TestAllocate:
         assert methods == {JammingMethod.RANDOM}
         assert alloc.j_s == 1
         assert alloc.d_total == 3
-        assert not alloc.needs_two_slot
 
     def test_three_method_budget(self):
         alloc = allocate_jamming(AntennaConfig(5, 1, 2, 5))
@@ -149,8 +148,8 @@ class TestAllocate:
         assert alloc.d_total == 1
 
     def test_two_slot_half_streams(self):
+        # Half-integer counts, realized as one real stream each downstream.
         alloc = allocate_jamming(AntennaConfig(2, 2, 3, 1))
-        assert alloc.needs_two_slot
         assert alloc.method_streams(1, JammingMethod.ALIGNED) == Fraction(1, 2)
         assert alloc.method_streams(2, JammingMethod.ALIGNED) == Fraction(1, 2)
         assert alloc.j_s == Fraction(1, 2)
@@ -188,9 +187,7 @@ class TestAudit:
     def test_inflated_occupancy_fails_receiver_room(self):
         config = AntennaConfig(2, 2, 4, 1)
         alloc = allocate_jamming(config)
-        corrupted = type(alloc)(
-            alloc.tx1, alloc.tx2, alloc.j_s + 1, alloc.d1, alloc.d2, alloc.needs_two_slot
-        )
+        corrupted = type(alloc)(alloc.tx1, alloc.tx2, alloc.j_s + 1, alloc.d1, alloc.d2)
         report = audit_allocation(corrupted, config)
         assert not report.ok
         assert any(c.name == "receiver_room" for c in report.failures())
@@ -198,7 +195,7 @@ class TestAudit:
     def test_missing_stream_fails_budget(self):
         config = AntennaConfig(2, 2, 4, 1)
         alloc = allocate_jamming(config)
-        corrupted = type(alloc)((), (), alloc.j_s, alloc.d1, alloc.d2, False)
+        corrupted = type(alloc)((), (), alloc.j_s, alloc.d1, alloc.d2)
         report = audit_allocation(corrupted, config)
         assert any(c.name == "stream_budget" for c in report.failures())
 

@@ -2,10 +2,11 @@ import dataclasses
 import re
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import block_diag2, member
+from helpers import member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -27,6 +28,7 @@ from sdoflab import (
 )
 from sdoflab import channel, cli, kernels, simulate, verify
 from sdoflab.channel import channel_uses
+from sdoflab.precoding import BuildReport, PrecoderSet
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
 
@@ -41,11 +43,11 @@ def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
     """The config, the channels one trial's set sees in channel use 0, and the set (stacks of one)."""
     config = AntennaConfig(*cfg)
     rngs, ch, pre = _trial(config, seed, mode)
-    return config, channel_uses(config, ch, rngs, [0], mode, pre.slots), pre
+    return config, channel_uses(config, ch, rngs, [0], mode), pre
 
 
 def _columns(pre):
-    """Legitimate and jamming column counts of a precoder set."""
+    """Legitimate and jamming real column counts of a precoder set."""
     return pre.v1_l.shape[-1] + pre.v2_l.shape[-1], pre.v1_j.shape[-1] + pre.v2_j.shape[-1]
 
 
@@ -56,39 +58,104 @@ def _at(rate, ch, pre, sig):
 
 
 def _one_use(ch):
-    """One trial's slot-space matrices as a stack of one trial and one channel use."""
+    """One trial's matrices as a stack of one trial and one channel use."""
     return ChannelRealization(ch.h1[None], ch.h2[None], ch.g1[None, None], ch.g2[None, None])
 
 
-def _kron2(ch):
-    """Test-built slot space of a channel held over two slots."""
-    return ChannelRealization(*(np.kron(np.eye(2), m) for m in (ch.h1, ch.h2, ch.g1, ch.g2)))
+def _complex_set(gen, config):
+    """Random complex isometries for both transmitters, a complex projector and their real forms.
+
+    Returns ((v1_l, v1_j, v2_l, v2_j, u) complex, the ``PrecoderSet`` of
+    their real forms as a stack of one).  Legitimate and jamming columns
+    are two per transmitter.
+    """
+
+    def isometry(rows, cols):
+        q, _ = np.linalg.qr(gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols)))
+        return q
+
+    w1, w2 = isometry(config.m1, 4), isometry(config.m2, 4)
+    q = isometry(config.n, 1)
+    complex_set = (w1[:, :2], w1[:, 2:], w2[:, :2], w2[:, 2:], np.eye(config.n) - q @ q.conj().T)
+    reals = [real2(m)[None] for m in complex_set]
+    zeros = np.zeros(1)
+    report = BuildReport(zeros, zeros, zeros, zeros, zeros.astype(int), zeros.astype(int))
+    return complex_set, PrecoderSet(*reals, report)
+
+
+def _complex_half_logdet(e, power):
+    """0.5 * log2 det(I + power E E^H) of a complex E, in 50-digit arithmetic on its float values."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in e])
+        gram = mpmath.eye(e.shape[0]) + mpmath.mpf(power) * (m * m.transpose_conj())
+        return float(mpmath.log(mpmath.re(mpmath.det(gram)), 2) / 2)
 
 
 class TestPerStreamPowers:
+    # The real transmit covariances p V V^T have trace p per channel use.
     def test_transmit_power_accounting(self):
         # trace of the transmit covariance (before the channel) equals p
         _, _, pre = _trial(AntennaConfig(2, 2, 3, 2), 11, EveMode.STATIC)
         pre = member(pre, 0)
         sig = SignalParams(7.0, alpha=0.25)
-        p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
+        p_legit, p_jam = per_stream_powers(*_columns(pre), sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
-            cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
-            total += float(np.trace(cov).real)
-        assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
+            cov = p_legit * (vl @ vl.T) + p_jam * (vj @ vj.T)
+            total += float(np.trace(cov))
+        assert total == pytest.approx(sig.p, rel=1e-9)
 
     def test_transmit_power_accounting_two_slot(self):
+        # The half-integer allocation of (2, 2, 3, 1): one real jamming
+        # stream per transmitter.
         _, _, pre = _trial(AntennaConfig(2, 2, 3, 1), 19, EveMode.STATIC)
         pre = member(pre, 0)
-        assert pre.slots == 2
+        assert _columns(pre) == (5, 2)
         sig = SignalParams(3.0, alpha=0.5)
-        p_legit, p_jam = per_stream_powers(pre.slots, *_columns(pre), sig)
+        p_legit, p_jam = per_stream_powers(*_columns(pre), sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
-            cov = p_legit * (vl @ vl.conj().T) + p_jam * (vj @ vj.conj().T)
-            total += float(np.trace(cov).real)
-        assert total / pre.slots == pytest.approx(sig.p, rel=1e-9)
+            cov = p_legit * (vl @ vl.T) + p_jam * (vj @ vj.T)
+            total += float(np.trace(cov))
+        assert total == pytest.approx(sig.p, rel=1e-9)
+
+
+class TestRateUnit:
+    """On real forms of complex precoders the rates are half the complex mutual information.
+
+    The oracle works on the complex matrices in mpmath: 0.5 * log2 det(I +
+    p E E^H / sigma2) with p the power of one complex stream, which is two
+    real streams' worth.
+    """
+
+    config = AntennaConfig(3, 2, 3, 2)
+    sigs = [SignalParams.from_db(p_db, alpha=0.3, sigma2=0.7) for p_db in (0.0, 20.0, 60.0)]
+
+    def draw(self, seed):
+        gen = np.random.default_rng(seed)
+        (v1_l, v1_j, v2_l, v2_j, u), pre = _complex_set(gen, self.config)
+        ch = sample_channels(self.config, [RngStream(seed)], EveMode.STATIC)
+        return (v1_l, v1_j, v2_l, v2_j, u), pre, member(ch, 0), ch
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_legit_rate(self, seed):
+        (v1_l, _, v2_l, _, u), pre, trial, ch = self.draw(seed)
+        e = np.hstack([u @ trial.h1 @ v1_l, u @ trial.h2 @ v2_l])
+        for sig, value in zip(self.sigs, legit_rate(ch, pre, self.sigs)[0]):
+            p = (1 - sig.alpha) * sig.p / e.shape[1]
+            assert abs(value - _complex_half_logdet(e, p / sig.sigma2)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eve_leakage(self, seed):
+        (v1_l, v1_j, v2_l, v2_j, _), pre, trial, ch = self.draw(seed)
+        seen = channel_uses(self.config, ch, [RngStream(seed)], [0], EveMode.STATIC)
+        s = np.hstack([trial.g1 @ v1_l, trial.g2 @ v2_l])
+        j = np.hstack([trial.g1 @ v1_j, trial.g2 @ v2_j])
+        for sig, value in zip(self.sigs, eve_leakage(seen, pre, self.sigs)[0]):
+            p_s = (1 - sig.alpha) * sig.p / s.shape[1] / sig.sigma2
+            p_j = sig.alpha * sig.p / j.shape[1] / sig.sigma2
+            expected = max(0.0, _complex_half_logdet(s, p_s) - _complex_half_logdet(j, p_j))
+            assert abs(value - expected) <= 1e-12
 
 
 class TestLegitRate:
@@ -114,22 +181,20 @@ class TestLegitRate:
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_matches_slogdet_oracle(self, cfg):
         # E = [U H1 V1l | U H2 V2l] built here from the trial draw with
-        # np.kron, not the library slot helper; the (2, 2, 3, 1) set uses
-        # the two-slot extension.
+        # np.block real forms, not the library's; the (2, 2, 3, 1) set has
+        # a half-integer allocation.  Real noise has variance sigma2 / 2.
         config, ch, stack = _build(cfg, seed=4)
         pre = member(stack, 0)
         trial = member(sample_channels(config, [RngStream(4)], EveMode.TIME_VARYING), 0)
-        if pre.slots == 2:
-            trial = _kron2(trial)
-        h1, h2 = trial.h1, trial.h2
+        h1, h2 = real2(trial.h1), real2(trial.h2)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
         sigs = [SignalParams.from_db(p_db, alpha=0.4, sigma2=2.0) for p_db in (20.0, 30.0, 40.0)]
         for sig, value in zip(sigs, legit_rate(ch, stack, sigs)[0]):
-            p_legit, _ = per_stream_powers(pre.slots, *_columns(pre), sig)
-            gram = np.eye(e.shape[0]) + (p_legit / sig.sigma2) * e @ e.conj().T
+            p_legit, _ = per_stream_powers(*_columns(pre), sig)
+            gram = np.eye(e.shape[0]) + (2.0 * p_legit / sig.sigma2) * e @ e.T
             sign, logdet = np.linalg.slogdet(gram)
-            assert sign.real > 0
-            expected = 0.5 * logdet / np.log(2.0) / pre.slots
+            assert sign > 0
+            expected = 0.25 * logdet / np.log(2.0)
             assert value == pytest.approx(expected, rel=1e-10)
 
 
@@ -154,23 +219,22 @@ class TestEveLeakage:
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
     def test_default_second_slot_is_the_same_draw(self, cfg):
-        # The static model holds the trial's eavesdropper
-        # in both slots of every channel use.
+        # The static model holds the trial's eavesdropper in every channel
+        # use.
         config = AntennaConfig(*cfg)
         rngs, trial, pre = _trial(config, 6, EveMode.STATIC)
-        held = member(trial, 0)
-        held = _one_use(held if pre.slots == 1 else _kron2(held))
+        held = _one_use(member(trial, 0))
         sig = SignalParams.from_db(50.0)
         for use in (0, 3):
-            seen = channel_uses(config, trial, rngs, [use], EveMode.STATIC, pre.slots)
+            seen = channel_uses(config, trial, rngs, [use], EveMode.STATIC)
             assert _at(eve_leakage, seen, pre, sig) == _at(eve_leakage, held, pre, sig)
 
     def test_overflowed_power_is_an_error(self):
-        # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows to
-        # inf; that must fail, not clamp a NaN leakage to 0.
+        # The jamming SNR 0.9 p / 2 real streams / (sigma2 / 2) overflows to
+        # inf at sigma2 = 0.5; that must fail, not clamp a NaN leakage to 0.
         config, ch, pre = _build((2, 2, 3, 1))
         with pytest.raises(NumericalFailure):
-            _at(eve_leakage, ch, pre, SignalParams(1.7e308, alpha=0.9))
+            _at(eve_leakage, ch, pre, SignalParams(1.7e308, alpha=0.9, sigma2=0.5))
 
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
@@ -237,7 +301,7 @@ class TestSweep:
                 sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 1, mode, threads=1)
                 assert len(calls) == 3, (trials, points)
 
-    def test_time_varying_grid_point_k_sees_slots_at_2k_and_2k_plus_1(self):
+    def test_time_varying_grid_point_k_sees_the_draw_at_2k(self):
         config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
         samples = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
         for s in samples:
@@ -245,14 +309,9 @@ class TestSweep:
             rngs = [RngStream(seed, (s.trial, 0))]
             trial = sample_channels(config, rngs, EveMode.TIME_VARYING)
             pre = build_precoders(config, trial, allocate_jamming(config), rngs)
-            a, b = (
-                member(sample_channels(config, [RngStream(seed, (s.trial, address))], EveMode.TIME_VARYING), 0)
-                for address in (2 * k, 2 * k + 1)
-            )
-            held = _kron2(member(trial, 0))
-            seen = _one_use(
-                ChannelRealization(held.h1, held.h2, block_diag2(a.g1, b.g1), block_diag2(a.g2, b.g2))
-            )
+            held = member(trial, 0)
+            eve = member(sample_channels(config, [RngStream(seed, (s.trial, 2 * k))], EveMode.TIME_VARYING), 0)
+            seen = _one_use(ChannelRealization(held.h1, held.h2, eve.g1, eve.g2))
             sig = SignalParams.from_db(s.p_db)
             assert s.legit_rate == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
             assert s.eve_leakage == pytest.approx(
@@ -427,6 +486,11 @@ class TestFailureAddress:
         with pytest.raises(InvalidMatrix, match=re.escape(f"{config} seed 2: stack member 2: h2")):
             verify.check_config(config, 4)
 
+    def test_check_config_rejects_an_empty_stack(self):
+        config = AntennaConfig(2, 2, 3, 2)
+        with pytest.raises(InvalidMatrix, match=re.escape(f"{config}: h1 is an empty stack")):
+            verify.check_config(config, 0)
+
     def test_check_config_writes_one_line_per_failing_seed(self, monkeypatch):
         # The gates compare all seeds at once; each failing seed still gets
         # its own line naming every check it failed.
@@ -440,21 +504,21 @@ class TestFailureAddress:
         monkeypatch.setattr(verify, "leakage_rank", off_at_seed_1)
         config = AntennaConfig(2, 2, 3, 2)  # aligned jamming only: no nullspace residual
         _, failures = verify.check_config(config, 3)
-        assert failures == [f"{config} seed 1: leakage rank 3 != 2"]
+        assert failures == [f"{config} seed 1: leakage rank 5 != 4"]
         monkeypatch.setattr(verify, "NULLSPACE_RESIDUAL_MAX", -1.0)
         _, failures = verify.check_config(config, 3)
         assert failures == [
             f"{config} seed 0: nullspace residual 0.00e+00",
-            f"{config} seed 1: nullspace residual 0.00e+00; leakage rank 3 != 2",
+            f"{config} seed 1: nullspace residual 0.00e+00; leakage rank 5 != 4",
             f"{config} seed 2: nullspace residual 0.00e+00",
         ]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stacked_rate_failure_names_its_trial(self, threads, monkeypatch, uncapped_workers):
-        # An inf entry in each of trial 3's eavesdropper matrices gives NaN
-        # singular values, and so NaN rates, for that trial alone: a stacked
-        # SVD does not fail the whole chunk on an inf member.  NumPy warns
-        # about the products with inf before the rates fail.
+        # An inf entry in trial 3's eavesdropper matrices is rejected where
+        # the channels enter the rate functions, before any product with it
+        # could warn (the suite turns warnings into errors): InvalidMatrix,
+        # naming the trial.
         real = simulate.channel_uses
 
         def poisoned(config, trial_ch, rngs, *args):
@@ -468,15 +532,18 @@ class TestFailureAddress:
 
         monkeypatch.setattr(simulate, "channel_uses", poisoned)
         config = AntennaConfig(2, 2, 3, 2)
-        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NumericalFailure) as exc:
+        with pytest.raises(InvalidMatrix) as exc:
             sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.TIME_VARYING, threads=threads)
         assert f"{config} trial 3 master seed 11:" in str(exc.value)
+        assert "g1 contains non-finite entries" in str(exc.value)
 
     def test_rate_failure_names_trial_and_seed(self):
-        # Per-stream jamming power 0.9 p * 2 slots / 1 column overflows.
+        # At 3080 dB the jamming SNR 0.9 p / 2 real streams / (sigma2 / 2)
+        # overflows at sigma2 = 0.5, for every trial: the first is named.
         config = AntennaConfig(2, 2, 3, 1)
+        sig = SignalParams(1.0, alpha=0.9, sigma2=0.5)
         with pytest.raises(NumericalFailure, match=re.escape(f"{config} trial 0 master seed 5:")):
-            sweep(config, SignalParams(1.0, alpha=0.9), [3079.0, 3080.0], 2, 5, EveMode.STATIC)
+            sweep(config, sig, [3079.0, 3080.0], 2, 5, EveMode.STATIC)
 
 
 class TestEstimateDof:
@@ -520,6 +587,18 @@ class TestEstimateDof:
         samples = sweep(config, SignalParams(1.0), grid, 20, 0, EveMode.TIME_VARYING)
         legit, _ = estimate_dof(samples, (140.0, 170.0))
         assert abs(legit.slope - sum_sdof(config).value) <= 1e-3
+
+
+class TestStaticEavesdropper:
+    # Every allocation, half-integer ones included, jams a static
+    # eavesdropper fully in one channel use: its leakage stays flat.
+    @pytest.mark.parametrize("cfg", [(1, 1, 1, 1), (2, 2, 3, 1), (4, 4, 6, 3)])
+    def test_leakage_slope_is_flat(self, cfg):
+        config = AntennaConfig(*cfg)
+        samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 20, 1, EveMode.STATIC)
+        legit, leak = estimate_dof(samples, (60.0, 100.0))
+        assert abs(leak.slope) <= 0.05
+        assert abs(legit.slope - sum_sdof(config).value) <= 0.15
 
 
 class TestSecrecyPositivity:
