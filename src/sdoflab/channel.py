@@ -24,7 +24,9 @@ least ``SEED_HASH_MIN_KEYS`` addresses (a stack of trials in
 of a stacked build) is hashed in one vectorised pass that reproduces
 ``SeedSequence`` bit for bit, and each generator is seeded straight from
 its state words; a smaller batch builds one ``SeedSequence`` per address.
-Either way every draw is the same.
+``TrialSeeds`` hashes a stack's eavesdropper and jamming addresses once
+for a caller that draws many configurations on the same trials.  Every
+way, every draw is the same.
 """
 
 from __future__ import annotations
@@ -303,6 +305,13 @@ def _complex_gaussian_pairs(gens, count, rows, cols1, cols2):
     return first.reshape(count, rows, cols1), second.reshape(count, rows, cols2)
 
 
+def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]:
+    """The spawn keys of the eavesdropper draws at the addresses of ``rngs``."""
+    if mode.varies_per_use:
+        return [_spawn_key(_DOMAIN_EVE, *r.stream_id) for r in rngs]
+    return [_spawn_key(_DOMAIN_EVE, r.stream_id[0]) for r in rngs]
+
+
 def sample_channels(
     config: AntennaConfig, rngs: Sequence[RngStream], mode: EveMode
 ) -> ChannelRealization:
@@ -317,8 +326,7 @@ def sample_channels(
     own stream, whatever the rest of the stack.
     """
     keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
-    per_use = mode.varies_per_use
-    keys += [_spawn_key(_DOMAIN_EVE, r.stream_id[0], r.stream_id[1] if per_use else None) for r in rngs]
+    keys += _eve_keys(rngs, mode)
     gens = _generators([r.master_seed for r in rngs] * 2, keys)
     h1, h2 = _complex_gaussian_pairs(gens, len(rngs), config.n, config.m1, config.m2)
     g1, g2 = _complex_gaussian_pairs(gens, len(rngs), config.n_e, config.m1, config.m2)
@@ -372,6 +380,42 @@ def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
     """Per-trial generators for random jamming directions, seeded in one batch."""
     keys = [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]
     return list(_generators([r.master_seed for r in rngs], keys))
+
+
+class TrialSeeds:
+    """The eavesdropper and jamming seed words of a stack of trial streams, hashed once.
+
+    For drawing many configurations on the same trials, as ``verify`` does
+    for every n_e of an antenna family: these addresses do not depend on
+    the configuration, so their ``SeedSequence`` words are hashed here
+    once, in one batch whatever its size, and every draw seeds fresh
+    generators from them.  ``eavesdropper(config)`` is bit for bit the g1
+    and g2 of ``sample_channels(config, rngs, mode)``, and
+    ``jamming_generators()`` draws as ``jamming_generators(rngs)`` does.
+    """
+
+    def __init__(self, rngs: Sequence[RngStream], mode: EveMode):
+        self.trials = len(rngs)
+        keys = _eve_keys(rngs, mode)
+        keys += [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]
+        if rngs:
+            words = _seed_words([r.master_seed for r in rngs] * 2, keys)
+        else:
+            words = np.zeros((0, _POOL_SIZE), np.uint64)
+        self._eve, self._jamming = words[: self.trials], words[self.trials :]
+
+    @staticmethod
+    def _generators(words) -> Iterator[np.random.Generator]:
+        return (np.random.default_rng(_StateWords(w)) for w in words)
+
+    def eavesdropper(self, config: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The (trials, n_e, m1) and (trials, n_e, m2) eavesdropper stacks of ``config``."""
+        gens = self._generators(self._eve)
+        return _complex_gaussian_pairs(gens, self.trials, config.n_e, config.m1, config.m2)
+
+    def jamming_generators(self) -> list[np.random.Generator]:
+        """Fresh per-trial generators for random jamming directions."""
+        return list(self._generators(self._jamming))
 
 
 def real_form(stack, name: str) -> np.ndarray:

@@ -48,19 +48,24 @@ def _fmt(x: float) -> str:
 
 
 def _encode_matrix(mat: np.ndarray) -> dict:
-    return {
+    """A matrix as decimal strings: ``re``, plus ``im`` for a complex one."""
+    doc = {
         "rows": int(mat.shape[0]),
         "cols": int(mat.shape[1]),
         "re": [[_fmt(v) for v in row] for row in mat.real],
-        "im": [[_fmt(v) for v in row] for row in mat.imag],
     }
+    if np.iscomplexobj(mat):
+        doc["im"] = [[_fmt(v) for v in row] for row in mat.imag]
+    return doc
 
 
 def decode_matrix(doc: dict) -> np.ndarray:
-    """Inverse of the design-report matrix encoding."""
-    re = np.array([[float(v) for v in row] for row in doc["re"]], dtype=float)
-    im = np.array([[float(v) for v in row] for row in doc["im"]], dtype=float)
-    out = re + 1j * im
+    """Inverse of the design-report matrix encoding: complex with ``im``, float without."""
+
+    def parse(part):
+        return np.array([[float(v) for v in row] for row in doc[part]], dtype=float)
+
+    out = parse("re") + 1j * parse("im") if "im" in doc else parse("re")
     return out.reshape(doc["rows"], doc["cols"])
 
 

@@ -20,6 +20,14 @@ from, and every entry of its report is an array with one value per trial.
 One stacked SVD or QR per step serves all trials, and each trial draws its
 random directions from its own generator, so a trial's member of the set
 does not depend on the stack it was built in.
+
+Nothing a build takes from the legitimate draw depends on the
+eavesdropper: the real forms of h1 and h2, their SVDs and nullspaces
+and the intersection of their received spaces are the same for every
+n_e.  ``DrawFactors`` holds them, made at first use, and a caller that
+builds several allocations on one draw (``verify``, one (m1, m2, n)
+family at a time) hands the same instance to each build, which then
+assembles its set exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -90,8 +98,8 @@ def _haar_columns(m: int, streams: int, gens) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
-    ns = nullspace(h, factors)
+def _nullspace_block(ns: np.ndarray, h: np.ndarray, streams: int) -> np.ndarray:
+    """The first ``streams`` columns of ``ns``, a nullspace basis of every matrix of ``h``."""
     if streams > ns.shape[-1]:
         raise InfeasibleAllocation(
             f"nullspace of a {h.shape[-2]}x{h.shape[-1]} channel has dimension "
@@ -100,15 +108,14 @@ def _nullspace_block(h: np.ndarray, streams: int, factors=None) -> np.ndarray:
     return ns[..., :streams]
 
 
-def _aligned_targets(q1: np.ndarray, q2: np.ndarray, pairs: int) -> np.ndarray:
+def _aligned_targets(base: np.ndarray, pairs: int) -> np.ndarray:
     """Orthonormal receive directions that both transmitters' aligned jamming hits.
 
-    ``q1`` and ``q2`` are orthonormal bases of the received signal spaces,
-    the column spaces of h1 and h2 (stacks allowed).  The first ``pairs``
-    columns of a basis of their intersection, which generically has
-    positive dimension only when m1 + m2 > n.
+    ``base`` is an orthonormal basis of the intersection of the received
+    signal spaces, the column spaces of h1 and h2, which generically has
+    positive dimension only when m1 + m2 > n; the targets are its first
+    ``pairs`` columns.
     """
-    base = intersect(q1, q2)
     if pairs > base.shape[-1]:
         raise InfeasibleAllocation(
             f"received signal spaces intersect in {base.shape[-1]} real dimensions, "
@@ -128,11 +135,65 @@ def _hstack(blocks) -> np.ndarray:
     return np.concatenate(blocks, axis=-1)
 
 
+class DrawFactors:
+    """What every build on one legitimate draw shares, each part made at its first use.
+
+    The real forms of h1 and h2, their SVDs and nullspaces, and the
+    intersection of their received signal spaces depend on the
+    legitimate draw alone, never on n_e or the allocation: the precoders
+    never see the eavesdropper.  The first build that needs a part
+    computes it and the builds after it on the same draw reuse it, so
+    ``verify`` factors each (m1, m2, n) family's draw once for all its
+    n_e values; every part is exactly what a build on its own computes.
+    ``build_precoders`` makes a fresh instance for a call without one.
+    ``trial_seeds``, a ``channel.TrialSeeds`` of ``rngs``, hands out the
+    jamming generators from words hashed once; without it each build
+    hashes its own (``jamming_generators``).
+    """
+
+    def __init__(self, ch: ChannelRealization, rngs: Sequence[RngStream], trial_seeds=None):
+        self.h1, self.h2 = ch.h1, ch.h2
+        self.rngs = rngs
+        self._trial_seeds = trial_seeds
+        self._parts = {}
+
+    def _part(self, key, make):
+        if key not in self._parts:
+            self._parts[key] = make()
+        return self._parts[key]
+
+    def real(self, tx: int) -> np.ndarray:
+        """The real form of transmitter ``tx``'s legitimate channel stack, validated."""
+        return self._part(("real", tx), lambda: real_form(self.h1 if tx == 1 else self.h2, f"h{tx}"))
+
+    def svd(self, tx: int):
+        return self._part(("svd", tx), lambda: svd(self.real(tx)))
+
+    def nullspace(self, tx: int) -> np.ndarray:
+        return self._part(("nullspace", tx), lambda: nullspace(self.real(tx), self.svd(tx)))
+
+    def intersection(self) -> np.ndarray:
+        """Orthonormal basis of the intersection of the two received signal spaces."""
+
+        def make():
+            bases = [orthonormal_basis(self.real(tx), self.svd(tx)) for tx in (1, 2)]
+            return intersect(*bases)
+
+        return self._part("intersection", make)
+
+    def generators(self) -> list[np.random.Generator]:
+        """Fresh per-trial jamming generators."""
+        if self._trial_seeds is None:
+            return jamming_generators(self.rngs)
+        return self._trial_seeds.jamming_generators()
+
+
 def build_precoders(
     config: AntennaConfig,
     ch: ChannelRealization,
     alloc: JammingAllocation,
     rngs: Sequence[RngStream],
+    _factors: DrawFactors | None = None,
 ) -> PrecoderSet:
     """Assemble the precoder set of an audited allocation for a stack of trials.
 
@@ -148,7 +209,8 @@ def build_precoders(
     generator (``jamming_generators``) in a fixed order (transmitter one's
     random block, transmitter two's, then the legitimate completions of
     one and two), so a trial's member is bit for bit the same in any
-    stack, alone or not.
+    stack, alone or not.  ``_factors`` is the ``DrawFactors`` of ``ch``'s
+    legitimate draw and ``rngs`` when several builds share them.
 
     InfeasibleAllocation propagates from the per-method constructors when
     the allocation does not fit the channel (which for generic channels
@@ -157,17 +219,19 @@ def build_precoders(
     stack of matrices.  A trial whose channel has a non-generic rank fails
     the stack with NumericalFailure; the error's ``member`` names it.
     """
-    h1 = real_form(ch.h1, "h1")
-    h2 = real_form(ch.h2, "h2")
+    factors = DrawFactors(ch, rngs) if _factors is None else _factors
+    if factors.h1 is not ch.h1 or factors.h2 is not ch.h2 or factors.rngs is not rngs:
+        raise ValueError("the shared factors belong to another draw")
+    h1, h2 = factors.real(1), factors.real(2)
     if not len(h1) == len(h2) == len(rngs):
         raise DimensionMismatch(
             f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
         )
-    return _build_stack(h1, h2, alloc, jamming_generators(rngs))
+    return _build_stack(h1, h2, factors, alloc)
 
 
-def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
-    """``build_precoders`` on the real forms of validated channel stacks, one generator per trial."""
+def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation) -> PrecoderSet:
+    """``build_precoders`` on the real forms of a validated legitimate draw and their factors."""
 
     def real_streams(count) -> int:
         return int(2 * count)
@@ -176,23 +240,17 @@ def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
     if aligned_pairs != real_streams(alloc.method_streams(2, JammingMethod.ALIGNED)):
         raise InfeasibleAllocation("aligned stream counts must match across transmitters")
 
-    # One SVD per channel serves its received basis, its aligned solve and
-    # its nullspace block.
-    def factored(h, entries):
-        nulls = any(m is JammingMethod.NULLSPACE and c for m, c in entries)
-        return svd(h) if aligned_pairs or nulls else None
-
-    f1 = factored(h1, alloc.tx1)
-    f2 = factored(h2, alloc.tx2)
+    gens = factors.generators()
 
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
     # columns are not orthonormal; assembly re-orthonormalizes them within
     # each transmitter, an invertible mix that keeps every rank count.
+    # One SVD per channel serves its received basis, its aligned solve and
+    # its nullspace block.
     if aligned_pairs:
-        bases = orthonormal_basis(h1, f1), orthonormal_basis(h2, f2)
-        targets = _aligned_targets(*bases, aligned_pairs)
-        v1_aligned = solve_into(h1, targets, f1)
-        v2_aligned = solve_into(h2, targets, f2)
+        targets = _aligned_targets(factors.intersection(), aligned_pairs)
+        v1_aligned = solve_into(h1, targets, factors.svd(1))
+        v2_aligned = solve_into(h2, targets, factors.svd(2))
         alignment_residual = _max_abs(h1 @ v1_aligned - h2 @ v2_aligned)
     else:
         targets = np.zeros(h1.shape[:-1] + (0,))
@@ -207,7 +265,7 @@ def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
     visible_received = [targets]
     nullspace_residual = np.zeros(len(gens))
 
-    def assemble(entries, h_tx, factors, aligned_block):
+    def assemble(tx, entries, h_tx, aligned_block):
         nonlocal nullspace_residual
         blocks = []
         for method, count in entries:
@@ -215,7 +273,7 @@ def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
             if k == 0:
                 continue
             if method is JammingMethod.NULLSPACE:
-                block = _nullspace_block(h_tx, k, factors)
+                block = _nullspace_block(factors.nullspace(tx), h_tx, k)
                 nullspace_residual = np.maximum(nullspace_residual, _max_abs(h_tx @ block))
                 blocks.append(block)
             elif method is JammingMethod.ALIGNED:
@@ -229,9 +287,8 @@ def _build_stack(h1, h2, alloc: JammingAllocation, gens) -> PrecoderSet:
         q, _ = np.linalg.qr(_hstack(blocks))
         return q
 
-    v1_j = assemble(alloc.tx1, h1, f1, v1_aligned)
-    v2_j = assemble(alloc.tx2, h2, f2, v2_aligned)
-    del f1, f2  # the factors are among a long stack's largest arrays
+    v1_j = assemble(1, alloc.tx1, h1, v1_aligned)
+    v2_j = assemble(2, alloc.tx2, h2, v2_aligned)
 
     received_jam = _hstack([h1 @ v1_j, h2 @ v2_j])
     u = complement_projector(_hstack(visible_received))

@@ -8,10 +8,11 @@ bound n_e is
                      (max(m1, n) + max(m2, n) - n_e) / 2,
                      n))
 
-evaluated here in exact rational arithmetic.  ``classify`` reports which
-regime condition produces the binding bound, and ``allocate_jamming``
-turns a configuration into a concrete budget of jamming streams per
-transmitter and method:
+evaluated here exactly, in integer half units where every bound is
+whole (``upper_bounds`` gives the bounds as Fractions).  ``classify``
+reports which regime condition produces the binding bound, and
+``allocate_jamming`` turns a configuration into a concrete budget of
+jamming streams per transmitter and method:
 
 * nullspace streams are invisible at the legitimate receiver and cost one
   transmit antenna each (capacity ``[m_i - n]+`` per transmitter);
@@ -189,23 +190,37 @@ def upper_bounds(config: AntennaConfig) -> tuple[Fraction, Fraction, Fraction]:
     return b1, b2, b3
 
 
+def _bound_halves(config: AntennaConfig) -> tuple[int, int, int]:
+    """The three bounds of ``upper_bounds`` in integer half units, where each is whole."""
+    m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
+    return 2 * (m1 + m2 - n_e), max(m1, n) + max(m2, n) - n_e, 2 * n
+
+
+def _sdof_halves(config: AntennaConfig) -> int:
+    """Twice the sum SDoF."""
+    return max(0, min(_bound_halves(config)))
+
+
 def sum_sdof(config: AntennaConfig) -> SDoFValue:
-    """Exact sum SDoF: the three bounds' minimum, clamped at zero."""
-    value = max(Fraction(0), min(upper_bounds(config)))
-    return SDoFValue.from_fraction(value)
+    """Exact sum SDoF: the three bounds' minimum, clamped at zero, evaluated in half units."""
+    halves = _sdof_halves(config)
+    if halves % 2:
+        return SDoFValue(halves, 2)
+    return SDoFValue(halves // 2, 1)
+
+
+def _case_halves(regime: Regime, config: AntennaConfig) -> int:
+    """Twice the value the closed form's case ``regime`` gives."""
+    if regime is Regime.ZERO:
+        return 0
+    if regime is Regime.NO_EAVESDROPPER:
+        return 2 * min(config.m, config.n)
+    b1, b2, b3 = _bound_halves(config)
+    return {Regime.C1: b1, Regime.C2: b2, Regime.C3: b3}[regime]
 
 
 def _case_value(regime: Regime, config: AntennaConfig) -> Fraction:
-    b1, b2, b3 = upper_bounds(config)
-    if regime is Regime.C1:
-        return b1
-    if regime is Regime.C2:
-        return b2
-    if regime is Regime.C3:
-        return b3
-    if regime is Regime.ZERO:
-        return Fraction(0)
-    return Fraction(min(config.m, config.n))  # NO_EAVESDROPPER
+    return Fraction(_case_halves(regime, config), 2)
 
 
 def classify(config: AntennaConfig) -> RegimeLabel:
@@ -251,8 +266,8 @@ def classify(config: AntennaConfig) -> RegimeLabel:
         # Condition boundaries (e.g. max(m1,m2) == n) are not covered
         # verbatim; the min-expression is authoritative and the label is
         # whichever bound attains it, in C3/C1/C2 precedence.
-        target = sum_sdof(config).as_fraction
-        b1, b2, b3 = upper_bounds(config)
+        target = _sdof_halves(config)
+        b1, _, b3 = _bound_halves(config)
         if target == b3:
             label = RegimeLabel(Regime.C3, "boundary")
         elif target == b1:
@@ -260,7 +275,7 @@ def classify(config: AntennaConfig) -> RegimeLabel:
         else:
             label = RegimeLabel(Regime.C2, "boundary")
 
-    if _case_value(label.regime, config) != sum_sdof(config).as_fraction:
+    if _case_halves(label.regime, config) != _sdof_halves(config):
         raise SdofLabError(
             f"classifier case value disagrees with the closed form for {config}"
         )
@@ -363,11 +378,11 @@ def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditRe
     with jamming overflow, the occupancy identity n - j_s = m1 + m2 - n_e.
     """
     label = classify(config)
-    n = Fraction(config.n)
     checks = []
 
-    expected_streams = Fraction(0 if label.regime is Regime.ZERO else config.n_e)
-    total = alloc.total_streams
+    streams = alloc.streams(1), alloc.streams(2)
+    expected_streams = 0 if label.regime is Regime.ZERO else config.n_e
+    total = streams[0] + streams[1]
     checks.append(
         AuditCheck(
             "stream_budget",
@@ -376,28 +391,30 @@ def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditRe
         )
     )
 
-    room = n - alloc.j_s
+    room = config.n - alloc.j_s
+    d_total = alloc.d_total
     checks.append(
         AuditCheck(
             "receiver_room",
-            room >= alloc.d_total,
-            f"n - j_s = {room} must cover d1 + d2 = {alloc.d_total}",
+            room >= d_total,
+            f"n - j_s = {room} must cover d1 + d2 = {d_total}",
         )
     )
 
-    theory = sum_sdof(config).as_fraction
+    theory = sum_sdof(config)
     checks.append(
         AuditCheck(
             "sdof_match",
-            alloc.d_total == theory,
-            f"d1 + d2 = {alloc.d_total}, closed form gives {theory}",
+            d_total == theory.as_fraction,
+            f"d1 + d2 = {d_total}, closed form gives {theory}",
         )
     )
 
     budget_ok = True
     details = []
-    for tx, m_i, d_i in ((1, config.m1, alloc.d1), (2, config.m2, alloc.d2)):
-        used = alloc.streams(tx) + d_i
+    per_tx = ((1, config.m1, streams[0], alloc.d1), (2, config.m2, streams[1], alloc.d2))
+    for tx, m_i, tx_streams, d_i in per_tx:
+        used = tx_streams + d_i
         details.append(f"tx{tx}: jamming + legitimate = {used} of {m_i}")
         if used > m_i or d_i < 0:
             budget_ok = False

@@ -6,26 +6,43 @@ residual/rank checks over random channel seeds, and (optionally) quick
 Monte Carlo slope smoke tests.  Returns a JSON-friendly report; every
 check carries a pass flag and its worst observed residual or first
 counterexample.
+
+The precoder checks walk the grid one (m1, m2, n) family at a time and
+share, across the family's n_e values, everything that does not depend
+on n_e.  That is sound because the precoders never see the eavesdropper:
+the legitimate draw at a trial's address depends on (m1, m2, n) alone,
+so one ``sample_channels`` call draws it for the whole family, and the
+real forms, SVDs, nullspaces and received-space intersection built from
+it (``precoding.DrawFactors``) serve every build.  Each n_e still gets
+its own eavesdropper draw, jamming generators, allocation, jamming
+blocks, projector, ranks and gates, and each set is bit for bit the one
+a build on that configuration's own draw makes.  A run allocates every
+configuration once, for the audits and the precoder checks alike, and
+hashes the channel seeds' eavesdropper and jamming addresses once
+(``channel.TrialSeeds``); nothing is kept past the call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .channel import (
+    ChannelRealization,
     EveMode,
     RngStream,
     SignalParams,
+    TrialSeeds,
     channel_uses,
     sample_channels,
 )
 from .errors import SdofLabError, located
-from .precoding import build_precoders, leakage_rank
+from .precoding import DrawFactors, build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
+    JammingAllocation,
     _antenna_grid,
     allocate_jamming,
     audit_allocation,
@@ -58,69 +75,87 @@ class CheckResult:
     worst_residual: float | None = None
 
 
+def _halves(value) -> int:
+    """Twice a whole or half number: an ``SDoFValue`` or an allocation count."""
+    return value.numerator * 2 // value.denominator
+
+
 def check_theory(max_antennas: int) -> CheckResult:
-    """Case/closed-form agreement plus symmetry, monotonicity and clamping."""
+    """Case/closed-form agreement plus symmetry, monotonicity and clamping.
+
+    The mirrored and n_e - 1 values come from the same ``regime_table``
+    rows, which hold every configuration the checks compare against.
+    """
     try:
         rows = regime_table(max_antennas)
     except SdofLabError as exc:
         return CheckResult("theory_consistency", False, str(exc))
-    for config, _, value in rows:
-        mirrored = sum_sdof(AntennaConfig(config.m2, config.m1, config.n, config.n_e))
-        if mirrored.as_fraction != value.as_fraction:
+    halves = {(c.m1, c.m2, c.n, c.n_e): _halves(value) for c, _, value in rows}
+    for config, _, _ in rows:
+        m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
+        value = halves[m1, m2, n, n_e]
+        if halves[m2, m1, n, n_e] != value:
             return CheckResult("theory_consistency", False, f"symmetry broken at {config}")
-        if config.n_e >= config.m and value.as_fraction != 0:
+        if n_e >= config.m and value != 0:
             return CheckResult("theory_consistency", False, f"clamp broken at {config}")
-        if config.n_e >= 1:
-            previous = sum_sdof(
-                AntennaConfig(config.m1, config.m2, config.n, config.n_e - 1)
+        if n_e >= 1 and value > halves[m1, m2, n, n_e - 1]:
+            return CheckResult(
+                "theory_consistency", False, f"not monotone in n_e at {config}"
             )
-            if value.as_fraction > previous.as_fraction:
-                return CheckResult(
-                    "theory_consistency", False, f"not monotone in n_e at {config}"
-                )
     return CheckResult(
         "theory_consistency", True, f"{len(rows)} configurations consistent"
     )
 
 
-def check_allocations(max_antennas: int) -> CheckResult:
+def check_allocations(allocs: dict[AntennaConfig, JammingAllocation]) -> CheckResult:
     """Every allocation must pass its exact rational audit."""
-    count = 0
-    for config in _antenna_grid(max_antennas):
-        report = audit_allocation(allocate_jamming(config), config)
-        count += 1
+    for config, alloc in allocs.items():
+        report = audit_allocation(alloc, config)
         if not report.ok:
             failed = ", ".join(c.name for c in report.failures())
             return CheckResult(
                 "allocation_audits", False, f"{config}: failed {failed}"
             )
-    return CheckResult("allocation_audits", True, f"{count} allocations audited")
+    return CheckResult("allocation_audits", True, f"{len(allocs)} allocations audited")
 
 
-def check_config(config: AntennaConfig, seeds: int):
-    """Residual and rank invariants of one configuration's precoder sets.
+def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
+    """The precoder sets of one (m1, m2, n) family's configurations, built in order.
 
-    Builds a set for each channel seed 0 .. seeds - 1, all in one stacked
-    build, and checks its residuals against the gates and its ranks, in
-    real dimensions, against twice the allocation's counts; the leakage
-    rank is taken against a static eavesdropper, which every allocation
-    jams fully in one channel use.  Every gate compares all the seeds at
-    once.  Returns (worst residual of each kind, one line per failing
-    seed).  A build that fails raises its own error type, its message
-    naming the config and the seed; no seeds at all is an empty stack,
-    which raises InvalidMatrix.
+    ``configs`` share m1, m2 and n and differ in n_e.  The legitimate draw
+    at each trial's address depends on (m1, m2, n) alone, so one
+    ``sample_channels`` call, for the first configuration, draws it for
+    all of them, and their builds share its ``DrawFactors``: its real
+    forms, SVDs, nullspaces and received-space intersection.  Each
+    configuration still gets its own eavesdropper draw and jamming
+    generators, from ``trial_seeds``, and its own jamming QRs, completions,
+    projector and ranks; every set is bit for bit the one
+    ``build_precoders`` makes on that configuration's own
+    ``sample_channels`` draw.  Yields (config, draw, precoder set); a
+    build that fails raises its error, located at the config and seed.
     """
-    alloc = allocate_jamming(config)
-    expect_u_rank = 2 * config.n - int(2 * alloc.j_s)
-    expect_legit = int(2 * alloc.d_total)
-    expect_leak = int(2 * min(Fraction(config.n_e), alloc.total_streams))
-    rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
-    draws = sample_channels(config, rngs, EveMode.STATIC)
-    try:
-        pre = build_precoders(config, draws, alloc, rngs)
-    except SdofLabError as exc:
-        # A failure that is not one member's fails every seed alike.
-        raise located(exc, f"{config} seed {exc.member or 0}" if seeds else str(config)) from exc
+    first = sample_channels(configs[0], rngs, EveMode.STATIC)
+    factors = DrawFactors(first, rngs, trial_seeds)
+    for config in configs:
+        draws = first
+        if config is not configs[0]:
+            draws = ChannelRealization(first.h1, first.h2, *trial_seeds.eavesdropper(config))
+        try:
+            pre = build_precoders(config, draws, allocs[config], rngs, _factors=factors)
+        except SdofLabError as exc:
+            # A failure that is not one member's fails every seed alike.
+            where = f"{config} seed {exc.member or 0}" if rngs else str(config)
+            raise located(exc, where) from exc
+        yield config, draws, pre
+
+
+def _check_set(config, draws, rngs, alloc, pre):
+    """Residual and rank invariants of one configuration's precoder set: ``check_config``'s result."""
+    # In real dimensions: a count c is 2c real streams.
+    expect_u_rank = 2 * config.n - _halves(alloc.j_s)
+    expect_legit = _halves(alloc.d1) + _halves(alloc.d2)
+    jamming = sum(_halves(count) for _, count in alloc.tx1 + alloc.tx2)
+    expect_leak = min(2 * config.n_e, jamming)
     uses = channel_uses(config, draws, rngs, [0], EveMode.STATIC)
     report = pre.report
     kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
@@ -141,6 +176,9 @@ def check_config(config: AntennaConfig, seeds: int):
     expected = np.array([expect_u_rank, expect_legit, expect_leak])
     # Rows are checks, columns seeds.
     over, wrong = residuals > gates[:, None], ranks != expected[:, None]
+    worst = dict(zip(kinds, residuals.max(axis=1).tolist()))
+    if not (over.any() or wrong.any()):
+        return worst, []
     failures = []
     for seed in np.flatnonzero(over.any(axis=0) | wrong.any(axis=0)):
         problems = [
@@ -154,20 +192,62 @@ def check_config(config: AntennaConfig, seeds: int):
             if bad
         ]
         failures.append(f"{config} seed {seed}: " + "; ".join(problems))
-    return dict(zip(kinds, residuals.max(axis=1).tolist())), failures
+    return worst, failures
 
 
-def check_precoders(max_antennas: int, seeds: int) -> CheckResult:
-    """``check_config`` over the antenna grid, stopping at the first failing configuration."""
+def _seed_streams(seeds: int):
+    """The trial streams of channel seeds 0 .. seeds - 1 and their ``TrialSeeds``."""
+    rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
+    return rngs, TrialSeeds(rngs, EveMode.STATIC)
+
+
+def _family_checks(configs, rngs, trial_seeds, allocs):
+    """``check_config`` of each of one family's configurations in order, as (config, result)."""
+    for config, draws, pre in _family_builds(configs, rngs, allocs, trial_seeds):
+        yield config, _check_set(config, draws, rngs, allocs[config], pre)
+
+
+def check_config(config: AntennaConfig, seeds: int):
+    """Residual and rank invariants of one configuration's precoder sets.
+
+    Builds a set for each channel seed 0 .. seeds - 1, all in one stacked
+    build, and checks its residuals against the gates and its ranks, in
+    real dimensions, against twice the allocation's counts; the leakage
+    rank is taken against a static eavesdropper, which every allocation
+    jams fully in one channel use.  Every gate compares all the seeds at
+    once.  This is ``check_precoders``' family walk restricted to one n_e.
+    Returns (worst residual of each kind, one line per failing seed).  A
+    build that fails raises its own error type, its message naming the
+    config and the seed; no seeds at all is an empty stack, which raises
+    InvalidMatrix.
+    """
+    allocs = {config: allocate_jamming(config)}
+    ((_, result),) = _family_checks([config], *_seed_streams(seeds), allocs)
+    return result
+
+
+def check_precoders(
+    max_antennas: int, seeds: int, allocs: dict[AntennaConfig, JammingAllocation]
+) -> CheckResult:
+    """``check_config`` over the antenna grid, stopping at the first failing configuration.
+
+    The grid is walked one (m1, m2, n) family at a time (``_family_builds``);
+    ``allocs`` holds the allocation of every configuration it visits.
+    """
     cap = min(max_antennas, PRECODER_ANTENNA_CAP)
+    rngs, trial_seeds = _seed_streams(seeds)
     worst = 0.0
     builds = 0
-    for config in _antenna_grid(cap, include_all_ne=False):
-        config_worst, failures = check_config(config, seeds)
-        builds += seeds
-        worst = max(worst, *config_worst.values())
-        if failures:
-            return CheckResult("precoder_invariants", False, failures[0], worst)
+    families = itertools.groupby(
+        _antenna_grid(cap, include_all_ne=False), key=lambda c: (c.m1, c.m2, c.n)
+    )
+    for _, family in families:
+        checks = _family_checks(list(family), rngs, trial_seeds, allocs)
+        for config, (config_worst, failures) in checks:
+            builds += seeds
+            worst = max(worst, *config_worst.values())
+            if failures:
+                return CheckResult("precoder_invariants", False, failures[0], worst)
     return CheckResult("precoder_invariants", True, f"{builds} precoder sets checked", worst)
 
 
@@ -205,10 +285,12 @@ def run_verification(
         raise ValueError("max_antennas must be at least 1")
     if seeds < 1:
         raise ValueError("seeds must be at least 1")
+    # One allocation per configuration serves the audits and the precoder checks.
+    allocs = {config: allocate_jamming(config) for config in _antenna_grid(max_antennas)}
     checks = [
         check_theory(max_antennas),
-        check_allocations(max_antennas),
-        check_precoders(max_antennas, seeds),
+        check_allocations(allocs),
+        check_precoders(max_antennas, seeds, allocs),
     ]
     if full:
         checks.append(check_slopes())

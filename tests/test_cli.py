@@ -83,6 +83,30 @@ class TestDesignCommand:
         assert doc["precoders"]["v2_j"]["cols"] == 0
 
 
+    def test_real_matrices_carry_no_imaginary_part(self, tmp_path):
+        out = tmp_path / "design.json"
+        args = ["--m1", "4", "--m2", "4", "--n", "6", "--ne", "3", "--seed", "2"]
+        assert run_cli(["design", *args, "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert not any("im" in m for m in doc["precoders"].values())
+        assert all("im" in m for m in doc["channel"].values())
+        # Every matrix round-trips exactly: the channels as complex arrays,
+        # the precoders and the projector as real ones.
+        config = sdoflab.AntennaConfig(4, 4, 6, 3)
+        rngs = [sdoflab.RngStream(2)]
+        ch = sdoflab.sample_channels(config, rngs, sdoflab.EveMode.TIME_VARYING)
+        pre = sdoflab.build_precoders(config, ch, sdoflab.allocate_jamming(config), rngs)
+        for group, source in (("channel", ch), ("precoders", pre)):
+            for key, encoded in doc[group].items():
+                got, want = cli.decode_matrix(encoded), getattr(source, key)[0]
+                assert got.dtype == want.dtype and np.array_equal(got, want), key
+        # The file is smaller than with an all-zero imaginary part per real matrix.
+        for encoded in doc["precoders"].values():
+            encoded["im"] = [["0" for _ in row] for row in encoded["re"]]
+        assert len(text) < len(json.dumps(doc, indent=2) + "\n")
+
+
 class TestSimulateCommand:
     def test_summary_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

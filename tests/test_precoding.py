@@ -20,12 +20,12 @@ from sdoflab import (
 from sdoflab.channel import channel_uses, jamming_generators
 from sdoflab.precoding import _aligned_targets, _haar_columns, _nullspace_block
 from sdoflab.sdof import _antenna_grid
-from sdoflab.subspaces import as_matrix, orthonormal_basis, solve_into
+from sdoflab.subspaces import as_matrix, intersect, nullspace, orthonormal_basis, solve_into
 
 
 def _targets(h1, h2, pairs):
-    """Aligned targets of two channels, through their received bases."""
-    return _aligned_targets(orthonormal_basis(h1), orthonormal_basis(h2), pairs)
+    """Aligned targets of two channels, through the intersection of their received bases."""
+    return _aligned_targets(intersect(orthonormal_basis(h1), orthonormal_basis(h2)), pairs)
 
 
 def _aligned(h1, h2, pairs):
@@ -73,18 +73,19 @@ class TestNullspaceJamming:
     def test_full_rank_square_is_infeasible(self):
         h = as_matrix(np.eye(3))
         with pytest.raises(InfeasibleAllocation):
-            _nullspace_block(h, 1)
+            _nullspace_block(nullspace(h), h, 1)
 
     def test_wide_channel(self):
         gen = np.random.default_rng(3)
         h = crandn(gen, 2, 5)
-        v = _nullspace_block(h, 3)
+        v = _nullspace_block(nullspace(h), h, 3)
         assert v.shape == (5, 3)
         assert max_abs(h @ v) < 1e-9
         assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-10
 
     def test_zero_streams(self):
-        assert _nullspace_block(as_matrix(np.eye(3)), 0).shape == (3, 0)
+        h = as_matrix(np.eye(3))
+        assert _nullspace_block(nullspace(h), h, 0).shape == (3, 0)
 
 
 class TestAlignedJamming:

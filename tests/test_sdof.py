@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,32 @@ class TestSumSdof:
         assert value <= config.n
         if config.n_e >= config.m:
             assert value == 0
+
+
+class TestHalfUnits:
+    # sum_sdof runs in integer half units; the oracle is the closed form
+    # written out in Fraction arithmetic.
+    GRID = [
+        AntennaConfig(m1, m2, n, n_e)
+        for m1, m2, n in itertools.product(range(1, 9), repeat=3)
+        for n_e in range(m1 + m2 + 2)
+    ]
+
+    def test_sum_sdof_matches_the_fraction_closed_form(self):
+        for c in self.GRID:
+            b2 = Fraction(max(c.m1, c.n) + max(c.m2, c.n) - c.n_e, 2)
+            expected = max(Fraction(0), min(Fraction(c.m1 + c.m2 - c.n_e), b2, Fraction(c.n)))
+            assert sum_sdof(c).as_fraction == expected, c
+
+    def test_upper_bounds_unchanged(self):
+        for c in self.GRID:
+            bounds = upper_bounds(c)
+            assert bounds == (
+                Fraction(c.m1 + c.m2 - c.n_e),
+                Fraction(max(c.m1, c.n) + max(c.m2, c.n) - c.n_e, 2),
+                Fraction(c.n),
+            ), c
+            assert all(type(b) is Fraction for b in bounds)
 
 
 class TestClassify:

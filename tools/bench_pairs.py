@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # Workloads also run once per side with --trace 1, for their per-layer metrics.
-TRACED = ("sweep-tv-dense", "simulate-static-threads2")
+TRACED = ("sweep-tv-dense", "verify-precoders", "simulate-static-threads2")
 
 
 def parse_args(argv):
