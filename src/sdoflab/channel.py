@@ -24,9 +24,9 @@ least ``SEED_HASH_MIN_KEYS`` addresses (a stack of trials in
 of a stacked build) is hashed in one vectorised pass that reproduces
 ``SeedSequence`` bit for bit, and each generator is seeded straight from
 its state words; a smaller batch builds one ``SeedSequence`` per address.
-``TrialSeeds`` hashes a stack's eavesdropper and jamming addresses once
-for a caller that draws many configurations on the same trials.  Every
-way, every draw is the same.
+``TrialSeeds`` seeds a stack's eavesdropper addresses once for a caller
+that draws many configurations on the same trials.  Every way, every
+draw is the same.
 """
 
 from __future__ import annotations
@@ -227,19 +227,31 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _generators(master_seeds, keys) -> Iterator[np.random.Generator]:
-    """One PCG64 generator per (master seed, spawn key), each as ``SeedSequence`` seeds it.
+def _seed_sequences(master_seeds, keys) -> list[ISeedSequence]:
+    """One seed sequence per (master seed, spawn key), each seeding PCG64 as ``SeedSequence`` does.
 
     ``master_seeds`` holds one seed per key and ``keys`` one spawn key
-    tuple per address.  A hashed batch makes its generators one at a time
-    as the caller iterates, so hundreds are never held at once.
+    tuple per address.  A batch of at least ``SEED_HASH_MIN_KEYS`` keys is
+    hashed in one pass into ``_StateWords``; a smaller one gets a
+    ``SeedSequence`` per key.  A sequence seeds any number of generators,
+    each drawing the same stream.
     """
     if len(keys) >= SEED_HASH_MIN_KEYS:
-        return (np.random.default_rng(_StateWords(w)) for w in _seed_words(master_seeds, keys))
-    return iter([
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        return [_StateWords(w) for w in _seed_words(master_seeds, keys)]
+    return [
+        np.random.SeedSequence(entropy=seed, spawn_key=key)
         for seed, key in zip(master_seeds, keys)
-    ])
+    ]
+
+
+def _seeded(seqs) -> Iterator[np.random.Generator]:
+    """A fresh PCG64 generator per seed sequence, made one at a time as the caller iterates."""
+    return (np.random.default_rng(seq) for seq in seqs)
+
+
+def _generators(master_seeds, keys) -> Iterator[np.random.Generator]:
+    """One PCG64 generator per (master seed, spawn key), each as ``SeedSequence`` seeds it."""
+    return _seeded(_seed_sequences(master_seeds, keys))
 
 
 @dataclass(frozen=True)
@@ -312,6 +324,11 @@ def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]
     return [_spawn_key(_DOMAIN_EVE, r.stream_id[0]) for r in rngs]
 
 
+def _eavesdropper(config: AntennaConfig, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The (trials, n_e, m1) g1 and (trials, n_e, m2) g2 stacks drawn from one seed sequence per trial."""
+    return _complex_gaussian_pairs(_seeded(seqs), len(seqs), config.n_e, config.m1, config.m2)
+
+
 def sample_channels(
     config: AntennaConfig, rngs: Sequence[RngStream], mode: EveMode
 ) -> ChannelRealization:
@@ -327,9 +344,9 @@ def sample_channels(
     """
     keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
     keys += _eve_keys(rngs, mode)
-    gens = _generators([r.master_seed for r in rngs] * 2, keys)
-    h1, h2 = _complex_gaussian_pairs(gens, len(rngs), config.n, config.m1, config.m2)
-    g1, g2 = _complex_gaussian_pairs(gens, len(rngs), config.n_e, config.m1, config.m2)
+    seqs = _seed_sequences([r.master_seed for r in rngs] * 2, keys)
+    h1, h2 = _complex_gaussian_pairs(_seeded(seqs), len(rngs), config.n, config.m1, config.m2)
+    g1, g2 = _eavesdropper(config, seqs[len(rngs) :])
     return ChannelRealization(h1, h2, g1, g2)
 
 
@@ -383,39 +400,22 @@ def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
 
 
 class TrialSeeds:
-    """The eavesdropper and jamming seed words of a stack of trial streams, hashed once.
+    """The eavesdropper seed sequences of a stack of trial streams, made once.
 
     For drawing many configurations on the same trials, as ``verify`` does
-    for every n_e of an antenna family: these addresses do not depend on
-    the configuration, so their ``SeedSequence`` words are hashed here
-    once, in one batch whatever its size, and every draw seeds fresh
-    generators from them.  ``eavesdropper(config)`` is bit for bit the g1
-    and g2 of ``sample_channels(config, rngs, mode)``, and
-    ``jamming_generators()`` draws as ``jamming_generators(rngs)`` does.
+    for every n_e of an antenna family: the eavesdropper addresses do not
+    depend on the configuration, so their seed sequences are made here
+    once and every draw seeds fresh generators from them.
+    ``eavesdropper(config)`` is bit for bit the g1 and g2 of
+    ``sample_channels(config, rngs, mode)``, drawn by the same code.
     """
 
     def __init__(self, rngs: Sequence[RngStream], mode: EveMode):
-        self.trials = len(rngs)
-        keys = _eve_keys(rngs, mode)
-        keys += [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]
-        if rngs:
-            words = _seed_words([r.master_seed for r in rngs] * 2, keys)
-        else:
-            words = np.zeros((0, _POOL_SIZE), np.uint64)
-        self._eve, self._jamming = words[: self.trials], words[self.trials :]
-
-    @staticmethod
-    def _generators(words) -> Iterator[np.random.Generator]:
-        return (np.random.default_rng(_StateWords(w)) for w in words)
+        self._eve = _seed_sequences([r.master_seed for r in rngs], _eve_keys(rngs, mode))
 
     def eavesdropper(self, config: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
         """The (trials, n_e, m1) and (trials, n_e, m2) eavesdropper stacks of ``config``."""
-        gens = self._generators(self._eve)
-        return _complex_gaussian_pairs(gens, self.trials, config.n_e, config.m1, config.m2)
-
-    def jamming_generators(self) -> list[np.random.Generator]:
-        """Fresh per-trial generators for random jamming directions."""
-        return list(self._generators(self._jamming))
+        return _eavesdropper(config, self._eve)
 
 
 def real_form(stack, name: str) -> np.ndarray:

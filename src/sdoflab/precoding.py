@@ -21,13 +21,8 @@ One stacked SVD or QR per step serves all trials, and each trial draws its
 random directions from its own generator, so a trial's member of the set
 does not depend on the stack it was built in.
 
-Nothing a build takes from the legitimate draw depends on the
-eavesdropper: the real forms of h1 and h2, their SVDs and nullspaces
-and the intersection of their received spaces are the same for every
-n_e.  ``DrawFactors`` holds them, made at first use, and a caller that
-builds several allocations on one draw (``verify``, one (m1, m2, n)
-family at a time) hands the same instance to each build, which then
-assembles its set exactly as it would alone.
+Builds of several allocations on one legitimate draw can share what
+they take from it (``DrawFactors``).
 """
 
 from __future__ import annotations
@@ -140,52 +135,45 @@ class DrawFactors:
 
     The real forms of h1 and h2, their SVDs and nullspaces, and the
     intersection of their received signal spaces depend on the
-    legitimate draw alone, never on n_e or the allocation: the precoders
-    never see the eavesdropper.  The first build that needs a part
-    computes it and the builds after it on the same draw reuse it, so
-    ``verify`` factors each (m1, m2, n) family's draw once for all its
-    n_e values; every part is exactly what a build on its own computes.
-    ``build_precoders`` makes a fresh instance for a call without one.
-    ``trial_seeds``, a ``channel.TrialSeeds`` of ``rngs``, hands out the
-    jamming generators from words hashed once; without it each build
-    hashes its own (``jamming_generators``).
+    legitimate draw alone, never on n_e or the allocation, because the
+    precoders never see the eavesdropper: the legitimate draw at a
+    trial's address depends on (m1, m2, n) only, so one instance serves
+    the builds of every n_e of an antenna family, as ``verify`` walks
+    them.  The first build that needs a part computes it and later builds
+    on the same draw reuse it; every part is exactly what a build on its
+    own computes.  ``build_precoders`` makes a fresh instance for a call
+    without one.
     """
 
-    def __init__(self, ch: ChannelRealization, rngs: Sequence[RngStream], trial_seeds=None):
+    def __init__(self, ch: ChannelRealization):
         self.h1, self.h2 = ch.h1, ch.h2
-        self.rngs = rngs
-        self._trial_seeds = trial_seeds
-        self._parts = {}
-
-    def _part(self, key, make):
-        if key not in self._parts:
-            self._parts[key] = make()
-        return self._parts[key]
+        self._real = [None, None]
+        self._svd = [None, None]
+        self._nullspace = [None, None]
+        self._intersection = None
 
     def real(self, tx: int) -> np.ndarray:
         """The real form of transmitter ``tx``'s legitimate channel stack, validated."""
-        return self._part(("real", tx), lambda: real_form(self.h1 if tx == 1 else self.h2, f"h{tx}"))
+        if self._real[tx - 1] is None:
+            self._real[tx - 1] = real_form(self.h1 if tx == 1 else self.h2, f"h{tx}")
+        return self._real[tx - 1]
 
     def svd(self, tx: int):
-        return self._part(("svd", tx), lambda: svd(self.real(tx)))
+        if self._svd[tx - 1] is None:
+            self._svd[tx - 1] = svd(self.real(tx))
+        return self._svd[tx - 1]
 
     def nullspace(self, tx: int) -> np.ndarray:
-        return self._part(("nullspace", tx), lambda: nullspace(self.real(tx), self.svd(tx)))
+        if self._nullspace[tx - 1] is None:
+            self._nullspace[tx - 1] = nullspace(self.real(tx), self.svd(tx))
+        return self._nullspace[tx - 1]
 
     def intersection(self) -> np.ndarray:
         """Orthonormal basis of the intersection of the two received signal spaces."""
-
-        def make():
+        if self._intersection is None:
             bases = [orthonormal_basis(self.real(tx), self.svd(tx)) for tx in (1, 2)]
-            return intersect(*bases)
-
-        return self._part("intersection", make)
-
-    def generators(self) -> list[np.random.Generator]:
-        """Fresh per-trial jamming generators."""
-        if self._trial_seeds is None:
-            return jamming_generators(self.rngs)
-        return self._trial_seeds.jamming_generators()
+            self._intersection = intersect(*bases)
+        return self._intersection
 
 
 def build_precoders(
@@ -210,7 +198,7 @@ def build_precoders(
     random block, transmitter two's, then the legitimate completions of
     one and two), so a trial's member is bit for bit the same in any
     stack, alone or not.  ``_factors`` is the ``DrawFactors`` of ``ch``'s
-    legitimate draw and ``rngs`` when several builds share them.
+    legitimate draw when several builds share it.
 
     InfeasibleAllocation propagates from the per-method constructors when
     the allocation does not fit the channel (which for generic channels
@@ -219,18 +207,18 @@ def build_precoders(
     stack of matrices.  A trial whose channel has a non-generic rank fails
     the stack with NumericalFailure; the error's ``member`` names it.
     """
-    factors = DrawFactors(ch, rngs) if _factors is None else _factors
-    if factors.h1 is not ch.h1 or factors.h2 is not ch.h2 or factors.rngs is not rngs:
+    factors = DrawFactors(ch) if _factors is None else _factors
+    if factors.h1 is not ch.h1 or factors.h2 is not ch.h2:
         raise ValueError("the shared factors belong to another draw")
     h1, h2 = factors.real(1), factors.real(2)
     if not len(h1) == len(h2) == len(rngs):
         raise DimensionMismatch(
             f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
         )
-    return _build_stack(h1, h2, factors, alloc)
+    return _build_stack(h1, h2, factors, alloc, jamming_generators(rngs))
 
 
-def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation) -> PrecoderSet:
+def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -> PrecoderSet:
     """``build_precoders`` on the real forms of a validated legitimate draw and their factors."""
 
     def real_streams(count) -> int:
@@ -239,8 +227,6 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation) -> Prec
     aligned_pairs = real_streams(alloc.method_streams(1, JammingMethod.ALIGNED))
     if aligned_pairs != real_streams(alloc.method_streams(2, JammingMethod.ALIGNED)):
         raise InfeasibleAllocation("aligned stream counts must match across transmitters")
-
-    gens = factors.generators()
 
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
     # columns are not orthonormal; assembly re-orthonormalizes them within

@@ -7,19 +7,10 @@ Monte Carlo slope smoke tests.  Returns a JSON-friendly report; every
 check carries a pass flag and its worst observed residual or first
 counterexample.
 
-The precoder checks walk the grid one (m1, m2, n) family at a time and
-share, across the family's n_e values, everything that does not depend
-on n_e.  That is sound because the precoders never see the eavesdropper:
-the legitimate draw at a trial's address depends on (m1, m2, n) alone,
-so one ``sample_channels`` call draws it for the whole family, and the
-real forms, SVDs, nullspaces and received-space intersection built from
-it (``precoding.DrawFactors``) serve every build.  Each n_e still gets
-its own eavesdropper draw, jamming generators, allocation, jamming
-blocks, projector, ranks and gates, and each set is bit for bit the one
-a build on that configuration's own draw makes.  A run allocates every
-configuration once, for the audits and the precoder checks alike, and
-hashes the channel seeds' eavesdropper and jamming addresses once
-(``channel.TrialSeeds``); nothing is kept past the call.
+The precoder checks walk the grid one (m1, m2, n) family at a time: one
+legitimate draw and its ``precoding.DrawFactors`` serve every n_e of the
+family (why that is sound is stated there), and each configuration is
+allocated once per run; nothing is kept past the call.
 """
 
 from __future__ import annotations
@@ -122,20 +113,17 @@ def check_allocations(allocs: dict[AntennaConfig, JammingAllocation]) -> CheckRe
 def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
     """The precoder sets of one (m1, m2, n) family's configurations, built in order.
 
-    ``configs`` share m1, m2 and n and differ in n_e.  The legitimate draw
-    at each trial's address depends on (m1, m2, n) alone, so one
-    ``sample_channels`` call, for the first configuration, draws it for
-    all of them, and their builds share its ``DrawFactors``: its real
-    forms, SVDs, nullspaces and received-space intersection.  Each
-    configuration still gets its own eavesdropper draw and jamming
-    generators, from ``trial_seeds``, and its own jamming QRs, completions,
-    projector and ranks; every set is bit for bit the one
-    ``build_precoders`` makes on that configuration's own
-    ``sample_channels`` draw.  Yields (config, draw, precoder set); a
-    build that fails raises its error, located at the config and seed.
+    ``configs`` share m1, m2 and n and differ in n_e.  One
+    ``sample_channels`` call, for the first configuration, draws the
+    legitimate channels of all of them and their builds share its
+    ``DrawFactors``; each configuration draws its own eavesdropper from
+    ``trial_seeds``.  Every set is bit for bit the one ``build_precoders``
+    makes on that configuration's own ``sample_channels`` draw.  Yields
+    (config, draw, precoder set); a build that fails raises its error,
+    located at the config and seed.
     """
     first = sample_channels(configs[0], rngs, EveMode.STATIC)
-    factors = DrawFactors(first, rngs, trial_seeds)
+    factors = DrawFactors(first)
     for config in configs:
         draws = first
         if config is not configs[0]:

@@ -25,7 +25,7 @@ from sdoflab import (
     sample_channels,
     verify,
 )
-from sdoflab.channel import TrialSeeds, jamming_generators
+from sdoflab.channel import TrialSeeds
 
 MODES = [EveMode.STATIC, EveMode.TIME_VARYING]
 
@@ -59,8 +59,6 @@ class TestFamilyPremise:
             draw = sample_channels(config, rngs, mode)
             g1, g2 = seeds.eavesdropper(config)
             assert _same_bits(g1, draw.g1) and _same_bits(g2, draw.g2), config
-        for ours, theirs in zip(seeds.jamming_generators(), jamming_generators(rngs)):
-            assert np.array_equal(ours.standard_normal(7), theirs.standard_normal(7))
 
 
 class TestFamilyBuilds:
