@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +16,31 @@ from sdoflab import cli
 
 def run_cli(args):
     return cli.main(args)
+
+
+# SHA-256 of every count the CLI prints in paper units: ``sdof`` stdout for
+# each configuration with m1, m2, n <= 5 and 0 <= n_e <= m1 + m2, then the
+# ``allocation`` block of ``design --seed 5`` for each of DESIGN_CONFIGS.
+PRINTED_COUNTS_DIGEST = "871ca4668c5d892e5352ad1a854232fad688891656f59b7315c4a5c3eb9cbcf5"
+DESIGN_CONFIGS = ((3, 3, 4, 2), (5, 1, 2, 5), (2, 2, 3, 1), (4, 4, 6, 3), (1, 1, 1, 1))
+
+
+def _antenna_flags(m1, m2, n, ne):
+    return ["--m1", str(m1), "--m2", str(m2), "--n", str(n), "--ne", str(ne)]
+
+
+def test_printed_counts_are_pinned(capsys):
+    digest = hashlib.sha256()
+    parser = cli._build_parser()  # once: main would build it per configuration
+    for m1, m2, n in itertools.product(range(1, 6), repeat=3):
+        for ne in range(m1 + m2 + 1):
+            assert cli.cmd_sdof(parser.parse_args(["sdof", *_antenna_flags(m1, m2, n, ne)])) == 0
+            digest.update(capsys.readouterr().out.encode())
+    for cfg in DESIGN_CONFIGS:
+        assert run_cli(["design", *_antenna_flags(*cfg), "--seed", "5"]) == 0
+        allocation = json.loads(capsys.readouterr().out)["allocation"]
+        digest.update(json.dumps(allocation, indent=2).encode())
+    assert digest.hexdigest() == PRINTED_COUNTS_DIGEST
 
 
 class TestSdofCommand:
