@@ -12,8 +12,8 @@ with identical results.
 Signals are real-valued (asymmetric complex signalling): a precoder acts
 on ``real_form`` of each complex channel, [[Re H, -Im H], [Im H, Re H]],
 the map of one channel use on the real and imaginary parts of its input.
-A half-integer stream count is then a whole number of real streams, so
-every allocation is realized in a single channel use.  ``real_form`` is
+Allocations count real streams (``sdof``), so every allocation is
+realized in a single channel use.  ``real_form`` is
 the one place a channel enters the library: it rejects non-finite
 entries and empty stacks.
 

@@ -29,6 +29,7 @@ from .sdof import (
     allocate_jamming,
     audit_allocation,
     classify,
+    paper_units,
     sum_sdof,
     upper_bounds,
 )
@@ -40,6 +41,8 @@ _DEFAULT_MODE = EveMode.TIME_VARYING.value
 _DEFAULT_GRID = (60.0, 100.0, 10.0)
 _DEFAULT_WINDOW = (60.0, 100.0)
 _DEFAULT_SLOPE_TOL = 0.15
+# Most points a power grid may have, far above any useful sweep.
+_GRID_POINTS_MAX = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -168,11 +171,12 @@ def cmd_sdof(args) -> int:
     def side(entries):
         if not entries:
             return "none"
-        return ", ".join(f"{method.value} {count}" for method, count in entries)
+        return ", ".join(f"{method.value} {paper_units(count)}" for method, count in entries)
 
     print(
         f"allocation: tx1 [{side(alloc.tx1)}], tx2 [{side(alloc.tx2)}], "
-        f"j_s = {alloc.j_s}, d1 = {alloc.d1}, d2 = {alloc.d2}"
+        f"j_s = {paper_units(alloc.j_s)}, "
+        f"d1 = {paper_units(alloc.d1)}, d2 = {paper_units(alloc.d2)}"
     )
     return 0
 
@@ -188,7 +192,7 @@ def cmd_design(args) -> int:
     ch = sample_channels(config, rngs, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
-    pre = build_precoders(config, ch, alloc, rngs)
+    pre = build_precoders(ch, alloc, rngs)
     seen = channel_uses(config, ch, rngs, [0], mode)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
@@ -196,11 +200,11 @@ def cmd_design(args) -> int:
         "mode": mode.value,
         "sdof": str(sum_sdof(config)),
         "allocation": {
-            "tx1": [[m.value, str(c)] for m, c in alloc.tx1],
-            "tx2": [[m.value, str(c)] for m, c in alloc.tx2],
-            "j_s": str(alloc.j_s),
-            "d1": str(alloc.d1),
-            "d2": str(alloc.d2),
+            "tx1": [[m.value, paper_units(c)] for m, c in alloc.tx1],
+            "tx2": [[m.value, paper_units(c)] for m, c in alloc.tx2],
+            "j_s": paper_units(alloc.j_s),
+            "d1": paper_units(alloc.d1),
+            "d2": paper_units(alloc.d2),
             "audit_passed": audit.ok,
             "audit": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -337,6 +341,14 @@ def _validate_run(settings) -> _RunPlan:
     )
     if step <= 0 or stop < start:
         raise _UsageError("power grid requires p_start_db <= p_stop_db and p_step_db > 0")
+    # Counted before the list is built; a span past the float range counts inf.
+    points = np.floor((stop - start) / step + 1e-9) + 1
+    if not points <= _GRID_POINTS_MAX:
+        raise _UsageError(
+            f"power grid from {start} to {stop} dB in steps of {step} dB has more than "
+            f"{_GRID_POINTS_MAX} points"
+        )
+    grid = [start + i * step for i in range(int(points))]
     slope_tolerance = _setting(settings, "slope_tolerance", float)
     if slope_tolerance < 0:
         raise _UsageError(f"slope_tolerance must be nonnegative, got {slope_tolerance!r}")
@@ -351,8 +363,6 @@ def _validate_run(settings) -> _RunPlan:
     for key in ("csv_out", "summary_out"):
         if not isinstance(settings[key], str):
             raise _UsageError(f"{key} must be a path string, got {settings[key]!r}")
-    points = int(np.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + i * step for i in range(points)]
     try:
         config = AntennaConfig(*counts)
         RngStream(seed)
@@ -366,7 +376,7 @@ def _validate_run(settings) -> _RunPlan:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.
     alloc = allocate_jamming(config)
-    snrs = _stream_snrs(int(2 * alloc.d_total), int(2 * alloc.total_streams), [top])
+    snrs = _stream_snrs(alloc.d_total, alloc.total_streams, [top])
     if not np.isfinite(snrs).all():
         raise _UsageError(f"per-stream SNR at {grid[-1]} dB is past the float range")
     covered = sum(1 for p in grid if lo <= p <= hi)

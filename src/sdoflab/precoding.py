@@ -7,12 +7,12 @@ post-processor is the orthogonal projector onto the complement of the
 received jamming columns.
 
 Precoders are real-valued and act on the real form of each complex
-channel (``channel.real_form``), so an allocation count c is 2c real
-streams: half-integer counts are whole numbers of real streams in one
-channel use.  An aligned pair hits one real receive direction from both
-transmitters, while the eavesdropper, whose channel generically rotates
-the two streams by different complex gains, sees them apart; every
-allocation therefore jams the eavesdropper fully, static or not.
+channel (``channel.real_form``), one column per real stream of the
+allocation, in one channel use.  An aligned pair hits one real receive
+direction from both transmitters, while the eavesdropper, whose channel
+generically rotates the two streams by different complex gains, sees
+them apart; every allocation therefore jams the eavesdropper fully,
+static or not.
 
 The build runs on a stack of trials and returns one set for the stack:
 every matrix carries a leading trial axis, as do the channels it was built
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelRealization, RngStream, jamming_generators, real_form
 from .errors import DimensionMismatch, InfeasibleAllocation
-from .sdof import AntennaConfig, JammingAllocation, JammingMethod
+from .sdof import JammingAllocation, JammingMethod
 from .subspaces import (
     complement_projector,
     complete_orthonormal,
@@ -177,7 +177,6 @@ class DrawFactors:
 
 
 def build_precoders(
-    config: AntennaConfig,
     ch: ChannelRealization,
     alloc: JammingAllocation,
     rngs: Sequence[RngStream],
@@ -220,12 +219,8 @@ def build_precoders(
 
 def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -> PrecoderSet:
     """``build_precoders`` on the real forms of a validated legitimate draw and their factors."""
-
-    def real_streams(count) -> int:
-        return int(2 * count)
-
-    aligned_pairs = real_streams(alloc.method_streams(1, JammingMethod.ALIGNED))
-    if aligned_pairs != real_streams(alloc.method_streams(2, JammingMethod.ALIGNED)):
+    aligned_pairs = alloc.method_streams(1, JammingMethod.ALIGNED)
+    if aligned_pairs != alloc.method_streams(2, JammingMethod.ALIGNED):
         raise InfeasibleAllocation("aligned stream counts must match across transmitters")
 
     # Minimum-norm solves, so h1 v1 = h2 v2 = targets up to noise.  Their
@@ -254,8 +249,7 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
     def assemble(tx, entries, h_tx, aligned_block):
         nonlocal nullspace_residual
         blocks = []
-        for method, count in entries:
-            k = real_streams(count)
+        for method, k in entries:
             if k == 0:
                 continue
             if method is JammingMethod.NULLSPACE:
@@ -296,8 +290,8 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
         comp = comp @ _haar_columns(comp_dim, comp_dim, gens)
         return comp[..., :d_cols]
 
-    v1_l = legit_completion(v1_j, real_streams(alloc.d1))
-    v2_l = legit_completion(v2_j, real_streams(alloc.d2))
+    v1_l = legit_completion(v1_j, alloc.d1)
+    v2_l = legit_completion(v2_j, alloc.d2)
 
     unitarity_residual = np.zeros(len(gens))
     for vl, vj in ((v1_l, v1_j), (v2_l, v2_j)):

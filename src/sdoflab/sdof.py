@@ -8,10 +8,8 @@ bound n_e is
                      (max(m1, n) + max(m2, n) - n_e) / 2,
                      n))
 
-evaluated here exactly, in integer half units where every bound is
-whole (``upper_bounds`` gives the bounds as Fractions).  ``classify``
-reports which regime condition produces the binding bound, and
-``allocate_jamming`` turns a configuration into a concrete budget of
+``classify`` reports which regime condition produces the binding bound,
+and ``allocate_jamming`` turns a configuration into a concrete budget of
 jamming streams per transmitter and method:
 
 * nullspace streams are invisible at the legitimate receiver and cost one
@@ -26,10 +24,14 @@ jamming streams per transmitter and method:
 The allocator spends the ``n_e`` mandatory jamming streams greedily in
 that order (cheapest at the receiver first), which reproduces the
 closed-form value for every configuration; ``audit_allocation`` checks
-the accounting identities exactly.  The aligned budget, and with it
-other counts, can come out half-integer: every count c is realized
-downstream as 2c real-valued streams on the real form of one complex
-channel use, where it is integral.
+the accounting identities exactly.
+
+Stream counts are integers in one unit, real streams: a count of c
+complex dimensions, the paper's unit, is 2c real-valued streams on the
+real form of one complex channel use.  The closed form is a whole or
+half number of complex dimensions, so it, every bound and every
+allocation count is a whole number of real streams; ``paper_units``
+writes such a count back in the paper's unit.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "allocate_jamming",
     "audit_allocation",
     "regime_table",
+    "paper_units",
 ]
 
 
@@ -115,10 +118,6 @@ class SDoFValue:
         if self.denominator == 2 and self.numerator % 2 == 0:
             raise ValueError("SDoF value not in reduced form")
 
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "SDoFValue":
-        return cls(value.numerator, value.denominator)
-
     @property
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -128,9 +127,12 @@ class SDoFValue:
         return self.numerator / self.denominator
 
     def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        return paper_units(self.numerator * 2 // self.denominator)
+
+
+def paper_units(streams: int) -> str:
+    """A count of real streams in the paper's complex dimensions: "3" for 6, "1/2" for 1."""
+    return f"{streams}/2" if streams % 2 else str(streams // 2)
 
 
 class JammingMethod(Enum):
@@ -143,33 +145,32 @@ class JammingMethod(Enum):
 class JammingAllocation:
     """Per-transmitter jamming budgets plus the legitimate stream split.
 
-    Stream counts are exact rationals, integers or halves of odd
-    integers, counted in complex dimensions (a count c is 2c real
-    streams).  ``j_s`` is the number of receiver dimensions the jamming
-    occupies; ``d1``/``d2`` are the legitimate stream counts.
+    Every count is an int number of real streams (see the module
+    docstring).  ``j_s`` is the number of real receiver dimensions the
+    jamming occupies; ``d1``/``d2`` are the legitimate stream counts.
     """
 
-    tx1: tuple[tuple[JammingMethod, Fraction], ...]
-    tx2: tuple[tuple[JammingMethod, Fraction], ...]
-    j_s: Fraction
-    d1: Fraction
-    d2: Fraction
+    tx1: tuple[tuple[JammingMethod, int], ...]
+    tx2: tuple[tuple[JammingMethod, int], ...]
+    j_s: int
+    d1: int
+    d2: int
 
-    def streams(self, tx: int) -> Fraction:
+    def streams(self, tx: int) -> int:
         """Total jamming streams sent by transmitter ``tx`` (1 or 2)."""
         entries = self.tx1 if tx == 1 else self.tx2
-        return sum((count for _, count in entries), Fraction(0))
+        return sum(count for _, count in entries)
 
-    def method_streams(self, tx: int, method: JammingMethod) -> Fraction:
+    def method_streams(self, tx: int, method: JammingMethod) -> int:
         entries = self.tx1 if tx == 1 else self.tx2
-        return sum((count for m, count in entries if m is method), Fraction(0))
+        return sum(count for m, count in entries if m is method)
 
     @property
-    def total_streams(self) -> Fraction:
+    def total_streams(self) -> int:
         return self.streams(1) + self.streams(2)
 
     @property
-    def d_total(self) -> Fraction:
+    def d_total(self) -> int:
         return self.d1 + self.d2
 
 
@@ -177,32 +178,29 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-def upper_bounds(config: AntennaConfig) -> tuple[Fraction, Fraction, Fraction]:
-    """The three converse bounds, unclamped.
+def _bound_halves(config: AntennaConfig) -> tuple[int, int, int]:
+    """The three converse bounds, unclamped, in real streams (twice their value).
 
     b1 = m1 + m2 - n_e   (transmit-dimension bound)
     b2 = (max(m1, n) + max(m2, n) - n_e) / 2   (combined Z-channel bound)
     b3 = n   (receive-dimension bound)
     """
-    b1 = Fraction(config.m - config.n_e)
-    b2 = Fraction(max(config.m1, config.n) + max(config.m2, config.n) - config.n_e, 2)
-    b3 = Fraction(config.n)
-    return b1, b2, b3
-
-
-def _bound_halves(config: AntennaConfig) -> tuple[int, int, int]:
-    """The three bounds of ``upper_bounds`` in integer half units, where each is whole."""
     m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
     return 2 * (m1 + m2 - n_e), max(m1, n) + max(m2, n) - n_e, 2 * n
 
 
+def upper_bounds(config: AntennaConfig) -> tuple[Fraction, Fraction, Fraction]:
+    """The three converse bounds of ``_bound_halves`` as Fractions, in the paper's unit."""
+    return tuple(Fraction(b, 2) for b in _bound_halves(config))
+
+
 def _sdof_halves(config: AntennaConfig) -> int:
-    """Twice the sum SDoF."""
+    """The sum SDoF in real streams (twice its value)."""
     return max(0, min(_bound_halves(config)))
 
 
 def sum_sdof(config: AntennaConfig) -> SDoFValue:
-    """Exact sum SDoF: the three bounds' minimum, clamped at zero, evaluated in half units."""
+    """Exact sum SDoF: the three bounds' minimum, clamped at zero, evaluated in real streams."""
     halves = _sdof_halves(config)
     if halves % 2:
         return SDoFValue(halves, 2)
@@ -217,10 +215,6 @@ def _case_halves(regime: Regime, config: AntennaConfig) -> int:
         return 2 * min(config.m, config.n)
     b1, b2, b3 = _bound_halves(config)
     return {Regime.C1: b1, Regime.C2: b2, Regime.C3: b3}[regime]
-
-
-def _case_value(regime: Regime, config: AntennaConfig) -> Fraction:
-    return Fraction(_case_halves(regime, config), 2)
 
 
 def classify(config: AntennaConfig) -> RegimeLabel:
@@ -295,26 +289,27 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
     n, n_e = config.n, config.n_e
 
     if n_e >= config.m:
-        return JammingAllocation((), (), Fraction(0), Fraction(0), Fraction(0))
+        return JammingAllocation((), (), 0, 0, 0)
 
     swapped = config.m2 > config.m1
     work = config.swapped() if swapped else config
     m1, m2 = work.m1, work.m2
 
     if n_e == 0:
-        total = Fraction(min(work.m, n))
-        d1 = min(Fraction(m1), total)
-        nullspace1 = nullspace2 = aligned = random1 = random2 = Fraction(0)
-        j_s = Fraction(0)
+        total = 2 * min(work.m, n)
+        d1 = min(2 * m1, total)
+        nullspace1 = nullspace2 = aligned = random1 = random2 = j_s = 0
     else:
-        nullspace1 = Fraction(min(n_e, _pos(m1 - n)))
-        nullspace2 = Fraction(min(n_e - nullspace1, _pos(m2 - n)))
-        rem = Fraction(n_e) - nullspace1 - nullspace2
+        nullspace1 = 2 * min(n_e, _pos(m1 - n))
+        nullspace2 = min(2 * n_e - nullspace1, 2 * _pos(m2 - n))
+        rem = 2 * n_e - nullspace1 - nullspace2
 
-        intersection_cap = Fraction(_pos(min(m1, n) + min(m2, n) - n))
-        antenna_cap1 = Fraction(m1) - nullspace1
-        antenna_cap2 = Fraction(m2) - nullspace2
-        aligned = min(rem / 2, intersection_cap, antenna_cap1, antenna_cap2)
+        intersection_cap = 2 * _pos(min(m1, n) + min(m2, n) - n)
+        antenna_cap1 = 2 * m1 - nullspace1
+        antenna_cap2 = 2 * m2 - nullspace2
+        # One aligned stream per transmitter blocks two eavesdropper
+        # dimensions; rem is even, so rem // 2 is exact.
+        aligned = min(rem // 2, intersection_cap, antenna_cap1, antenna_cap2)
 
         rem_random = rem - 2 * aligned
         random1 = min(rem_random, antenna_cap1 - aligned)
@@ -323,14 +318,14 @@ def allocate_jamming(config: AntennaConfig) -> JammingAllocation:
             raise SdofLabError(f"random jamming overflow for {config}")
 
         j_s = aligned + rem_random
-        total = sum_sdof(config).as_fraction
-        d1 = min(Fraction(m1) - nullspace1 - aligned - random1, total)
+        total = _sdof_halves(config)
+        d1 = min(2 * m1 - nullspace1 - aligned - random1, total)
 
     d2 = total - d1
-    if d2 < 0 or d2 > Fraction(m2) - nullspace2 - aligned - random2:
+    if d2 < 0 or d2 > 2 * m2 - nullspace2 - aligned - random2:
         raise SdofLabError(f"legitimate stream split infeasible for {config}")
 
-    def entries(ns: Fraction, al: Fraction, rd: Fraction):
+    def entries(ns: int, al: int, rd: int):
         out = []
         if ns > 0:
             out.append((JammingMethod.NULLSPACE, ns))
@@ -368,7 +363,7 @@ class AuditReport:
 
 
 def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditReport:
-    """Exact rational audit of an allocation against its configuration.
+    """Exact integer audit of an allocation against its configuration, in real streams.
 
     Checks, in order: (i) the jamming stream budget (aligned pairs counted
     once per transmitter) equals n_e, or zero in the no-SDoF regime;
@@ -376,37 +371,39 @@ def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditRe
     (iii) d1 + d2 equals the closed-form sum SDoF; (iv) per-transmitter
     antenna budgets; and, where the transmit-dimension bound is binding
     with jamming overflow, the occupancy identity n - j_s = m1 + m2 - n_e.
+    Each ``detail`` gives its counts in the paper's unit.
     """
     label = classify(config)
     checks = []
 
     streams = alloc.streams(1), alloc.streams(2)
-    expected_streams = 0 if label.regime is Regime.ZERO else config.n_e
+    expected_streams = 0 if label.regime is Regime.ZERO else 2 * config.n_e
     total = streams[0] + streams[1]
     checks.append(
         AuditCheck(
             "stream_budget",
             total == expected_streams,
-            f"tx1 + tx2 jamming streams = {total}, expected {expected_streams}",
+            f"tx1 + tx2 jamming streams = {paper_units(total)}, "
+            f"expected {paper_units(expected_streams)}",
         )
     )
 
-    room = config.n - alloc.j_s
+    room = 2 * config.n - alloc.j_s
     d_total = alloc.d_total
     checks.append(
         AuditCheck(
             "receiver_room",
             room >= d_total,
-            f"n - j_s = {room} must cover d1 + d2 = {d_total}",
+            f"n - j_s = {paper_units(room)} must cover d1 + d2 = {paper_units(d_total)}",
         )
     )
 
-    theory = sum_sdof(config)
+    theory = _sdof_halves(config)
     checks.append(
         AuditCheck(
             "sdof_match",
-            d_total == theory.as_fraction,
-            f"d1 + d2 = {d_total}, closed form gives {theory}",
+            d_total == theory,
+            f"d1 + d2 = {paper_units(d_total)}, closed form gives {paper_units(theory)}",
         )
     )
 
@@ -415,18 +412,18 @@ def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditRe
     per_tx = ((1, config.m1, streams[0], alloc.d1), (2, config.m2, streams[1], alloc.d2))
     for tx, m_i, tx_streams, d_i in per_tx:
         used = tx_streams + d_i
-        details.append(f"tx{tx}: jamming + legitimate = {used} of {m_i}")
-        if used > m_i or d_i < 0:
+        details.append(f"tx{tx}: jamming + legitimate = {paper_units(used)} of {m_i}")
+        if used > 2 * m_i or d_i < 0:
             budget_ok = False
     checks.append(AuditCheck("antenna_budget", budget_ok, "; ".join(details)))
 
     if label.regime is Regime.C1 and config.m > config.n:
-        identity = Fraction(config.m - config.n_e)
+        identity = 2 * (config.m - config.n_e)
         checks.append(
             AuditCheck(
                 "occupancy_identity",
                 room == identity,
-                f"n - j_s = {room} must equal m1 + m2 - n_e = {identity}",
+                f"n - j_s = {paper_units(room)} must equal m1 + m2 - n_e = {paper_units(identity)}",
             )
         )
 

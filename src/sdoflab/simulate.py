@@ -281,7 +281,7 @@ def sweep(
         draws = sample_channels(config, rngs, mode)
         seen = channel_uses(config, draws, rngs, range(len(grid)), mode)
         try:
-            pre = build_precoders(config, draws, alloc, rngs)
+            pre = build_precoders(draws, alloc, rngs)
             legit = legit_rate(seen, pre, sigs).tolist()
             leak = eve_leakage(seen, pre, sigs).tolist()
         except SdofLabError as exc:

@@ -66,11 +66,6 @@ class CheckResult:
     worst_residual: float | None = None
 
 
-def _halves(value) -> int:
-    """Twice a whole or half number: an ``SDoFValue`` or an allocation count."""
-    return value.numerator * 2 // value.denominator
-
-
 def check_theory(max_antennas: int) -> CheckResult:
     """Case/closed-form agreement plus symmetry, monotonicity and clamping.
 
@@ -81,15 +76,14 @@ def check_theory(max_antennas: int) -> CheckResult:
         rows = regime_table(max_antennas)
     except SdofLabError as exc:
         return CheckResult("theory_consistency", False, str(exc))
-    halves = {(c.m1, c.m2, c.n, c.n_e): _halves(value) for c, _, value in rows}
-    for config, _, _ in rows:
+    values = {(c.m1, c.m2, c.n, c.n_e): value for c, _, value in rows}
+    for config, _, value in rows:
         m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
-        value = halves[m1, m2, n, n_e]
-        if halves[m2, m1, n, n_e] != value:
+        if values[m2, m1, n, n_e] != value:
             return CheckResult("theory_consistency", False, f"symmetry broken at {config}")
-        if n_e >= config.m and value != 0:
+        if n_e >= config.m and value.numerator != 0:
             return CheckResult("theory_consistency", False, f"clamp broken at {config}")
-        if n_e >= 1 and value > halves[m1, m2, n, n_e - 1]:
+        if n_e >= 1 and value.value > values[m1, m2, n, n_e - 1].value:
             return CheckResult(
                 "theory_consistency", False, f"not monotone in n_e at {config}"
             )
@@ -99,7 +93,7 @@ def check_theory(max_antennas: int) -> CheckResult:
 
 
 def check_allocations(allocs: dict[AntennaConfig, JammingAllocation]) -> CheckResult:
-    """Every allocation must pass its exact rational audit."""
+    """Every allocation must pass its exact audit."""
     for config, alloc in allocs.items():
         report = audit_allocation(alloc, config)
         if not report.ok:
@@ -129,7 +123,7 @@ def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
         if config is not configs[0]:
             draws = ChannelRealization(first.h1, first.h2, *trial_seeds.eavesdropper(config))
         try:
-            pre = build_precoders(config, draws, allocs[config], rngs, _factors=factors)
+            pre = build_precoders(draws, allocs[config], rngs, _factors=factors)
         except SdofLabError as exc:
             # A failure that is not one member's fails every seed alike.
             where = f"{config} seed {exc.member or 0}" if rngs else str(config)
@@ -139,11 +133,10 @@ def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
 
 def _check_set(config, draws, rngs, alloc, pre):
     """Residual and rank invariants of one configuration's precoder set: ``check_config``'s result."""
-    # In real dimensions: a count c is 2c real streams.
-    expect_u_rank = 2 * config.n - _halves(alloc.j_s)
-    expect_legit = _halves(alloc.d1) + _halves(alloc.d2)
-    jamming = sum(_halves(count) for _, count in alloc.tx1 + alloc.tx2)
-    expect_leak = min(2 * config.n_e, jamming)
+    # Ranks count real dimensions, two per antenna, one per real stream.
+    expect_u_rank = 2 * config.n - alloc.j_s
+    expect_legit = alloc.d_total
+    expect_leak = min(2 * config.n_e, alloc.total_streams)
     uses = channel_uses(config, draws, rngs, [0], EveMode.STATIC)
     report = pre.report
     kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
@@ -200,7 +193,7 @@ def check_config(config: AntennaConfig, seeds: int):
 
     Builds a set for each channel seed 0 .. seeds - 1, all in one stacked
     build, and checks its residuals against the gates and its ranks, in
-    real dimensions, against twice the allocation's counts; the leakage
+    real dimensions, against the allocation's counts; the leakage
     rank is taken against a static eavesdropper, which every allocation
     jams fully in one channel use.  Every gate compares all the seeds at
     once.  This is ``check_precoders``' family walk restricted to one n_e.

@@ -25,7 +25,7 @@ from sdoflab import (
 )
 from sdoflab import verify
 from sdoflab.cli import main as cli_main, render_csv
-from sdoflab.sdof import Regime, _case_value
+from sdoflab.sdof import Regime, _case_halves
 
 GRID_DB = [60.0, 70.0, 80.0, 90.0, 100.0]
 WINDOW_DB = (60.0, 100.0)
@@ -84,7 +84,7 @@ def test_criterion_1_closed_form_consistency():
     for config in _full_grid():
         label = classify(config)
         closed_form = max(Fraction(0), min(upper_bounds(config)))
-        assert _case_value(label.regime, config) == closed_form, config
+        assert Fraction(_case_halves(label.regime, config), 2) == closed_form, config
         assert sum_sdof(config).as_fraction == closed_form, config
         count += 1
     elapsed = time.perf_counter() - start
@@ -106,7 +106,7 @@ def test_criterion_2_allocation_audits():
         label = classify(config)
         if label.regime is Regime.C1 and config.m > config.n:
             # occupancy identity in the aligned/random overflow cases
-            assert Fraction(config.n) - alloc.j_s == Fraction(config.m - config.n_e), config
+            assert 2 * config.n - alloc.j_s == 2 * (config.m - config.n_e), config
         count += 1
     elapsed = time.perf_counter() - start
     _verdict(

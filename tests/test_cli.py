@@ -123,7 +123,7 @@ class TestDesignCommand:
         config = sdoflab.AntennaConfig(4, 4, 6, 3)
         rngs = [sdoflab.RngStream(2)]
         ch = sdoflab.sample_channels(config, rngs, sdoflab.EveMode.TIME_VARYING)
-        pre = sdoflab.build_precoders(config, ch, sdoflab.allocate_jamming(config), rngs)
+        pre = sdoflab.build_precoders(ch, sdoflab.allocate_jamming(config), rngs)
         for group, source in (("channel", ch), ("precoders", pre)):
             for key, encoded in doc[group].items():
                 got, want = cli.decode_matrix(encoded), getattr(source, key)[0]
@@ -254,12 +254,19 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--alpha", "0.9",
           "--sigma2", "0.5", "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
           "--window-hi", "3080", "--trials", "1"], None, None),
+        (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
+          "--p-stop=1e308", "--trials", "1"], None, None),
+        (["simulate"], None, {"m1": 2, "m2": 2, "n": 3, "ne": 1, "p_start_db": -1e308,
+                              "p_stop_db": 1e308, "trials": 1}),
+        # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
+        (_SIM + ["--p-step", "0.004"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
          "config-bool-seed", "config-bool-window", "config-rank-rel-tol",
-         "power-overflow", "per-stream-overflow"],
+         "power-overflow", "per-stream-overflow", "grid-span-overflow",
+         "config-grid-span-overflow", "grid-over-point-cap"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

@@ -133,7 +133,7 @@ def _build_one(config, rng, mode=EveMode.TIME_VARYING):
     """One trial built as a stack of one: its streams, draw and set."""
     rngs = [rng]
     ch = sample_channels(config, rngs, mode)
-    return rngs, ch, build_precoders(config, ch, allocate_jamming(config), rngs)
+    return rngs, ch, build_precoders(ch, allocate_jamming(config), rngs)
 
 
 class TestBuildPrecoders:
@@ -168,8 +168,8 @@ class TestBuildPrecoders:
         config, ch, alloc, pre, report = self.build((2, 2, 3, 1))
         assert pre.v1_j.dtype == np.float64
         assert pre.v1_j.shape == (4, 1)  # 2 m1 real antenna dimensions, one real stream
-        assert report.u_rank == 5  # 2n - 2 j_s = 6 - 1
-        assert report.legit_rank == 5  # 2 (d1 + d2)
+        assert report.u_rank == 5  # 2n - j_s = 6 - 1
+        assert report.legit_rank == 5  # d1 + d2
 
     @pytest.mark.parametrize(
         "cfg", [(2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 1), (4, 4, 6, 3)]
@@ -196,7 +196,7 @@ class TestBuildPrecoders:
         rngs = [RngStream(0)]
         ch = sample_channels(config, rngs, EveMode.STATIC)
         with pytest.raises(InfeasibleAllocation):
-            build_precoders(config, ch, alloc, rngs)
+            build_precoders(ch, alloc, rngs)
 
     def test_rejects_nonfinite_channel(self):
         # Outside input is checked where it enters the build.
@@ -206,7 +206,7 @@ class TestBuildPrecoders:
         h1 = ch.h1.copy()
         h1[0, 0, 1] = np.nan
         with pytest.raises(InvalidMatrix):
-            build_precoders(config, dataclasses.replace(ch, h1=h1), allocate_jamming(config), rngs)
+            build_precoders(dataclasses.replace(ch, h1=h1), allocate_jamming(config), rngs)
 
     def test_precoder_invariants_small_sweep(self):
         # Master seeds 0, 1 and 2 of each config in one stack.
@@ -218,7 +218,7 @@ class TestBuildPrecoders:
                         config = AntennaConfig(m1, m2, n, n_e)
                         ch = sample_channels(config, rngs, EveMode.TIME_VARYING)
                         alloc = allocate_jamming(config)
-                        stack = build_precoders(config, ch, alloc, rngs)
+                        stack = build_precoders(ch, alloc, rngs)
                         for seed in range(3):
                             pre = member(stack, seed)
                             report = pre.report
@@ -228,8 +228,8 @@ class TestBuildPrecoders:
                                 assert max_abs(gram - np.eye(stacked1.shape[1])) < 1e-9
                             assert max_abs(pre.u @ pre.u - pre.u) < 1e-9
                             assert max_abs(pre.u - pre.u.T) < 1e-12
-                            assert report.u_rank == 2 * n - int(2 * alloc.j_s)
-                            assert report.legit_rank == int(2 * alloc.d_total)
+                            assert report.u_rank == 2 * n - alloc.j_s
+                            assert report.legit_rank == alloc.d_total
                             assert report.zero_forcing_residual < 1e-8
 
 
@@ -277,9 +277,9 @@ class TestLeakageRank:
         for config in configs:
             alloc = allocate_jamming(config)
             ch = sample_channels(config, rngs, EveMode.STATIC)
-            pre = build_precoders(config, ch, alloc, rngs)
+            pre = build_precoders(ch, alloc, rngs)
             got = leakage_rank(channel_uses(config, ch, rngs, [0], EveMode.STATIC), pre)
-            want = int(2 * min(config.n_e, alloc.total_streams))
+            want = min(2 * config.n_e, alloc.total_streams)
             if (got != want).any():
                 short.append((config, got.ravel().tolist(), want))
         assert not short, short[:5]
@@ -310,7 +310,7 @@ class TestLeakageRank:
         # rank in that use, the same as built and ranked alone.
         config = AntennaConfig(2, 2, 3, 1)
         rngs, stacked = _trial_stack(config, range(4))
-        pre = build_precoders(config, stacked, allocate_jamming(config), rngs)
+        pre = build_precoders(stacked, allocate_jamming(config), rngs)
         ranks = leakage_rank(channel_uses(config, stacked, rngs, [0, 1, 5], EveMode.TIME_VARYING), pre)
         assert ranks.shape == (4, 3)
         for t, rng in enumerate(rngs):
@@ -347,12 +347,12 @@ class TestStackedBuild:
         config = AntennaConfig(*cfg)
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(7))
-        whole = build_precoders(config, stacked, alloc, rngs)
+        whole = build_precoders(stacked, alloc, rngs)
         assert len(whole.u) == 7
         assert all(len(values) == 7 for values in dataclasses.astuple(whole.report))
         for part in (range(0, 3), range(3, 7), range(5, 6)):
             sub_rngs, sub = _trial_stack(config, part)
-            pre = build_precoders(config, sub, alloc, sub_rngs)
+            pre = build_precoders(sub, alloc, sub_rngs)
             for i, t in enumerate(part):
                 assert _same_set(member(pre, i), member(whole, t))
 
@@ -361,20 +361,20 @@ class TestStackedBuild:
         config = AntennaConfig(*cfg)
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(5), seed=9)
-        whole = build_precoders(config, stacked, alloc, rngs)
+        whole = build_precoders(stacked, alloc, rngs)
         for t in range(5):
             pre = member(whole, t)
             h1, h2 = real2(stacked.h1[t]), real2(stacked.h2[t])
             legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
-            assert pre.report.u_rank == elimination_rank(pre.u) == 2 * config.n - int(2 * alloc.j_s)
-            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == int(2 * alloc.d_total)
+            assert pre.report.u_rank == elimination_rank(pre.u) == 2 * config.n - alloc.j_s
+            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == alloc.d_total
             assert pre.report.zero_forcing_residual < 1e-8
 
     def test_needs_one_stream_per_trial(self):
         config = AntennaConfig(2, 2, 3, 2)
         rngs, stacked = _trial_stack(config, range(3))
         with pytest.raises(DimensionMismatch):
-            build_precoders(config, stacked, allocate_jamming(config), rngs[:2])
+            build_precoders(stacked, allocate_jamming(config), rngs[:2])
 
     def test_non_finite_trial_is_named(self):
         config = AntennaConfig(2, 2, 3, 2)
@@ -382,7 +382,7 @@ class TestStackedBuild:
         h2 = stacked.h2.copy()
         h2[2, 0, 0] = np.nan
         with pytest.raises(InvalidMatrix, match="stack member 2: h2") as exc:
-            build_precoders(config, dataclasses.replace(stacked, h2=h2), allocate_jamming(config), rngs)
+            build_precoders(dataclasses.replace(stacked, h2=h2), allocate_jamming(config), rngs)
         assert exc.value.member == 2
 
     def test_rank_deficient_trial_is_named(self):
@@ -393,5 +393,5 @@ class TestStackedBuild:
         h1 = stacked.h1.copy()
         h1[3] = np.outer(h1[3][:, 0], h1[3][0])
         with pytest.raises(NumericalFailure, match="stack member 3:") as exc:
-            build_precoders(config, dataclasses.replace(stacked, h1=h1), allocate_jamming(config), rngs)
+            build_precoders(dataclasses.replace(stacked, h1=h1), allocate_jamming(config), rngs)
         assert exc.value.member == 3

@@ -157,30 +157,31 @@ class TestClassify:
 
 
 class TestAllocate:
+    # Counts are real streams, twice the paper's complex dimensions.
     def test_random_only_region(self):
         alloc = allocate_jamming(AntennaConfig(2, 2, 4, 1))
-        assert alloc.total_streams == 1
+        assert alloc.total_streams == 2
         methods = {m for m, _ in alloc.tx1 + alloc.tx2}
         assert methods == {JammingMethod.RANDOM}
-        assert alloc.j_s == 1
-        assert alloc.d_total == 3
+        assert alloc.j_s == 2
+        assert alloc.d_total == 6
 
     def test_three_method_budget(self):
         alloc = allocate_jamming(AntennaConfig(5, 1, 2, 5))
-        assert alloc.method_streams(1, JammingMethod.NULLSPACE) == 3
-        assert alloc.method_streams(1, JammingMethod.ALIGNED) == 1
+        assert alloc.method_streams(1, JammingMethod.NULLSPACE) == 6
+        assert alloc.method_streams(1, JammingMethod.ALIGNED) == 2
         assert alloc.method_streams(1, JammingMethod.RANDOM) == 0
-        assert alloc.method_streams(2, JammingMethod.ALIGNED) == 1
-        assert alloc.j_s == 1
-        assert alloc.d_total == 1
+        assert alloc.method_streams(2, JammingMethod.ALIGNED) == 2
+        assert alloc.j_s == 2
+        assert alloc.d_total == 2
 
     def test_two_slot_half_streams(self):
-        # Half-integer counts, realized as one real stream each downstream.
+        # Half-integer paper counts are whole numbers of real streams.
         alloc = allocate_jamming(AntennaConfig(2, 2, 3, 1))
-        assert alloc.method_streams(1, JammingMethod.ALIGNED) == Fraction(1, 2)
-        assert alloc.method_streams(2, JammingMethod.ALIGNED) == Fraction(1, 2)
-        assert alloc.j_s == Fraction(1, 2)
-        assert alloc.d_total == Fraction(5, 2)
+        assert alloc.method_streams(1, JammingMethod.ALIGNED) == 1
+        assert alloc.method_streams(2, JammingMethod.ALIGNED) == 1
+        assert alloc.j_s == 1
+        assert alloc.d_total == 5
 
     def test_zero_regime_is_empty(self):
         alloc = allocate_jamming(AntennaConfig(1, 1, 4, 2))
@@ -190,12 +191,22 @@ class TestAllocate:
     def test_no_eavesdropper_uses_no_jamming(self):
         alloc = allocate_jamming(AntennaConfig(3, 2, 4, 0))
         assert alloc.total_streams == 0
-        assert alloc.d_total == 4
+        assert alloc.d_total == 8
 
     def test_single_jamming_symbol_goes_to_larger_transmitter(self):
         alloc = allocate_jamming(AntennaConfig(1, 3, 5, 1))
-        assert alloc.streams(2) == 1
+        assert alloc.streams(2) == 2
         assert alloc.streams(1) == 0
+
+    def test_every_count_is_an_int(self):
+        for m1, m2, n in itertools.product(range(1, 9), repeat=3):
+            for n_e in range(m1 + m2 + 1):
+                alloc = allocate_jamming(AntennaConfig(m1, m2, n, n_e))
+                counts = [count for _, count in alloc.tx1 + alloc.tx2]
+                counts += [alloc.j_s, alloc.d1, alloc.d2, alloc.total_streams, alloc.d_total]
+                counts += [alloc.streams(tx) for tx in (1, 2)]
+                counts += [alloc.method_streams(tx, m) for tx in (1, 2) for m in JammingMethod]
+                assert all(type(count) is int for count in counts), (m1, m2, n, n_e)
 
 
 class TestAudit:

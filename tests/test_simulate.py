@@ -36,7 +36,7 @@ def _trial(config, seed, mode=EveMode.TIME_VARYING):
     """One trial as a stack of one: its streams, its draw and its precoder set."""
     rngs = [RngStream(seed)]
     ch = sample_channels(config, rngs, mode)
-    return rngs, ch, build_precoders(config, ch, allocate_jamming(config), rngs)
+    return rngs, ch, build_precoders(ch, allocate_jamming(config), rngs)
 
 
 def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
@@ -308,7 +308,7 @@ class TestSweep:
             k = grid.index(s.p_db)
             rngs = [RngStream(seed, (s.trial, 0))]
             trial = sample_channels(config, rngs, EveMode.TIME_VARYING)
-            pre = build_precoders(config, trial, allocate_jamming(config), rngs)
+            pre = build_precoders(trial, allocate_jamming(config), rngs)
             held = member(trial, 0)
             eve = member(sample_channels(config, [RngStream(seed, (s.trial, 2 * k))], EveMode.TIME_VARYING), 0)
             seen = _one_use(ChannelRealization(held.h1, held.h2, eve.g1, eve.g2))
@@ -367,9 +367,9 @@ class TestStackedSweep:
         stacks = []
         real = simulate.build_precoders
 
-        def counting(config, ch, alloc, rngs):
+        def counting(ch, alloc, rngs):
             stacks.append([rng.stream_id[0] for rng in rngs])
-            return real(config, ch, alloc, rngs)
+            return real(ch, alloc, rngs)
 
         monkeypatch.setattr(simulate, "build_precoders", counting)
         monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)

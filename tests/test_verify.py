@@ -84,7 +84,7 @@ class TestFamilyBuilds:
             own = sample_channels(config, rngs, EveMode.STATIC)
             for name in ("h1", "h2", "g1", "g2"):
                 assert _same_bits(getattr(draw, name), getattr(own, name)), (config, name)
-            alone = build_precoders(config, own, allocs[config], rngs)
+            alone = build_precoders(own, allocs[config], rngs)
             for field in dataclasses.fields(pre):
                 if field.name != "report":
                     got, want = getattr(pre, field.name), getattr(alone, field.name)
