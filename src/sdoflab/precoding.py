@@ -70,7 +70,7 @@ class PrecoderSet:
     """Precoders for both transmitters plus the receiver post-processor, per trial.
 
     Every matrix is real, in real dimensions, with a leading trial axis:
-    v1_l is (trials, 2 m1, 2 d1), v1_j (trials, 2 m1, 2 j_tx1), likewise
+    v1_l is (trials, 2 m1, d1), v1_j (trials, 2 m1, j_tx1), likewise
     for transmitter two, and u is the (trials, 2 n, 2 n) zero-forcing
     projector.  ``report`` holds the residuals and ranks the build
     measured on each trial.

@@ -144,7 +144,7 @@ class TestBuildPrecoders:
         pre = member(pre, 0)
         return config, member(ch, 0), allocate_jamming(config), pre, pre.report
 
-    # Ranks count real dimensions: twice the allocation's counts.
+    # Ranks count real dimensions, as the allocation's counts do.
     def test_random_region(self):
         _, _, _, pre, report = self.build((2, 2, 4, 1))
         assert report.u_rank == 6
