@@ -28,7 +28,8 @@ def logdet_eye_plus_gram(e, powers) -> np.ndarray:
     s_i of the matrix at grid point k.  No Gram matrix is formed, so each
     term stays accurate to roundoff at any power level, where a
     factorization of ``I + p E E^H`` loses the identity once ``p s_i^2``
-    outgrows 1 / eps.
+    outgrows 1 / eps; a term whose finite ``p_k`` and ``s_i`` have a product
+    past the float range is ``log2(p_k) + 2 log2(s_i)``, which is finite.
     A zero power gives exactly 0, and an empty matrix gives zeros of the
     grid's shape, which broadcast against the stack's.
     """
@@ -37,4 +38,13 @@ def logdet_eye_plus_gram(e, powers) -> np.ndarray:
     if e.shape[-2] == 0 or e.shape[-1] == 0:
         return np.zeros(powers.shape)
     s = np.linalg.svd(e, compute_uv=False)
-    return np.sum(np.log2(1.0 + powers[:, None] * (s * s)), axis=-1)
+    with np.errstate(over="ignore"):  # an overflowed term is taken in logs below
+        scaled = powers[:, None] * (s * s)
+    terms = np.log2(1.0 + scaled)
+    # Past DBL_MAX, 1 + p s^2 is p s^2 to far below roundoff, so a term whose
+    # finite factors overflow is their sum of logs.
+    over = np.isinf(scaled) & np.isfinite(s) & np.isfinite(powers)[:, None]
+    if over.any():
+        p_k, s_i = np.broadcast_arrays(powers[:, None], s)
+        terms[over] = np.log2(p_k[over]) + 2.0 * np.log2(s_i[over])
+    return np.sum(terms, axis=-1)

@@ -373,61 +373,63 @@ def audit_allocation(alloc: JammingAllocation, config: AntennaConfig) -> AuditRe
     with jamming overflow, the occupancy identity n - j_s = m1 + m2 - n_e.
     Each ``detail`` gives its counts in the paper's unit.
     """
-    label = classify(config)
+    checks = _audit(alloc, config, classify(config).regime)
+    return AuditReport(tuple(AuditCheck(name, passed, detail()) for name, passed, detail in checks))
+
+
+def _audit(alloc: JammingAllocation, config: AntennaConfig, regime: Regime):
+    """``audit_allocation``'s checks of ``config``, classified as ``regime``, in order.
+
+    Each is (name, passed, detail), with ``detail`` a function that formats
+    the check's detail string, so a caller that needs only the verdicts
+    formats none.
+    """
     checks = []
 
     streams = alloc.streams(1), alloc.streams(2)
-    expected_streams = 0 if label.regime is Regime.ZERO else 2 * config.n_e
+    expected_streams = 0 if regime is Regime.ZERO else 2 * config.n_e
     total = streams[0] + streams[1]
-    checks.append(
-        AuditCheck(
-            "stream_budget",
-            total == expected_streams,
-            f"tx1 + tx2 jamming streams = {paper_units(total)}, "
-            f"expected {paper_units(expected_streams)}",
-        )
-    )
+    checks.append((
+        "stream_budget",
+        total == expected_streams,
+        lambda: f"tx1 + tx2 jamming streams = {paper_units(total)}, "
+        f"expected {paper_units(expected_streams)}",
+    ))
 
     room = 2 * config.n - alloc.j_s
     d_total = alloc.d_total
-    checks.append(
-        AuditCheck(
-            "receiver_room",
-            room >= d_total,
-            f"n - j_s = {paper_units(room)} must cover d1 + d2 = {paper_units(d_total)}",
-        )
-    )
+    checks.append((
+        "receiver_room",
+        room >= d_total,
+        lambda: f"n - j_s = {paper_units(room)} must cover d1 + d2 = {paper_units(d_total)}",
+    ))
 
     theory = _sdof_halves(config)
-    checks.append(
-        AuditCheck(
-            "sdof_match",
-            d_total == theory,
-            f"d1 + d2 = {paper_units(d_total)}, closed form gives {paper_units(theory)}",
-        )
-    )
+    checks.append((
+        "sdof_match",
+        d_total == theory,
+        lambda: f"d1 + d2 = {paper_units(d_total)}, closed form gives {paper_units(theory)}",
+    ))
 
-    budget_ok = True
-    details = []
     per_tx = ((1, config.m1, streams[0], alloc.d1), (2, config.m2, streams[1], alloc.d2))
-    for tx, m_i, tx_streams, d_i in per_tx:
-        used = tx_streams + d_i
-        details.append(f"tx{tx}: jamming + legitimate = {paper_units(used)} of {m_i}")
-        if used > 2 * m_i or d_i < 0:
-            budget_ok = False
-    checks.append(AuditCheck("antenna_budget", budget_ok, "; ".join(details)))
+    checks.append((
+        "antenna_budget",
+        all(tx_streams + d_i <= 2 * m_i and d_i >= 0 for _, m_i, tx_streams, d_i in per_tx),
+        lambda: "; ".join(
+            f"tx{tx}: jamming + legitimate = {paper_units(tx_streams + d_i)} of {m_i}"
+            for tx, m_i, tx_streams, d_i in per_tx
+        ),
+    ))
 
-    if label.regime is Regime.C1 and config.m > config.n:
+    if regime is Regime.C1 and config.m > config.n:
         identity = 2 * (config.m - config.n_e)
-        checks.append(
-            AuditCheck(
-                "occupancy_identity",
-                room == identity,
-                f"n - j_s = {paper_units(room)} must equal m1 + m2 - n_e = {paper_units(identity)}",
-            )
-        )
+        checks.append((
+            "occupancy_identity",
+            room == identity,
+            lambda: f"n - j_s = {paper_units(room)} must equal m1 + m2 - n_e = {paper_units(identity)}",
+        ))
 
-    return AuditReport(tuple(checks))
+    return checks
 
 
 def regime_table(max_antennas: int) -> list[tuple[AntennaConfig, RegimeLabel, SDoFValue]]:

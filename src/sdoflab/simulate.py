@@ -13,7 +13,11 @@ Rates are (trials, grid) arrays in bits per real dimension, half the
 mutual information per complex channel use, so their slope against
 0.5 log2 P is the degrees of freedom.  Trials are independent work items
 keyed by (master seed, trial index), so the sweep can run them in any
-chunks on any number of threads with bit-identical results.
+chunks on any number of threads with bit-identical results.  It sizes
+its chunks by what a trial holds (its build, an eavesdropper matrix per
+channel use it sees and a row of rates per grid point) so that each
+stays within ``STACK_BYTES_MAX``: short static grids run in a few large
+stacks, dense time-varying grids in small ones.
 """
 
 from __future__ import annotations
@@ -52,10 +56,22 @@ __all__ = [
 # d(0.5 * log2 P) / d(P_dB): converts dB grids to the regression abscissa.
 HALF_LOG2_PER_DB = float(np.log2(10.0) / 20.0)
 
-# Most trials one stacked precoder build serves in ``sweep``.  A stack's
-# intermediates are all alive at once, so peak memory grows with it; going
-# from 16 to 64 cut a static sweep's time by only about 15% more.
-CHUNK_TRIALS_MAX = 16
+# Bytes one stack of trials in ``sweep`` may hold at once: its draws,
+# stacked build and rate arrays are all alive together, so this bounds the
+# stack's share of peak memory.  Every stack also pays a fixed cost of about
+# a dozen trials' work, so the fewer stacks this allows, the faster a sweep.
+# At this bound a time-varying 17-point sweep keeps stacks of 16 trials, a
+# static 3-point one runs in stacks of up to 55 and a time-varying grid of
+# 180 points or more in stacks of one.
+STACK_BYTES_MAX = 800_000
+
+# What one trial of a stack holds, in bytes: its precoder build, each
+# eavesdropper channel use it sees, and each grid point's rates and
+# samples.  Measured with tracemalloc at (4, 4, 6, 3), the largest
+# configuration of the benchmark, and rounded.
+_TRIAL_BUILD_BYTES = 12_000
+_EVE_USE_BYTES = 2_000
+_RATE_POINT_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -93,13 +109,12 @@ def _logdet(e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     trial that has one.
     """
     try:
-        with np.errstate(over="ignore"):  # an overflowed scaled singular value is inf
-            values = _kernels.logdet_eye_plus_gram(e, powers)
+        values = _kernels.logdet_eye_plus_gram(e, powers)
     except (np.linalg.LinAlgError, ValueError) as exc:
         # A NaN entry fails the SVD of the whole stack.
         raise _failure(str(exc), ~np.isfinite(e).all(axis=(1, 2, 3))) from exc
     values = np.broadcast_to(values, e.shape[:1] + powers.shape)
-    # An overflowed SNR or scaled singular value gives inf or NaN.
+    # An overflowed SNR gives inf or NaN.
     bad = ~np.isfinite(values)
     if bad.any():
         raise _failure(f"result is {values[bad][0]}", bad.any(axis=-1))
@@ -225,9 +240,20 @@ def _resolve_threads(threads: int | None) -> int:
     return 1
 
 
-def _chunks(trials: int, workers: int) -> list[range]:
-    """Contiguous trial ranges, at least one per worker, none longer than CHUNK_TRIALS_MAX."""
-    count = max(workers, -(-trials // CHUNK_TRIALS_MAX))
+def _trial_bytes(points: int, mode: EveMode) -> int:
+    """What one trial of a sweep over ``points`` grid points holds in its stack, in bytes."""
+    uses = points if mode.varies_per_use else 1
+    return _TRIAL_BUILD_BYTES + uses * _EVE_USE_BYTES + points * _RATE_POINT_BYTES
+
+
+def _chunks(trials: int, workers: int, trial_bytes: int) -> list[range]:
+    """Contiguous trial ranges, as few as keep each stack within STACK_BYTES_MAX.
+
+    There is at least one per worker and, while the trials last, the same
+    number for every worker.
+    """
+    per = max(1, STACK_BYTES_MAX // trial_bytes)
+    count = min(trials, workers * -(-trials // (workers * per)))
     bounds = [trials * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -245,8 +271,10 @@ def sweep(
 
     Per trial: one channel draw and precoder build, then rates at each grid
     point k on channel use k under eavesdropper model ``mode``.  The trials
-    are split into contiguous chunks, at least one per worker thread and
-    none longer than ``CHUNK_TRIALS_MAX``.  Each chunk draws its trials'
+    are split into as few contiguous chunks as keep what each holds at
+    once within ``STACK_BYTES_MAX``, at least one per worker thread; a
+    trial holds its build, an eavesdropper matrix per channel use it sees
+    and its rates at every grid point.  Each chunk draws its trials'
     channels in one ``sample_channels`` call and a time-varying
     eavesdropper's every use in one ``channel_uses`` call, each seeding all
     its addresses in one batch, builds its precoder set in one stacked
@@ -293,7 +321,7 @@ def sweep(
         ]
 
     workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
-    chunks = _chunks(trials, workers)
+    chunks = _chunks(trials, workers, _trial_bytes(len(grid), mode))
     if workers == 1:
         per_chunk = [run_chunk(c) for c in chunks]
     else:

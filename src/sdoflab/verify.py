@@ -35,8 +35,8 @@ from .sdof import (
     AntennaConfig,
     JammingAllocation,
     _antenna_grid,
+    _audit,
     allocate_jamming,
-    audit_allocation,
     regime_table,
     sum_sdof,
 )
@@ -66,16 +66,13 @@ class CheckResult:
     worst_residual: float | None = None
 
 
-def check_theory(max_antennas: int) -> CheckResult:
-    """Case/closed-form agreement plus symmetry, monotonicity and clamping.
+def check_theory(rows) -> CheckResult:
+    """Symmetry, monotonicity and clamping over the ``regime_table`` rows.
 
-    The mirrored and n_e - 1 values come from the same ``regime_table``
-    rows, which hold every configuration the checks compare against.
+    Building the rows checked each case value against the closed form; the
+    mirrored and n_e - 1 values come from the same rows, which hold every
+    configuration the checks compare against.
     """
-    try:
-        rows = regime_table(max_antennas)
-    except SdofLabError as exc:
-        return CheckResult("theory_consistency", False, str(exc))
     values = {(c.m1, c.m2, c.n, c.n_e): value for c, _, value in rows}
     for config, _, value in rows:
         m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
@@ -92,14 +89,14 @@ def check_theory(max_antennas: int) -> CheckResult:
     )
 
 
-def check_allocations(allocs: dict[AntennaConfig, JammingAllocation]) -> CheckResult:
-    """Every allocation must pass its exact audit."""
-    for config, alloc in allocs.items():
-        report = audit_allocation(alloc, config)
-        if not report.ok:
-            failed = ", ".join(c.name for c in report.failures())
+def check_allocations(rows, allocs: dict[AntennaConfig, JammingAllocation]) -> CheckResult:
+    """Every allocation must pass its exact audit, in the regime its ``regime_table`` row gives."""
+    for config, label, _ in rows:
+        checks = _audit(allocs[config], config, label.regime)
+        failed = [name for name, passed, _ in checks if not passed]
+        if failed:
             return CheckResult(
-                "allocation_audits", False, f"{config}: failed {failed}"
+                "allocation_audits", False, f"{config}: failed {', '.join(failed)}"
             )
     return CheckResult("allocation_audits", True, f"{len(allocs)} allocations audited")
 
@@ -266,11 +263,14 @@ def run_verification(
         raise ValueError("max_antennas must be at least 1")
     if seeds < 1:
         raise ValueError("seeds must be at least 1")
-    # One allocation per configuration serves the audits and the precoder checks.
-    allocs = {config: allocate_jamming(config) for config in _antenna_grid(max_antennas)}
+    # One classification and one allocation per configuration serve the
+    # theory checks, the audits and the precoder checks.  A case value that
+    # disagrees with the closed form raises SdofLabError here.
+    rows = regime_table(max_antennas)
+    allocs = {config: allocate_jamming(config) for config, _, _ in rows}
     checks = [
-        check_theory(max_antennas),
-        check_allocations(allocs),
+        check_theory(rows),
+        check_allocations(rows, allocs),
         check_precoders(max_antennas, seeds, allocs),
     ]
     if full:

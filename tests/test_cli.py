@@ -160,6 +160,20 @@ class TestSimulateCommand:
         assert abs(summary["legit_slope"] - 0.5) <= 0.15
         assert summary["theory_value_exact"] == "1/2"
 
+    def test_finite_snr_whose_scaled_singular_values_overflow_runs(self, tmp_path):
+        # At 3080 dB every per-stream SNR is finite, but SNR x s^2 passes
+        # the float range in the rate kernel.
+        summary_path = tmp_path / "summary.json"
+        code = run_cli(
+            ["simulate", *_antenna_flags(2, 2, 3, 1), "--alpha", "0.9",
+             "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060", "--window-hi", "3080",
+             "--trials", "1", "--csv", str(tmp_path / "sweep.csv"), "--summary", str(summary_path)]
+        )
+        assert code == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["passed"] is True
+        assert summary["theory_value_exact"] == "5/2"
+
     def test_zero_trials_is_usage_error(self, tmp_path, capsys):
         code = run_cli(
             ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "0"]

@@ -91,3 +91,21 @@ def test_accurate_over_a_140_to_300_db_grid():
     values = kernels.logdet_eye_plus_gram(e, powers)
     for value, power in zip(values, powers):
         assert abs(value - _mpmath_reference(e, power)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_accurate_where_p_times_s_squared_is_past_the_float_range(seed):
+    # At the top powers p s_i^2 overflows for some or all s_i although p and
+    # s_i are finite; the rate is still finite and exact against mpmath.  A
+    # (3, 4) matrix has full row rank, so 50 digits resolve det(I + p E E^H).
+    gen = np.random.default_rng(seed)
+    e = crandn(gen, 3, 4)
+    powers = np.array([1e307, 1e308, np.finfo(float).max])
+    s2 = np.linalg.svd(e, compute_uv=False) ** 2
+    assert (s2 > np.finfo(float).max / powers[-1]).any()
+    assert not (s2 > np.finfo(float).max / powers[0]).any()
+    values = kernels.logdet_eye_plus_gram(e, powers)
+    for value, power in zip(values, powers):
+        assert abs(value - _mpmath_reference(e, power)) <= 1e-12
+    # Below the overflow the value is the plain sum, bit for bit.
+    assert values[0] == np.sum(np.log2(1.0 + powers[0] * s2))

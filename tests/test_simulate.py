@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -340,9 +341,29 @@ class TestStackedSweep:
     """A trial's samples do not depend on the chunk its precoders were built in."""
 
     grid = [60.0, 80.0, 100.0]
+    dense_grid = [60.0 + 0.04 * i for i in range(1000)]
 
-    def run(self, cfg, trials, mode, threads=1):
-        return sweep(AntennaConfig(*cfg), SignalParams(1.0), self.grid, trials, 11, mode, threads=threads)
+    def run(self, cfg, trials, mode, threads=1, grid=None):
+        grid = self.grid if grid is None else grid
+        return sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 11, mode, threads=threads)
+
+    def bound_stacks(self, monkeypatch, trials, mode):
+        """Bound every stack of a sweep over ``self.grid`` at ``trials`` trials."""
+        held = simulate._trial_bytes(len(self.grid), mode)
+        monkeypatch.setattr(simulate, "STACK_BYTES_MAX", trials * held)
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The trial indices of each stacked build ``sweep`` makes, in call order."""
+        stacks = []
+        real = simulate.build_precoders
+
+        def counting(ch, alloc, rngs):
+            stacks.append([rng.stream_id[0] for rng in rngs])
+            return real(ch, alloc, rngs)
+
+        monkeypatch.setattr(simulate, "build_precoders", counting)
+        return stacks
 
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1), (5, 1, 2, 5)])
@@ -353,31 +374,49 @@ class TestStackedSweep:
         for threads in (2, 3):
             assert _sample_bytes(self.run(cfg, 7, mode, threads)) == _sample_bytes(seven)
         for cap in (2, 1):  # chunks of two trials, then stacks of one
-            monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
+            self.bound_stacks(monkeypatch, cap, mode)
             assert _sample_bytes(self.run(cfg, 7, mode)) == _sample_bytes(seven)
         first_three = [s for s in seven if s.trial < 3]
         assert _sample_bytes(self.run(cfg, 3, mode)) == _sample_bytes(first_three)
 
     @pytest.mark.parametrize(
-        "trials, threads, cap, builds", [(7, 1, 64, 1), (7, 2, 64, 2), (7, 3, 64, 3), (7, 1, 3, 3), (2, 4, 64, 2)]
+        "trials, threads, cap, builds",
+        [(7, 1, 64, 1), (7, 2, 64, 2), (7, 3, 64, 3), (7, 1, 3, 3), (2, 4, 64, 2), (7, 2, 3, 4)],
     )
     def test_one_stacked_build_per_chunk(
-        self, trials, threads, cap, builds, monkeypatch, uncapped_workers
+        self, trials, threads, cap, builds, stacks, monkeypatch, uncapped_workers
     ):
-        stacks = []
-        real = simulate.build_precoders
-
-        def counting(ch, alloc, rngs):
-            stacks.append([rng.stream_id[0] for rng in rngs])
-            return real(ch, alloc, rngs)
-
-        monkeypatch.setattr(simulate, "build_precoders", counting)
-        monkeypatch.setattr(simulate, "CHUNK_TRIALS_MAX", cap)
+        # (7, 2, 3, 4): stacks of at most 3 trials, two per worker thread.
+        self.bound_stacks(monkeypatch, cap, EveMode.STATIC)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
         assert sorted(t for stack in stacks for t in stack) == list(range(trials))
         assert all(stack == list(range(stack[0], stack[0] + len(stack))) for stack in stacks)
         assert max(map(len, stacks)) <= cap
+
+    def test_a_dense_time_varying_grid_builds_in_stacks_of_one(self, stacks):
+        # Each trial holds an eavesdropper matrix for each of the 1,000 uses.
+        self.run((2, 2, 3, 2), 3, EveMode.TIME_VARYING, grid=self.dense_grid)
+        assert stacks == [[0], [1], [2]]
+
+    def test_a_short_static_grid_builds_in_stacks_of_more_than_16_trials(self, stacks):
+        self.run((2, 2, 3, 2), 40, EveMode.STATIC)
+        assert stacks == [list(range(40))]
+
+    def test_working_memory_does_not_grow_with_trials_on_a_dense_time_varying_grid(self):
+        # The tracemalloc peak above what the sweep returns: the samples
+        # themselves grow with the trial count however the trials are stacked.
+        def working_bytes(trials):
+            tracemalloc.start()
+            try:
+                samples = self.run((1, 1, 1, 1), trials, EveMode.TIME_VARYING, grid=self.dense_grid)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(samples) == trials * len(self.dense_grid)
+            return peak - held
+
+        assert working_bytes(16) <= 2 * working_bytes(1)
 
 
 class TestChunkDraws:

@@ -5,7 +5,7 @@ time: one legitimate draw and one set of draw factors serve every n_e of
 the family.  These tests pin why that is sound (the legitimate draw does
 not depend on n_e), that every family-built set is bit for bit the set a
 build on the configuration's own draw makes, and that no work is kept
-from one call to the next.
+from one call to the next or done twice within one.
 """
 
 import collections
@@ -23,6 +23,7 @@ from sdoflab import (
     allocate_jamming,
     build_precoders,
     sample_channels,
+    sdof,
     verify,
 )
 from sdoflab.channel import TrialSeeds
@@ -131,3 +132,17 @@ def test_nothing_outlives_a_call(monkeypatch):
     # Up to two antennas: 8 families, 24 precoder configurations and 32
     # configurations in the full grid, every call.
     assert calls[0] == calls[1] == {"build_precoders": 24, "sample_channels": 8, "allocate_jamming": 32}
+
+
+def test_each_configuration_is_classified_once_per_call(monkeypatch):
+    # The regime table's labels serve the theory checks and the audits alike.
+    calls = collections.Counter()
+    real = sdof.classify
+
+    def counting(config):
+        calls[config] += 1
+        return real(config)
+
+    monkeypatch.setattr(sdof, "classify", counting)
+    assert verify.run_verification(2, 1)["passed"]
+    assert len(calls) == 32 and set(calls.values()) == {1}
