@@ -42,7 +42,7 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import DofEstimate, RateSample, estimate_dof, eve_leakage, legit_rate, sweep
+from .simulate import DofEstimate, SweepResult, estimate_dof, eve_leakage, legit_rate, sweep
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,7 @@ __all__ = [
     "build_precoders",
     "leakage_rank",
     # Monte Carlo
-    "RateSample",
+    "SweepResult",
     "DofEstimate",
     "legit_rate",
     "eve_leakage",

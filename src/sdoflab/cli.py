@@ -4,7 +4,7 @@ Subcommands
 -----------
 sdof       evaluate the closed form for one antenna configuration
 design     sample a channel, build precoders, emit a JSON design report
-simulate   Monte Carlo power sweep; CSV samples plus a JSON summary
+simulate   Monte Carlo power sweep; CSV rates plus a JSON summary
 verify     run the library's self-checks; exit 0 iff everything passes
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 infeasible
@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -150,11 +151,16 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def render_csv(samples) -> str:
-    """Samples as CSV text: fixed header, '.' decimals, repr round-tripping."""
+def render_csv(result) -> str:
+    """A sweep's rates as CSV text: fixed header, '.' decimals, repr round-tripping.
+
+    Values are formatted as Python floats: a NumPy scalar's repr is not a number.
+    """
     lines = ["p_db,trial,legit_rate_bits,eve_leakage_bits"]
-    for s in samples:
-        lines.append(f"{s.p_db!r},{s.trial},{s.legit_rate!r},{s.eve_leakage!r}")
+    trials = [str(t) for t in range(result.legit.shape[0])]
+    columns = zip(result.grid.tolist(), result.legit.T.tolist(), result.leakage.T.tolist())
+    for p, legit, leakage in columns:
+        lines += map(",".join, zip(repeat(repr(p)), trials, map(repr, legit), map(repr, leakage)))
     return "\n".join(lines) + "\n"
 
 
@@ -393,7 +399,7 @@ def cmd_simulate(args) -> int:
     settings = _merge_run_settings(args)
     plan = _validate_run(settings)
     config = plan.config
-    samples = sweep(
+    result = sweep(
         config,
         plan.sig,
         plan.grid,
@@ -402,9 +408,9 @@ def cmd_simulate(args) -> int:
         mode=plan.mode,
         threads=plan.threads,
     )
-    csv_text = render_csv(samples)
+    csv_text = render_csv(result)
 
-    legit, leakage = estimate_dof(samples, plan.window)
+    legit, leakage = estimate_dof(result, plan.window)
     theory = sum_sdof(config)
     difference = abs(legit.slope - theory.value)
     summary = {

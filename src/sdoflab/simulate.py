@@ -44,7 +44,7 @@ from .precoding import PrecoderSet, build_precoders
 from .sdof import AntennaConfig, allocate_jamming
 
 __all__ = [
-    "RateSample",
+    "SweepResult",
     "DofEstimate",
     "legit_rate",
     "eve_leakage",
@@ -66,22 +66,21 @@ HALF_LOG2_PER_DB = float(np.log2(10.0) / 20.0)
 STACK_BYTES_MAX = 800_000
 
 # What one trial of a stack holds, in bytes: its precoder build, each
-# eavesdropper channel use it sees, and each grid point's rates and
-# samples.  Measured with tracemalloc at (4, 4, 6, 3), the largest
-# configuration of the benchmark, and rounded.
+# eavesdropper channel use it sees, and the temporaries of each grid
+# point's rate evaluation at their peak.  Measured with tracemalloc at
+# (4, 4, 6, 3), the largest configuration of the benchmark, and rounded.
 _TRIAL_BUILD_BYTES = 12_000
 _EVE_USE_BYTES = 2_000
 _RATE_POINT_BYTES = 160
 
 
-@dataclass(frozen=True)
-class RateSample:
-    """One Monte Carlo draw: power level, trial index, and the two rates."""
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """A sweep's (grid,) power levels in dB and (trials, grid) rates in bits per real dimension."""
 
-    p_db: float
-    trial: int
-    legit_rate: float
-    eve_leakage: float
+    grid: np.ndarray
+    legit: np.ndarray
+    leakage: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,8 @@ def sweep(
     master_seed: int,
     mode: EveMode,
     threads: int | None = None,
-) -> list[RateSample]:
-    """Monte Carlo rate samples over a power grid.
+) -> SweepResult:
+    """Monte Carlo rates over a power grid, one row per trial and column per point.
 
     Per trial: one channel draw and precoder build, then rates at each grid
     point k on channel use k under eavesdropper model ``mode``.  The trials
@@ -280,7 +279,7 @@ def sweep(
     its addresses in one batch, builds its precoder set in one stacked
     ``build_precoders`` call and evaluates each rate function once over all
     its trials and the whole grid.  A trial's draws, set and rates do not
-    depend on its chunk, so the output, ordered by (p_db, trial), depends
+    depend on its chunk, so the output, its rows in trial order, depends
     only on the arguments, never on thread count (``threads=None`` reads
     SDOFLAB_THREADS, defaulting to sequential; either way no more worker
     threads start than ``os.cpu_count()`` or ``trials``).  An
@@ -304,21 +303,16 @@ def sweep(
     def where(trial: int) -> str:
         return f"{config} trial {trial} master seed {master_seed}"
 
-    def run_chunk(chunk: range) -> list[list[RateSample]]:
+    def run_chunk(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
         draws = sample_channels(config, rngs, mode)
         seen = channel_uses(config, draws, rngs, range(len(grid)), mode)
         try:
             pre = build_precoders(draws, alloc, rngs)
-            legit = legit_rate(seen, pre, sigs).tolist()
-            leak = eve_leakage(seen, pre, sigs).tolist()
+            return legit_rate(seen, pre, sigs), eve_leakage(seen, pre, sigs)
         except SdofLabError as exc:
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
-        return [
-            [RateSample(p, trial, a, b) for p, a, b in zip(grid, trial_legit, trial_leak)]
-            for trial, trial_legit, trial_leak in zip(chunk, legit, leak)
-        ]
 
     workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
     chunks = _chunks(trials, workers, _trial_bytes(len(grid), mode))
@@ -327,13 +321,8 @@ def sweep(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(run_chunk, chunks))
-    per_trial = [samples for chunk in per_chunk for samples in chunk]
-
-    samples = []
-    for k in range(len(grid)):
-        for t in range(trials):
-            samples.append(per_trial[t][k])
-    return samples
+    legit, leakage = (np.concatenate(parts) for parts in zip(*per_chunk))
+    return SweepResult(np.array(grid), legit, leakage)
 
 
 def _ols(x: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> DofEstimate:
@@ -350,25 +339,25 @@ def _ols(x: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> DofEstima
 
 
 def estimate_dof(
-    samples: Sequence[RateSample], window_db: tuple[float, float] = (60.0, 100.0)
+    result: SweepResult, window_db: tuple[float, float] = (60.0, 100.0)
 ) -> tuple[DofEstimate, DofEstimate]:
     """Slopes of trial-averaged rates against 0.5 * log2(P) inside a window.
 
-    Returns (legitimate, leakage) estimates; the legitimate slope is the
-    measured degrees of freedom.  Raises InsufficientData with fewer than
-    three distinct grid points inside the window.
+    Regresses the column means of ``result.legit`` and ``result.leakage``
+    inside the window and returns (legitimate, leakage) estimates; the
+    legitimate slope is the measured degrees of freedom.  Raises
+    InsufficientData with fewer than three grid points inside the window.
     """
     lo, hi = window_db
-    by_power: dict[float, list[RateSample]] = {}
-    for s in samples:
-        if lo <= s.p_db <= hi:
-            by_power.setdefault(s.p_db, []).append(s)
-    if len(by_power) < 3:
-        raise InsufficientData(
-            f"need at least 3 grid points in [{lo}, {hi}] dB, found {len(by_power)}"
-        )
-    powers = np.array(sorted(by_power), dtype=float)
-    x = powers * HALF_LOG2_PER_DB
-    legit_means = np.array([np.mean([s.legit_rate for s in by_power[p]]) for p in powers])
-    leak_means = np.array([np.mean([s.eve_leakage for s in by_power[p]]) for p in powers])
-    return _ols(x, legit_means, window_db), _ols(x, leak_means, window_db)
+    inside = (lo <= result.grid) & (result.grid <= hi)
+    found = int(inside.sum())
+    if found < 3:
+        raise InsufficientData(f"need at least 3 grid points in [{lo}, {hi}] dB, found {found}")
+    x = result.grid[inside] * HALF_LOG2_PER_DB
+
+    def means(rates: np.ndarray) -> np.ndarray:
+        # Each point's trials summed as one contiguous run in trial order:
+        # a mean over axis 0 would add row by row and round differently.
+        return np.ascontiguousarray(rates[:, inside].T).mean(axis=1)
+
+    return _ols(x, means(result.legit), window_db), _ols(x, means(result.leakage), window_db)

@@ -234,7 +234,7 @@ def check_slopes() -> CheckResult:
     worst = 0.0
     for cfg in _SLOPE_SMOKE_CONFIGS:
         config = AntennaConfig(*cfg)
-        samples = sweep(
+        result = sweep(
             config,
             SignalParams(1.0),
             [60.0, 70.0, 80.0, 90.0, 100.0],
@@ -242,7 +242,7 @@ def check_slopes() -> CheckResult:
             master_seed=1,
             mode=EveMode.TIME_VARYING,
         )
-        legit, _ = estimate_dof(samples, (60.0, 100.0))
+        legit, _ = estimate_dof(result, (60.0, 100.0))
         err = abs(legit.slope - sum_sdof(config).value)
         worst = max(worst, err)
         if err > _SLOPE_SMOKE_TOLERANCE:

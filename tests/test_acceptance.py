@@ -8,7 +8,6 @@ deterministic given the seeds pinned here.
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from sdoflab import (
@@ -169,13 +168,10 @@ def test_criterion_5_leakage_saturation(sweeps):
     details = []
     ok = True
     for cfg in SLOPE_TARGETS:
-        samples = sweeps[cfg, EveMode.TIME_VARYING]
-        _, leakage = estimate_dof(samples, WINDOW_DB)
-        means = {}
-        for s in samples:
-            means.setdefault(s.p_db, []).append(s.eve_leakage)
-        grid_means = [float(np.mean(v)) for v in means.values()]
-        spread = max(grid_means) - min(grid_means)
+        result = sweeps[cfg, EveMode.TIME_VARYING]
+        _, leakage = estimate_dof(result, WINDOW_DB)
+        grid_means = result.leakage.mean(axis=0)
+        spread = float(grid_means.max() - grid_means.min())
         ok &= abs(leakage.slope) <= LEAKAGE_SLOPE_MAX and spread <= LEAKAGE_SPREAD_MAX
         details.append(f"{cfg}: slope {leakage.slope:+.3f}, spread {spread:.2f} bits")
     _verdict("criterion 5: leakage saturation", ok, "; ".join(details))
@@ -204,8 +200,8 @@ def test_criterion_7_zero_sdof_edge(tmp_path):
         assert sum_sdof(config).as_fraction == 0
         alloc = allocate_jamming(config)
         assert alloc.d_total == 0
-        samples = sweep(config, SignalParams(1.0), GRID_DB, 5, 3, EveMode.STATIC)
-        legit, _ = estimate_dof(samples, WINDOW_DB)
+        result = sweep(config, SignalParams(1.0), GRID_DB, 5, 3, EveMode.STATIC)
+        legit, _ = estimate_dof(result, WINDOW_DB)
         ok &= abs(legit.slope) <= 0.05
         details.append(f"{cfg}: slope {legit.slope:.4f}")
     summary_path = tmp_path / "summary.json"

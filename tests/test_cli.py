@@ -134,6 +134,29 @@ class TestDesignCommand:
         assert len(text) < len(json.dumps(doc, indent=2) + "\n")
 
 
+# SHA-256 of the ``simulate`` CSV and summary bytes of each of SIMULATE_CONFIGS
+# in both modes at 1 and 2 threads, 5 trials on the default grid.  Recorded
+# with NumPy 2.4.6; it pins the rates across commits, where criterion 8 only
+# compares reruns within one.
+SIMULATE_OUTPUTS_DIGEST = "bb7da0f799b34f2798e8de016c64d7b3fc9db525143c80546bd36daa30bf4441"
+SIMULATE_CONFIGS = ((2, 2, 3, 1), (3, 3, 4, 2))
+
+
+def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers):
+    digest = hashlib.sha256()
+    csv_path, summary_path = tmp_path / "sweep.csv", tmp_path / "summary.json"
+    for cfg, mode, threads in itertools.product(
+        SIMULATE_CONFIGS, ("time_varying_eve", "static_eve"), ("1", "2")
+    ):
+        assert run_cli(
+            ["simulate", *_antenna_flags(*cfg), "--mode", mode, "--threads", threads,
+             "--trials", "5", "--seed", "7", "--csv", str(csv_path), "--summary", str(summary_path)]
+        ) == 0
+        digest.update(csv_path.read_bytes())
+        digest.update(summary_path.read_bytes())
+    assert digest.hexdigest() == SIMULATE_OUTPUTS_DIGEST
+
+
 class TestSimulateCommand:
     def test_summary_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

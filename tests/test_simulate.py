@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import threading
 import tracemalloc
@@ -15,9 +16,9 @@ from sdoflab import (
     InsufficientData,
     InvalidMatrix,
     NumericalFailure,
-    RateSample,
     RngStream,
     SignalParams,
+    SweepResult,
     allocate_jamming,
     build_precoders,
     estimate_dof,
@@ -31,6 +32,12 @@ from sdoflab import channel, cli, kernels, simulate, verify
 from sdoflab.channel import channel_uses
 from sdoflab.precoding import BuildReport, PrecoderSet
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
+
+
+def _result_bytes(result):
+    """The shapes and bytes of a sweep result's grid and rate arrays."""
+    arrays = (result.grid, result.legit, result.leakage)
+    return repr([a.shape for a in arrays]).encode() + b"".join(a.tobytes() for a in arrays)
 
 
 def _trial(config, seed, mode=EveMode.TIME_VARYING):
@@ -244,26 +251,26 @@ class TestEveLeakage:
 
 class TestSweep:
     def test_single_point_single_trial(self):
-        samples = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [50.0], 1, 0, EveMode.STATIC)
-        assert len(samples) == 1
-        assert samples[0].trial == 0
+        result = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [50.0], 1, 0, EveMode.STATIC)
+        assert result.grid.tolist() == [50.0]
+        assert result.legit.shape == result.leakage.shape == (1, 1)
 
     def test_sample_count_and_finiteness(self):
         grid = [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-        samples = sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), grid, 50, 7, EveMode.STATIC)
-        assert len(samples) == 350
-        assert all(np.isfinite(s.legit_rate) and np.isfinite(s.eve_leakage) for s in samples)
-        assert all(s.legit_rate >= 0 and s.eve_leakage >= 0 for s in samples)
+        result = sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), grid, 50, 7, EveMode.STATIC)
+        assert result.legit.shape == result.leakage.shape == (50, 7)
+        assert np.isfinite(result.legit).all() and np.isfinite(result.leakage).all()
+        assert (result.legit >= 0).all() and (result.leakage >= 0).all()
 
     def test_deterministic(self):
         args = (AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 4, 99, EveMode.STATIC)
-        assert sweep(*args) == sweep(*args)
+        assert _result_bytes(sweep(*args)) == _result_bytes(sweep(*args))
 
     def test_thread_count_does_not_change_results(self, uncapped_workers):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
         threaded = sweep(*args, threads=4)
-        assert sequential == threaded
+        assert _result_bytes(sequential) == _result_bytes(threaded)
 
     def test_time_varying_two_slot_draws_once_per_trial(self, monkeypatch):
         # Per grid point only the eavesdropper is redrawn; sample_channels
@@ -304,18 +311,17 @@ class TestSweep:
 
     def test_time_varying_grid_point_k_sees_the_draw_at_2k(self):
         config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
-        samples = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
-        for s in samples:
-            k = grid.index(s.p_db)
-            rngs = [RngStream(seed, (s.trial, 0))]
+        result = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
+        for t, k in itertools.product(range(2), range(len(grid))):
+            rngs = [RngStream(seed, (t, 0))]
             trial = sample_channels(config, rngs, EveMode.TIME_VARYING)
             pre = build_precoders(trial, allocate_jamming(config), rngs)
             held = member(trial, 0)
-            eve = member(sample_channels(config, [RngStream(seed, (s.trial, 2 * k))], EveMode.TIME_VARYING), 0)
+            eve = member(sample_channels(config, [RngStream(seed, (t, 2 * k))], EveMode.TIME_VARYING), 0)
             seen = _one_use(ChannelRealization(held.h1, held.h2, eve.g1, eve.g2))
-            sig = SignalParams.from_db(s.p_db)
-            assert s.legit_rate == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
-            assert s.eve_leakage == pytest.approx(
+            sig = SignalParams.from_db(grid[k])
+            assert result.legit[t, k] == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
+            assert result.leakage[t, k] == pytest.approx(
                 _at(eve_leakage, seen, pre, sig), rel=1e-12, abs=1e-12
             )
 
@@ -323,8 +329,8 @@ class TestSweep:
         grid = [60.0, 70.0, 80.0]
         static = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), grid, 2, 3, EveMode.STATIC)
         varying = sweep(AntennaConfig(2, 2, 3, 2), SignalParams(1.0), grid, 2, 3, EveMode.TIME_VARYING)
-        assert [s.legit_rate for s in static] == [s.legit_rate for s in varying]
-        assert [s.eve_leakage for s in static] != [s.eve_leakage for s in varying]
+        assert static.legit.tobytes() == varying.legit.tobytes()
+        assert static.leakage.tobytes() != varying.leakage.tobytes()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -333,12 +339,8 @@ class TestSweep:
             sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 0, 0, EveMode.STATIC)
 
 
-def _sample_bytes(samples):
-    return np.array([(s.p_db, s.trial, s.legit_rate, s.eve_leakage) for s in samples]).tobytes()
-
-
 class TestStackedSweep:
-    """A trial's samples do not depend on the chunk its precoders were built in."""
+    """A trial's rates do not depend on the chunk its precoders were built in."""
 
     grid = [60.0, 80.0, 100.0]
     dense_grid = [60.0 + 0.04 * i for i in range(1000)]
@@ -372,12 +374,12 @@ class TestStackedSweep:
     ):
         seven = self.run(cfg, 7, mode)
         for threads in (2, 3):
-            assert _sample_bytes(self.run(cfg, 7, mode, threads)) == _sample_bytes(seven)
+            assert _result_bytes(self.run(cfg, 7, mode, threads)) == _result_bytes(seven)
         for cap in (2, 1):  # chunks of two trials, then stacks of one
             self.bound_stacks(monkeypatch, cap, mode)
-            assert _sample_bytes(self.run(cfg, 7, mode)) == _sample_bytes(seven)
-        first_three = [s for s in seven if s.trial < 3]
-        assert _sample_bytes(self.run(cfg, 3, mode)) == _sample_bytes(first_three)
+            assert _result_bytes(self.run(cfg, 7, mode)) == _result_bytes(seven)
+        first_three = SweepResult(seven.grid, seven.legit[:3], seven.leakage[:3])
+        assert _result_bytes(self.run(cfg, 3, mode)) == _result_bytes(first_three)
 
     @pytest.mark.parametrize(
         "trials, threads, cap, builds",
@@ -404,19 +406,33 @@ class TestStackedSweep:
         assert stacks == [list(range(40))]
 
     def test_working_memory_does_not_grow_with_trials_on_a_dense_time_varying_grid(self):
-        # The tracemalloc peak above what the sweep returns: the samples
-        # themselves grow with the trial count however the trials are stacked.
+        # The tracemalloc peak above what the sweep returns: the returned
+        # rate arrays themselves grow with the trial count however the
+        # trials are stacked.
         def working_bytes(trials):
             tracemalloc.start()
             try:
-                samples = self.run((1, 1, 1, 1), trials, EveMode.TIME_VARYING, grid=self.dense_grid)
+                result = self.run((1, 1, 1, 1), trials, EveMode.TIME_VARYING, grid=self.dense_grid)
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(samples) == trials * len(self.dense_grid)
+            assert result.legit.shape == (trials, len(self.dense_grid))
             return peak - held
 
         assert working_bytes(16) <= 2 * working_bytes(1)
+
+    def test_a_result_holds_about_two_floats_per_trial_and_point(self):
+        # The returned rates are two float64 arrays, 16 bytes per (trial,
+        # point); the bound leaves room for the grid and small objects.
+        trials = 16
+        tracemalloc.start()
+        try:
+            result = self.run((1, 1, 1, 1), trials, EveMode.TIME_VARYING, grid=self.dense_grid)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.leakage.shape == (trials, len(self.dense_grid))
+        assert held <= 32 * trials * len(self.dense_grid)
 
 
 class TestChunkDraws:
@@ -466,9 +482,9 @@ class TestWorkerCap:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-        assert sweep(*args, threads=100_000) == sequential
+        assert _result_bytes(sweep(*args, threads=100_000)) == _result_bytes(sequential)
         monkeypatch.setenv("SDOFLAB_THREADS", "100000")
-        assert sweep(*args) == sequential
+        assert _result_bytes(sweep(*args)) == _result_bytes(sequential)
         assert pools == workers
 
 
@@ -585,46 +601,49 @@ class TestFailureAddress:
             sweep(config, sig, [3079.0, 3080.0], 2, 5, EveMode.STATIC)
 
 
+def _one_trial(grid, legit, leakage):
+    """A sweep result of one trial with the given rates at each grid point."""
+    return SweepResult(np.array(grid), np.array([legit], dtype=float), np.array([leakage], dtype=float))
+
+
 class TestEstimateDof:
     def test_exact_line(self):
-        samples = [
-            RateSample(p, 0, 2.0 * (p * HALF_LOG2_PER_DB) + 5.0, 0.0)
-            for p in (60.0, 70.0, 80.0, 90.0, 100.0)
-        ]
-        legit, leak = estimate_dof(samples, (60.0, 100.0))
+        grid = [60.0, 70.0, 80.0, 90.0, 100.0]
+        result = _one_trial(grid, [2.0 * (p * HALF_LOG2_PER_DB) + 5.0 for p in grid], [0.0] * 5)
+        legit, leak = estimate_dof(result, (60.0, 100.0))
         assert legit.slope == pytest.approx(2.0, abs=1e-12)
         assert legit.intercept == pytest.approx(5.0, abs=1e-9)
         assert legit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert leak.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_rate(self):
-        samples = [RateSample(p, 0, 3.25, 1.0) for p in (60.0, 70.0, 80.0)]
-        legit, leak = estimate_dof(samples, (60.0, 100.0))
+        result = _one_trial([60.0, 70.0, 80.0], [3.25] * 3, [1.0] * 3)
+        legit, leak = estimate_dof(result, (60.0, 100.0))
         assert legit.slope == 0.0
         assert leak.slope == 0.0
 
     def test_window_filtering(self):
-        samples = [RateSample(p, 0, p, 0.0) for p in (10.0, 60.0, 70.0, 80.0)]
-        legit, _ = estimate_dof(samples, (60.0, 100.0))
+        grid = [10.0, 60.0, 70.0, 80.0]
+        legit, _ = estimate_dof(_one_trial(grid, grid, [0.0] * 4), (60.0, 100.0))
         assert legit.window == (60.0, 100.0)
 
     def test_insufficient_points(self):
-        samples = [RateSample(60.0, 0, 1.0, 0.0), RateSample(70.0, 0, 2.0, 0.0)]
+        result = _one_trial([60.0, 70.0], [1.0, 2.0], [0.0, 0.0])
         with pytest.raises(InsufficientData):
-            estimate_dof(samples, (60.0, 100.0))
+            estimate_dof(result, (60.0, 100.0))
 
     def test_end_to_end_slope(self):
         config = AntennaConfig(2, 2, 3, 2)
-        samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 10, 42, EveMode.STATIC)
-        legit, _ = estimate_dof(samples, (60.0, 100.0))
+        result = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 10, 42, EveMode.STATIC)
+        legit, _ = estimate_dof(result, (60.0, 100.0))
         assert abs(legit.slope - sum_sdof(config).value) <= 0.15
 
     def test_slope_holds_far_above_100_db(self):
         # Rates stay exact where I + E E^H is numerically E E^H.
         config = AntennaConfig(2, 2, 3, 2)
         grid = [140.0, 150.0, 160.0, 170.0]
-        samples = sweep(config, SignalParams(1.0), grid, 20, 0, EveMode.TIME_VARYING)
-        legit, _ = estimate_dof(samples, (140.0, 170.0))
+        result = sweep(config, SignalParams(1.0), grid, 20, 0, EveMode.TIME_VARYING)
+        legit, _ = estimate_dof(result, (140.0, 170.0))
         assert abs(legit.slope - sum_sdof(config).value) <= 1e-3
 
 
@@ -634,8 +653,8 @@ class TestStaticEavesdropper:
     @pytest.mark.parametrize("cfg", [(1, 1, 1, 1), (2, 2, 3, 1), (4, 4, 6, 3)])
     def test_leakage_slope_is_flat(self, cfg):
         config = AntennaConfig(*cfg)
-        samples = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 20, 1, EveMode.STATIC)
-        legit, leak = estimate_dof(samples, (60.0, 100.0))
+        result = sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0, 90.0, 100.0], 20, 1, EveMode.STATIC)
+        legit, leak = estimate_dof(result, (60.0, 100.0))
         assert abs(leak.slope) <= 0.05
         assert abs(legit.slope - sum_sdof(config).value) <= 0.15
 
@@ -645,12 +664,10 @@ class TestSecrecyPositivity:
     def test_mean_secrecy_margin_positive_at_high_power(self, cfg):
         config = AntennaConfig(*cfg)
         assert sum_sdof(config).value > 0
-        samples = sweep(config, SignalParams(1.0), [60.0, 80.0, 100.0], 10, 13, EveMode.STATIC)
-        by_power = {}
-        for s in samples:
-            by_power.setdefault(s.p_db, []).append(s.legit_rate - s.eve_leakage)
-        for p_db, margins in by_power.items():
-            assert np.mean(margins) > 0.0, (cfg, p_db)
+        result = sweep(config, SignalParams(1.0), [60.0, 80.0, 100.0], 10, 13, EveMode.STATIC)
+        margins = (result.legit - result.leakage).mean(axis=0)
+        for p_db, margin in zip(result.grid, margins):
+            assert margin > 0.0, (cfg, p_db)
 
 
 class TestThreadEnvironment:
@@ -659,7 +676,7 @@ class TestThreadEnvironment:
         monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
         baseline = sweep(*args)
         monkeypatch.setenv("SDOFLAB_THREADS", "3")
-        assert sweep(*args) == baseline
+        assert _result_bytes(sweep(*args)) == _result_bytes(baseline)
 
     def test_env_validation(self, monkeypatch):
         monkeypatch.setenv("SDOFLAB_THREADS", "0")
