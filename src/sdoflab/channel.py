@@ -310,8 +310,9 @@ def _complex_gaussian_pairs(gens, count, rows, cols1, cols2):
     """
     a, b = rows * cols1, rows * cols2
     z = np.empty((count, 2 * (a + b)))
-    for row in z:
-        next(gens).standard_normal(out=row)
+    if a + b:  # matrices without entries draw nothing, so no generator is made
+        for row in z:
+            next(gens).standard_normal(out=row)
     first = _SQRT_HALF * (z[:, :a] + 1j * z[:, a : 2 * a])
     second = _SQRT_HALF * (z[:, 2 * a : 2 * a + b] + 1j * z[:, 2 * a + b :])
     return first.reshape(count, rows, cols1), second.reshape(count, rows, cols2)
@@ -324,9 +325,12 @@ def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]
     return [_spawn_key(_DOMAIN_EVE, r.stream_id[0]) for r in rngs]
 
 
-def _eavesdropper(config: AntennaConfig, seqs) -> tuple[np.ndarray, np.ndarray]:
-    """The (trials, n_e, m1) g1 and (trials, n_e, m2) g2 stacks drawn from one seed sequence per trial."""
-    return _complex_gaussian_pairs(_seeded(seqs), len(seqs), config.n_e, config.m1, config.m2)
+def _eavesdropper(config: AntennaConfig, seqs, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (trials, n_e, m1) g1 and (trials, n_e, m2) g2 stacks drawn from one seed sequence per trial.
+
+    ``seqs`` may be empty when n_e = 0: an absent eavesdropper draws nothing.
+    """
+    return _complex_gaussian_pairs(_seeded(seqs), trials, config.n_e, config.m1, config.m2)
 
 
 def sample_channels(
@@ -340,13 +344,16 @@ def sample_channels(
     depend on the channel-use index in time-varying mode.  Every matrix is
     stacked along a leading trial axis, one member per stream, and all the
     addresses are seeded in one batch; each member equals the draw at its
-    own stream, whatever the rest of the stack.
+    own stream, whatever the rest of the stack.  With n_e = 0 the
+    eavesdropper matrices are empty and none of its addresses is seeded.
     """
+    seeds = [r.master_seed for r in rngs]
     keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
-    keys += _eve_keys(rngs, mode)
-    seqs = _seed_sequences([r.master_seed for r in rngs] * 2, keys)
+    if config.n_e:  # an absent eavesdropper's addresses are never seeded
+        seeds, keys = seeds * 2, keys + _eve_keys(rngs, mode)
+    seqs = _seed_sequences(seeds, keys)
     h1, h2 = _complex_gaussian_pairs(_seeded(seqs), len(rngs), config.n, config.m1, config.m2)
-    g1, g2 = _eavesdropper(config, seqs[len(rngs) :])
+    g1, g2 = _eavesdropper(config, seqs[len(rngs) :], len(rngs))
     return ChannelRealization(h1, h2, g1, g2)
 
 
@@ -367,7 +374,7 @@ def channel_uses(
     that broadcasts over ``uses``.  A time-varying one has one entry per
     use of ``uses``: use k holds fresh CN(0, 1) eavesdropper matrices
     drawn at address (trial, 2k), where (trial, 0) is the trial draw, and
-    every fresh draw of the stack is seeded in one batch.
+    every fresh draw of the stack is seeded in one batch (none when n_e = 0).
     """
     if any(r.stream_id[1] != 0 for r in trial_rngs):
         raise ValueError("trial_rngs must address channel use 0 of their trials")
@@ -383,10 +390,11 @@ def channel_uses(
     new = [2 * use for use in uses[held:]]
     per_use = [[g[:, None]] if held else [] for g in (trial_ch.g1, trial_ch.g2)]
     if new:
-        keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
-        seeds = [r.master_seed for r in trial_rngs for _ in new]
-        gens = _generators(seeds, keys)
-        drawn = _complex_gaussian_pairs(gens, len(keys), config.n_e, config.m1, config.m2)
+        gens = iter(())  # an absent eavesdropper draws nothing and seeds nothing
+        if config.n_e:
+            keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
+            gens = _generators([r.master_seed for r in trial_rngs for _ in new], keys)
+        drawn = _complex_gaussian_pairs(gens, trials * len(new), config.n_e, config.m1, config.m2)
         for parts, fresh in zip(per_use, drawn):
             parts.append(fresh.reshape(trials, len(new), *fresh.shape[1:]))
     g1, g2 = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1) for parts in per_use)
@@ -415,7 +423,7 @@ class TrialSeeds:
 
     def eavesdropper(self, config: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
         """The (trials, n_e, m1) and (trials, n_e, m2) eavesdropper stacks of ``config``."""
-        return _eavesdropper(config, self._eve)
+        return _eavesdropper(config, self._eve, len(self._eve))
 
 
 def real_form(stack, name: str) -> np.ndarray:

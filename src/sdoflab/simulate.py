@@ -2,22 +2,24 @@
 
 Everything runs on a stack of trials, from the draw to the rates.  Each
 chunk of trials draws its channels from one batch of seeds, builds its
-precoder set in one stacked build and evaluates each rate in one call.
-Both per-stream powers are linear in p, so every effective matrix is a
-scale of its unit-power value, and one SVD per matrix gives its
-log-determinant at every grid point: one stacked SVD for the legitimate
-rate and one for each side of the leakage ratio, over the trials and,
-when the eavesdropper varies per channel use, the grid.  Signals are real
-(``channel.real_form``) and noise is N(0, sigma2 / 2) per real dimension.
-Rates are (trials, grid) arrays in bits per real dimension, half the
-mutual information per complex channel use, so their slope against
-0.5 log2 P is the degrees of freedom.  Trials are independent work items
-keyed by (master seed, trial index), so the sweep can run them in any
-chunks on any number of threads with bit-identical results.  It sizes
-its chunks by what a trial holds (its build, an eavesdropper matrix per
-channel use it sees and a row of rates per grid point) so that each
-stays within ``STACK_BYTES_MAX``: short static grids run in a few large
-stacks, dense time-varying grids in small ones.
+precoder set in one stacked build and evaluates each rate over contiguous
+blocks of grid points, one call per block.  Both per-stream powers are
+linear in p, so every effective matrix is a scale of its unit-power value,
+and one SVD per matrix gives its log-determinant at every grid point of a
+block: one stacked SVD for the legitimate rate and one for each side of the
+leakage ratio, over the trials and, when the eavesdropper varies per
+channel use, the block's uses.  Signals are real (``channel.real_form``)
+and noise is N(0, sigma2 / 2) per real dimension.  Rates are (trials, grid)
+arrays in bits per real dimension, half the mutual information per complex
+channel use, so their slope against 0.5 log2 P is the degrees of freedom.
+Trials are independent work items keyed by (master seed, trial index), and
+every draw and SVD is per matrix, so the sweep can run them in any chunks
+and blocks on any number of threads with bit-identical results.  What a
+stack holds at once stays within ``STACK_BYTES_MAX``: its trial count is
+set by what a build holds, and each block's length by what a grid point
+(for a time-varying eavesdropper, a channel use) holds next to the
+stack's draws and precoders.  Short grids, and the time-varying grids of
+small stacks, are one block.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .channel import (
 )
 from .errors import InsufficientData, NumericalFailure, SdofLabError, located
 from .precoding import PrecoderSet, build_precoders
-from .sdof import AntennaConfig, allocate_jamming
+from .sdof import AntennaConfig, JammingAllocation, allocate_jamming
 
 __all__ = [
     "SweepResult",
@@ -56,22 +58,46 @@ __all__ = [
 # d(0.5 * log2 P) / d(P_dB): converts dB grids to the regression abscissa.
 HALF_LOG2_PER_DB = float(np.log2(10.0) / 20.0)
 
-# Bytes one stack of trials in ``sweep`` may hold at once: its draws,
-# stacked build and rate arrays are all alive together, so this bounds the
-# stack's share of peak memory.  Every stack also pays a fixed cost of about
-# a dozen trials' work, so the fewer stacks this allows, the faster a sweep.
-# At this bound a time-varying 17-point sweep keeps stacks of 16 trials, a
-# static 3-point one runs in stacks of up to 55 and a time-varying grid of
-# 180 points or more in stacks of one.
+# Bytes one stack of trials in ``sweep`` may hold at once: its draws and
+# precoder set with the temporaries of its build or of one block of rates.
+# Every stack pays a fixed cost of about a dozen trials' work (its build and
+# seed batches) and every block a smaller one (a seed batch and a few
+# stacked SVDs), so the fewer of each this allows, the faster a sweep.  At
+# this bound a stack of (4, 4, 6, 3) holds 57 trials whatever the grid, and
+# a time-varying block 4 channel uses of a 54-trial stack.
 STACK_BYTES_MAX = 800_000
 
-# What one trial of a stack holds, in bytes: its precoder build, each
-# eavesdropper channel use it sees, and the temporaries of each grid
-# point's rate evaluation at their peak.  Measured with tracemalloc at
-# (4, 4, 6, 3), the largest configuration of the benchmark, and rounded.
-_TRIAL_BUILD_BYTES = 12_000
-_EVE_USE_BYTES = 2_000
-_RATE_POINT_BYTES = 160
+# The model of what a stack holds (``_stack_bytes``), in bytes.  Arrays are
+# counted by their entries, 16 B for a complex one and 8 B for a real one;
+# the rest was fitted with tracemalloc (peak less what was held before) on
+# the four benchmark configurations and 33 others of up to 5 antennas, in
+# stacks of 1 to 64 trials and blocks of 1 to 2,500 points:
+# - every stack holds about 10 kB whatever its size (the intercept of the
+#   fits: work buffers and Python objects), rounded up to 16 kB;
+# - a trial holds its draws and precoder set plus up to 475 B of objects;
+# - a build adds 42 B per entry of the transmit squares m1^2 + m2^2, 110
+#   per legitimate channel entry n (m1 + m2) and 80 per eavesdropper entry
+#   n_e (m1 + m2) (least squares), and 1.4 kB, the constant that covers the
+#   largest residual;
+# - a fresh time-varying use is seeded in 420 B (its address, seed words
+#   and generator) and drawn in up to 64 B per eavesdropper entry;
+# - a rate's log-determinant holds 26 B per singular value and grid point
+#   (three float temporaries and two masks) and 24 B of results, and each
+#   grid point of a block its ``SignalParams`` and power arrays, 170 B.
+# One-thread sweeps of each of those configurations, in both modes, with 1
+# to 160 trials on 17 to 1,000 points (seven cases each) peaked at 768 kB
+# or less.
+_STACK_FIXED_BYTES = 16_000
+_TRIAL_OBJECT_BYTES = 512
+_BUILD_SQUARE_BYTES = 42
+_BUILD_LEGIT_BYTES = 110
+_BUILD_EVE_BYTES = 80
+_BUILD_FIXED_BYTES = 1_400
+_USE_SEED_BYTES = 420
+_USE_DRAW_BYTES = 64
+_RATE_VALUE_BYTES = 26
+_RATE_POINT_BYTES = 24
+_SIGNAL_BYTES = 170
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,22 +265,70 @@ def _resolve_threads(threads: int | None) -> int:
     return 1
 
 
-def _trial_bytes(points: int, mode: EveMode) -> int:
-    """What one trial of a sweep over ``points`` grid points holds in its stack, in bytes."""
-    uses = points if mode.varies_per_use else 1
-    return _TRIAL_BUILD_BYTES + uses * _EVE_USE_BYTES + points * _RATE_POINT_BYTES
+class _StackBytes(NamedTuple):
+    """What one trial holds in a sweep stack, in bytes: at its build's peak, and per block of rates.
+
+    ``legit`` and ``leakage`` are each (held through a block, held per
+    grid point of the block).
+    """
+
+    build: int
+    legit: tuple[int, int]
+    leakage: tuple[int, int]
+
+
+def _stack_bytes(config: AntennaConfig, alloc: JammingAllocation, mode: EveMode) -> _StackBytes:
+    """``_StackBytes`` of a trial of ``config`` under ``alloc``, from its array dimensions."""
+    m1, m2, n, n_e = config.m1, config.m2, config.n, config.n_e
+    m, legit, jam = m1 + m2, alloc.d_total, alloc.total_streams
+    # The draws and the precoder set, from the build to the last block.
+    precoders = 2 * m1 * (alloc.d1 + alloc.streams(1)) + 2 * m2 * (alloc.d2 + alloc.streams(2))
+    held = 16 * (n + n_e) * m + 8 * (precoders + 4 * n * n) + _TRIAL_OBJECT_BYTES
+    build = (
+        held
+        + _BUILD_SQUARE_BYTES * (m1 * m1 + m2 * m2)
+        + _BUILD_LEGIT_BYTES * n * m
+        + _BUILD_EVE_BYTES * n_e * m
+        + _BUILD_FIXED_BYTES
+    )
+    # The real forms of h1 and h2, their images under u and the effective blocks.
+    legit_base = held + 32 * n * (2 * m + legit)
+    legit_point = _RATE_VALUE_BYTES * legit + _RATE_POINT_BYTES
+    # An eavesdropper channel use: its complex draw, real forms and received blocks.
+    eve_use = 16 * n_e * (3 * m + legit + 2 * jam)
+    eve_point = _RATE_VALUE_BYTES * min(2 * n_e, max(legit, jam)) + _RATE_POINT_BYTES
+    if mode.varies_per_use:
+        # Before a fresh use is evaluated it is seeded and drawn.
+        seeding = _USE_SEED_BYTES + _USE_DRAW_BYTES * n_e * m if n_e else 0
+        leakage = (held, max(seeding, eve_use + eve_point))
+    else:
+        leakage = (held + eve_use, eve_point)
+    return _StackBytes(build, (legit_base, legit_point), leakage)
 
 
 def _chunks(trials: int, workers: int, trial_bytes: int) -> list[range]:
-    """Contiguous trial ranges, as few as keep each stack within STACK_BYTES_MAX.
+    """Contiguous trial ranges, as few as keep each stack's build within STACK_BYTES_MAX.
 
     There is at least one per worker and, while the trials last, the same
     number for every worker.
     """
-    per = max(1, STACK_BYTES_MAX // trial_bytes)
+    per = max(1, (STACK_BYTES_MAX - _STACK_FIXED_BYTES) // trial_bytes)
     count = min(trials, workers * -(-trials // (workers * per)))
     bounds = [trials * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _blocks(points: int, trials: int, held: tuple[int, int]) -> list[range]:
+    """Contiguous ranges of grid points, as long as keep a stack of ``trials`` within STACK_BYTES_MAX.
+
+    ``held`` is what each trial holds through a block and per point of it
+    (``_StackBytes``); each point also holds its ``SignalParams``.  All
+    blocks but the last have the same length, at least 1.
+    """
+    base, per_point = held
+    room = STACK_BYTES_MAX - _STACK_FIXED_BYTES - trials * base
+    length = max(1, room // (trials * per_point + _SIGNAL_BYTES))
+    return [range(lo, min(lo + length, points)) for lo in range(0, points, length)]
 
 
 def sweep(
@@ -270,23 +344,24 @@ def sweep(
 
     Per trial: one channel draw and precoder build, then rates at each grid
     point k on channel use k under eavesdropper model ``mode``.  The trials
-    are split into as few contiguous chunks as keep what each holds at
-    once within ``STACK_BYTES_MAX``, at least one per worker thread; a
-    trial holds its build, an eavesdropper matrix per channel use it sees
-    and its rates at every grid point.  Each chunk draws its trials'
-    channels in one ``sample_channels`` call and a time-varying
-    eavesdropper's every use in one ``channel_uses`` call, each seeding all
-    its addresses in one batch, builds its precoder set in one stacked
-    ``build_precoders`` call and evaluates each rate function once over all
-    its trials and the whole grid.  A trial's draws, set and rates do not
-    depend on its chunk, so the output, its rows in trial order, depends
-    only on the arguments, never on thread count (``threads=None`` reads
-    SDOFLAB_THREADS, defaulting to sequential; either way no more worker
-    threads start than ``os.cpu_count()`` or ``trials``).  An
-    InfeasibleAllocation from any trial aborts the sweep: feasibility is
-    generic, so a failure indicates an allocation bug rather than bad
-    luck.  A failing build or rate evaluation raises its own error type,
-    its message naming the config, the trial and the master seed that
+    are split into as few contiguous chunks as keep each build within
+    ``STACK_BYTES_MAX``, at least one per worker thread.  Each chunk draws
+    its trials' channels in one ``sample_channels`` call, seeding all its
+    addresses in one batch, and builds its precoder set in one stacked
+    ``build_precoders`` call.  It then evaluates ``legit_rate`` and then
+    ``eve_leakage`` over contiguous blocks of grid points, each as long as
+    keeps the stack within ``STACK_BYTES_MAX``, one call over all its
+    trials per block; a time-varying eavesdropper's uses of a block are
+    drawn in one ``channel_uses`` call.  Each block writes its columns of
+    the chunk's rows of the result.  A trial's draws, set and rates do not
+    depend on its chunk or block, so the output, its rows in trial order,
+    depends only on the arguments, never on thread count
+    (``threads=None`` reads SDOFLAB_THREADS, defaulting to sequential;
+    either way no more worker threads start than ``os.cpu_count()`` or
+    ``trials``).  An InfeasibleAllocation from any trial aborts the sweep:
+    feasibility is generic, so a failure indicates an allocation bug rather
+    than bad luck.  A failing build or rate evaluation raises its own error
+    type, its message naming the config, the trial and the master seed that
     reproduce it.
     """
     grid = [float(p) for p in p_grid_db]
@@ -296,33 +371,48 @@ def sweep(
         raise ValueError("p_grid_db must be strictly increasing")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    alpha, sigma2 = sig_template.alpha, sig_template.sigma2
+    for p in grid:  # every power level is valid before any draw
+        SignalParams.from_db(p, alpha, sigma2)
+    grid = np.array(grid)  # returned with the rates: no working memory
 
     alloc = allocate_jamming(config)
-    sigs = [SignalParams.from_db(p, sig_template.alpha, sig_template.sigma2) for p in grid]
+    held = _stack_bytes(config, alloc, mode)
+
+    def signals(points: range) -> list[SignalParams]:
+        levels = grid[points.start : points.stop].tolist()
+        return [SignalParams.from_db(p, alpha, sigma2) for p in levels]
+
+    legit = np.empty((trials, len(grid)))
+    leakage = np.empty((trials, len(grid)))
 
     def where(trial: int) -> str:
         return f"{config} trial {trial} master seed {master_seed}"
 
-    def run_chunk(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+    def run_chunk(chunk: range) -> None:
         rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
+        rows = slice(chunk.start, chunk.stop)
         draws = sample_channels(config, rngs, mode)
-        seen = channel_uses(config, draws, rngs, range(len(grid)), mode)
         try:
             pre = build_precoders(draws, alloc, rngs)
-            return legit_rate(seen, pre, sigs), eve_leakage(seen, pre, sigs)
+            for points in _blocks(len(grid), len(chunk), held.legit):
+                legit[rows, points.start : points.stop] = legit_rate(draws, pre, signals(points))
+            for uses in _blocks(len(grid), len(chunk), held.leakage):
+                seen = channel_uses(config, draws, rngs, uses, mode)
+                leakage[rows, uses.start : uses.stop] = eve_leakage(seen, pre, signals(uses))
         except SdofLabError as exc:
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
 
     workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
-    chunks = _chunks(trials, workers, _trial_bytes(len(grid), mode))
+    chunks = _chunks(trials, workers, held.build)
     if workers == 1:
-        per_chunk = [run_chunk(c) for c in chunks]
+        for chunk in chunks:
+            run_chunk(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(run_chunk, chunks))
-    legit, leakage = (np.concatenate(parts) for parts in zip(*per_chunk))
-    return SweepResult(np.array(grid), legit, leakage)
+            list(pool.map(run_chunk, chunks))
+    return SweepResult(grid, legit, leakage)
 
 
 def _ols(x: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> DofEstimate:

@@ -13,6 +13,7 @@ from sdoflab import (
     SignalParams,
     sample_channels,
 )
+from sdoflab import channel
 from sdoflab.channel import (
     SEED_HASH_MIN_KEYS,
     _generators,
@@ -81,6 +82,32 @@ class TestSampleChannels:
     def test_no_eavesdropper_gives_empty_g(self):
         ch = sample_channels(AntennaConfig(2, 1, 2, 0), [RngStream(1)], EveMode.STATIC)
         assert ch.g1.shape == (1, 0, 2)
+
+    @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 16, 1])])
+    def test_an_absent_eavesdropper_seeds_no_generator(self, n_e, per_trial, monkeypatch):
+        # Generators made per trial by the draw, by 17 channel uses (use 0
+        # is the draw's) and by the eavesdropper of TrialSeeds: with n_e = 0
+        # only the legitimate draw seeds one.
+        made = []
+        real = channel._seeded
+
+        def counting(seqs):
+            for gen in real(seqs):
+                made.append(gen)
+                yield gen
+
+        monkeypatch.setattr(channel, "_seeded", counting)
+        config, mode = AntennaConfig(2, 2, 3, n_e), EveMode.TIME_VARYING
+        rngs = [RngStream(5, (t, 0)) for t in range(12)]
+        counts = [0]
+        draws = sample_channels(config, rngs, mode)
+        counts.append(len(made))
+        seen = channel_uses(config, draws, rngs, range(17), mode)
+        counts.append(len(made))
+        channel.TrialSeeds(rngs, mode).eavesdropper(config)
+        counts.append(len(made))
+        assert np.diff(counts).tolist() == [12 * k for k in per_trial]
+        assert seen.g1.shape == (12, 17, n_e, 2) and seen.g2.shape == (12, 17, n_e, 2)
 
     def test_determinism(self):
         config = AntennaConfig(3, 2, 4, 1)

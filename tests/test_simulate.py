@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -349,10 +350,11 @@ class TestStackedSweep:
         grid = self.grid if grid is None else grid
         return sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 11, mode, threads=threads)
 
-    def bound_stacks(self, monkeypatch, trials, mode):
-        """Bound every stack of a sweep over ``self.grid`` at ``trials`` trials."""
-        held = simulate._trial_bytes(len(self.grid), mode)
-        monkeypatch.setattr(simulate, "STACK_BYTES_MAX", trials * held)
+    def bound_stacks(self, monkeypatch, cfg, trials, mode):
+        """Bound every stack of a sweep of ``cfg`` at ``trials`` trials."""
+        config = AntennaConfig(*cfg)
+        build = simulate._stack_bytes(config, allocate_jamming(config), mode).build
+        monkeypatch.setattr(simulate, "STACK_BYTES_MAX", simulate._STACK_FIXED_BYTES + trials * build)
 
     @pytest.fixture
     def stacks(self, monkeypatch):
@@ -376,7 +378,7 @@ class TestStackedSweep:
         for threads in (2, 3):
             assert _result_bytes(self.run(cfg, 7, mode, threads)) == _result_bytes(seven)
         for cap in (2, 1):  # chunks of two trials, then stacks of one
-            self.bound_stacks(monkeypatch, cap, mode)
+            self.bound_stacks(monkeypatch, cfg, cap, mode)
             assert _result_bytes(self.run(cfg, 7, mode)) == _result_bytes(seven)
         first_three = SweepResult(seven.grid, seven.legit[:3], seven.leakage[:3])
         assert _result_bytes(self.run(cfg, 3, mode)) == _result_bytes(first_three)
@@ -389,17 +391,86 @@ class TestStackedSweep:
         self, trials, threads, cap, builds, stacks, monkeypatch, uncapped_workers
     ):
         # (7, 2, 3, 4): stacks of at most 3 trials, two per worker thread.
-        self.bound_stacks(monkeypatch, cap, EveMode.STATIC)
+        self.bound_stacks(monkeypatch, (2, 2, 3, 2), cap, EveMode.STATIC)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
         assert sorted(t for stack in stacks for t in stack) == list(range(trials))
         assert all(stack == list(range(stack[0], stack[0] + len(stack))) for stack in stacks)
         assert max(map(len, stacks)) <= cap
 
-    def test_a_dense_time_varying_grid_builds_in_stacks_of_one(self, stacks):
-        # Each trial holds an eavesdropper matrix for each of the 1,000 uses.
+    def test_a_dense_time_varying_grid_builds_three_trials_in_one_stack(self, stacks):
+        # A stack holds its build; the 1,000 channel uses come in blocks.
         self.run((2, 2, 3, 2), 3, EveMode.TIME_VARYING, grid=self.dense_grid)
-        assert stacks == [[0], [1], [2]]
+        assert stacks == [[0, 1, 2]]
+
+    def test_a_time_varying_sweep_builds_the_same_stacks_at_17_and_201_points(self, stacks):
+        self.run((4, 4, 6, 3), 30, EveMode.TIME_VARYING, grid=[60.0 + 0.2 * i for i in range(17)])
+        at_17 = list(stacks)
+        stacks.clear()
+        self.run((4, 4, 6, 3), 30, EveMode.TIME_VARYING, grid=[60.0 + 0.2 * i for i in range(201)])
+        assert stacks == at_17 == [list(range(30))]
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The channel uses of each leakage block ``sweep`` evaluates, in call order."""
+        blocks = []
+        real = simulate.channel_uses
+
+        def recording(config, draws, rngs, uses, mode):
+            blocks.append(uses)
+            return real(config, draws, rngs, uses, mode)
+
+        monkeypatch.setattr(simulate, "channel_uses", recording)
+        return blocks
+
+    def bound_blocks(self, monkeypatch, cfg, uses, mode):
+        """Bound every leakage block of a sweep of ``cfg`` at ``uses`` channel uses, in stacks of one."""
+        config = AntennaConfig(*cfg)
+        base, per_use = simulate._stack_bytes(config, allocate_jamming(config), mode).leakage
+        bound = simulate._STACK_FIXED_BYTES + base + uses * (per_use + simulate._SIGNAL_BYTES)
+        monkeypatch.setattr(simulate, "STACK_BYTES_MAX", bound)
+
+    @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (5, 1, 2, 5), (2, 2, 3, 0)])
+    def test_blocks_of_channel_uses_do_not_change_samples(self, cfg, blocks, monkeypatch):
+        mode, grid = EveMode.TIME_VARYING, [60.0 + 5.0 * i for i in range(7)]
+        whole = self.run(cfg, 3, mode, grid=grid)
+        assert blocks == [range(7)]  # one stack, one block
+        one_use = [range(k, k + 1) for k in range(7)]
+        three_uses = [range(0, 3), range(3, 6), range(6, 7)]  # the last one partial
+        for uses, per_stack in ((1, one_use), (3, three_uses)):
+            blocks.clear()
+            self.bound_blocks(monkeypatch, cfg, uses, mode)
+            assert _result_bytes(self.run(cfg, 3, mode, grid=grid)) == _result_bytes(whole)
+            assert blocks == per_stack * 3
+
+    def test_worker_threads_write_only_their_own_blocks(self, monkeypatch, uncapped_workers):
+        # Twelve one-trial stacks of 2-use blocks on more workers than cores,
+        # switching often: a lost or misplaced block would change the bytes.
+        cfg, mode, grid = (2, 2, 3, 1), EveMode.TIME_VARYING, [60.0 + 5.0 * i for i in range(7)]
+        sequential = self.run(cfg, 12, mode, grid=grid)
+        self.bound_blocks(monkeypatch, cfg, 2, mode)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.run(cfg, 12, mode, threads=6, grid=grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _result_bytes(threaded) == _result_bytes(sequential)
+
+    @pytest.mark.parametrize("points, trials", [(17, 16), (201, 8), (1000, 4)])
+    @pytest.mark.parametrize("cfg", [(3, 3, 4, 2), (5, 1, 2, 5), (2, 2, 3, 1), (4, 4, 6, 3)])
+    def test_a_time_varying_sweep_works_within_the_stack_bound(self, cfg, points, trials):
+        # The tracemalloc peak above what the sweep returns, after a warm-up
+        # sweep has filled the caches that outlive a call.
+        grid = [60.0 + 40.0 * i / (points - 1) for i in range(points)]
+        self.run(cfg, 2, EveMode.TIME_VARYING, grid=grid[:3])
+        tracemalloc.start()
+        try:
+            self.run(cfg, trials, EveMode.TIME_VARYING, grid=grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= simulate.STACK_BYTES_MAX == 800_000
 
     def test_a_short_static_grid_builds_in_stacks_of_more_than_16_trials(self, stacks):
         self.run((2, 2, 3, 2), 40, EveMode.STATIC)
