@@ -256,27 +256,40 @@ def _generators(master_seeds, keys) -> Iterator[np.random.Generator]:
 
 @dataclass(frozen=True)
 class SignalParams:
-    """Total transmit power (linear), jamming power fraction and noise variance."""
+    """Total transmit power (linear), jamming power fraction and noise variance.
 
-    p: float
+    ``p`` is one power or a 1-D array of them, one per point of a power
+    grid; every point shares ``alpha`` and ``sigma2``.
+    """
+
+    p: float | np.ndarray
     alpha: float = 0.5
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.p) or self.p < 0:
-            raise ValueError("p must be finite and nonnegative")
+        p = np.asarray(self.p, dtype=float)
+        if p.ndim:  # a grid is held as one float array
+            object.__setattr__(self, "p", p)
+        if p.ndim > 1 or not (np.isfinite(p) & (p >= 0)).all():
+            raise ValueError("p must be finite and nonnegative, one power or a 1-D grid of them")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError("sigma2 must be finite and positive")
 
     @classmethod
-    def from_db(cls, p_db: float, alpha: float = 0.5, sigma2: float = 1.0) -> "SignalParams":
+    def from_db(cls, p_db, alpha: float = 0.5, sigma2: float = 1.0) -> "SignalParams":
+        """The signal at one power level in dB or, given a sequence of levels, at each of them.
+
+        Each level converts as a Python float: ``np.power`` differs in the
+        last bit at some levels, and so would every rate at them.
+        """
+        levels = np.asarray(p_db, dtype=float)
         try:
-            p = 10.0 ** (p_db / 10.0)
+            powers = [10.0 ** (level / 10.0) for level in levels.ravel().tolist()]
         except OverflowError:
-            raise ValueError(f"power {p_db} dB is past the float range") from None
-        return cls(p=p, alpha=alpha, sigma2=sigma2)
+            raise ValueError(f"power {np.nanmax(levels)} dB is past the float range") from None
+        return cls(np.reshape(powers, levels.shape) if levels.ndim else powers[0], alpha, sigma2)
 
 
 @dataclass(frozen=True)
@@ -372,9 +385,9 @@ def channel_uses(
     and g2 also carry a use axis after it.  The legitimate matrices are
     the trials'.  A static eavesdropper is too, on a use axis of length 1
     that broadcasts over ``uses``.  A time-varying one has one entry per
-    use of ``uses``: use k holds fresh CN(0, 1) eavesdropper matrices
-    drawn at address (trial, 2k), where (trial, 0) is the trial draw, and
-    every fresh draw of the stack is seeded in one batch (none when n_e = 0).
+    use of ``uses``: use k holds CN(0, 1) eavesdropper matrices drawn at
+    address (trial, 2k), so use 0 draws the trial's own eavesdropper again,
+    and every draw of the stack is seeded in one batch (none when n_e = 0).
     """
     if any(r.stream_id[1] != 0 for r in trial_rngs):
         raise ValueError("trial_rngs must address channel use 0 of their trials")
@@ -383,21 +396,14 @@ def channel_uses(
         raise ValueError("uses must be a nonempty, strictly increasing sequence")
     if not mode.varies_per_use:
         return ChannelRealization(trial_ch.h1, trial_ch.h2, trial_ch.g1[:, None], trial_ch.g2[:, None])
-    held = uses[0] == 0  # address (trial, 0) is the trial draw
-    # Use k draws at (trial, 2k) and the odd addresses stay unused, so the
-    # pinned draws (DRAW_DIGEST in the tests), and the Monte Carlo results
-    # that rest on them, keep their values.
-    new = [2 * use for use in uses[held:]]
-    per_use = [[g[:, None]] if held else [] for g in (trial_ch.g1, trial_ch.g2)]
-    if new:
-        gens = iter(())  # an absent eavesdropper draws nothing and seeds nothing
-        if config.n_e:
-            keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], a) for r in trial_rngs for a in new]
-            gens = _generators([r.master_seed for r in trial_rngs for _ in new], keys)
-        drawn = _complex_gaussian_pairs(gens, trials * len(new), config.n_e, config.m1, config.m2)
-        for parts, fresh in zip(per_use, drawn):
-            parts.append(fresh.reshape(trials, len(new), *fresh.shape[1:]))
-    g1, g2 = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1) for parts in per_use)
+    # The odd addresses stay unused, so the pinned draws (DRAW_DIGEST in the
+    # tests), and the Monte Carlo results that rest on them, keep their values.
+    gens = iter(())  # an absent eavesdropper draws nothing and seeds nothing
+    if config.n_e:
+        keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], 2 * use) for r in trial_rngs for use in uses]
+        gens = _generators([r.master_seed for r in trial_rngs for _ in uses], keys)
+    drawn = _complex_gaussian_pairs(gens, trials * len(uses), config.n_e, config.m1, config.m2)
+    g1, g2 = (g.reshape(trials, len(uses), *g.shape[1:]) for g in drawn)
     return ChannelRealization(trial_ch.h1, trial_ch.h2, g1, g2)
 
 
@@ -437,7 +443,7 @@ def real_form(stack, name: str) -> np.ndarray:
     has a matrix without rows, or has a non-finite entry, in which case
     the error's ``member`` names the trial.
     """
-    a = as_matrix(stack, name, stack=True)
+    a = as_matrix(stack, name)
     rows, cols = a.shape[-2:]
     out = np.empty(a.shape[:-2] + (2 * rows, 2 * cols))
     out[..., :rows, :cols] = out[..., rows:, cols:] = a.real

@@ -355,6 +355,8 @@ def _validate_run(settings) -> _RunPlan:
             f"{_GRID_POINTS_MAX} points"
         )
     grid = [start + i * step for i in range(int(points))]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise _UsageError(f"power grid step of {step} dB is below the float spacing at {start} dB")
     slope_tolerance = _setting(settings, "slope_tolerance", float)
     if slope_tolerance < 0:
         raise _UsageError(f"slope_tolerance must be nonnegative, got {slope_tolerance!r}")
@@ -372,19 +374,18 @@ def _validate_run(settings) -> _RunPlan:
     try:
         config = AntennaConfig(*counts)
         RngStream(seed)
-        sig = SignalParams(
-            1.0, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
+        # Every grid point must be a float power ...
+        sig = SignalParams.from_db(
+            grid, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
         )
-        # The grid's top point must be a float power.
-        top = SignalParams.from_db(grid[-1], sig.alpha, sig.sigma2)
         threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.
     alloc = allocate_jamming(config)
-    snrs = _stream_snrs(alloc.d_total, alloc.total_streams, [top])
-    if not np.isfinite(snrs).all():
-        raise _UsageError(f"per-stream SNR at {grid[-1]} dB is past the float range")
+    finite = np.isfinite(_stream_snrs(alloc.d_total, alloc.total_streams, sig)).all(axis=0)
+    if not finite.all():
+        raise _UsageError(f"per-stream SNR at {grid[np.argmin(finite)]} dB is past the float range")
     covered = sum(1 for p in grid if lo <= p <= hi)
     if covered < 3:
         raise _UsageError(

@@ -79,11 +79,13 @@ STACK_BYTES_MAX = 800_000
 #   per legitimate channel entry n (m1 + m2) and 80 per eavesdropper entry
 #   n_e (m1 + m2) (least squares), and 1.4 kB, the constant that covers the
 #   largest residual;
-# - a fresh time-varying use is seeded in 420 B (its address, seed words
+# - a time-varying use is seeded in 420 B (its address, seed words
 #   and generator) and drawn in up to 64 B per eavesdropper entry;
 # - a rate's log-determinant holds 26 B per singular value and grid point
-#   (three float temporaries and two masks) and 24 B of results, and each
-#   grid point of a block its ``SignalParams`` and power arrays, 170 B.
+#   (three float temporaries and two masks) and 24 B of results;
+# - a block's ``SignalParams`` takes up to 64 B per grid point while it is
+#   made (the levels and powers as Python floats, then as an array), and
+#   its powers and SNRs 24 B through the rates.
 # One-thread sweeps of each of those configurations, in both modes, with 1
 # to 160 trials on 17 to 1,000 points (seven cases each) peaked at 768 kB
 # or less.
@@ -97,7 +99,7 @@ _USE_SEED_BYTES = 420
 _USE_DRAW_BYTES = 64
 _RATE_VALUE_BYTES = 26
 _RATE_POINT_BYTES = 24
-_SIGNAL_BYTES = 170
+_SIGNAL_BYTES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,91 +158,78 @@ def _unit_blocks(channels, precoders) -> np.ndarray:
 
 
 def per_stream_powers(legit_cols: int, jam_cols: int, sig: SignalParams) -> tuple[float, float]:
-    """Per-stream legitimate and jamming powers of a scheme at one power level.
+    """Per-stream legitimate and jamming powers of a scheme, at each power level of ``sig``.
 
     The legitimate budget (1 - alpha) p is split evenly over the
     ``legit_cols`` legitimate real streams and the jamming budget alpha p
     over the ``jam_cols`` jamming real streams, so the transmit covariances
     have trace p per channel use.  Zero-stream budgets give zero power.
-    Only ``sig.p`` and ``sig.alpha`` are read: given as arrays, one entry
-    per grid point, they give each power as an array.
+    Each power has the shape of ``sig.p``: a float, or an array over the grid.
     """
     p_legit = (1.0 - sig.alpha) * sig.p / legit_cols if legit_cols else 0.0
     p_jam = sig.alpha * sig.p / jam_cols if jam_cols else 0.0
     return p_legit, p_jam
 
 
-class _Grid(NamedTuple):
-    """A power grid's ``SignalParams`` fields as arrays, one entry per grid point."""
-
-    p: np.ndarray
-    alpha: np.ndarray
-    sigma2: np.ndarray
-
-
-def _stream_snrs(legit_cols: int, jam_cols: int, sigs: Sequence[SignalParams]) -> np.ndarray:
+def _stream_snrs(legit_cols: int, jam_cols: int, sig: SignalParams) -> np.ndarray:
     """Per-stream (legitimate, jamming) powers over the real noise variance sigma2 / 2, (2, grid).
 
     These scale the unit-power log-determinants of the rates.  An
     overflowed value is ``inf``.
     """
-    grid = _Grid(*(np.array([getattr(s, f) for s in sigs], dtype=float) for f in _Grid._fields))
-    snrs = np.empty((2, len(sigs)))
+    snrs = np.empty((2, np.size(sig.p)))
     with np.errstate(over="ignore"):  # an overflow is inf, as in floats
-        snrs[0], snrs[1] = per_stream_powers(legit_cols, jam_cols, grid)
-        return snrs / (0.5 * grid.sigma2)
+        snrs[0], snrs[1] = per_stream_powers(legit_cols, jam_cols, sig)
+        return snrs / (0.5 * sig.sigma2)
 
 
-def _snrs(pre: PrecoderSet, sigs: Sequence[SignalParams]) -> np.ndarray:
+def _snrs(pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
     """``_stream_snrs`` of the real streams of ``pre``."""
     legit_cols = pre.v1_l.shape[-1] + pre.v2_l.shape[-1]
-    return _stream_snrs(legit_cols, pre.v1_j.shape[-1] + pre.v2_j.shape[-1], sigs)
+    return _stream_snrs(legit_cols, pre.v1_j.shape[-1] + pre.v2_j.shape[-1], sig)
 
 
-def legit_rate(
-    ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
-) -> np.ndarray:
+def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
     """Achievable legitimate sum rate after zero-forcing, in bits per real dimension.
 
     Returns a (trials, grid) array, one rate per trial of the stack and
-    grid point ``sigs[k]``: 0.25 * log2 det(I + (2 / sigma2) U H Q_k H^T U)
-    with H the real form of [h1 | h2] and Q_k the legitimate transmit
-    covariance, which is half the mutual information per complex channel
-    use, from one stacked SVD of the unit-power effective matrices.
-    ``ch`` holds the complex channels (``sample_channels`` or
-    ``channel_uses``); InvalidMatrix means ``ch.h1`` or ``ch.h2`` is not a
-    finite stack, and its ``member`` names the trial.  Zero power, zero
-    legitimate streams or a zero projector all give exactly 0 bits.
+    power level p_k of ``sig`` (a scalar ``sig.p`` is a grid of one):
+    0.25 * log2 det(I + (2 / sigma2) U H Q_k H^T U) with H the real form of
+    [h1 | h2] and Q_k the legitimate transmit covariance at p_k, which is
+    half the mutual information per complex channel use, from one stacked
+    SVD of the unit-power effective matrices.  ``ch`` holds the complex
+    channels (``sample_channels`` or ``channel_uses``); InvalidMatrix means
+    ``ch.h1`` or ``ch.h2`` is not a finite stack, and its ``member`` names
+    the trial.  Zero power, zero legitimate streams or a zero projector all
+    give exactly 0 bits.
     """
-    p_legit, _ = _snrs(pre, sigs)
+    p_legit, _ = _snrs(pre, sig)
     h1, h2 = real_form(ch.h1, "h1"), real_form(ch.h2, "h2")
     received = ((pre.u @ h1)[:, None], (pre.u @ h2)[:, None])
     effective = _unit_blocks(received, (pre.v1_l, pre.v2_l))
     return 0.25 * _logdet(effective, p_legit)
 
 
-def eve_leakage(
-    ch: ChannelRealization, pre: PrecoderSet, sigs: Sequence[SignalParams]
-) -> np.ndarray:
+def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
     """A lower bound on the eavesdropper's mutual information, in bits per real dimension.
 
     Returns a (trials, grid) array, one value per trial of the stack and
-    grid point ``sigs[k]``: max(0, 0.25 * (log2 det(I + S_k) - log2 det(I +
-    J_k))), with S_k and J_k the eavesdropper's received legitimate and
-    jamming covariances, on the real forms of g1 and g2, over the real
-    noise variance sigma2 / 2.  The mutual information (halved, as for
-    ``legit_rate``) is 0.25 * (log2 det(I + S + J) - log2 det(I + J)),
-    which is at least this value; making the two agree is an open item of
-    ROADMAP.md.  ``ch`` holds the eavesdropper channels over the grid
-    (``channel_uses``): a static eavesdropper's use axis of length 1 is
-    held over the grid, a time-varying one has an entry per grid point.
-    InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a finite stack, and
-    its ``member`` names the trial.  One stacked SVD per block serves
-    every trial and grid point.
+    power level p_k of ``sig`` (a scalar ``sig.p`` is a grid of one):
+    max(0, 0.25 * (log2 det(I + S_k) - log2 det(I + J_k))), with S_k and
+    J_k the eavesdropper's received legitimate and jamming covariances at
+    p_k, on the real forms of g1 and g2, over the real noise variance
+    sigma2 / 2.  The mutual information (halved, as for ``legit_rate``) is
+    0.25 * (log2 det(I + S + J) - log2 det(I + J)), which is at least this
+    value; making the two agree is an open item of ROADMAP.md.  ``ch``
+    holds the eavesdropper channels over the grid (``channel_uses``): a
+    static eavesdropper's use axis of length 1 is held over the grid, a
+    time-varying one has an entry per grid point.  InvalidMatrix means
+    ``ch.g1`` or ``ch.g2`` is not a finite stack, and its ``member`` names
+    the trial.  One stacked SVD per side serves every trial and grid point.
     """
-    p_legit, p_jam = _snrs(pre, sigs)
+    p_legit, p_jam = _snrs(pre, sig)
     if ch.g1.shape[-2] == 0:
-        return np.zeros((len(ch.g1), len(sigs)))
+        return np.zeros((len(ch.g1), len(p_legit)))
     g1, g2 = real_form(ch.g1, "g1"), real_form(ch.g2, "g2")
     signal = _unit_blocks((g1, g2), (pre.v1_l, pre.v2_l))
     jamming = _unit_blocks((g1, g2), (pre.v1_j, pre.v2_j))
@@ -298,7 +287,7 @@ def _stack_bytes(config: AntennaConfig, alloc: JammingAllocation, mode: EveMode)
     eve_use = 16 * n_e * (3 * m + legit + 2 * jam)
     eve_point = _RATE_VALUE_BYTES * min(2 * n_e, max(legit, jam)) + _RATE_POINT_BYTES
     if mode.varies_per_use:
-        # Before a fresh use is evaluated it is seeded and drawn.
+        # Before a use is evaluated it is seeded and drawn.
         seeding = _USE_SEED_BYTES + _USE_DRAW_BYTES * n_e * m if n_e else 0
         leakage = (held, max(seeding, eve_use + eve_point))
     else:
@@ -322,8 +311,9 @@ def _blocks(points: int, trials: int, held: tuple[int, int]) -> list[range]:
     """Contiguous ranges of grid points, as long as keep a stack of ``trials`` within STACK_BYTES_MAX.
 
     ``held`` is what each trial holds through a block and per point of it
-    (``_StackBytes``); each point also holds its ``SignalParams``.  All
-    blocks but the last have the same length, at least 1.
+    (``_StackBytes``); each point also costs ``_SIGNAL_BYTES`` for its
+    power in the block's ``SignalParams``.  All blocks but the last have
+    the same length, at least 1.
     """
     base, per_point = held
     room = STACK_BYTES_MAX - _STACK_FIXED_BYTES - trials * base
@@ -342,46 +332,46 @@ def sweep(
 ) -> SweepResult:
     """Monte Carlo rates over a power grid, one row per trial and column per point.
 
-    Per trial: one channel draw and precoder build, then rates at each grid
-    point k on channel use k under eavesdropper model ``mode``.  The trials
-    are split into as few contiguous chunks as keep each build within
+    Only ``alpha`` and ``sigma2`` of ``sig_template`` are read: the power
+    levels are those of ``p_grid_db``, which must all be valid.  Per trial:
+    one channel draw and precoder build, then rates at each grid point k on
+    channel use k under eavesdropper model ``mode``.  The trials are split
+    into as few contiguous chunks as keep each build within
     ``STACK_BYTES_MAX``, at least one per worker thread.  Each chunk draws
     its trials' channels in one ``sample_channels`` call, seeding all its
     addresses in one batch, and builds its precoder set in one stacked
     ``build_precoders`` call.  It then evaluates ``legit_rate`` and then
     ``eve_leakage`` over contiguous blocks of grid points, each as long as
     keeps the stack within ``STACK_BYTES_MAX``, one call over all its
-    trials per block; a time-varying eavesdropper's uses of a block are
-    drawn in one ``channel_uses`` call.  Each block writes its columns of
-    the chunk's rows of the result.  A trial's draws, set and rates do not
-    depend on its chunk or block, so the output, its rows in trial order,
-    depends only on the arguments, never on thread count
-    (``threads=None`` reads SDOFLAB_THREADS, defaulting to sequential;
-    either way no more worker threads start than ``os.cpu_count()`` or
-    ``trials``).  An InfeasibleAllocation from any trial aborts the sweep:
-    feasibility is generic, so a failure indicates an allocation bug rather
-    than bad luck.  A failing build or rate evaluation raises its own error
-    type, its message naming the config, the trial and the master seed that
+    trials per block, with one ``SignalParams`` of the block's levels; a
+    time-varying eavesdropper's uses of a block are drawn in one
+    ``channel_uses`` call.  Each block writes its columns of the chunk's
+    rows of the result.  A trial's draws, set and rates do not depend on
+    its chunk or block, so the output, its rows in trial order, depends
+    only on the arguments, never on thread count (``threads=None`` reads
+    SDOFLAB_THREADS, defaulting to sequential; either way no more worker
+    threads start than ``os.cpu_count()`` or ``trials``).  An
+    InfeasibleAllocation from any trial aborts the sweep: feasibility is
+    generic, so a failure indicates an allocation bug rather than bad
+    luck.  A failing build or rate evaluation raises its own error type,
+    its message naming the config, the trial and the master seed that
     reproduce it.
     """
-    grid = [float(p) for p in p_grid_db]
+    grid = np.array([float(p) for p in p_grid_db])  # returned with the rates: no working memory
     if len(grid) == 0:
         raise ValueError("p_grid_db must not be empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValueError("p_grid_db must be strictly increasing")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     alpha, sigma2 = sig_template.alpha, sig_template.sigma2
-    for p in grid:  # every power level is valid before any draw
-        SignalParams.from_db(p, alpha, sigma2)
-    grid = np.array(grid)  # returned with the rates: no working memory
+    SignalParams.from_db(grid, alpha, sigma2)  # every power level is valid before any draw
 
     alloc = allocate_jamming(config)
     held = _stack_bytes(config, alloc, mode)
 
-    def signals(points: range) -> list[SignalParams]:
-        levels = grid[points.start : points.stop].tolist()
-        return [SignalParams.from_db(p, alpha, sigma2) for p in levels]
+    def signal(points: range) -> SignalParams:
+        return SignalParams.from_db(grid[points.start : points.stop], alpha, sigma2)
 
     legit = np.empty((trials, len(grid)))
     leakage = np.empty((trials, len(grid)))
@@ -396,10 +386,10 @@ def sweep(
         try:
             pre = build_precoders(draws, alloc, rngs)
             for points in _blocks(len(grid), len(chunk), held.legit):
-                legit[rows, points.start : points.stop] = legit_rate(draws, pre, signals(points))
+                legit[rows, points.start : points.stop] = legit_rate(draws, pre, signal(points))
             for uses in _blocks(len(grid), len(chunk), held.leakage):
                 seen = channel_uses(config, draws, rngs, uses, mode)
-                leakage[rows, uses.start : uses.stop] = eve_leakage(seen, pre, signals(uses))
+                leakage[rows, uses.start : uses.stop] = eve_leakage(seen, pre, signal(uses))
         except SdofLabError as exc:
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc

@@ -64,18 +64,17 @@ def _member_error(cls, a: np.ndarray, member: int, message: str):
     return exc
 
 
-def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Return ``a`` as a dense complex128 matrix, rejecting NaN/Inf entries.
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Return a stack of matrices as dense complex128 ones, rejecting NaN/Inf entries.
 
-    With ``stack`` the input must be a nonempty ``(members, ..., rows,
-    cols)`` stack of matrices, and a non-finite entry is reported with the
-    index of its member along the first axis.
+    The input must be a nonempty ``(members, ..., rows, cols)`` stack of
+    matrices, and a non-finite entry is reported with the index of its
+    member along the first axis.
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if (arr.ndim < 3) if stack else (arr.ndim != 2):
-        kind = "a stack of matrices" if stack else "two-dimensional"
-        raise InvalidMatrix(f"{name} must be {kind}, got shape {arr.shape}")
-    if stack and len(arr) == 0:
+    if arr.ndim < 3:
+        raise InvalidMatrix(f"{name} must be a stack of matrices, got shape {arr.shape}")
+    if len(arr) == 0:
         raise InvalidMatrix(f"{name} is an empty stack of matrices, got shape {arr.shape}")
     if arr.shape[-2] < 1:
         raise InvalidMatrix(f"{name} must have at least one row, got shape {arr.shape}")

@@ -83,11 +83,11 @@ class TestSampleChannels:
         ch = sample_channels(AntennaConfig(2, 1, 2, 0), [RngStream(1)], EveMode.STATIC)
         assert ch.g1.shape == (1, 0, 2)
 
-    @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 16, 1])])
+    @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 17, 1])])
     def test_an_absent_eavesdropper_seeds_no_generator(self, n_e, per_trial, monkeypatch):
         # Generators made per trial by the draw, by 17 channel uses (use 0
-        # is the draw's) and by the eavesdropper of TrialSeeds: with n_e = 0
-        # only the legitimate draw seeds one.
+        # draws the trial's eavesdropper again) and by the eavesdropper of
+        # TrialSeeds: with n_e = 0 only the legitimate draw seeds one.
         made = []
         real = channel._seeded
 
@@ -147,9 +147,21 @@ class TestSignalParams:
             SignalParams(1.0, alpha=0.0)
         with pytest.raises(ValueError):
             SignalParams(1.0, sigma2=0.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SignalParams([1.0, -1.0, 2.0])  # every grid point is checked
+        with pytest.raises(ValueError, match="1-D grid"):
+            SignalParams([[1.0, 2.0]])
 
     def test_from_db(self):
         assert SignalParams.from_db(30.0).p == pytest.approx(1000.0)
+        with pytest.raises(ValueError, match="power 3090.0 dB is past the float range"):
+            SignalParams.from_db([60.0, 3090.0])
+        # A grid's powers are byte for byte those of one level at a time.
+        grid = [60.0 + 2.5 * i for i in range(17)]
+        sig = SignalParams.from_db(grid, alpha=0.3, sigma2=0.7)
+        assert (sig.alpha, sig.sigma2) == (0.3, 0.7)
+        assert sig.p.dtype == np.float64 and sig.p.shape == (17,)
+        assert sig.p.tobytes() == np.array([SignalParams.from_db(p).p for p in grid]).tobytes()
 
 
 class TestRealForm:

@@ -297,13 +297,17 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
                               "p_stop_db": 1e308, "trials": 1}),
         # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
         (_SIM + ["--p-step", "0.004"], None, None),
+        # A step below the float spacing at 60 dB repeats grid points.
+        (["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
+          "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
+          "--window-lo", "60", "--window-hi", "61"], None, None),
     ],
     ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
          "config-bool-seed", "config-bool-window", "config-rank-rel-tol",
          "power-overflow", "per-stream-overflow", "grid-span-overflow",
-         "config-grid-span-overflow", "grid-over-point-cap"],
+         "config-grid-span-overflow", "grid-over-point-cap", "grid-step-below-spacing"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):

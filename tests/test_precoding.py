@@ -71,7 +71,7 @@ class TestRandomJamming:
 class TestNullspaceJamming:
     # The build's nullspace block, on a channel as it enters the library.
     def test_full_rank_square_is_infeasible(self):
-        h = as_matrix(np.eye(3))
+        h = as_matrix(np.eye(3)[None])[0]
         with pytest.raises(InfeasibleAllocation):
             _nullspace_block(nullspace(h), h, 1)
 
@@ -84,7 +84,7 @@ class TestNullspaceJamming:
         assert max_abs(v.conj().T @ v - np.eye(3)) < 1e-10
 
     def test_zero_streams(self):
-        h = as_matrix(np.eye(3))
+        h = as_matrix(np.eye(3)[None])[0]
         assert _nullspace_block(nullspace(h), h, 0).shape == (3, 0)
 
 

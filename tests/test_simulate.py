@@ -62,7 +62,7 @@ def _columns(pre):
 
 def _at(rate, ch, pre, sig):
     """A rate function on one trial at one power level: a one-point grid."""
-    ((value,),) = rate(ch, pre, [sig])
+    ((value,),) = rate(ch, pre, sig)
     return value
 
 
@@ -138,7 +138,7 @@ class TestRateUnit:
     """
 
     config = AntennaConfig(3, 2, 3, 2)
-    sigs = [SignalParams.from_db(p_db, alpha=0.3, sigma2=0.7) for p_db in (0.0, 20.0, 60.0)]
+    sig = SignalParams.from_db((0.0, 20.0, 60.0), alpha=0.3, sigma2=0.7)
 
     def draw(self, seed):
         gen = np.random.default_rng(seed)
@@ -150,8 +150,9 @@ class TestRateUnit:
     def test_legit_rate(self, seed):
         (v1_l, _, v2_l, _, u), pre, trial, ch = self.draw(seed)
         e = np.hstack([u @ trial.h1 @ v1_l, u @ trial.h2 @ v2_l])
-        for sig, value in zip(self.sigs, legit_rate(ch, pre, self.sigs)[0]):
-            p = (1 - sig.alpha) * sig.p / e.shape[1]
+        sig = self.sig
+        for p_k, value in zip(sig.p, legit_rate(ch, pre, sig)[0]):
+            p = (1 - sig.alpha) * p_k / e.shape[1]
             assert abs(value - _complex_half_logdet(e, p / sig.sigma2)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
@@ -160,11 +161,27 @@ class TestRateUnit:
         seen = channel_uses(self.config, ch, [RngStream(seed)], [0], EveMode.STATIC)
         s = np.hstack([trial.g1 @ v1_l, trial.g2 @ v2_l])
         j = np.hstack([trial.g1 @ v1_j, trial.g2 @ v2_j])
-        for sig, value in zip(self.sigs, eve_leakage(seen, pre, self.sigs)[0]):
-            p_s = (1 - sig.alpha) * sig.p / s.shape[1] / sig.sigma2
-            p_j = sig.alpha * sig.p / j.shape[1] / sig.sigma2
+        sig = self.sig
+        for p_k, value in zip(sig.p, eve_leakage(seen, pre, sig)[0]):
+            p_s = (1 - sig.alpha) * p_k / s.shape[1] / sig.sigma2
+            p_j = sig.alpha * p_k / j.shape[1] / sig.sigma2
             expected = max(0.0, _complex_half_logdet(s, p_s) - _complex_half_logdet(j, p_j))
             assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("mode", list(EveMode))
+    @pytest.mark.parametrize("rate", [legit_rate, eve_leakage])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_grid_column_is_its_one_point_call(self, seed, rate, mode):
+        # A time-varying grid point k sees channel use k.
+        _, pre, _, _ = self.draw(seed)
+        rngs = [RngStream(seed)]
+        ch = sample_channels(self.config, rngs, mode)
+        grid = rate(channel_uses(self.config, ch, rngs, range(3), mode), pre, self.sig)
+        assert grid.shape == (1, 3)
+        for k, p_k in enumerate(self.sig.p):
+            seen = channel_uses(self.config, ch, rngs, [k], mode)
+            one = rate(seen, pre, dataclasses.replace(self.sig, p=p_k))
+            assert one.shape == (1, 1) and one.tobytes() == grid[:, k].tobytes()
 
 
 class TestLegitRate:
@@ -197,10 +214,10 @@ class TestLegitRate:
         trial = member(sample_channels(config, [RngStream(4)], EveMode.TIME_VARYING), 0)
         h1, h2 = real2(trial.h1), real2(trial.h2)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
-        sigs = [SignalParams.from_db(p_db, alpha=0.4, sigma2=2.0) for p_db in (20.0, 30.0, 40.0)]
-        for sig, value in zip(sigs, legit_rate(ch, stack, sigs)[0]):
-            p_legit, _ = per_stream_powers(*_columns(pre), sig)
-            gram = np.eye(e.shape[0]) + (2.0 * p_legit / sig.sigma2) * e @ e.T
+        sig = SignalParams.from_db((20.0, 30.0, 40.0), alpha=0.4, sigma2=2.0)
+        p_legit, _ = per_stream_powers(*_columns(pre), sig)
+        for p_k, value in zip(p_legit, legit_rate(ch, stack, sig)[0]):
+            gram = np.eye(e.shape[0]) + (2.0 * p_k / sig.sigma2) * e @ e.T
             sign, logdet = np.linalg.slogdet(gram)
             assert sign > 0
             expected = 0.25 * logdet / np.log(2.0)

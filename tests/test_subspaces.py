@@ -333,9 +333,7 @@ class TestStacks:
         a = np.ones((4, 2, 3))
         a[2, 1, 0] = np.inf
         with pytest.raises(InvalidMatrix, match="stack member 2: h1 contains non-finite") as exc:
-            as_matrix(a, "h1", stack=True)
+            as_matrix(a, "h1")
         assert exc.value.member == 2
         with pytest.raises(InvalidMatrix, match="stack of matrices"):
-            as_matrix(np.ones((2, 3)), "h1", stack=True)
-        with pytest.raises(InvalidMatrix, match="two-dimensional"):
-            as_matrix(a, "h1")
+            as_matrix(np.ones((2, 3)), "h1")
