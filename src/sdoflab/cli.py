@@ -14,6 +14,7 @@ allocation, 4 output I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from .channel import EveMode, RngStream, SignalParams, channel_uses, sample_channels
 from .errors import InfeasibleAllocation, SdofLabError
-from .precoding import build_precoders, leakage_rank
+from .precoding import DrawFactors, audit_set, build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
     allocate_jamming,
@@ -80,7 +81,9 @@ def _antenna_args(parser: argparse.ArgumentParser, required: bool = True) -> Non
     parser.add_argument("--ne", type=int, required=required, help="eavesdropper antenna bound")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sdoflab",
         description="Secure-degrees-of-freedom calculator and Monte Carlo simulator "
@@ -198,7 +201,9 @@ def cmd_design(args) -> int:
     ch = sample_channels(config, rngs, mode)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
-    pre = build_precoders(ch, alloc, rngs)
+    factors = DrawFactors(ch)
+    pre = build_precoders(ch, alloc, rngs, _factors=factors)
+    set_audit = audit_set(factors, pre)
     seen = channel_uses(config, ch, rngs, [0], mode)
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
@@ -233,12 +238,12 @@ def cmd_design(args) -> int:
         "residuals": {
             "nullspace": _fmt(pre.report.nullspace_residual[0]),
             "alignment": _fmt(pre.report.alignment_residual[0]),
-            "unitarity": _fmt(pre.report.unitarity_residual[0]),
-            "zero_forcing": _fmt(pre.report.zero_forcing_residual[0]),
+            "unitarity": _fmt(set_audit.unitarity_residual[0]),
+            "zero_forcing": _fmt(set_audit.zero_forcing_residual[0]),
         },
         "ranks": {
-            "u": int(pre.report.u_rank[0]),
-            "legit_post_projection": int(pre.report.legit_rank[0]),
+            "u": int(set_audit.u_rank[0]),
+            "legit_post_projection": int(set_audit.legit_rank[0]),
             "eavesdropper_jamming": int(leakage_rank(seen, pre)[0, 0]),
         },
     }

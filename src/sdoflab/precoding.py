@@ -21,6 +21,11 @@ One stacked SVD or QR per step serves all trials, and each trial draws its
 random directions from its own generator, so a trial's member of the set
 does not depend on the stack it was built in.
 
+The build reports only what it alone can see, the residuals of its blocks
+before re-orthonormalization.  What the finished set shows against its
+channels (unitarity, zero forcing and the receiver ranks) is an audit,
+``audit_set``, that only its readers pay for.
+
 Builds of several allocations on one legitimate draw can share what
 they take from it (``DrawFactors``).
 """
@@ -47,7 +52,10 @@ from .subspaces import (
 )
 
 __all__ = [
+    "DrawFactors",
     "PrecoderSet",
+    "SetAudit",
+    "audit_set",
     "build_precoders",
     "leakage_rank",
 ]
@@ -55,10 +63,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BuildReport:
-    """Residuals and ranks recorded while assembling a precoder set: arrays, one entry per trial."""
+    """Residuals of the jamming blocks as built, before their re-orthonormalization: one entry per trial.
+
+    The finished set cannot reproduce these bit for bit, so the build keeps
+    them; everything else about the set is ``audit_set``'s.
+    """
 
     nullspace_residual: np.ndarray
     alignment_residual: np.ndarray
+
+
+@dataclass(frozen=True)
+class SetAudit:
+    """Residuals and ranks of a finished precoder set against its channels: arrays, one entry per trial."""
+
     unitarity_residual: np.ndarray
     zero_forcing_residual: np.ndarray
     u_rank: np.ndarray
@@ -72,7 +90,7 @@ class PrecoderSet:
     Every matrix is real, in real dimensions, with a leading trial axis:
     v1_l is (trials, 2 m1, d1), v1_j (trials, 2 m1, j_tx1), likewise
     for transmitter two, and u is the (trials, 2 n, 2 n) zero-forcing
-    projector.  ``report`` holds the residuals and ranks the build
+    projector.  ``report`` holds the block residuals the build
     measured on each trial.
     """
 
@@ -142,7 +160,8 @@ class DrawFactors:
     them.  The first build that needs a part computes it and later builds
     on the same draw reuse it; every part is exactly what a build on its
     own computes.  ``build_precoders`` makes a fresh instance for a call
-    without one.
+    without one, and ``audit_set`` reads the real forms of the one a set
+    was built on.
     """
 
     def __init__(self, ch: ChannelRealization):
@@ -191,12 +210,12 @@ def build_precoders(
     the real forms of ``ch.h1`` and ``ch.h2``.  Those carry a leading trial
     axis (``sample_channels``) and ``rngs`` holds one ``RngStream`` per
     trial; so does every matrix of the result, and its ``report`` records
-    each trial's residuals and ranks.  Every SVD and QR runs once over the
-    whole stack, and each trial draws its random directions from its own
-    generator (``jamming_generators``) in a fixed order (transmitter one's
-    random block, transmitter two's, then the legitimate completions of
-    one and two), so a trial's member is bit for bit the same in any
-    stack, alone or not.  ``_factors`` is the ``DrawFactors`` of ``ch``'s
+    each trial's block residuals (``audit_set`` checks the finished set).
+    Every SVD and QR runs once over the whole stack, and each trial draws
+    its random directions from its own generator (``jamming_generators``)
+    in a fixed order (transmitter one's random block, transmitter two's,
+    then the legitimate completions of one and two), so a trial's member
+    is bit for bit the same in any stack, alone or not.  ``_factors`` is the ``DrawFactors`` of ``ch``'s
     legitimate draw when several builds share it.
 
     InfeasibleAllocation propagates from the per-method constructors when
@@ -270,7 +289,6 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
     v1_j = assemble(1, alloc.tx1, h1, v1_aligned)
     v2_j = assemble(2, alloc.tx2, h2, v2_aligned)
 
-    received_jam = _hstack([h1 @ v1_j, h2 @ v2_j])
     u = complement_projector(_hstack(visible_received))
 
     def legit_completion(vj: np.ndarray, d_cols: int) -> np.ndarray:
@@ -292,29 +310,37 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
 
     v1_l = legit_completion(v1_j, alloc.d1)
     v2_l = legit_completion(v2_j, alloc.d2)
+    report = BuildReport(nullspace_residual, alignment_residual)
+    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, report)
 
-    unitarity_residual = np.zeros(len(gens))
-    for vl, vj in ((v1_l, v1_j), (v2_l, v2_j)):
+
+def audit_set(factors: DrawFactors, pre: PrecoderSet) -> SetAudit:
+    """Unitarity and zero-forcing residuals and receiver ranks of a set, per trial.
+
+    ``factors`` is the ``DrawFactors`` of the legitimate draw ``pre`` was
+    built on, whose real forms serve the products.  The unitarity residual
+    is the largest deviation of [v_l | v_j]^T [v_l | v_j] from the identity
+    over both transmitters, the zero-forcing residual the largest entry of
+    u [h1 v1_j | h2 v2_j], u_rank the rank of u and legit_rank that of
+    u [h1 v1_l | h2 v2_l], all in real dimensions.  Nothing of the build
+    reads them; ``verify`` and ``design`` do.
+    """
+    h1, h2 = factors.real(1), factors.real(2)
+    received_jam = _hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
+    unitarity_residual = np.zeros(len(pre.u))
+    for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
         stacked = _hstack([vl, vj])
         if stacked.shape[-1]:
             gram = stacked.swapaxes(-1, -2) @ stacked
             unitarity_residual = np.maximum(
                 unitarity_residual, _max_abs(gram - np.eye(stacked.shape[-1]))
             )
-
-    zero_forcing_residual = _max_abs(u @ received_jam)
-    u_rank = ranks(u)
-    legit_rank = ranks(u @ _hstack([h1 @ v1_l, h2 @ v2_l]))
-
-    report = BuildReport(
-        nullspace_residual,
-        alignment_residual,
+    return SetAudit(
         unitarity_residual,
-        zero_forcing_residual,
-        u_rank,
-        legit_rank,
+        _max_abs(pre.u @ received_jam),
+        ranks(pre.u),
+        ranks(pre.u @ _hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])),
     )
-    return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, report)
 
 
 # perfbench/workloads.ENTRY_POINTS still names this; drop it there first (ROADMAP item 6).

@@ -30,7 +30,7 @@ from .channel import (
     sample_channels,
 )
 from .errors import SdofLabError, located
-from .precoding import DrawFactors, build_precoders, leakage_rank
+from .precoding import DrawFactors, audit_set, build_precoders, leakage_rank
 from .sdof import (
     AntennaConfig,
     JammingAllocation,
@@ -110,8 +110,8 @@ def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
     ``DrawFactors``; each configuration draws its own eavesdropper from
     ``trial_seeds``.  Every set is bit for bit the one ``build_precoders``
     makes on that configuration's own ``sample_channels`` draw.  Yields
-    (config, draw, precoder set); a build that fails raises its error,
-    located at the config and seed.
+    (config, draw, the shared factors, precoder set); a build that fails
+    raises its error, located at the config and seed.
     """
     first = sample_channels(configs[0], rngs, EveMode.STATIC)
     factors = DrawFactors(first)
@@ -125,23 +125,27 @@ def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
             # A failure that is not one member's fails every seed alike.
             where = f"{config} seed {exc.member or 0}" if rngs else str(config)
             raise located(exc, where) from exc
-        yield config, draws, pre
+        yield config, draws, factors, pre
 
 
-def _check_set(config, draws, rngs, alloc, pre):
-    """Residual and rank invariants of one configuration's precoder set: ``check_config``'s result."""
+def _check_set(config, draws, factors, rngs, alloc, pre):
+    """Residual and rank invariants of one configuration's precoder set: ``check_config``'s result.
+
+    The build's report gives the block residuals and ``audit_set``, on the
+    draw's ``factors``, the rest.
+    """
     # Ranks count real dimensions, two per antenna, one per real stream.
     expect_u_rank = 2 * config.n - alloc.j_s
     expect_legit = alloc.d_total
     expect_leak = min(2 * config.n_e, alloc.total_streams)
     uses = channel_uses(config, draws, rngs, [0], EveMode.STATIC)
-    report = pre.report
+    report, audit = pre.report, audit_set(factors, pre)
     kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
     residuals = np.array([
         report.nullspace_residual,
         report.alignment_residual,
-        report.unitarity_residual,
-        report.zero_forcing_residual,
+        audit.unitarity_residual,
+        audit.zero_forcing_residual,
     ])
     gates = np.array([
         NULLSPACE_RESIDUAL_MAX,
@@ -150,7 +154,7 @@ def _check_set(config, draws, rngs, alloc, pre):
         ZERO_FORCING_RESIDUAL_MAX,
     ])
     names = ("rank(U)", "legit rank", "leakage rank")
-    ranks = np.array([report.u_rank, report.legit_rank, leakage_rank(uses, pre)[:, 0]])
+    ranks = np.array([audit.u_rank, audit.legit_rank, leakage_rank(uses, pre)[:, 0]])
     expected = np.array([expect_u_rank, expect_legit, expect_leak])
     # Rows are checks, columns seeds.
     over, wrong = residuals > gates[:, None], ranks != expected[:, None]
@@ -181,8 +185,8 @@ def _seed_streams(seeds: int):
 
 def _family_checks(configs, rngs, trial_seeds, allocs):
     """``check_config`` of each of one family's configurations in order, as (config, result)."""
-    for config, draws, pre in _family_builds(configs, rngs, allocs, trial_seeds):
-        yield config, _check_set(config, draws, rngs, allocs[config], pre)
+    for config, draws, factors, pre in _family_builds(configs, rngs, allocs, trial_seeds):
+        yield config, _check_set(config, draws, factors, rngs, allocs[config], pre)
 
 
 def check_config(config: AntennaConfig, seeds: int):

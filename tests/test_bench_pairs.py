@@ -64,3 +64,8 @@ def test_parent_iqr_is_the_inclusive_quartile_spread():
     assert summary["wall_s"]["parent_median"] == 3.0
     assert summary["wall_s"]["change_median"] == 2.5
     assert summary["wall_s"]["change_wins"] == "5 of 5"
+
+
+def test_iqr_of_one_value_is_zero():
+    # bench_long_grids records it for every side, one timed run or more.
+    assert bench_pairs.iqr([0.7]) == 0.0

@@ -23,6 +23,9 @@ def run_cli(args):
 # ``allocation`` block of ``design --seed 5`` for each of DESIGN_CONFIGS.
 PRINTED_COUNTS_DIGEST = "871ca4668c5d892e5352ad1a854232fad688891656f59b7315c4a5c3eb9cbcf5"
 DESIGN_CONFIGS = ((3, 3, 4, 2), (5, 1, 2, 5), (2, 2, 3, 1), (4, 4, 6, 3), (1, 1, 1, 1))
+# SHA-256 of the ``residuals`` and ``ranks`` blocks of ``design --seed 5`` for
+# each of DESIGN_CONFIGS: the set audit's values, bit for bit.
+DESIGN_AUDIT_DIGEST = "56158e48739967674be71fa1dfa06b362c090b7eee088949b40ce07985e9731c"
 
 
 def _antenna_flags(m1, m2, n, ne):
@@ -31,16 +34,40 @@ def _antenna_flags(m1, m2, n, ne):
 
 def test_printed_counts_are_pinned(capsys):
     digest = hashlib.sha256()
-    parser = cli._build_parser()  # once: main would build it per configuration
     for m1, m2, n in itertools.product(range(1, 6), repeat=3):
         for ne in range(m1 + m2 + 1):
-            assert cli.cmd_sdof(parser.parse_args(["sdof", *_antenna_flags(m1, m2, n, ne)])) == 0
+            assert run_cli(["sdof", *_antenna_flags(m1, m2, n, ne)]) == 0
             digest.update(capsys.readouterr().out.encode())
     for cfg in DESIGN_CONFIGS:
         assert run_cli(["design", *_antenna_flags(*cfg), "--seed", "5"]) == 0
         allocation = json.loads(capsys.readouterr().out)["allocation"]
         digest.update(json.dumps(allocation, indent=2).encode())
     assert digest.hexdigest() == PRINTED_COUNTS_DIGEST
+
+
+def test_design_audit_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for cfg in DESIGN_CONFIGS:
+        assert run_cli(["design", *_antenna_flags(*cfg), "--seed", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for block in ("residuals", "ranks"):
+            digest.update(json.dumps(doc[block], indent=2).encode())
+    assert digest.hexdigest() == DESIGN_AUDIT_DIGEST
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    # Parsing leaves the one parser as it was: usage errors and help read
+    # the same on every call.
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    for _ in range(2):
+        for argv in (["sdof", "--m1", "2"], ["simulate", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            captured = capsys.readouterr()
+            seen.append((exc.value.code, captured.out, captured.err))
+    assert [code for code, _, _ in seen] == [2, 0, 2, 0]
+    assert seen[:2] == seen[2:]
 
 
 class TestSdofCommand:

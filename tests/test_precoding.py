@@ -18,7 +18,13 @@ from sdoflab import (
     sample_channels,
 )
 from sdoflab.channel import channel_uses, jamming_generators
-from sdoflab.precoding import _aligned_targets, _haar_columns, _nullspace_block
+from sdoflab.precoding import (
+    DrawFactors,
+    _aligned_targets,
+    _haar_columns,
+    _nullspace_block,
+    audit_set,
+)
 from sdoflab.sdof import _antenna_grid
 from sdoflab.subspaces import as_matrix, intersect, nullspace, orthonormal_basis, solve_into
 
@@ -136,57 +142,62 @@ def _build_one(config, rng, mode=EveMode.TIME_VARYING):
     return rngs, ch, build_precoders(ch, allocate_jamming(config), rngs)
 
 
+def _audit(ch, pre):
+    """``audit_set`` of a stacked set on the draw it was built on."""
+    return audit_set(DrawFactors(ch), pre)
+
+
 class TestBuildPrecoders:
     def build(self, cfg, seed=0):
-        """The config, one trial's matrices, the allocation, its set and report."""
+        """The config, one trial's matrices, the allocation, its set and the set's audit."""
         config = AntennaConfig(*cfg)
         _, ch, pre = _build_one(config, RngStream(seed))
-        pre = member(pre, 0)
-        return config, member(ch, 0), allocate_jamming(config), pre, pre.report
+        audit = member(_audit(ch, pre), 0)
+        return config, member(ch, 0), allocate_jamming(config), member(pre, 0), audit
 
     # Ranks count real dimensions, as the allocation's counts do.
     def test_random_region(self):
-        _, _, _, pre, report = self.build((2, 2, 4, 1))
-        assert report.u_rank == 6
-        assert report.legit_rank == 6
+        _, _, _, pre, audit = self.build((2, 2, 4, 1))
+        assert audit.u_rank == 6
+        assert audit.legit_rank == 6
 
     def test_nullspace_region_has_identity_projector(self):
-        _, ch, _, pre, report = self.build((4, 1, 2, 1))
+        _, ch, _, pre, audit = self.build((4, 1, 2, 1))
         assert max_abs(real2(ch.h1) @ pre.v1_j) < 1e-9
         assert max_abs(pre.u - np.eye(4)) < 1e-9
-        assert report.legit_rank == 4
+        assert audit.legit_rank == 4
 
     def test_aligned_region(self):
-        _, _, _, pre, report = self.build((2, 2, 3, 2))
-        assert report.u_rank == 4
-        assert report.legit_rank == 4
-        assert report.alignment_residual < 1e-8
+        _, _, _, pre, audit = self.build((2, 2, 3, 2))
+        assert audit.u_rank == 4
+        assert audit.legit_rank == 4
+        assert pre.report.alignment_residual < 1e-8
 
     def test_two_slot_extension(self):
         # A half-integer allocation (aligned 1/2 per transmitter) is whole
         # in real streams, in one channel use.
-        config, ch, alloc, pre, report = self.build((2, 2, 3, 1))
+        config, ch, alloc, pre, audit = self.build((2, 2, 3, 1))
         assert pre.v1_j.dtype == np.float64
         assert pre.v1_j.shape == (4, 1)  # 2 m1 real antenna dimensions, one real stream
-        assert report.u_rank == 5  # 2n - j_s = 6 - 1
-        assert report.legit_rank == 5  # d1 + d2
+        assert audit.u_rank == 5  # 2n - j_s = 6 - 1
+        assert audit.legit_rank == 5  # d1 + d2
 
     @pytest.mark.parametrize(
         "cfg", [(2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 1), (4, 4, 6, 3)]
     )
     def test_report_matches_recomputation(self, cfg):
-        # The report against its quantities recomputed here on real forms
+        # The set's audit against its quantities recomputed here on real forms
         # built with np.block, ranks by elimination; (2, 2, 3, 1) and
         # (4, 4, 6, 3) have half-integer allocations.
-        _, ch, _, pre, report = self.build(cfg, seed=3)
+        _, ch, _, pre, audit = self.build(cfg, seed=3)
         h1, h2 = real2(ch.h1), real2(ch.h2)
         legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
         jamming = np.hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
-        assert report.u_rank == elimination_rank(pre.u)
-        assert report.legit_rank == elimination_rank(pre.u @ legit)
-        assert report.zero_forcing_residual == max_abs(pre.u @ jamming)
+        assert audit.u_rank == elimination_rank(pre.u)
+        assert audit.legit_rank == elimination_rank(pre.u @ legit)
+        assert audit.zero_forcing_residual == max_abs(pre.u @ jamming)
         stacks = (np.hstack([pre.v1_l, pre.v1_j]), np.hstack([pre.v2_l, pre.v2_j]))
-        assert report.unitarity_residual == max(
+        assert audit.unitarity_residual == max(
             max_abs(v.conj().T @ v - np.eye(v.shape[1])) for v in stacks
         )
 
@@ -219,18 +230,18 @@ class TestBuildPrecoders:
                         ch = sample_channels(config, rngs, EveMode.TIME_VARYING)
                         alloc = allocate_jamming(config)
                         stack = build_precoders(ch, alloc, rngs)
+                        audits = _audit(ch, stack)
                         for seed in range(3):
-                            pre = member(stack, seed)
-                            report = pre.report
+                            pre, audit = member(stack, seed), member(audits, seed)
                             stacked1 = np.hstack([pre.v1_l, pre.v1_j])
                             if stacked1.shape[1]:
                                 gram = stacked1.T @ stacked1
                                 assert max_abs(gram - np.eye(stacked1.shape[1])) < 1e-9
                             assert max_abs(pre.u @ pre.u - pre.u) < 1e-9
                             assert max_abs(pre.u - pre.u.T) < 1e-12
-                            assert report.u_rank == 2 * n - alloc.j_s
-                            assert report.legit_rank == alloc.d_total
-                            assert report.zero_forcing_residual < 1e-8
+                            assert audit.u_rank == 2 * n - alloc.j_s
+                            assert audit.legit_rank == alloc.d_total
+                            assert audit.zero_forcing_residual < 1e-8
 
 
 def _leakage_rank(config, ch, rngs, pre, mode):
@@ -335,6 +346,7 @@ def _same_set(a, b):
     )
 
 
+
 class TestStackedBuild:
     # (4, 1, 2, 1) nullspace, (2, 2, 4, 1) random, (2, 2, 3, 2) aligned,
     # (5, 1, 2, 5) all three, (2, 2, 3, 1) and (4, 4, 6, 3) half-integer
@@ -348,13 +360,17 @@ class TestStackedBuild:
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(7))
         whole = build_precoders(stacked, alloc, rngs)
+        whole_audit = _audit(stacked, whole)
         assert len(whole.u) == 7
         assert all(len(values) == 7 for values in dataclasses.astuple(whole.report))
+        assert all(len(values) == 7 for values in dataclasses.astuple(whole_audit))
         for part in (range(0, 3), range(3, 7), range(5, 6)):
             sub_rngs, sub = _trial_stack(config, part)
             pre = build_precoders(sub, alloc, sub_rngs)
+            audit = _audit(sub, pre)
             for i, t in enumerate(part):
                 assert _same_set(member(pre, i), member(whole, t))
+                assert member(audit, i) == member(whole_audit, t)
 
     @pytest.mark.parametrize("cfg", configs)
     def test_every_trial_meets_the_invariants(self, cfg):
@@ -362,13 +378,14 @@ class TestStackedBuild:
         alloc = allocate_jamming(config)
         rngs, stacked = _trial_stack(config, range(5), seed=9)
         whole = build_precoders(stacked, alloc, rngs)
+        audits = _audit(stacked, whole)
         for t in range(5):
-            pre = member(whole, t)
+            pre, audit = member(whole, t), member(audits, t)
             h1, h2 = real2(stacked.h1[t]), real2(stacked.h2[t])
             legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
-            assert pre.report.u_rank == elimination_rank(pre.u) == 2 * config.n - alloc.j_s
-            assert pre.report.legit_rank == elimination_rank(pre.u @ legit) == alloc.d_total
-            assert pre.report.zero_forcing_residual < 1e-8
+            assert audit.u_rank == elimination_rank(pre.u) == 2 * config.n - alloc.j_s
+            assert audit.legit_rank == elimination_rank(pre.u @ legit) == alloc.d_total
+            assert audit.zero_forcing_residual < 1e-8
 
     def test_needs_one_stream_per_trial(self):
         config = AntennaConfig(2, 2, 3, 2)

@@ -29,7 +29,7 @@ from sdoflab import (
     sum_sdof,
     sweep,
 )
-from sdoflab import channel, cli, kernels, simulate, verify
+from sdoflab import channel, cli, kernels, precoding, simulate, verify
 from sdoflab.channel import channel_uses
 from sdoflab.precoding import BuildReport, PrecoderSet
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
@@ -88,8 +88,7 @@ def _complex_set(gen, config):
     complex_set = (w1[:, :2], w1[:, 2:], w2[:, :2], w2[:, 2:], np.eye(config.n) - q @ q.conj().T)
     reals = [real2(m)[None] for m in complex_set]
     zeros = np.zeros(1)
-    report = BuildReport(zeros, zeros, zeros, zeros, zeros.astype(int), zeros.astype(int))
-    return complex_set, PrecoderSet(*reals, report)
+    return complex_set, PrecoderSet(*reals, BuildReport(zeros, zeros))
 
 
 def _complex_half_logdet(e, power):
@@ -284,6 +283,18 @@ class TestSweep:
         args = (AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 4, 99, EveMode.STATIC)
         assert _result_bytes(sweep(*args)) == _result_bytes(sweep(*args))
 
+    @pytest.mark.parametrize("mode", list(EveMode))
+    def test_a_sweep_never_audits_its_sets(self, mode, monkeypatch):
+        # The set audit and its rank decisions are for verify and design;
+        # a sweep reads the precoders alone.
+        def refuse(*args):
+            raise AssertionError("a sweep audited its precoder set")
+
+        monkeypatch.setattr(precoding, "audit_set", refuse)
+        monkeypatch.setattr(precoding, "ranks", refuse)
+        result = sweep(AntennaConfig(5, 1, 2, 5), SignalParams(1.0), [60.0, 80.0], 3, 4, mode)
+        assert np.isfinite(result.legit).all() and np.isfinite(result.leakage).all()
+
     def test_thread_count_does_not_change_results(self, uncapped_workers):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
@@ -477,8 +488,9 @@ class TestStackedSweep:
     @pytest.mark.parametrize("points, trials", [(17, 16), (201, 8), (1000, 4)])
     @pytest.mark.parametrize("cfg", [(3, 3, 4, 2), (5, 1, 2, 5), (2, 2, 3, 1), (4, 4, 6, 3)])
     def test_a_time_varying_sweep_works_within_the_stack_bound(self, cfg, points, trials):
-        # The tracemalloc peak above what the sweep returns, after a warm-up
-        # sweep has filled the caches that outlive a call.
+        # The tracemalloc peak above what is still held once the sweep's
+        # result is dropped (the peak includes the returned rate arrays),
+        # after a warm-up sweep has filled the caches that outlive a call.
         grid = [60.0 + 40.0 * i / (points - 1) for i in range(points)]
         self.run(cfg, 2, EveMode.TIME_VARYING, grid=grid[:3])
         tracemalloc.start()

@@ -27,6 +27,7 @@ from sdoflab import (
     verify,
 )
 from sdoflab.channel import TrialSeeds
+from sdoflab.precoding import DrawFactors, audit_set
 
 MODES = [EveMode.STATIC, EveMode.TIME_VARYING]
 
@@ -80,8 +81,8 @@ class TestFamilyBuilds:
         rngs, seeds = verify._seed_streams(3)
         allocs = {config: allocate_jamming(config) for config in configs}
         built = list(verify._family_builds(configs, rngs, allocs, seeds))
-        assert [config for config, _, _ in built] == configs
-        for config, draw, pre in built:
+        assert [config for config, _, _, _ in built] == configs
+        for config, draw, factors, pre in built:
             own = sample_channels(config, rngs, EveMode.STATIC)
             for name in ("h1", "h2", "g1", "g2"):
                 assert _same_bits(getattr(draw, name), getattr(own, name)), (config, name)
@@ -92,6 +93,10 @@ class TestFamilyBuilds:
                     assert _same_bits(got, want), (config, field.name)
             for field in dataclasses.fields(pre.report):
                 got, want = getattr(pre.report, field.name), getattr(alone.report, field.name)
+                assert _same_bits(got, want), (config, field.name)
+            audit, alone_audit = audit_set(factors, pre), audit_set(DrawFactors(own), alone)
+            for field in dataclasses.fields(audit):
+                got, want = getattr(audit, field.name), getattr(alone_audit, field.name)
                 assert _same_bits(got, want), (config, field.name)
 
     def test_check_config_is_the_family_walk_at_one_n_e(self, monkeypatch):
@@ -122,16 +127,18 @@ def test_nothing_outlives_a_call(monkeypatch):
 
         return wrapper
 
-    for name in ("build_precoders", "sample_channels", "allocate_jamming"):
+    for name in ("build_precoders", "audit_set", "sample_channels", "allocate_jamming"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
     calls = []
     for _ in range(2):
         counts.clear()
         assert verify.run_verification(2, 2)["passed"]
         calls.append(dict(counts))
-    # Up to two antennas: 8 families, 24 precoder configurations and 32
-    # configurations in the full grid, every call.
-    assert calls[0] == calls[1] == {"build_precoders": 24, "sample_channels": 8, "allocate_jamming": 32}
+    # Up to two antennas: 8 families, 24 precoder configurations, each built
+    # and audited once, and 32 configurations in the full grid, every call.
+    assert calls[0] == calls[1] == {
+        "build_precoders": 24, "audit_set": 24, "sample_channels": 8, "allocate_jamming": 32
+    }
 
 
 def test_each_configuration_is_classified_once_per_call(monkeypatch):

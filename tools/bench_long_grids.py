@@ -11,9 +11,10 @@ process that imports sdoflab from its snapshot, calls
 timed with ``time.perf_counter``, and reports the times and the process's
 ``ru_maxrss``.  The sides alternate which runs first, case by case.  The
 record, ``BENCH_<date>-<slug>.json`` in the checkout root, holds per case
-and side the times, their median and ``ru_maxrss``, the change's percent
-difference in median time, and whether the two sides wrote byte-identical
-CSV and summary files.
+and side the times, their median, their interquartile range and
+``ru_maxrss``, the change's percent difference in median time, and whether
+the two sides wrote byte-identical CSV and summary files.  A difference in
+medians within the sides' interquartile ranges is not told from noise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, git, machine, snapshot_parent, snapshot_worktree
+from bench_pairs import ROOT, git, iqr, machine, snapshot_parent, snapshot_worktree
 
 # (name, (m1, m2, n, n_e), trials, grid step in dB): every grid runs from 60
 # to 100 dB with a time-varying eavesdropper on one thread, so a step of 0.5
@@ -86,7 +87,7 @@ def simulate_args(config, trials: int, step: float, out: Path) -> list[str]:
 
 
 def run_side(root: Path, args: list[str], runs: int) -> dict:
-    """The times and ``ru_maxrss`` of one side's process, or its exit code and error."""
+    """The times, their median and IQR and ``ru_maxrss`` of one side's process, or its exit code and error."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("SDOFLAB_THREADS", None)
     done = subprocess.run(
@@ -96,7 +97,8 @@ def run_side(root: Path, args: list[str], runs: int) -> dict:
     if done.returncode != 0:
         return {"exit": done.returncode, "error": done.stderr[-500:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"exit": 0, "median_s": statistics.median(result["times"]), **result}
+    times = result["times"]
+    return {"exit": 0, "median_s": statistics.median(times), "iqr_s": iqr(times), **result}
 
 
 def main(argv=None) -> int:
@@ -117,7 +119,8 @@ def main(argv=None) -> int:
         "what": "in-process `sdoflab simulate` (cli.main) on time-varying grids, at the parent commit and at this change",
         "method": (
             f"per case and side, one fresh process: one untimed call, then {args.runs} calls timed "
-            "with time.perf_counter; median of the timed calls; ru_maxrss of the process "
+            "with time.perf_counter; median and interquartile range (statistics.quantiles(n=4, "
+            "method='inclusive')) of the timed calls; ru_maxrss of the process "
             "(kB on Linux). Sides alternate which runs first, case by case. The parent ran from a "
             "`git archive` copy of its commit, the change from a copy of the working tree "
             "(tools/bench_long_grids.py). Every call writes its CSV and summary; `outputs_identical` "
@@ -135,6 +138,7 @@ def main(argv=None) -> int:
             out = scratch / f"{side}-{name}"
             entry[side] = run_side(sides[side], simulate_args(config, trials, step, out), args.runs)
             print(f"{name} {side}: {entry[side].get('median_s')} s median, "
+                  f"{entry[side].get('iqr_s')} s IQR, "
                   f"{entry[side].get('maxrss_kb')} kB maxrss, exit {entry[side]['exit']}")
         if entry["parent"]["exit"] == 0 and entry["change"]["exit"] == 0:
             before, after = entry["parent"]["median_s"], entry["change"]["median_s"]

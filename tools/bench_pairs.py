@@ -91,6 +91,14 @@ def crashed(run: dict) -> bool:
     return run["exit"] != 0 or run["failed"] is None
 
 
+def iqr(values) -> float:
+    """Interquartile range under ``statistics.quantiles(n=4, method='inclusive')``; 0 for one value."""
+    if len(values) == 1:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summarize(parent_runs, change_runs, metrics) -> dict:
     """Medians, the parent's IQR, percent change and pair wins per end-to-end metric.
 
@@ -115,14 +123,11 @@ def summarize(parent_runs, change_runs, metrics) -> dict:
         )
         entry = {
             "parent_median": statistics.median(before) if before else None,
-            "parent_iqr": None,
+            "parent_iqr": iqr(before) if before else None,
             "change_median": statistics.median(after) if after else None,
             "change_pct": None,
             "change_wins": f"{wins} of {len(parent_runs)}",
         }
-        if before:
-            q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive") if len(before) > 1 else (before[0],) * 3
-            entry["parent_iqr"] = q3 - q1
         if before and after:
             entry["change_pct"] = 100.0 * (entry["change_median"] / entry["parent_median"] - 1.0)
         out[name] = entry
