@@ -10,7 +10,9 @@ from one call to the next or done twice within one.
 
 import collections
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ from sdoflab.channel import TrialSeeds
 from sdoflab.precoding import DrawFactors, audit_set
 
 MODES = [EveMode.STATIC, EveMode.TIME_VARYING]
+
+# SHA-256 of the JSON of run_verification(5, 1) then run_verification(5, 3):
+# every verdict, message and worst residual of the report, bit for bit.
+VERIFY_REPORT_DIGEST = "ec86961b740625308e57566b3fb05c3064f1bd9c1b94ea96be4c94df315e1010"
 
 
 def _family(m1, m2, n):
@@ -153,3 +159,10 @@ def test_each_configuration_is_classified_once_per_call(monkeypatch):
     monkeypatch.setattr(sdof, "classify", counting)
     assert verify.run_verification(2, 1)["passed"]
     assert len(calls) == 32 and set(calls.values()) == {1}
+
+
+def test_verify_report_is_pinned():
+    digest = hashlib.sha256()
+    for seeds in (1, 3):
+        digest.update(json.dumps(verify.run_verification(5, seeds), indent=2).encode())
+    assert digest.hexdigest() == VERIFY_REPORT_DIGEST
