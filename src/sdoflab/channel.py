@@ -20,12 +20,17 @@ entries and empty stacks.
 Every address seeds its own PCG64 generator from NumPy's ``SeedSequence``
 of the master seed and a spawn key (domain, trial[, use]).  A batch of at
 least ``SEED_HASH_MIN_KEYS`` addresses (a stack of trials in
-``sample_channels``, the uses of ``channel_uses``, the jamming generators
-of a stacked build) is hashed in one vectorised pass that reproduces
+``sample_channels``, the uses of ``channel_uses``, the jamming streams of
+a stacked build) is hashed in one vectorised pass that reproduces
 ``SeedSequence`` bit for bit, and each generator is seeded straight from
 its state words; a smaller batch builds one ``SeedSequence`` per address.
-``TrialSeeds`` seeds a stack's eavesdropper addresses once for a caller
-that draws many configurations on the same trials.  Every way, every
+
+Every draw reads the leading standard normals of its streams, one
+generator per address filling a row with one ``standard_normal`` call
+(``TrialNormals``): a stream's first L normals do not depend on how many
+more are drawn, so a caller that draws many configurations on the same
+trials, as ``verify`` does, fills each stream once at the longest length
+it needs and every configuration reads its own prefix.  Every way, every
 draw is the same.
 """
 
@@ -249,9 +254,18 @@ def _seeded(seqs) -> Iterator[np.random.Generator]:
     return (np.random.default_rng(seq) for seq in seqs)
 
 
-def _generators(master_seeds, keys) -> Iterator[np.random.Generator]:
-    """One PCG64 generator per (master seed, spawn key), each as ``SeedSequence`` seeds it."""
-    return _seeded(_seed_sequences(master_seeds, keys))
+def _normals(seqs, count: int, length: int) -> np.ndarray:
+    """The first ``length`` standard normals of the next ``count`` seed sequences' streams: (count, length).
+
+    Each stream fills its own row with one ``standard_normal`` call.  Rows
+    without entries draw nothing, so no sequence is taken from ``seqs`` and
+    no generator is made.
+    """
+    z = np.empty((count, length))
+    if length:
+        for row, gen in zip(z, _seeded(seqs)):
+            gen.standard_normal(out=row)
+    return z
 
 
 @dataclass(frozen=True)
@@ -312,23 +326,19 @@ class ChannelRealization:
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _complex_gaussian_pairs(gens, count, rows, cols1, cols2):
-    """From each of the next ``count`` generators, two matrices of i.i.d. CN(0, 1) entries.
+def _complex_gaussian_pairs(z: np.ndarray, rows: int, cols1: int, cols2: int):
+    """Two stacks of i.i.d. CN(0, 1) matrices, rows x cols1 and rows x cols2, from the normals ``z``.
 
-    The matrices are rows x cols1 and rows x cols2, stacked along a leading
-    axis, one member per generator.  Each generator fills its own row with
-    one ``standard_normal`` call, in the order real 1, imaginary 1, real 2,
-    imaginary 2: the same stream, bit for bit, as four successive per-block
-    calls.
+    ``z`` holds one row of standard normals per stack member; its leading
+    entries are read in the order real 1, imaginary 1, real 2, imaginary
+    2, and any further entries are left alone.
     """
     a, b = rows * cols1, rows * cols2
-    z = np.empty((count, 2 * (a + b)))
-    if a + b:  # matrices without entries draw nothing, so no generator is made
-        for row in z:
-            next(gens).standard_normal(out=row)
+    if z.shape[-1] < 2 * (a + b):
+        raise ValueError(f"{z.shape[-1]} normals per row, the matrices need {2 * (a + b)}")
     first = _SQRT_HALF * (z[:, :a] + 1j * z[:, a : 2 * a])
-    second = _SQRT_HALF * (z[:, 2 * a : 2 * a + b] + 1j * z[:, 2 * a + b :])
-    return first.reshape(count, rows, cols1), second.reshape(count, rows, cols2)
+    second = _SQRT_HALF * (z[:, 2 * a : 2 * a + b] + 1j * z[:, 2 * a + b : 2 * (a + b)])
+    return first.reshape(len(z), rows, cols1), second.reshape(len(z), rows, cols2)
 
 
 def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]:
@@ -338,12 +348,62 @@ def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]
     return [_spawn_key(_DOMAIN_EVE, r.stream_id[0]) for r in rngs]
 
 
-def _eavesdropper(config: AntennaConfig, seqs, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (trials, n_e, m1) g1 and (trials, n_e, m2) g2 stacks drawn from one seed sequence per trial.
+def draw_lengths(config: AntennaConfig) -> tuple[int, int]:
+    """Normals a draw of ``config`` reads from each trial's legitimate and eavesdropper streams."""
+    m = config.m1 + config.m2
+    return 2 * config.n * m, 2 * config.n_e * m
 
-    ``seqs`` may be empty when n_e = 0: an absent eavesdropper draws nothing.
+
+@dataclass(frozen=True)
+class TrialNormals:
+    """The leading standard normals of a stack of trials' streams in each domain.
+
+    ``legit``, ``eve`` and ``jamming`` are (trials, L) arrays, one row per
+    stream, each L the caller's; row t holds the first L normals of the
+    stream's legitimate, eavesdropper or precoder-randomness address.
+    Every draw is a prefix of these rows, so one instance serves any
+    configuration whose ``draw_lengths`` (and, for a build, jamming
+    length) fit them.
     """
-    return _complex_gaussian_pairs(_seeded(seqs), trials, config.n_e, config.m1, config.m2)
+
+    legit: np.ndarray
+    eve: np.ndarray
+    jamming: np.ndarray
+
+    @classmethod
+    def draw(
+        cls,
+        rngs: Sequence[RngStream],
+        mode: EveMode = EveMode.STATIC,
+        legit: int = 0,
+        eve: int = 0,
+        jamming: int = 0,
+    ) -> "TrialNormals":
+        """The first ``legit``, ``eve`` and ``jamming`` normals of every stream of ``rngs`` in its domain.
+
+        All the addresses of nonempty rows are seeded in one batch; a
+        domain that draws nothing seeds nothing.  ``mode`` picks the
+        eavesdropper addresses: (trial) when static, (trial, use) when
+        time-varying.
+        """
+        domains = (
+            (legit, [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]),
+            (eve, _eve_keys(rngs, mode)),
+            (jamming, [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]),
+        )
+        seeded = [keys for length, keys in domains if length]
+        masters = [r.master_seed for r in rngs] * len(seeded)
+        seqs = iter(_seed_sequences(masters, list(itertools.chain.from_iterable(seeded))))
+        return cls(*(_normals(seqs, len(rngs), length) for length, _ in domains))
+
+    def channels(self, config: AntennaConfig) -> ChannelRealization:
+        """The channel realization of ``config`` on these trials: ``sample_channels`` bit for bit."""
+        h1, h2 = _complex_gaussian_pairs(self.legit, config.n, config.m1, config.m2)
+        return ChannelRealization(h1, h2, *self.eavesdropper(config))
+
+    def eavesdropper(self, config: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The (trials, n_e, m1) g1 and (trials, n_e, m2) g2 stacks of ``config``."""
+        return _complex_gaussian_pairs(self.eve, config.n_e, config.m1, config.m2)
 
 
 def sample_channels(
@@ -360,14 +420,8 @@ def sample_channels(
     own stream, whatever the rest of the stack.  With n_e = 0 the
     eavesdropper matrices are empty and none of its addresses is seeded.
     """
-    seeds = [r.master_seed for r in rngs]
-    keys = [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]
-    if config.n_e:  # an absent eavesdropper's addresses are never seeded
-        seeds, keys = seeds * 2, keys + _eve_keys(rngs, mode)
-    seqs = _seed_sequences(seeds, keys)
-    h1, h2 = _complex_gaussian_pairs(_seeded(seqs), len(rngs), config.n, config.m1, config.m2)
-    g1, g2 = _eavesdropper(config, seqs[len(rngs) :], len(rngs))
-    return ChannelRealization(h1, h2, g1, g2)
+    legit, eve = draw_lengths(config)
+    return TrialNormals.draw(rngs, mode, legit, eve).channels(config)
 
 
 def channel_uses(
@@ -398,38 +452,15 @@ def channel_uses(
         return ChannelRealization(trial_ch.h1, trial_ch.h2, trial_ch.g1[:, None], trial_ch.g2[:, None])
     # The odd addresses stay unused, so the pinned draws (DRAW_DIGEST in the
     # tests), and the Monte Carlo results that rest on them, keep their values.
-    gens = iter(())  # an absent eavesdropper draws nothing and seeds nothing
-    if config.n_e:
+    _, length = draw_lengths(config)
+    seqs = []  # an absent eavesdropper draws nothing and seeds nothing
+    if length:
         keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], 2 * use) for r in trial_rngs for use in uses]
-        gens = _generators([r.master_seed for r in trial_rngs for _ in uses], keys)
-    drawn = _complex_gaussian_pairs(gens, trials * len(uses), config.n_e, config.m1, config.m2)
+        seqs = _seed_sequences([r.master_seed for r in trial_rngs for _ in uses], keys)
+    z = _normals(seqs, trials * len(uses), length)
+    drawn = _complex_gaussian_pairs(z, config.n_e, config.m1, config.m2)
     g1, g2 = (g.reshape(trials, len(uses), *g.shape[1:]) for g in drawn)
     return ChannelRealization(trial_ch.h1, trial_ch.h2, g1, g2)
-
-
-def jamming_generators(rngs: Sequence[RngStream]) -> list[np.random.Generator]:
-    """Per-trial generators for random jamming directions, seeded in one batch."""
-    keys = [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]
-    return list(_generators([r.master_seed for r in rngs], keys))
-
-
-class TrialSeeds:
-    """The eavesdropper seed sequences of a stack of trial streams, made once.
-
-    For drawing many configurations on the same trials, as ``verify`` does
-    for every n_e of an antenna family: the eavesdropper addresses do not
-    depend on the configuration, so their seed sequences are made here
-    once and every draw seeds fresh generators from them.
-    ``eavesdropper(config)`` is bit for bit the g1 and g2 of
-    ``sample_channels(config, rngs, mode)``, drawn by the same code.
-    """
-
-    def __init__(self, rngs: Sequence[RngStream], mode: EveMode):
-        self._eve = _seed_sequences([r.master_seed for r in rngs], _eve_keys(rngs, mode))
-
-    def eavesdropper(self, config: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
-        """The (trials, n_e, m1) and (trials, n_e, m2) eavesdropper stacks of ``config``."""
-        return _eavesdropper(config, self._eve, len(self._eve))
 
 
 def real_form(stack, name: str) -> np.ndarray:

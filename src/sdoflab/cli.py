@@ -23,9 +23,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import EveMode, RngStream, SignalParams, channel_uses, sample_channels
+from .channel import EveMode, RngStream, SignalParams, sample_channels
 from .errors import InfeasibleAllocation, SdofLabError
-from .precoding import DrawFactors, audit_set, build_precoders, leakage_rank
+from .precoding import DrawFactors, audit_set, build_precoders
 from .sdof import (
     AntennaConfig,
     allocate_jamming,
@@ -203,8 +203,9 @@ def cmd_design(args) -> int:
     audit = audit_allocation(alloc, config)
     factors = DrawFactors(ch)
     pre = build_precoders(ch, alloc, rngs, _factors=factors)
-    set_audit = audit_set(factors, pre)
-    seen = channel_uses(config, ch, rngs, [0], mode)
+    # The eavesdropper of channel use 0 is the draw's in either mode.
+    set_audit = audit_set(factors, pre, ch)
+    u_rank, legit_rank, eve_rank = set_audit.ranks()[:, 0].tolist()
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
         "seed": args.seed,
@@ -242,9 +243,9 @@ def cmd_design(args) -> int:
             "zero_forcing": _fmt(set_audit.zero_forcing_residual[0]),
         },
         "ranks": {
-            "u": int(set_audit.u_rank[0]),
-            "legit_post_projection": int(set_audit.legit_rank[0]),
-            "eavesdropper_jamming": int(leakage_rank(seen, pre)[0, 0]),
+            "u": u_rank,
+            "legit_post_projection": legit_rank,
+            "eavesdropper_jamming": eve_rank,
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")

@@ -17,14 +17,14 @@ static or not.
 The build runs on a stack of trials and returns one set for the stack:
 every matrix carries a leading trial axis, as do the channels it was built
 from, and every entry of its report is an array with one value per trial.
-One stacked SVD or QR per step serves all trials, and each trial draws its
-random directions from its own generator, so a trial's member of the set
-does not depend on the stack it was built in.
+One stacked SVD or QR per step serves all trials, and each trial reads its
+random directions from its own jamming stream, so a trial's member of the
+set does not depend on the stack it was built in.
 
 The build reports only what it alone can see, the residuals of its blocks
 before re-orthonormalization.  What the finished set shows against its
-channels (unitarity, zero forcing and the receiver ranks) is an audit,
-``audit_set``, that only its readers pay for.
+channels (unitarity, zero forcing and the matrices whose ranks judge it)
+is an audit, ``audit_set``, that only its readers pay for.
 
 Builds of several allocations on one legitimate draw can share what
 they take from it (``DrawFactors``).
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, RngStream, jamming_generators, real_form
+from .channel import ChannelRealization, RngStream, TrialNormals, real_form
 from .errors import DimensionMismatch, InfeasibleAllocation
 from .sdof import JammingAllocation, JammingMethod
 from .subspaces import (
@@ -75,12 +75,28 @@ class BuildReport:
 
 @dataclass(frozen=True)
 class SetAudit:
-    """Residuals and ranks of a finished precoder set against its channels: arrays, one entry per trial."""
+    """Residuals of a finished precoder set against its channels and the matrices its ranks are taken of.
+
+    The residuals are arrays with one entry per trial; the three rank
+    matrices, ``rank_matrices``, are stacks with a leading trial axis,
+    left undecided so that a caller can rank many sets' matrices in one
+    stacked SVD.
+    """
 
     unitarity_residual: np.ndarray
     zero_forcing_residual: np.ndarray
-    u_rank: np.ndarray
-    legit_rank: np.ndarray
+    u: np.ndarray
+    legit_post_projection: np.ndarray
+    eavesdropper_jamming: np.ndarray
+
+    @property
+    def rank_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u, u [h1 v1_l | h2 v2_l] and [g1 v1_j | g2 v2_j], in that order."""
+        return self.u, self.legit_post_projection, self.eavesdropper_jamming
+
+    def ranks(self) -> np.ndarray:
+        """The ranks of ``rank_matrices`` in real dimensions: a (3, trials) int array."""
+        return np.array([ranks(m) for m in self.rank_matrices])
 
 
 @dataclass(frozen=True)
@@ -102,11 +118,15 @@ class PrecoderSet:
     report: BuildReport
 
 
-def _haar_columns(m: int, streams: int, gens) -> np.ndarray:
-    """One Haar-random real m x streams isometry per generator, stacked in their order."""
+def _haar_columns(m: int, streams: int, normals: np.ndarray) -> np.ndarray:
+    """One Haar-random real m x streams isometry per row of ``normals``, stacked in their order.
+
+    Each isometry is made from its row's first m * streams standard
+    normals, read as an m x streams matrix row by row.
+    """
     if streams > m:
         raise DimensionMismatch(f"cannot place {streams} random streams on {m} dimensions")
-    q, r = np.linalg.qr(np.array([g.standard_normal((m, streams)) for g in gens]))
+    q, r = np.linalg.qr(normals[:, : m * streams].reshape(len(normals), m, streams))
     # Fixing the R-diagonal signs makes the column distribution Haar.
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
@@ -195,11 +215,33 @@ class DrawFactors:
         return self._intersection
 
 
+def jamming_length(alloc: JammingAllocation, dims1: int, dims2: int) -> int:
+    """Normals a build of ``alloc`` reads from each trial's jamming stream.
+
+    ``dims1`` and ``dims2`` are the transmitters' real dimensions, twice
+    their antennas.  A random block of k streams on d dimensions reads
+    d k normals, and a legitimate completion of the c dimensions its
+    jamming leaves reads c squared; a transmitter without legitimate
+    streams completes nothing.
+    """
+    length = 0
+    for dims, entries, d in ((dims1, alloc.tx1, alloc.d1), (dims2, alloc.tx2, alloc.d2)):
+        jammed = 0
+        for method, k in entries:
+            jammed += k
+            if method is JammingMethod.RANDOM:
+                length += dims * k
+        if d and dims > jammed:
+            length += (dims - jammed) ** 2
+    return length
+
+
 def build_precoders(
     ch: ChannelRealization,
     alloc: JammingAllocation,
     rngs: Sequence[RngStream],
     _factors: DrawFactors | None = None,
+    _jamming: np.ndarray | None = None,
 ) -> PrecoderSet:
     """Assemble the precoder set of an audited allocation for a stack of trials.
 
@@ -211,12 +253,15 @@ def build_precoders(
     axis (``sample_channels``) and ``rngs`` holds one ``RngStream`` per
     trial; so does every matrix of the result, and its ``report`` records
     each trial's block residuals (``audit_set`` checks the finished set).
-    Every SVD and QR runs once over the whole stack, and each trial draws
-    its random directions from its own generator (``jamming_generators``)
-    in a fixed order (transmitter one's random block, transmitter two's,
-    then the legitimate completions of one and two), so a trial's member
-    is bit for bit the same in any stack, alone or not.  ``_factors`` is the ``DrawFactors`` of ``ch``'s
-    legitimate draw when several builds share it.
+    Every SVD and QR runs once over the whole stack, and each trial reads
+    its random directions from the leading normals of its own jamming
+    stream (``TrialNormals``, ``jamming_length`` of them) in a fixed order
+    (transmitter one's random block, transmitter two's, then the
+    legitimate completions of one and two), so a trial's member is bit for
+    bit the same in any stack, alone or not.  ``_factors`` is the
+    ``DrawFactors`` of ``ch``'s legitimate draw when several builds share
+    it, and ``_jamming`` the trials' jamming rows when a caller drew them
+    once for many builds, at least as long as this build reads.
 
     InfeasibleAllocation propagates from the per-method constructors when
     the allocation does not fit the channel (which for generic channels
@@ -233,10 +278,15 @@ def build_precoders(
         raise DimensionMismatch(
             f"{len(h1)} h1 and {len(h2)} h2 matrices for {len(rngs)} random streams"
         )
-    return _build_stack(h1, h2, factors, alloc, jamming_generators(rngs))
+    length = jamming_length(alloc, h1.shape[-1], h2.shape[-1])
+    if _jamming is None:
+        _jamming = TrialNormals.draw(rngs, jamming=length).jamming
+    if len(_jamming) != len(rngs) or _jamming.shape[-1] < length:
+        raise ValueError(f"the jamming rows {_jamming.shape} do not hold {length} normals per stream")
+    return _build_stack(h1, h2, factors, alloc, _jamming)
 
 
-def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -> PrecoderSet:
+def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, jamming) -> PrecoderSet:
     """``build_precoders`` on the real forms of a validated legitimate draw and their factors."""
     aligned_pairs = alloc.method_streams(1, JammingMethod.ALIGNED)
     if aligned_pairs != alloc.method_streams(2, JammingMethod.ALIGNED):
@@ -255,7 +305,7 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
     else:
         targets = np.zeros(h1.shape[:-1] + (0,))
         v1_aligned = v2_aligned = None  # no transmitter has an aligned block
-        alignment_residual = np.zeros(len(gens))
+        alignment_residual = np.zeros(len(h1))
 
     # Receiver dimensions actually occupied by jamming: the aligned targets
     # (once; both transmitters land there) plus each random block's image.
@@ -263,7 +313,14 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
     # zero-forcing span, where their noise-level image would distort the
     # rank decision.
     visible_received = [targets]
-    nullspace_residual = np.zeros(len(gens))
+    nullspace_residual = np.zeros(len(h1))
+    read = 0  # normals of each jamming row taken so far
+
+    def haar(m, streams):
+        nonlocal read
+        block = _haar_columns(m, streams, jamming[:, read:])
+        read += m * streams
+        return block
 
     def assemble(tx, entries, h_tx, aligned_block):
         nonlocal nullspace_residual
@@ -278,7 +335,7 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
             elif method is JammingMethod.ALIGNED:
                 blocks.append(aligned_block)
             else:
-                block = _haar_columns(h_tx.shape[-1], k, gens)
+                block = haar(h_tx.shape[-1], k)
                 visible_received.append(h_tx @ block)
                 blocks.append(block)
         if not blocks:
@@ -305,7 +362,7 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
         if d_cols == 0:
             return np.zeros(vj.shape[:-2] + (antennas, 0))
         comp = complete_orthonormal(vj, comp_dim)
-        comp = comp @ _haar_columns(comp_dim, comp_dim, gens)
+        comp = comp @ haar(comp_dim, comp_dim)
         return comp[..., :d_cols]
 
     v1_l = legit_completion(v1_j, alloc.d1)
@@ -314,15 +371,20 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, gens) -
     return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, report)
 
 
-def audit_set(factors: DrawFactors, pre: PrecoderSet) -> SetAudit:
-    """Unitarity and zero-forcing residuals and receiver ranks of a set, per trial.
+def audit_set(
+    factors: DrawFactors, pre: PrecoderSet, draw: ChannelRealization | None = None
+) -> SetAudit:
+    """Unitarity and zero-forcing residuals and the rank matrices of a set, per trial.
 
     ``factors`` is the ``DrawFactors`` of the legitimate draw ``pre`` was
-    built on, whose real forms serve the products.  The unitarity residual
-    is the largest deviation of [v_l | v_j]^T [v_l | v_j] from the identity
-    over both transmitters, the zero-forcing residual the largest entry of
-    u [h1 v1_j | h2 v2_j], u_rank the rank of u and legit_rank that of
-    u [h1 v1_l | h2 v2_l], all in real dimensions.  Nothing of the build
+    built on, whose real forms serve the products, and ``draw`` holds the
+    static eavesdropper (g1, g2) the jamming is checked against.  The
+    unitarity residual is the largest deviation of [v_l | v_j]^T
+    [v_l | v_j] from the identity over both transmitters and the
+    zero-forcing residual the largest entry of u [h1 v1_j | h2 v2_j].  The
+    rank matrices are u, u [h1 v1_l | h2 v2_l] and the eavesdropper's
+    received jamming [g1 v1_j | g2 v2_j], all in real dimensions; without
+    ``draw``, or with n_e = 0, the last has no rows.  Nothing of the build
     reads them; ``verify`` and ``design`` do.
     """
     h1, h2 = factors.real(1), factors.real(2)
@@ -335,11 +397,17 @@ def audit_set(factors: DrawFactors, pre: PrecoderSet) -> SetAudit:
             unitarity_residual = np.maximum(
                 unitarity_residual, _max_abs(gram - np.eye(stacked.shape[-1]))
             )
+    jam_cols = pre.v1_j.shape[-1] + pre.v2_j.shape[-1]
+    eve_jam = np.zeros((len(pre.u), 0, jam_cols))
+    if draw is not None and draw.g1.shape[-2]:
+        g1, g2 = real_form(draw.g1, "g1"), real_form(draw.g2, "g2")
+        eve_jam = _hstack([g1 @ pre.v1_j, g2 @ pre.v2_j])
     return SetAudit(
         unitarity_residual,
         _max_abs(pre.u @ received_jam),
-        ranks(pre.u),
-        ranks(pre.u @ _hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])),
+        pre.u,
+        pre.u @ _hstack([h1 @ pre.v1_l, h2 @ pre.v2_l]),
+        eve_jam,
     )
 
 

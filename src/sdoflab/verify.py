@@ -7,14 +7,22 @@ Monte Carlo slope smoke tests.  Returns a JSON-friendly report; every
 check carries a pass flag and its worst observed residual or first
 counterexample.
 
-The precoder checks walk the grid one (m1, m2, n) family at a time: one
-legitimate draw and its ``precoding.DrawFactors`` serve every n_e of the
-family (why that is sound is stated there), and each configuration is
-allocated once per run; nothing is kept past the call.
+The precoder checks walk the grid one (m1, m2, n) family at a time.  Each
+seed's legitimate, eavesdropper and jamming streams are drawn once per
+run (``channel.TrialNormals``), as long as the longest walked
+configuration reads, and every configuration reads its own prefix of
+them.  One legitimate draw and its ``precoding.DrawFactors`` serve every
+n_e of a family (why that is sound is stated there), and each
+configuration is allocated once per run.  Residuals are taken as each set
+is built; the rank matrices of the audits wait in a bounded queue,
+decided in one stacked SVD per shape, and every configuration is then
+judged in walk order, so the first failure and the worst residual are
+those of a walk that stops there.  Nothing is kept past the call.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -25,12 +33,11 @@ from .channel import (
     EveMode,
     RngStream,
     SignalParams,
-    TrialSeeds,
-    channel_uses,
-    sample_channels,
+    TrialNormals,
+    draw_lengths,
 )
 from .errors import SdofLabError, located
-from .precoding import DrawFactors, audit_set, build_precoders, leakage_rank
+from .precoding import DrawFactors, audit_set, build_precoders, jamming_length
 from .sdof import (
     AntennaConfig,
     JammingAllocation,
@@ -41,6 +48,7 @@ from .sdof import (
     sum_sdof,
 )
 from .simulate import estimate_dof, sweep
+from .subspaces import ranks
 
 __all__ = ["CheckResult", "run_verification"]
 
@@ -53,6 +61,11 @@ ZERO_FORCING_RESIDUAL_MAX = 1e-8
 # Precoder sweeps get expensive combinatorially; theory checks scale to any
 # --max-antennas but the numeric sweeps are capped here.
 PRECODER_ANTENNA_CAP = 5
+
+# Bytes of rank matrices ``_checks`` queues before deciding them: enough
+# that a one-seed walk stacks a few families' matrices per SVD, few enough
+# that a many-seed walk holds about one family's.
+_RANK_QUEUE_BYTES = 50_000
 
 _SLOPE_SMOKE_CONFIGS = ((2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 3, 1))
 _SLOPE_SMOKE_TOLERANCE = 0.25
@@ -101,26 +114,28 @@ def check_allocations(rows, allocs: dict[AntennaConfig, JammingAllocation]) -> C
     return CheckResult("allocation_audits", True, f"{len(allocs)} allocations audited")
 
 
-def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
+def _family_builds(configs, rngs, allocs, normals: TrialNormals):
     """The precoder sets of one (m1, m2, n) family's configurations, built in order.
 
-    ``configs`` share m1, m2 and n and differ in n_e.  One
-    ``sample_channels`` call, for the first configuration, draws the
-    legitimate channels of all of them and their builds share its
-    ``DrawFactors``; each configuration draws its own eavesdropper from
-    ``trial_seeds``.  Every set is bit for bit the one ``build_precoders``
-    makes on that configuration's own ``sample_channels`` draw.  Yields
-    (config, draw, the shared factors, precoder set); a build that fails
-    raises its error, located at the config and seed.
+    ``configs`` share m1, m2 and n and differ in n_e.  The family's
+    legitimate channels, read once from ``normals``, serve all of them and
+    their builds share its ``DrawFactors``; each configuration reads its
+    own eavesdropper, and every build its random directions, from the same
+    rows.  Every set is bit for bit the one ``build_precoders`` makes on
+    that configuration's own ``sample_channels`` draw.  Yields (config,
+    draw, the shared factors, precoder set); a build that fails raises its
+    error, located at the config and seed.
     """
-    first = sample_channels(configs[0], rngs, EveMode.STATIC)
+    first = normals.channels(configs[0])
     factors = DrawFactors(first)
     for config in configs:
         draws = first
         if config is not configs[0]:
-            draws = ChannelRealization(first.h1, first.h2, *trial_seeds.eavesdropper(config))
+            draws = ChannelRealization(first.h1, first.h2, *normals.eavesdropper(config))
         try:
-            pre = build_precoders(draws, allocs[config], rngs, _factors=factors)
+            pre = build_precoders(
+                draws, allocs[config], rngs, _factors=factors, _jamming=normals.jamming
+            )
         except SdofLabError as exc:
             # A failure that is not one member's fails every seed alike.
             where = f"{config} seed {exc.member or 0}" if rngs else str(config)
@@ -128,25 +143,19 @@ def _family_builds(configs, rngs, allocs, trial_seeds: TrialSeeds):
         yield config, draws, factors, pre
 
 
-def _check_set(config, draws, factors, rngs, alloc, pre):
-    """Residual and rank invariants of one configuration's precoder set: ``check_config``'s result.
+def _judge(config, alloc, residuals, decided):
+    """``check_config``'s result for one configuration from its (4, seeds) residuals and (3, seeds) ranks.
 
-    The build's report gives the block residuals and ``audit_set``, on the
-    draw's ``factors``, the rest.
+    The residuals are the build's block residuals, then ``audit_set``'s;
+    the ranks are those of the audit's rank matrices.
     """
     # Ranks count real dimensions, two per antenna, one per real stream.
-    expect_u_rank = 2 * config.n - alloc.j_s
-    expect_legit = alloc.d_total
-    expect_leak = min(2 * config.n_e, alloc.total_streams)
-    uses = channel_uses(config, draws, rngs, [0], EveMode.STATIC)
-    report, audit = pre.report, audit_set(factors, pre)
-    kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
-    residuals = np.array([
-        report.nullspace_residual,
-        report.alignment_residual,
-        audit.unitarity_residual,
-        audit.zero_forcing_residual,
+    expected = np.array([
+        2 * config.n - alloc.j_s,
+        alloc.d_total,
+        min(2 * config.n_e, alloc.total_streams),
     ])
+    kinds = ("nullspace", "alignment", "unitarity", "zero-forcing")
     gates = np.array([
         NULLSPACE_RESIDUAL_MAX,
         ALIGNMENT_RESIDUAL_MAX,
@@ -154,10 +163,8 @@ def _check_set(config, draws, factors, rngs, alloc, pre):
         ZERO_FORCING_RESIDUAL_MAX,
     ])
     names = ("rank(U)", "legit rank", "leakage rank")
-    ranks = np.array([audit.u_rank, audit.legit_rank, leakage_rank(uses, pre)[:, 0]])
-    expected = np.array([expect_u_rank, expect_legit, expect_leak])
     # Rows are checks, columns seeds.
-    over, wrong = residuals > gates[:, None], ranks != expected[:, None]
+    over, wrong = residuals > gates[:, None], decided != expected[:, None]
     worst = dict(zip(kinds, residuals.max(axis=1).tolist()))
     if not (over.any() or wrong.any()):
         return worst, []
@@ -170,23 +177,79 @@ def _check_set(config, draws, factors, rngs, alloc, pre):
         ]
         problems += [
             f"{name} {got} != {want}"
-            for name, got, want, bad in zip(names, ranks[:, seed], expected, wrong[:, seed])
+            for name, got, want, bad in zip(names, decided[:, seed], expected, wrong[:, seed])
             if bad
         ]
         failures.append(f"{config} seed {seed}: " + "; ".join(problems))
     return worst, failures
 
 
-def _seed_streams(seeds: int):
-    """The trial streams of channel seeds 0 .. seeds - 1 and their ``TrialSeeds``."""
+def _decide_ranks(matrices) -> list[np.ndarray]:
+    """``ranks`` of every stack of ``matrices``, from one stacked SVD per distinct shape."""
+    by_shape = collections.defaultdict(list)
+    for i, m in enumerate(matrices):
+        by_shape[m.shape].append(i)
+    decided = [None] * len(matrices)
+    for members in by_shape.values():
+        for i, r in zip(members, ranks(np.stack([matrices[i] for i in members]))):
+            decided[i] = r
+    return decided
+
+
+def _seed_streams(seeds: int, allocs=None):
+    """The trial streams of channel seeds 0 .. seeds - 1 and their ``TrialNormals``.
+
+    The rows are as long as any configuration of ``allocs``, a dict of
+    allocations, reads: by default every configuration of the precoder grid.
+    """
+    if allocs is None:
+        grid = _antenna_grid(PRECODER_ANTENNA_CAP, include_all_ne=False)
+        allocs = {config: allocate_jamming(config) for config in grid}
+    lengths = np.array([
+        (*draw_lengths(c), jamming_length(a, 2 * c.m1, 2 * c.m2)) for c, a in allocs.items()
+    ])
     rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
-    return rngs, TrialSeeds(rngs, EveMode.STATIC)
+    return rngs, TrialNormals.draw(rngs, EveMode.STATIC, *lengths.max(axis=0).tolist())
 
 
-def _family_checks(configs, rngs, trial_seeds, allocs):
-    """``check_config`` of each of one family's configurations in order, as (config, result)."""
-    for config, draws, factors, pre in _family_builds(configs, rngs, allocs, trial_seeds):
-        yield config, _check_set(config, draws, factors, rngs, allocs[config], pre)
+def _checks(families, rngs, normals, allocs):
+    """``check_config`` of every configuration of ``families``, in order, as (config, result).
+
+    ``families`` is a sequence of family config lists (``_family_builds``).
+    The residuals of each configuration are taken as it is built; its
+    rank matrices wait in a queue that is decided in one ``ranks`` call
+    per distinct shape at a family boundary, once the queue holds
+    ``_RANK_QUEUE_BYTES``, and at the end.  A build that fails raises its
+    error once every configuration queued before it has been yielded.
+    """
+    queue, queued_bytes = [], 0
+
+    def judged():
+        nonlocal queued_bytes
+        decided = _decide_ranks([m for _, _, matrices in queue for m in matrices])
+        for i, (config, residuals, _) in enumerate(queue):
+            yield config, _judge(config, allocs[config], residuals, np.array(decided[3 * i : 3 * i + 3]))
+        queue.clear()
+        queued_bytes = 0
+
+    for family in families:
+        try:
+            for config, draws, factors, pre in _family_builds(family, rngs, allocs, normals):
+                audit = audit_set(factors, pre, draws)
+                residuals = np.array([
+                    pre.report.nullspace_residual,
+                    pre.report.alignment_residual,
+                    audit.unitarity_residual,
+                    audit.zero_forcing_residual,
+                ])
+                queue.append((config, residuals, audit.rank_matrices))
+                queued_bytes += sum(m.nbytes for m in audit.rank_matrices)
+        except SdofLabError:
+            yield from judged()
+            raise
+        if queued_bytes >= _RANK_QUEUE_BYTES:
+            yield from judged()
+    yield from judged()
 
 
 def check_config(config: AntennaConfig, seeds: int):
@@ -204,7 +267,7 @@ def check_config(config: AntennaConfig, seeds: int):
     InvalidMatrix.
     """
     allocs = {config: allocate_jamming(config)}
-    ((_, result),) = _family_checks([config], *_seed_streams(seeds), allocs)
+    ((_, result),) = _checks([[config]], *_seed_streams(seeds, allocs), allocs)
     return result
 
 
@@ -213,23 +276,25 @@ def check_precoders(
 ) -> CheckResult:
     """``check_config`` over the antenna grid, stopping at the first failing configuration.
 
-    The grid is walked one (m1, m2, n) family at a time (``_family_builds``);
+    The grid is walked one (m1, m2, n) family at a time (``_checks``);
     ``allocs`` holds the allocation of every configuration it visits.
+    The worst residual covers the configurations up to the first failing
+    one, in walk order.
     """
     cap = min(max_antennas, PRECODER_ANTENNA_CAP)
-    rngs, trial_seeds = _seed_streams(seeds)
+    grid = list(_antenna_grid(cap, include_all_ne=False))
+    families = [
+        list(family)
+        for _, family in itertools.groupby(grid, key=lambda c: (c.m1, c.m2, c.n))
+    ]
+    rngs, normals = _seed_streams(seeds, {config: allocs[config] for config in grid})
     worst = 0.0
     builds = 0
-    families = itertools.groupby(
-        _antenna_grid(cap, include_all_ne=False), key=lambda c: (c.m1, c.m2, c.n)
-    )
-    for _, family in families:
-        checks = _family_checks(list(family), rngs, trial_seeds, allocs)
-        for config, (config_worst, failures) in checks:
-            builds += seeds
-            worst = max(worst, *config_worst.values())
-            if failures:
-                return CheckResult("precoder_invariants", False, failures[0], worst)
+    for config, (config_worst, failures) in _checks(families, rngs, normals, allocs):
+        builds += seeds
+        worst = max(worst, *config_worst.values())
+        if failures:
+            return CheckResult("precoder_invariants", False, failures[0], worst)
     return CheckResult("precoder_invariants", True, f"{builds} precoder sets checked", worst)
 
 

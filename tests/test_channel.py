@@ -16,11 +16,13 @@ from sdoflab import (
 from sdoflab import channel
 from sdoflab.channel import (
     SEED_HASH_MIN_KEYS,
-    _generators,
+    TrialNormals,
+    _normals,
+    _seed_sequences,
     _seed_words,
     _spawn_key,
     channel_uses,
-    jamming_generators,
+    draw_lengths,
     real_form,
 )
 
@@ -40,9 +42,10 @@ def _use(config, trial_stack, rng, use, mode):
     return ChannelRealization(seen.h1[0], seen.h2[0], seen.g1[0, 0], seen.g2[0, 0])
 
 
-def _generator(rng, domain):
-    """The generator that ``rng``'s address seeds in ``domain``, as the library's draws make it."""
-    return next(_generators([rng.master_seed], [_spawn_key(domain, *rng.stream_id)]))
+def _stream(rng, domain, length):
+    """The first ``length`` normals of ``rng``'s address in ``domain``, as the library's draws read them."""
+    seqs = _seed_sequences([rng.master_seed], [_spawn_key(domain, *rng.stream_id)])
+    return _normals(seqs, 1, length)[0]
 
 
 class TestRngStream:
@@ -53,8 +56,8 @@ class TestRngStream:
             RngStream(3, (-1, 0))
 
     def test_same_address_same_draws(self):
-        a = _generator(RngStream(42, (5, 3)), 0).standard_normal(8)
-        b = _generator(RngStream(42, (5, 3)), 0).standard_normal(8)
+        a = _stream(RngStream(42, (5, 3)), 0, 8)
+        b = _stream(RngStream(42, (5, 3)), 0, 8)
         assert np.array_equal(a, b)
 
     def test_components_fit_64_bits(self):
@@ -65,8 +68,8 @@ class TestRngStream:
             RngStream(3, (0, 2**64))
 
     def test_domains_are_distinct(self):
-        a = _generator(RngStream(42, (5, 3)), 0).standard_normal(8)
-        b = _generator(RngStream(42, (5, 3)), 1).standard_normal(8)
+        a = _stream(RngStream(42, (5, 3)), 0, 8)
+        b = _stream(RngStream(42, (5, 3)), 1, 8)
         assert not np.array_equal(a, b)
 
 
@@ -86,8 +89,8 @@ class TestSampleChannels:
     @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 17, 1])])
     def test_an_absent_eavesdropper_seeds_no_generator(self, n_e, per_trial, monkeypatch):
         # Generators made per trial by the draw, by 17 channel uses (use 0
-        # draws the trial's eavesdropper again) and by the eavesdropper of
-        # TrialSeeds: with n_e = 0 only the legitimate draw seeds one.
+        # draws the trial's eavesdropper again) and by the eavesdropper rows
+        # of TrialNormals: with n_e = 0 only the legitimate draw seeds one.
         made = []
         real = channel._seeded
 
@@ -104,7 +107,7 @@ class TestSampleChannels:
         counts.append(len(made))
         seen = channel_uses(config, draws, rngs, range(17), mode)
         counts.append(len(made))
-        channel.TrialSeeds(rngs, mode).eavesdropper(config)
+        channel.TrialNormals.draw(rngs, mode, eve=draw_lengths(config)[1]).eavesdropper(config)
         counts.append(len(made))
         assert np.diff(counts).tolist() == [12 * k for k in per_trial]
         assert seen.g1.shape == (12, 17, n_e, 2) and seen.g2.shape == (12, 17, n_e, 2)
@@ -309,19 +312,66 @@ class TestSeedWords:
             assert np.array_equal(words, _seed_sequence_words(m, [k])[0])
 
     @pytest.mark.parametrize("count", counts)
-    def test_generators_draw_as_seed_sequence_ones(self, count):
+    def test_streams_draw_as_seed_sequence_ones(self, count):
         keys = _keys(count, seed=99)
         masters = [(3 * i) << 33 for i in range(count)]
-        drawn = [g.standard_normal(6) for g in _generators(masters, keys)]
+        drawn = _normals(_seed_sequences(masters, keys), count, 6)
         for m, k, z in zip(masters, keys, drawn):
             oracle = np.random.default_rng(np.random.SeedSequence(entropy=m, spawn_key=k))
             assert np.array_equal(z, oracle.standard_normal(6))
 
+
+class TestTrialNormals:
+    """Each row is its address's stream alone, and a shorter row is a prefix of a longer one."""
+
+    @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("count", [1, SEED_HASH_MIN_KEYS + 3])
-    def test_jamming_generators_match_each_stream_alone(self, count):
-        rngs = [RngStream(8, (t, 0)) for t in range(count)]
-        for rng, gen in zip(rngs, jamming_generators(rngs)):
-            assert np.array_equal(gen.standard_normal(5), jamming_generators([rng])[0].standard_normal(5))
+    def test_rows_match_each_stream_alone(self, count, mode):
+        # Domain keys: legitimate (0, trial), eavesdropper (1, trial) or
+        # (1, trial, use) when time-varying, jamming (2, trial).
+        rngs = [RngStream(8, (t, 3 * t)) for t in range(count)]
+        rows = TrialNormals.draw(rngs, mode, 5, 7, 9)
+        for t, rng in enumerate(rngs):
+            alone = TrialNormals.draw([rng], mode, 5, 7, 9)
+            eve_key = (1, t, 3 * t) if mode.varies_per_use else (1, t)
+            for name, key in (("legit", (0, t)), ("eve", eve_key), ("jamming", (2, t))):
+                row = getattr(rows, name)[t]
+                oracle = np.random.default_rng(np.random.SeedSequence(8, spawn_key=key))
+                assert np.array_equal(row, getattr(alone, name)[0]), name
+                assert np.array_equal(row, oracle.standard_normal(len(row))), name
+
+    @pytest.mark.parametrize("count", [1, SEED_HASH_MIN_KEYS + 3])
+    def test_shorter_rows_are_prefixes_of_longer_ones(self, count):
+        rngs = [RngStream(11, (t, 0)) for t in range(count)]
+        short = TrialNormals.draw(rngs, EveMode.STATIC, 4, 1, 6)
+        long = TrialNormals.draw(rngs, EveMode.STATIC, 90, 33, 140)
+        for name in ("legit", "eve", "jamming"):
+            got, longer = getattr(short, name), getattr(long, name)
+            assert np.array_equal(got, longer[:, : got.shape[1]]), name
+
+    def test_an_empty_domain_seeds_nothing(self, monkeypatch):
+        made = []
+        real = channel._seeded
+
+        def counting(seqs):
+            for gen in real(seqs):
+                made.append(gen)
+                yield gen
+
+        monkeypatch.setattr(channel, "_seeded", counting)
+        rngs = [RngStream(3, (t, 0)) for t in range(SEED_HASH_MIN_KEYS + 1)]
+        normals = TrialNormals.draw(rngs, EveMode.STATIC, legit=4, jamming=2)
+        assert len(made) == 2 * len(rngs) and normals.eve.shape == (len(rngs), 0)
+
+    def test_a_draw_reads_the_prefix_it_needs(self):
+        config = AntennaConfig(3, 2, 4, 2)
+        rngs = [RngStream(6, (t, 0)) for t in range(3)]
+        drawn = TrialNormals.draw(rngs, EveMode.STATIC, 100, 90).channels(config)
+        own = sample_channels(config, rngs, EveMode.STATIC)
+        for name in ("h1", "h2", "g1", "g2"):
+            assert np.array_equal(getattr(drawn, name), getattr(own, name)), name
+        with pytest.raises(ValueError, match="normals per row"):
+            TrialNormals.draw(rngs, EveMode.STATIC, 10, 90).channels(config)
 
 
 class TestStackedDraws:

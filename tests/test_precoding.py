@@ -17,7 +17,13 @@ from sdoflab import (
     leakage_rank,
     sample_channels,
 )
-from sdoflab.channel import channel_uses, jamming_generators
+from sdoflab.channel import (
+    _DOMAIN_JAMMING,
+    SEED_HASH_MIN_KEYS,
+    TrialNormals,
+    _spawn_key,
+    channel_uses,
+)
 from sdoflab.precoding import (
     DrawFactors,
     _aligned_targets,
@@ -43,33 +49,53 @@ def _aligned(h1, h2, pairs):
     return solve_into(h1, targets), solve_into(h2, targets), targets
 
 
+def _jamming_rows(rngs, length):
+    """The first ``length`` normals of each stream's jamming address, one row per stream."""
+    return TrialNormals.draw(rngs, jamming=length).jamming
+
+
 class TestRandomJamming:
-    # The build's random block: one Haar isometry per trial's generator.
+    # The build's random block: one Haar isometry per row of jamming normals.
     def test_zero_streams(self):
-        assert _haar_columns(3, 0, [np.random.default_rng(0)]).shape == (1, 3, 0)
+        assert _haar_columns(3, 0, np.zeros((1, 0))).shape == (1, 3, 0)
 
     def test_orthonormal(self):
-        (v,) = _haar_columns(4, 2, [np.random.default_rng(1)])
+        (v,) = _haar_columns(4, 2, np.random.default_rng(1).standard_normal((1, 8)))
         assert v.dtype == np.float64
         assert max_abs(v.T @ v - np.eye(2)) < 1e-10
 
     def test_too_many_streams(self):
         with pytest.raises(DimensionMismatch):
-            _haar_columns(2, 3, [np.random.default_rng(0)])
+            _haar_columns(2, 3, np.zeros((1, 6)))
 
-    def test_deterministic_through_jamming_generator(self):
-        a = _haar_columns(4, 2, jamming_generators([RngStream(5)]))
-        b = _haar_columns(4, 2, jamming_generators([RngStream(5)]))
-        other = _haar_columns(4, 2, jamming_generators([RngStream(6)]))
+    def test_deterministic_through_jamming_stream(self):
+        a = _haar_columns(4, 2, _jamming_rows([RngStream(5)], 8))
+        b = _haar_columns(4, 2, _jamming_rows([RngStream(5)], 20))
+        other = _haar_columns(4, 2, _jamming_rows([RngStream(6)], 8))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
+
+    @pytest.mark.parametrize("trials", [1, SEED_HASH_MIN_KEYS + 3])
+    def test_rows_read_as_successive_block_draws(self, trials):
+        # The build reads its blocks from one row in turn; a generator
+        # drawing each (m, k) block by itself draws the same numbers.
+        rngs = [RngStream(7, (t, 0)) for t in range(trials)]
+        rows = _jamming_rows(rngs, 4 * 2 + 3 * 3)
+        for rng, row in zip(rngs, rows):
+            key = _spawn_key(_DOMAIN_JAMMING, rng.stream_id[0])
+            gen = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
+            blocks = [gen.standard_normal((4, 2)), gen.standard_normal((3, 3))]
+            assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), row)
+        (first,) = _haar_columns(4, 2, rows[:1])
+        (again,) = _haar_columns(4, 2, rows[:1, :8])
+        assert np.array_equal(first, again)
 
     def test_direction_uniform_on_sphere(self):
         # For a Haar-random unit vector v in R^3, |v_1| is uniform on [0, 1]
         # (Archimedes' hat-box theorem), so v_1^2 has CDF sqrt(x).  2000
         # draws in turn from one generator, as a stack of 2000.
         gen = np.random.default_rng(2024)
-        samples = _haar_columns(3, 1, [gen] * 2000)[:, 0, 0] ** 2
+        samples = _haar_columns(3, 1, gen.standard_normal((2000, 3)))[:, 0, 0] ** 2
         stat = ks_statistic(samples, lambda x: np.sqrt(np.asarray(x)))
         assert stat < 0.05  # ~alpha 1e-3 critical value for n=2000
 
@@ -143,8 +169,8 @@ def _build_one(config, rng, mode=EveMode.TIME_VARYING):
 
 
 def _audit(ch, pre):
-    """``audit_set`` of a stacked set on the draw it was built on."""
-    return audit_set(DrawFactors(ch), pre)
+    """``audit_set`` of a stacked set on the draw it was built on, eavesdropper included."""
+    return audit_set(DrawFactors(ch), pre, ch)
 
 
 class TestBuildPrecoders:
@@ -158,19 +184,19 @@ class TestBuildPrecoders:
     # Ranks count real dimensions, as the allocation's counts do.
     def test_random_region(self):
         _, _, _, pre, audit = self.build((2, 2, 4, 1))
-        assert audit.u_rank == 6
-        assert audit.legit_rank == 6
+        assert audit.ranks()[0] == 6
+        assert audit.ranks()[1] == 6
 
     def test_nullspace_region_has_identity_projector(self):
         _, ch, _, pre, audit = self.build((4, 1, 2, 1))
         assert max_abs(real2(ch.h1) @ pre.v1_j) < 1e-9
         assert max_abs(pre.u - np.eye(4)) < 1e-9
-        assert audit.legit_rank == 4
+        assert audit.ranks()[1] == 4
 
     def test_aligned_region(self):
         _, _, _, pre, audit = self.build((2, 2, 3, 2))
-        assert audit.u_rank == 4
-        assert audit.legit_rank == 4
+        assert audit.ranks()[0] == 4
+        assert audit.ranks()[1] == 4
         assert pre.report.alignment_residual < 1e-8
 
     def test_two_slot_extension(self):
@@ -179,8 +205,8 @@ class TestBuildPrecoders:
         config, ch, alloc, pre, audit = self.build((2, 2, 3, 1))
         assert pre.v1_j.dtype == np.float64
         assert pre.v1_j.shape == (4, 1)  # 2 m1 real antenna dimensions, one real stream
-        assert audit.u_rank == 5  # 2n - j_s = 6 - 1
-        assert audit.legit_rank == 5  # d1 + d2
+        assert audit.ranks()[0] == 5  # 2n - j_s = 6 - 1
+        assert audit.ranks()[1] == 5  # d1 + d2
 
     @pytest.mark.parametrize(
         "cfg", [(2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 4, 1), (2, 2, 3, 1), (4, 4, 6, 3)]
@@ -193,9 +219,11 @@ class TestBuildPrecoders:
         h1, h2 = real2(ch.h1), real2(ch.h2)
         legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
         jamming = np.hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
-        assert audit.u_rank == elimination_rank(pre.u)
-        assert audit.legit_rank == elimination_rank(pre.u @ legit)
+        assert audit.ranks()[0] == elimination_rank(pre.u)
+        assert audit.ranks()[1] == elimination_rank(pre.u @ legit)
         assert audit.zero_forcing_residual == max_abs(pre.u @ jamming)
+        eve_jamming = np.hstack([real2(ch.g1) @ pre.v1_j, real2(ch.g2) @ pre.v2_j])
+        assert audit.ranks()[2] == elimination_rank(eve_jamming)
         stacks = (np.hstack([pre.v1_l, pre.v1_j]), np.hstack([pre.v2_l, pre.v2_j]))
         assert audit.unitarity_residual == max(
             max_abs(v.conj().T @ v - np.eye(v.shape[1])) for v in stacks
@@ -239,8 +267,8 @@ class TestBuildPrecoders:
                                 assert max_abs(gram - np.eye(stacked1.shape[1])) < 1e-9
                             assert max_abs(pre.u @ pre.u - pre.u) < 1e-9
                             assert max_abs(pre.u - pre.u.T) < 1e-12
-                            assert audit.u_rank == 2 * n - alloc.j_s
-                            assert audit.legit_rank == alloc.d_total
+                            assert audit.ranks()[0] == 2 * n - alloc.j_s
+                            assert audit.ranks()[1] == alloc.d_total
                             assert audit.zero_forcing_residual < 1e-8
 
 
@@ -370,7 +398,9 @@ class TestStackedBuild:
             audit = _audit(sub, pre)
             for i, t in enumerate(part):
                 assert _same_set(member(pre, i), member(whole, t))
-                assert member(audit, i) == member(whole_audit, t)
+                for field in dataclasses.fields(audit):
+                    got, want = getattr(audit, field.name)[i], getattr(whole_audit, field.name)[t]
+                    assert np.array_equal(got, want), field.name
 
     @pytest.mark.parametrize("cfg", configs)
     def test_every_trial_meets_the_invariants(self, cfg):
@@ -383,8 +413,8 @@ class TestStackedBuild:
             pre, audit = member(whole, t), member(audits, t)
             h1, h2 = real2(stacked.h1[t]), real2(stacked.h2[t])
             legit = np.hstack([h1 @ pre.v1_l, h2 @ pre.v2_l])
-            assert audit.u_rank == elimination_rank(pre.u) == 2 * config.n - alloc.j_s
-            assert audit.legit_rank == elimination_rank(pre.u @ legit) == alloc.d_total
+            assert audit.ranks()[0] == elimination_rank(pre.u) == 2 * config.n - alloc.j_s
+            assert audit.ranks()[1] == elimination_rank(pre.u @ legit) == alloc.d_total
             assert audit.zero_forcing_residual < 1e-8
 
     def test_needs_one_stream_per_trial(self):

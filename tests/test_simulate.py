@@ -30,7 +30,7 @@ from sdoflab import (
     sweep,
 )
 from sdoflab import channel, cli, kernels, precoding, simulate, verify
-from sdoflab.channel import channel_uses
+from sdoflab.channel import TrialNormals, channel_uses
 from sdoflab.precoding import BuildReport, PrecoderSet
 from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
 
@@ -625,18 +625,17 @@ class TestFailureAddress:
         assert "trial 3 master seed 11" in err and err.count("\n") == 1
 
     def test_check_config_names_config_and_seed(self, monkeypatch):
-        real = verify.sample_channels
+        # verify reads each family's channels from its seeds' normals, one
+        # row per seed: row 2 is seed 2.
+        real = TrialNormals.channels
 
-        def poisoned(config, rngs, mode):
-            ch = real(config, rngs, mode)
-            seeds = [rng.master_seed for rng in rngs]
-            if 2 in seeds:
-                h2 = ch.h2.copy()
-                h2[seeds.index(2)] = np.inf
-                ch = dataclasses.replace(ch, h2=h2)
-            return ch
+        def poisoned(normals, config):
+            ch = real(normals, config)
+            h2 = ch.h2.copy()
+            h2[2] = np.inf
+            return dataclasses.replace(ch, h2=h2)
 
-        monkeypatch.setattr(verify, "sample_channels", poisoned)
+        monkeypatch.setattr(TrialNormals, "channels", poisoned)
         config = AntennaConfig(2, 2, 3, 1)
         with pytest.raises(InvalidMatrix, match=re.escape(f"{config} seed 2: stack member 2: h2")):
             verify.check_config(config, 4)
@@ -649,14 +648,16 @@ class TestFailureAddress:
     def test_check_config_writes_one_line_per_failing_seed(self, monkeypatch):
         # The gates compare all seeds at once; each failing seed still gets
         # its own line naming every check it failed.
-        real = verify.leakage_rank
+        real = verify._decide_ranks
 
-        def off_at_seed_1(ch, pre):
-            ranks = real(ch, pre).copy()
-            ranks[1] += 1
-            return ranks
+        def off_at_seed_1(matrices):
+            # One configuration's rank matrices: u, legit, then leakage.
+            decided = real(matrices)
+            decided[2] = decided[2].copy()
+            decided[2][1] += 1
+            return decided
 
-        monkeypatch.setattr(verify, "leakage_rank", off_at_seed_1)
+        monkeypatch.setattr(verify, "_decide_ranks", off_at_seed_1)
         config = AntennaConfig(2, 2, 3, 2)  # aligned jamming only: no nullspace residual
         _, failures = verify.check_config(config, 3)
         assert failures == [f"{config} seed 1: leakage rank 5 != 4"]

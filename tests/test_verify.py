@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ import pytest
 from sdoflab import (
     AntennaConfig,
     EveMode,
+    InfeasibleAllocation,
     JammingMethod,
     RngStream,
     allocate_jamming,
@@ -28,7 +31,8 @@ from sdoflab import (
     sdof,
     verify,
 )
-from sdoflab.channel import TrialSeeds
+from sdoflab import channel
+from sdoflab.channel import TrialNormals, draw_lengths
 from sdoflab.precoding import DrawFactors, audit_set
 
 MODES = [EveMode.STATIC, EveMode.TIME_VARYING]
@@ -60,13 +64,18 @@ class TestFamilyPremise:
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize("trials", [1, 9])  # below and above the batch-hash threshold
-    def test_trial_seeds_draw_as_sample_channels(self, trials, mode):
+    def test_trial_normals_draw_as_sample_channels(self, trials, mode):
+        # Rows as long as the family's longest draw serve every n_e of it.
         rngs = [RngStream(40 + t, (t, 0)) for t in range(trials)]
-        seeds = TrialSeeds(rngs, mode)
-        for config in _family(3, 2, 4):
+        family = _family(3, 2, 4)
+        normals = TrialNormals.draw(rngs, mode, *draw_lengths(family[-1]))
+        for config in family:
             draw = sample_channels(config, rngs, mode)
-            g1, g2 = seeds.eavesdropper(config)
+            g1, g2 = normals.eavesdropper(config)
             assert _same_bits(g1, draw.g1) and _same_bits(g2, draw.g2), config
+            whole = normals.channels(config)
+            for name in ("h1", "h2", "g1", "g2"):
+                assert _same_bits(getattr(whole, name), getattr(draw, name)), (config, name)
 
 
 class TestFamilyBuilds:
@@ -119,7 +128,7 @@ class TestFamilyBuilds:
         assert walked == [[config]]
         family = _family(3, 3, 4)
         allocs = {c: allocate_jamming(c) for c in family}
-        whole = dict(verify._family_checks(family, *verify._seed_streams(2), allocs))
+        whole = dict(verify._checks([family], *verify._seed_streams(2), allocs))
         assert whole[config] == result
 
 
@@ -133,17 +142,34 @@ def test_nothing_outlives_a_call(monkeypatch):
 
         return wrapper
 
-    for name in ("build_precoders", "audit_set", "sample_channels", "allocate_jamming"):
+    for name in ("build_precoders", "audit_set", "ranks", "allocate_jamming"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    monkeypatch.setattr(TrialNormals, "channels", counting("channels", TrialNormals.channels))
+    real_seeded = channel._seeded
+
+    def seeded(seqs):
+        for gen in real_seeded(seqs):
+            counts["generators"] += 1
+            yield gen
+
+    monkeypatch.setattr(channel, "_seeded", seeded)
     calls = []
     for _ in range(2):
         counts.clear()
         assert verify.run_verification(2, 2)["passed"]
         calls.append(dict(counts))
-    # Up to two antennas: 8 families, 24 precoder configurations, each built
-    # and audited once, and 32 configurations in the full grid, every call.
+    # Up to two antennas: 8 families, each drawing its channels once; 24
+    # precoder configurations, each built and audited once, their ranks
+    # decided in one call per distinct shape of rank matrix; 32
+    # configurations in the full grid; and one legitimate, eavesdropper
+    # and jamming stream per seed, every call.
     assert calls[0] == calls[1] == {
-        "build_precoders": 24, "audit_set": 24, "sample_channels": 8, "allocate_jamming": 32
+        "build_precoders": 24,
+        "audit_set": 24,
+        "ranks": 8,
+        "channels": 8,
+        "allocate_jamming": 32,
+        "generators": 3 * 2,
     }
 
 
@@ -166,3 +192,74 @@ def test_verify_report_is_pinned():
     for seeds in (1, 3):
         digest.update(json.dumps(verify.run_verification(5, seeds), indent=2).encode())
     assert digest.hexdigest() == VERIFY_REPORT_DIGEST
+
+
+class TestBatchedRanks:
+    """The walk decides queued ranks in batches but judges, and stops, in walk order."""
+
+    GRID = list(sdof._antenna_grid(verify.PRECODER_ANTENNA_CAP, include_all_ne=False))
+    FAILING = AntennaConfig(1, 2, 2, 1)  # a configuration with legitimate streams
+    LATER = AntennaConfig(1, 2, 2, 2)  # the next one of its family
+
+    def allocs(self):
+        return {config: allocate_jamming(config) for config in self.GRID}
+
+    def zero_legit_at(self, monkeypatch, config):
+        """Make ``config``'s legitimate rank matrix zero; return the list of audited configs."""
+        audited = []
+        real = verify.audit_set
+
+        def audit(factors, pre, draw):
+            result = real(factors, pre, draw)
+            audited.append(self.GRID[len(audited)])
+            if audited[-1] == config:
+                zero = np.zeros_like(result.legit_post_projection)
+                result = dataclasses.replace(result, legit_post_projection=zero)
+            return result
+
+        monkeypatch.setattr(verify, "audit_set", audit)
+        return audited
+
+    def test_a_rank_mismatch_is_the_line_reported(self, monkeypatch):
+        audited = self.zero_legit_at(monkeypatch, self.FAILING)
+        allocs = self.allocs()
+        result = verify.check_precoders(5, 1, allocs)
+        at = self.GRID.index(self.FAILING)
+        want = allocs[self.FAILING].d_total
+        assert not result.passed
+        assert result.detail == f"{self.FAILING} seed 0: legit rank 0 != {want}"
+        # Configurations past the failing one were queued in its batch, but
+        # the worst residual covers only those walked up to it.
+        assert len(audited) > at + 1
+        walked = [verify.check_config(config, 1)[0] for config in self.GRID[: at + 1]]
+        assert result.worst_residual == max(max(worst.values()) for worst in walked)
+
+    def test_an_earlier_failure_outranks_a_later_build_error(self, monkeypatch):
+        allocs = self.allocs()
+        real = verify.build_precoders
+
+        def build(draws, alloc, rngs, **shared):
+            if alloc is allocs[self.LATER]:
+                raise InfeasibleAllocation("refused")
+            return real(draws, alloc, rngs, **shared)
+
+        monkeypatch.setattr(verify, "build_precoders", build)
+        with pytest.raises(InfeasibleAllocation, match=re.escape(f"{self.LATER} seed 0: refused")):
+            verify.check_precoders(5, 1, allocs)
+        self.zero_legit_at(monkeypatch, self.FAILING)
+        result = verify.check_precoders(5, 1, allocs)
+        assert result.detail.startswith(f"{self.FAILING} seed 0: legit rank 0")
+
+
+def test_the_rank_queue_stays_small():
+    # The queue is decided at a family boundary once it passes its bound,
+    # so a many-seed walk holds about one family's rank matrices.
+    grid = sdof._antenna_grid(verify.PRECODER_ANTENNA_CAP, include_all_ne=False)
+    allocs = {config: allocate_jamming(config) for config in grid}
+    tracemalloc.start()
+    try:
+        assert verify.check_precoders(5, 20, allocs).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
