@@ -121,12 +121,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads, at most the CPU count (default: SDOFLAB_THREADS if set, else 1)",
+        help="worker threads, at most the CPUs this process may use (default: SDOFLAB_THREADS if set, else 1)",
     )
     p_sim.add_argument("--csv", default=None, help="CSV output path ('-' = stdout, default)")
     p_sim.add_argument("--summary", default=None, help="JSON summary path ('-' = stdout, default)")
 
-    p_verify = sub.add_parser("verify", help="run the self-check suites")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run the self-check suites",
+        description=(
+            "Run the self-check suites: closed-form consistency, allocation audits and "
+            "precoder invariants (and with --full, Monte Carlo slope smoke tests). The "
+            "precoder families are checked in forked worker processes, at most one per CPU "
+            "this process may run on; the report does not depend on their number."
+        ),
+    )
     p_verify.add_argument("--max-antennas", type=int, default=5)
     p_verify.add_argument("--seeds", type=int, default=20)
     p_verify.add_argument("--full", action="store_true", help="include Monte Carlo slope smoke tests")

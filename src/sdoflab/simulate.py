@@ -295,6 +295,18 @@ def _stack_bytes(config: AntennaConfig, alloc: JammingAllocation, mode: EveMode)
     return _StackBytes(build, (legit_base, legit_point), leakage)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    That is its affinity set where the platform has one, so a ``taskset``
+    or cpuset limit counts, else ``os.cpu_count()``, and 1 when that is
+    unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(trials: int, workers: int, trial_bytes: int) -> list[range]:
     """Contiguous trial ranges, as few as keep each stack's build within STACK_BYTES_MAX.
 
@@ -350,7 +362,7 @@ def sweep(
     its chunk or block, so the output, its rows in trial order, depends
     only on the arguments, never on thread count (``threads=None`` reads
     SDOFLAB_THREADS, defaulting to sequential; either way no more worker
-    threads start than ``os.cpu_count()`` or ``trials``).  An
+    threads start than ``usable_cpus()`` or ``trials``).  An
     InfeasibleAllocation from any trial aborts the sweep: feasibility is
     generic, so a failure indicates an allocation bug rather than bad
     luck.  A failing build or rate evaluation raises its own error type,
@@ -394,7 +406,7 @@ def sweep(
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
 
-    workers = min(_resolve_threads(threads), trials, os.cpu_count() or 1)
+    workers = min(_resolve_threads(threads), trials, usable_cpus())
     chunks = _chunks(trials, workers, held.build)
     if workers == 1:
         for chunk in chunks:

@@ -553,10 +553,12 @@ class TestChunkDraws:
 
 
 class TestWorkerCap:
-    """``sweep`` starts no more worker threads than the host has CPUs."""
+    """``sweep`` starts no more worker threads than the process may use CPUs."""
 
     @pytest.mark.parametrize("cpus, workers", [(3, [3, 3]), (None, [])])
     def test_workers_are_capped_at_the_cpu_count(self, cpus, workers, monkeypatch):
+        # 3: an affinity set of 3 of the host's 64 CPUs.  None: no affinity
+        # call and an unknown CPU count, which ``usable_cpus`` reads as 1.
         pools = []
 
         class InlinePool:
@@ -581,7 +583,12 @@ class TestWorkerCap:
         sequential = sweep(*args, threads=1)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         assert _result_bytes(sweep(*args, threads=100_000)) == _result_bytes(sequential)
         monkeypatch.setenv("SDOFLAB_THREADS", "100000")
         assert _result_bytes(sweep(*args)) == _result_bytes(sequential)

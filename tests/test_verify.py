@@ -13,7 +13,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -133,6 +137,8 @@ class TestFamilyBuilds:
 
 
 def test_nothing_outlives_a_call(monkeypatch):
+    # The walk runs in this process, where the counters are.
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -194,68 +200,96 @@ def test_verify_report_is_pinned():
     assert digest.hexdigest() == VERIFY_REPORT_DIGEST
 
 
+GRID = list(sdof._antenna_grid(verify.PRECODER_ANTENNA_CAP, include_all_ne=False))
+
+
+def _grid_allocs():
+    return {config: allocate_jamming(config) for config in GRID}
+
+
+def zero_legit_at(monkeypatch, config, after=None):
+    """Make ``config``'s legitimate rank matrix zero; return the list of configs audited in this process.
+
+    The configuration being audited is the one its family walk last
+    yielded, so the fault lands on ``config`` in worker processes too.
+    With ``after``, a path, the fault waits (up to a minute) until that
+    file exists.
+    """
+    audited = []
+    real_builds, real_audit = verify._family_builds, verify.audit_set
+
+    def builds(*args):
+        for built in real_builds(*args):
+            audited.append(built[0])
+            yield built
+
+    def audit(factors, pre, draw):
+        result = real_audit(factors, pre, draw)
+        if audited[-1] == config:
+            deadline = time.monotonic() + 60
+            while after is not None and not after.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            zero = np.zeros_like(result.legit_post_projection)
+            result = dataclasses.replace(result, legit_post_projection=zero)
+        return result
+
+    monkeypatch.setattr(verify, "_family_builds", builds)
+    monkeypatch.setattr(verify, "audit_set", audit)
+    return audited
+
+
+def refuse_build_at(monkeypatch, config, allocs, marker=None):
+    """Make the build of ``config`` (its allocation in ``allocs``) raise; it first creates ``marker``, a path, if given."""
+    real = verify.build_precoders
+
+    def build(draws, alloc, rngs, **shared):
+        if alloc is allocs[config]:
+            if marker is not None:
+                marker.touch()
+            raise InfeasibleAllocation("refused")
+        return real(draws, alloc, rngs, **shared)
+
+    monkeypatch.setattr(verify, "build_precoders", build)
+
+
 class TestBatchedRanks:
     """The walk decides queued ranks in batches but judges, and stops, in walk order."""
 
-    GRID = list(sdof._antenna_grid(verify.PRECODER_ANTENNA_CAP, include_all_ne=False))
     FAILING = AntennaConfig(1, 2, 2, 1)  # a configuration with legitimate streams
     LATER = AntennaConfig(1, 2, 2, 2)  # the next one of its family
 
-    def allocs(self):
-        return {config: allocate_jamming(config) for config in self.GRID}
-
-    def zero_legit_at(self, monkeypatch, config):
-        """Make ``config``'s legitimate rank matrix zero; return the list of audited configs."""
-        audited = []
-        real = verify.audit_set
-
-        def audit(factors, pre, draw):
-            result = real(factors, pre, draw)
-            audited.append(self.GRID[len(audited)])
-            if audited[-1] == config:
-                zero = np.zeros_like(result.legit_post_projection)
-                result = dataclasses.replace(result, legit_post_projection=zero)
-            return result
-
-        monkeypatch.setattr(verify, "audit_set", audit)
-        return audited
-
     def test_a_rank_mismatch_is_the_line_reported(self, monkeypatch):
-        audited = self.zero_legit_at(monkeypatch, self.FAILING)
-        allocs = self.allocs()
+        # The walk runs in this process, where ``audited`` fills.
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+        audited = zero_legit_at(monkeypatch, self.FAILING)
+        allocs = _grid_allocs()
         result = verify.check_precoders(5, 1, allocs)
-        at = self.GRID.index(self.FAILING)
+        at = GRID.index(self.FAILING)
         want = allocs[self.FAILING].d_total
         assert not result.passed
         assert result.detail == f"{self.FAILING} seed 0: legit rank 0 != {want}"
         # Configurations past the failing one were queued in its batch, but
         # the worst residual covers only those walked up to it.
         assert len(audited) > at + 1
-        walked = [verify.check_config(config, 1)[0] for config in self.GRID[: at + 1]]
+        walked = [verify.check_config(config, 1)[0] for config in GRID[: at + 1]]
         assert result.worst_residual == max(max(worst.values()) for worst in walked)
 
     def test_an_earlier_failure_outranks_a_later_build_error(self, monkeypatch):
-        allocs = self.allocs()
-        real = verify.build_precoders
-
-        def build(draws, alloc, rngs, **shared):
-            if alloc is allocs[self.LATER]:
-                raise InfeasibleAllocation("refused")
-            return real(draws, alloc, rngs, **shared)
-
-        monkeypatch.setattr(verify, "build_precoders", build)
+        allocs = _grid_allocs()
+        refuse_build_at(monkeypatch, self.LATER, allocs)
         with pytest.raises(InfeasibleAllocation, match=re.escape(f"{self.LATER} seed 0: refused")):
             verify.check_precoders(5, 1, allocs)
-        self.zero_legit_at(monkeypatch, self.FAILING)
+        zero_legit_at(monkeypatch, self.FAILING)
         result = verify.check_precoders(5, 1, allocs)
         assert result.detail.startswith(f"{self.FAILING} seed 0: legit rank 0")
 
 
-def test_the_rank_queue_stays_small():
+def test_the_rank_queue_stays_small(monkeypatch):
     # The queue is decided at a family boundary once it passes its bound,
-    # so a many-seed walk holds about one family's rank matrices.
-    grid = sdof._antenna_grid(verify.PRECODER_ANTENNA_CAP, include_all_ne=False)
-    allocs = {config: allocate_jamming(config) for config in grid}
+    # so a many-seed walk holds about one family's rank matrices.  The walk
+    # runs in this process, whose allocations tracemalloc sees.
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+    allocs = _grid_allocs()
     tracemalloc.start()
     try:
         assert verify.check_precoders(5, 20, allocs).passed
@@ -263,3 +297,82 @@ def test_the_rank_queue_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+class TestWorkerPool:
+    """The family walk split over forked worker processes reads as the one-process walk."""
+
+    FAILING = TestBatchedRanks.FAILING
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Run the walk on 2 workers whatever the host; return the list of forks made."""
+        forked = []
+        real = os.fork
+
+        def fork():
+            forked.append(1)
+            return real()
+
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch):
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(verify, "usable_cpus", lambda: workers)
+            reports[workers] = [json.dumps(verify.run_verification(5, seeds), indent=2) for seeds in (1, 3)]
+        assert reports[1] == reports[2]
+        digest = hashlib.sha256()
+        for report in reports[2]:
+            digest.update(report.encode())
+        assert digest.hexdigest() == VERIFY_REPORT_DIGEST
+
+    def test_an_earlier_task_failure_outranks_a_later_task_build_error(self, monkeypatch, forks, tmp_path):
+        # The failing configuration's task waits until the second task,
+        # running on the other worker, has refused its first build.
+        families = [list(f) for _, f in itertools.groupby(GRID, key=lambda c: (c.m1, c.m2, c.n))]
+        first, second = verify._tasks(len(families), 2)[:2]
+        later = families[second.start][0]
+        assert any(self.FAILING in families[i] for i in first)
+        allocs = _grid_allocs()
+        refused = tmp_path / "refused"
+        refuse_build_at(monkeypatch, later, allocs, refused)
+        with pytest.raises(InfeasibleAllocation, match=re.escape(f"{later} seed 0: refused")):
+            verify.check_precoders(5, 1, allocs)
+        refused.unlink()
+        zero_legit_at(monkeypatch, self.FAILING, after=refused)
+        pooled = verify.check_precoders(5, 1, allocs)
+        assert forks and refused.exists()
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+        assert pooled == verify.check_precoders(5, 1, allocs)
+        assert pooled.detail.startswith(f"{self.FAILING} seed 0: legit rank 0")
+
+    def test_no_process_outlives_a_call(self, monkeypatch, forks):
+        assert verify.run_verification(2, 1)["passed"]
+        assert forks and multiprocessing.active_children() == []
+        allocs = _grid_allocs()
+        zero_legit_at(monkeypatch, self.FAILING)
+        assert not verify.check_precoders(2, 1, allocs).passed
+        assert multiprocessing.active_children() == []
+        refuse_build_at(monkeypatch, AntennaConfig(1, 1, 1, 0), allocs)
+        with pytest.raises(InfeasibleAllocation):
+            verify.check_precoders(2, 1, allocs)
+        assert multiprocessing.active_children() == []
+
+    def test_a_one_family_walk_starts_no_process(self, forks):
+        assert verify.check_config(AntennaConfig(3, 3, 4, 2), 2)[1] == []
+        assert verify.run_verification(1, 1)["passed"]
+        assert forks == []
+
+    def test_no_process_is_forked_beside_a_running_thread(self, forks):
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait, args=(60,))
+        waiting.start()
+        try:
+            assert verify.run_verification(2, 1)["passed"]
+        finally:
+            done.set()
+            waiting.join(60)
+        assert not waiting.is_alive() and forks == []
