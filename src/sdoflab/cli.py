@@ -35,7 +35,7 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import _resolve_threads, _stream_snrs, estimate_dof, sweep
+from .simulate import _stream_snrs, estimate_dof, sweep
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads, at most the CPUs this process may use (default: SDOFLAB_THREADS if set, else 1)",
+        help="worker threads, at most the CPUs this process may use and one per stack of trials (default 1)",
     )
     p_sim.add_argument("--csv", default=None, help="CSV output path ('-' = stdout, default)")
     p_sim.add_argument("--summary", default=None, help="JSON summary path ('-' = stdout, default)")
@@ -270,7 +270,7 @@ def _merge_run_settings(args) -> dict:
         "p_step_db": _DEFAULT_GRID[2],
         "window_db": list(_DEFAULT_WINDOW),
         "slope_tolerance": _DEFAULT_SLOPE_TOL,
-        "threads": None,
+        "threads": 1,
         "csv_out": "-", "summary_out": "-",
     }
     if args.config:
@@ -380,9 +380,9 @@ def _validate_run(settings) -> _RunPlan:
         lo, hi = (float(edge) for edge in settings["window_db"] if not isinstance(edge, bool))
     except (TypeError, ValueError):
         raise _UsageError(f"window_db must hold two numbers, got {settings['window_db']!r}") from None
-    threads = settings["threads"]
-    if threads is not None:
-        threads = _setting(settings, "threads", int)
+    threads = _setting(settings, "threads", int)
+    if threads < 1:
+        raise _UsageError("threads must be at least 1")
     for key in ("csv_out", "summary_out"):
         if not isinstance(settings[key], str):
             raise _UsageError(f"{key} must be a path string, got {settings[key]!r}")
@@ -393,7 +393,6 @@ def _validate_run(settings) -> _RunPlan:
         sig = SignalParams.from_db(
             grid, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
         )
-        threads = _resolve_threads(threads)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.

@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AntennaConfig:
     """Antenna counts: transmitters m1, m2; receiver n; eavesdropper bound n_e."""
@@ -72,11 +78,8 @@ class AntennaConfig:
 
     def __post_init__(self):
         for name in ("m1", "m2", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.n_e, int) or self.n_e < 0:
-            raise ValueError(f"n_e must be a nonnegative integer, got {self.n_e!r}")
+            check_count(name, getattr(self, name))
+        check_count("n_e", self.n_e, 0)
 
     @property
     def m(self) -> int:

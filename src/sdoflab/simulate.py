@@ -19,7 +19,9 @@ stack holds at once stays within ``STACK_BYTES_MAX``: its trial count is
 set by what a build holds, and each block's length by what a grid point
 (for a time-varying eavesdropper, a channel use) holds next to the
 stack's draws and precoders.  Short grids, and the time-varying grids of
-small stacks, are one block.
+small stacks, are one block.  Memory alone sizes the stacks: a sweep that
+fits one stack runs in one, on one thread, whatever thread count it is
+given, since each further stack pays its own build and seed batches.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .channel import (
 )
 from .errors import InsufficientData, NumericalFailure, SdofLabError, located
 from .precoding import PrecoderSet, build_precoders
-from .sdof import AntennaConfig, JammingAllocation, allocate_jamming
+from .sdof import AntennaConfig, JammingAllocation, allocate_jamming, check_count
 
 __all__ = [
     "SweepResult",
@@ -237,23 +239,6 @@ def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> 
     return np.maximum(leak, 0.0)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        return threads
-    env = os.environ.get("SDOFLAB_THREADS", "")
-    if env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"SDOFLAB_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError("SDOFLAB_THREADS must be at least 1")
-        return value
-    return 1
-
-
 class _StackBytes(NamedTuple):
     """What one trial holds in a sweep stack, in bytes: at its build's peak, and per block of rates.
 
@@ -307,30 +292,38 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunks(trials: int, workers: int, trial_bytes: int) -> list[range]:
-    """Contiguous trial ranges, as few as keep each stack's build within STACK_BYTES_MAX.
-
-    There is at least one per worker and, while the trials last, the same
-    number for every worker.
-    """
-    per = max(1, (STACK_BYTES_MAX - _STACK_FIXED_BYTES) // trial_bytes)
-    count = min(trials, workers * -(-trials // (workers * per)))
-    bounds = [trials * i // count for i in range(count + 1)]
+def _ranges(items: int, count: int) -> list[range]:
+    """``range(items)`` split into ``count`` contiguous ranges, their lengths within one of each other."""
+    bounds = [items * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _chunks(trials: int, threads: int, trial_bytes: int) -> tuple[int, list[range]]:
+    """The worker count of a sweep and its contiguous trial ranges.
+
+    The stacks needed are as few as keep each build within
+    STACK_BYTES_MAX, and the workers no more than ``threads``,
+    ``usable_cpus()`` or those stacks.  Their count is rounded up to a
+    multiple of the workers, while the trials last, so that each gets as
+    many; a stack is never split just to feed a worker.
+    """
+    per = max(1, (STACK_BYTES_MAX - _STACK_FIXED_BYTES) // trial_bytes)
+    needed = -(-trials // per)
+    workers = min(threads, usable_cpus(), needed)
+    return workers, _ranges(trials, min(trials, workers * -(-needed // workers)))
+
+
 def _blocks(points: int, trials: int, held: tuple[int, int]) -> list[range]:
-    """Contiguous ranges of grid points, as long as keep a stack of ``trials`` within STACK_BYTES_MAX.
+    """Contiguous ranges of grid points, as few as keep a stack of ``trials`` within STACK_BYTES_MAX.
 
     ``held`` is what each trial holds through a block and per point of it
     (``_StackBytes``); each point also costs ``_SIGNAL_BYTES`` for its
-    power in the block's ``SignalParams``.  All blocks but the last have
-    the same length, at least 1.
+    power in the block's ``SignalParams``.  Each block holds at least 1.
     """
     base, per_point = held
     room = STACK_BYTES_MAX - _STACK_FIXED_BYTES - trials * base
     length = max(1, room // (trials * per_point + _SIGNAL_BYTES))
-    return [range(lo, min(lo + length, points)) for lo in range(0, points, length)]
+    return _ranges(points, -(-points // length))
 
 
 def sweep(
@@ -340,7 +333,7 @@ def sweep(
     trials: int,
     master_seed: int,
     mode: EveMode,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> SweepResult:
     """Monte Carlo rates over a power grid, one row per trial and column per point.
 
@@ -349,33 +342,33 @@ def sweep(
     one channel draw and precoder build, then rates at each grid point k on
     channel use k under eavesdropper model ``mode``.  The trials are split
     into as few contiguous chunks as keep each build within
-    ``STACK_BYTES_MAX``, at least one per worker thread.  Each chunk draws
+    ``STACK_BYTES_MAX``, run on up to ``threads`` worker threads: no more
+    than ``usable_cpus()`` or the chunks, and the chunk count rounded up to
+    a multiple of the workers so that each gets as many.  Each chunk draws
     its trials' channels in one ``sample_channels`` call, seeding all its
     addresses in one batch, and builds its precoder set in one stacked
     ``build_precoders`` call.  It then evaluates ``legit_rate`` and then
-    ``eve_leakage`` over contiguous blocks of grid points, each as long as
-    keeps the stack within ``STACK_BYTES_MAX``, one call over all its
-    trials per block, with one ``SignalParams`` of the block's levels; a
+    ``eve_leakage`` over as few contiguous blocks of grid points as keep
+    the stack within ``STACK_BYTES_MAX``, one call over all its trials per
+    block, with one ``SignalParams`` of the block's levels; a
     time-varying eavesdropper's uses of a block are drawn in one
     ``channel_uses`` call.  Each block writes its columns of the chunk's
-    rows of the result.  A trial's draws, set and rates do not depend on
-    its chunk or block, so the output, its rows in trial order, depends
-    only on the arguments, never on thread count (``threads=None`` reads
-    SDOFLAB_THREADS, defaulting to sequential; either way no more worker
-    threads start than ``usable_cpus()`` or ``trials``).  An
-    InfeasibleAllocation from any trial aborts the sweep: feasibility is
-    generic, so a failure indicates an allocation bug rather than bad
-    luck.  A failing build or rate evaluation raises its own error type,
-    its message naming the config, the trial and the master seed that
-    reproduce it.
+    rows of the result.  A trial's draws, set and rates do not depend on its
+    chunk or block, so the output, its rows in trial order, depends only on
+    the arguments, never on thread count.  ``trials`` and ``threads`` must
+    be integers of at least 1.  An InfeasibleAllocation from any trial
+    aborts the sweep: feasibility is generic, so a failure indicates an
+    allocation bug rather than bad luck.  A failing build or rate evaluation
+    raises its own error type, its message naming the config, the trial and
+    the master seed that reproduce it.
     """
     grid = np.array([float(p) for p in p_grid_db])  # returned with the rates: no working memory
     if len(grid) == 0:
         raise ValueError("p_grid_db must not be empty")
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("p_grid_db must be strictly increasing")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_count("trials", trials)
+    check_count("threads", threads)
     alpha, sigma2 = sig_template.alpha, sig_template.sigma2
     SignalParams.from_db(grid, alpha, sigma2)  # every power level is valid before any draw
 
@@ -406,8 +399,7 @@ def sweep(
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
 
-    workers = min(_resolve_threads(threads), trials, usable_cpus())
-    chunks = _chunks(trials, workers, held.build)
+    workers, chunks = _chunks(trials, threads, held.build)
     if workers == 1:
         for chunk in chunks:
             run_chunk(chunk)

@@ -21,11 +21,13 @@ those of a walk that stops there.  Nothing is kept past the call.
 
 The families are walked in forked worker processes, as many as the CPUs
 this process may run on (``simulate.usable_cpus``) and at most one per
-family, each task a contiguous run of families.  The parent takes the
-tasks' results in walk order, so the report does not depend on the
-number of workers.  A walk of one family (``check_config``), a process
-on one CPU or with another thread running, and a platform without the
-``fork`` start method stay in process, and no worker outlives the call.
+family.  Each task is a contiguous run of families, ``_TASKS_PER_WORKER``
+tasks per worker while the families last, their lengths within one of
+each other (``simulate._ranges``).  The parent takes the tasks' results
+in walk order, so the report does not depend on the number of workers.
+A walk of one family (``check_config``), a process on one CPU or with
+another thread running, and a platform without the ``fork`` start method
+stay in process, and no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ from .sdof import (
     _antenna_grid,
     _audit,
     allocate_jamming,
+    check_count,
     regime_table,
     sum_sdof,
 )
-from .simulate import estimate_dof, sweep, usable_cpus
+from .simulate import _ranges, estimate_dof, sweep, usable_cpus
 from .subspaces import ranks
 
 __all__ = ["CheckResult", "run_verification"]
@@ -292,9 +295,7 @@ def _adopt(*walk) -> None:
 
 def _tasks(families: int, workers: int) -> list[range]:
     """Contiguous runs of family indices, ``_TASKS_PER_WORKER`` per worker while the families last."""
-    count = min(families, _TASKS_PER_WORKER * workers)
-    bounds = [families * i // count for i in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return _ranges(families, min(families, _TASKS_PER_WORKER * workers))
 
 
 def _checked_task(task: range):
@@ -427,10 +428,8 @@ def run_verification(
     max_antennas: int = 5, seeds: int = 20, full: bool = False
 ) -> dict:
     """Run all verification suites and return a JSON-serializable report."""
-    if max_antennas < 1:
-        raise ValueError("max_antennas must be at least 1")
-    if seeds < 1:
-        raise ValueError("seeds must be at least 1")
+    check_count("max_antennas", max_antennas)
+    check_count("seeds", seeds)
     # One classification and one allocation per configuration serve the
     # theory checks, the audits and the precoder checks.  A case value that
     # disagrees with the closed form raises SdofLabError here.

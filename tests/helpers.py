@@ -10,6 +10,9 @@ import dataclasses
 
 import numpy as np
 
+from sdoflab import simulate
+from sdoflab.sdof import allocate_jamming
+
 
 def crandn(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian matrix."""
@@ -83,3 +86,13 @@ def member(stack, t: int):
             value = value[t]
         values[field.name] = value
     return type(stack)(**values)
+
+
+def bound_stacks(monkeypatch, config, trials: int, mode) -> None:
+    """Bound every stack of a sweep of ``config`` at ``trials`` trials.
+
+    A sweep then needs more stacks, and so may start more worker threads,
+    than its trials alone would.
+    """
+    build = simulate._stack_bytes(config, allocate_jamming(config), mode).build
+    monkeypatch.setattr(simulate, "STACK_BYTES_MAX", simulate._STACK_FIXED_BYTES + trials * build)

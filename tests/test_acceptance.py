@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import bound_stacks
 from sdoflab import (
     AntennaConfig,
     EveMode,
@@ -219,7 +220,7 @@ def test_criterion_7_zero_sdof_edge(tmp_path):
     assert ok, details
 
 
-def test_criterion_8_determinism(sweeps, tmp_path, uncapped_workers):
+def test_criterion_8_determinism(sweeps, tmp_path, monkeypatch, uncapped_workers):
     ok = True
     details = []
     for cfg in SLOPE_TARGETS:
@@ -228,12 +229,15 @@ def test_criterion_8_determinism(sweeps, tmp_path, uncapped_workers):
         rerun = render_csv(
             sweep(config, SignalParams(1.0), GRID_DB, TRIALS, MASTER_SEED, EveMode.TIME_VARYING)
         )
-        threaded = render_csv(
-            sweep(
-                config, SignalParams(1.0), GRID_DB, TRIALS, MASTER_SEED,
-                EveMode.TIME_VARYING, threads=4,
+        with monkeypatch.context() as patch:
+            # Four stacks of 30 trials, one per worker thread.
+            bound_stacks(patch, config, TRIALS // 4, EveMode.TIME_VARYING)
+            threaded = render_csv(
+                sweep(
+                    config, SignalParams(1.0), GRID_DB, TRIALS, MASTER_SEED,
+                    EveMode.TIME_VARYING, threads=4,
+                )
             )
-        )
         same = baseline.encode() == rerun.encode() == threaded.encode()
         ok &= same
         details.append(f"{cfg}: {'identical' if same else 'DIFFERS'}")

@@ -297,56 +297,52 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
 
 
 @pytest.mark.parametrize(
-    "argv, env, config",
+    "argv, config",
     [
-        (_SIM + ["--threads", "0"], None, None),
-        (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None, None),
-        (_SIM, "abc", None),
-        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "window_db": 5}),
-        (_SIM + ["--window-lo", "90"], None, None),
-        (_SIM + ["--seed", "-3"], None, None),
-        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": "many"}),
-        (["simulate"], None, {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
-        (_SIM + ["--config", "no-such-run.json"], None, None),
-        (_SIM + ["--tolerance", "-1"], None, None),
-        (["simulate"], None, {"m1": True, "m2": 1, "n": 1, "ne": 1}),
-        (_SIM, None, {"master_seed": False}),
-        (_SIM, None, {"window_db": [True, 100.0]}),
-        (_SIM, None, {"rank_rel_tol": 1e-6}),
+        (_SIM + ["--threads", "0"], None),
+        (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None),
+        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "window_db": 5}),
+        (_SIM + ["--window-lo", "90"], None),
+        (_SIM + ["--seed", "-3"], None),
+        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": "many"}),
+        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
+        (_SIM + ["--config", "no-such-run.json"], None),
+        (_SIM + ["--tolerance", "-1"], None),
+        (["simulate"], {"m1": True, "m2": 1, "n": 1, "ne": 1}),
+        (_SIM, {"master_seed": False}),
+        (_SIM, {"window_db": [True, 100.0]}),
+        (_SIM, {"rank_rel_tol": 1e-6}),
+        (_SIM, {"threads": 1.5}),
         (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
-                 "--window-hi", "3100"], None, None),
+                 "--window-hi", "3100"], None),
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--alpha", "0.9",
           "--sigma2", "0.5", "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
-          "--window-hi", "3080", "--trials", "1"], None, None),
+          "--window-hi", "3080", "--trials", "1"], None),
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
-          "--p-stop=1e308", "--trials", "1"], None, None),
-        (["simulate"], None, {"m1": 2, "m2": 2, "n": 3, "ne": 1, "p_start_db": -1e308,
-                              "p_stop_db": 1e308, "trials": 1}),
+          "--p-stop=1e308", "--trials", "1"], None),
+        (["simulate"], {"m1": 2, "m2": 2, "n": 3, "ne": 1, "p_start_db": -1e308,
+                        "p_stop_db": 1e308, "trials": 1}),
         # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
-        (_SIM + ["--p-step", "0.004"], None, None),
+        (_SIM + ["--p-step", "0.004"], None),
         # A step below the float spacing at 60 dB repeats grid points.
         (["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
           "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
-          "--window-lo", "60", "--window-hi", "61"], None, None),
+          "--window-lo", "60", "--window-hi", "61"], None),
     ],
-    ids=["threads-0", "design-seed-negative", "env-threads-abc", "window-not-a-pair",
+    ids=["threads-0", "design-seed-negative", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
-         "config-bool-seed", "config-bool-window", "config-rank-rel-tol",
+         "config-bool-seed", "config-bool-window", "config-rank-rel-tol", "config-threads-fractional",
          "power-overflow", "per-stream-overflow", "grid-span-overflow",
          "config-grid-span-overflow", "grid-over-point-cap", "grid-step-below-spacing"],
 )
-def test_bad_input_is_usage_error_before_sampling(argv, env, config, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_usage_error_before_sampling(argv, config, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started before the input was validated")
 
     monkeypatch.setattr(cli, "sample_channels", no_sampling)
     monkeypatch.setattr(cli, "sweep", no_sampling)
     monkeypatch.chdir(tmp_path)
-    if env is None:
-        monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SDOFLAB_THREADS", env)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))

@@ -271,6 +271,10 @@ class TestAntennaConfig:
             AntennaConfig(0, 1, 1, 0)
         with pytest.raises(ValueError):
             AntennaConfig(1, 1, 1, -1)
+        with pytest.raises(ValueError):
+            AntennaConfig(True, 1, 1, 0)
+        with pytest.raises(ValueError):
+            AntennaConfig(1, 1, 2.0, 0)
 
     def test_total(self):
         assert AntennaConfig(3, 4, 2, 0).m == 7

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import member, real2
+from helpers import bound_stacks, member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -295,9 +295,10 @@ class TestSweep:
         result = sweep(AntennaConfig(5, 1, 2, 5), SignalParams(1.0), [60.0, 80.0], 3, 4, mode)
         assert np.isfinite(result.legit).all() and np.isfinite(result.leakage).all()
 
-    def test_thread_count_does_not_change_results(self, uncapped_workers):
+    def test_thread_count_does_not_change_results(self, monkeypatch, uncapped_workers):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
+        bound_stacks(monkeypatch, args[0], 2, EveMode.STATIC)  # three stacks, three workers
         threaded = sweep(*args, threads=4)
         assert _result_bytes(sequential) == _result_bytes(threaded)
 
@@ -368,6 +369,36 @@ class TestSweep:
             sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 0, 0, EveMode.STATIC)
 
 
+@pytest.mark.parametrize(
+    "run, counts",
+    [
+        ("sweep", {"trials": 2.5}),
+        ("sweep", {"trials": True}),
+        ("sweep", {"threads": 1.5}),
+        ("sweep", {"threads": False}),
+        ("sweep", {"threads": 0}),
+        ("verify", {"seeds": 1.5}),
+        ("verify", {"seeds": True}),
+        ("verify", {"max_antennas": 2.5}),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_refused_before_any_draw(
+    run, counts, monkeypatch, uncapped_workers
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the counts were checked")
+
+    monkeypatch.setattr(simulate, "sample_channels", refuse)
+    monkeypatch.setattr(verify, "regime_table", refuse)
+    name = next(iter(counts))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        if run == "sweep":
+            sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0], master_seed=0,
+                  mode=EveMode.STATIC, **{"trials": 4, "threads": 2, **counts})
+        else:
+            verify.run_verification(**{"max_antennas": 2, "seeds": 1, **counts})
+
+
 class TestStackedSweep:
     """A trial's rates do not depend on the chunk its precoders were built in."""
 
@@ -377,12 +408,6 @@ class TestStackedSweep:
     def run(self, cfg, trials, mode, threads=1, grid=None):
         grid = self.grid if grid is None else grid
         return sweep(AntennaConfig(*cfg), SignalParams(1.0), grid, trials, 11, mode, threads=threads)
-
-    def bound_stacks(self, monkeypatch, cfg, trials, mode):
-        """Bound every stack of a sweep of ``cfg`` at ``trials`` trials."""
-        config = AntennaConfig(*cfg)
-        build = simulate._stack_bytes(config, allocate_jamming(config), mode).build
-        monkeypatch.setattr(simulate, "STACK_BYTES_MAX", simulate._STACK_FIXED_BYTES + trials * build)
 
     @pytest.fixture
     def stacks(self, monkeypatch):
@@ -403,28 +428,41 @@ class TestStackedSweep:
         self, cfg, mode, monkeypatch, uncapped_workers
     ):
         seven = self.run(cfg, 7, mode)
-        for threads in (2, 3):
-            assert _result_bytes(self.run(cfg, 7, mode, threads)) == _result_bytes(seven)
         for cap in (2, 1):  # chunks of two trials, then stacks of one
-            self.bound_stacks(monkeypatch, cfg, cap, mode)
-            assert _result_bytes(self.run(cfg, 7, mode)) == _result_bytes(seven)
+            bound_stacks(monkeypatch, AntennaConfig(*cfg), cap, mode)
+            for threads in (1, 2, 3):
+                assert _result_bytes(self.run(cfg, 7, mode, threads)) == _result_bytes(seven)
         first_three = SweepResult(seven.grid, seven.legit[:3], seven.leakage[:3])
         assert _result_bytes(self.run(cfg, 3, mode)) == _result_bytes(first_three)
 
     @pytest.mark.parametrize(
         "trials, threads, cap, builds",
-        [(7, 1, 64, 1), (7, 2, 64, 2), (7, 3, 64, 3), (7, 1, 3, 3), (2, 4, 64, 2), (7, 2, 3, 4)],
+        [(7, 1, 64, 1), (7, 2, 64, 1), (7, 3, 64, 1), (7, 1, 3, 3), (2, 4, 64, 1), (7, 2, 3, 4)],
     )
     def test_one_stacked_build_per_chunk(
         self, trials, threads, cap, builds, stacks, monkeypatch, uncapped_workers
     ):
-        # (7, 2, 3, 4): stacks of at most 3 trials, two per worker thread.
-        self.bound_stacks(monkeypatch, (2, 2, 3, 2), cap, EveMode.STATIC)
+        # (7, 2, 64, 1): trials that fit one stack are built in one, whatever
+        # the threads.  (7, 2, 3, 4): stacks of at most 3 trials, two per
+        # worker thread.
+        bound_stacks(monkeypatch, AntennaConfig(2, 2, 3, 2), cap, EveMode.STATIC)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
         assert sorted(t for stack in stacks for t in stack) == list(range(trials))
         assert all(stack == list(range(stack[0], stack[0] + len(stack))) for stack in stacks)
         assert max(map(len, stacks)) <= cap
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_sweep_that_fits_one_stack_starts_no_thread(
+        self, threads, stacks, monkeypatch, uncapped_workers
+    ):
+        # A second stack would pay its own build and seed batches.
+        def no_threads(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        self.run((2, 2, 3, 2), 7, EveMode.STATIC, threads)
+        assert stacks == [list(range(7))]
 
     def test_a_dense_time_varying_grid_builds_three_trials_in_one_stack(self, stacks):
         # A stack holds its build; the 1,000 channel uses come in blocks.
@@ -464,7 +502,7 @@ class TestStackedSweep:
         whole = self.run(cfg, 3, mode, grid=grid)
         assert blocks == [range(7)]  # one stack, one block
         one_use = [range(k, k + 1) for k in range(7)]
-        three_uses = [range(0, 3), range(3, 6), range(6, 7)]  # the last one partial
+        three_uses = [range(0, 2), range(2, 4), range(4, 7)]  # an even split
         for uses, per_stack in ((1, one_use), (3, three_uses)):
             blocks.clear()
             self.bound_blocks(monkeypatch, cfg, uses, mode)
@@ -555,7 +593,7 @@ class TestChunkDraws:
 class TestWorkerCap:
     """``sweep`` starts no more worker threads than the process may use CPUs."""
 
-    @pytest.mark.parametrize("cpus, workers", [(3, [3, 3]), (None, [])])
+    @pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
     def test_workers_are_capped_at_the_cpu_count(self, cpus, workers, monkeypatch):
         # 3: an affinity set of 3 of the host's 64 CPUs.  None: no affinity
         # call and an unknown CPU count, which ``usable_cpus`` reads as 1.
@@ -581,6 +619,7 @@ class TestWorkerCap:
 
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 80.0], 7, 4, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
+        bound_stacks(monkeypatch, args[0], 1, EveMode.STATIC)  # seven stacks
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         if cpus is None:
@@ -590,8 +629,6 @@ class TestWorkerCap:
             monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         assert _result_bytes(sweep(*args, threads=100_000)) == _result_bytes(sequential)
-        monkeypatch.setenv("SDOFLAB_THREADS", "100000")
-        assert _result_bytes(sweep(*args)) == _result_bytes(sequential)
         assert pools == workers
 
 
@@ -614,8 +651,10 @@ class TestFailureAddress:
         monkeypatch.setattr(simulate, "sample_channels", poisoned)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads, uncapped_workers):
+    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads, monkeypatch, uncapped_workers):
         config = AntennaConfig(2, 2, 3, 2)
+        if threads > 1:  # four stacks on two workers, trial 3 opening the last
+            bound_stacks(monkeypatch, config, 2, EveMode.STATIC)
         with pytest.raises(InvalidMatrix) as exc:
             sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.STATIC, threads=threads)
         message = str(exc.value)
@@ -695,6 +734,8 @@ class TestFailureAddress:
 
         monkeypatch.setattr(simulate, "channel_uses", poisoned)
         config = AntennaConfig(2, 2, 3, 2)
+        if threads > 1:  # four stacks on two workers, trial 3 opening the last
+            bound_stacks(monkeypatch, config, 2, EveMode.TIME_VARYING)
         with pytest.raises(InvalidMatrix) as exc:
             sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.TIME_VARYING, threads=threads)
         assert f"{config} trial 3 master seed 11:" in str(exc.value)
@@ -776,17 +817,3 @@ class TestSecrecyPositivity:
         margins = (result.legit - result.leakage).mean(axis=0)
         for p_db, margin in zip(result.grid, margins):
             assert margin > 0.0, (cfg, p_db)
-
-
-class TestThreadEnvironment:
-    def test_env_cap_does_not_change_results(self, monkeypatch, uncapped_workers):
-        args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 5, 21, EveMode.STATIC)
-        monkeypatch.delenv("SDOFLAB_THREADS", raising=False)
-        baseline = sweep(*args)
-        monkeypatch.setenv("SDOFLAB_THREADS", "3")
-        assert _result_bytes(sweep(*args)) == _result_bytes(baseline)
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("SDOFLAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            sweep(AntennaConfig(1, 1, 1, 1), SignalParams(1.0), [60.0], 1, 0, EveMode.STATIC)

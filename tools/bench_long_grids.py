@@ -89,7 +89,6 @@ def simulate_args(config, trials: int, step: float, out: Path) -> list[str]:
 def run_side(root: Path, args: list[str], runs: int) -> dict:
     """The times, their median and IQR and ``ru_maxrss`` of one side's process, or its exit code and error."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("SDOFLAB_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(args), str(runs)],
         cwd=root, env=env, capture_output=True, text=True,
