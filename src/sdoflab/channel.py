@@ -17,13 +17,13 @@ realized in a single channel use.  ``real_form`` is
 the one place a channel enters the library: it rejects non-finite
 entries and empty stacks.
 
-Every address seeds its own PCG64 generator from NumPy's ``SeedSequence``
-of the master seed and a spawn key (domain, trial[, use]).  A batch of at
-least ``SEED_HASH_MIN_KEYS`` addresses (a stack of trials in
-``sample_channels``, the uses of ``channel_uses``, the jamming streams of
-a stacked build) is hashed in one vectorised pass that reproduces
-``SeedSequence`` bit for bit, and each generator is seeded straight from
-its state words; a smaller batch builds one ``SeedSequence`` per address.
+Every address seeds its own PCG64 generator as NumPy's ``SeedSequence``
+of the master seed and a spawn key (domain, trial[, use]) would.  Each
+batch of addresses (a stack of trials in ``sample_channels``, the uses of
+``channel_uses``, the jamming streams of a stacked build) is hashed in one
+vectorised pass that reproduces ``SeedSequence`` bit for bit, and each
+generator is seeded straight from its state words; an empty batch hashes
+nothing.
 
 Every draw reads the leading standard normals of its streams, one
 generator per address filling a row with one ``standard_normal`` call
@@ -40,7 +40,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -63,14 +63,6 @@ __all__ = [
 _DOMAIN_LEGIT = 0
 _DOMAIN_EVE = 1
 _DOMAIN_JAMMING = 2
-
-# Fewest addresses one vectorised seed hash serves.  The hash costs about
-# 100 us per batch and then about 2 us per address, generator included; a
-# SeedSequence and the PCG64 seeded from it cost about 15 us.  At 8
-# addresses the two take the same time (timed on a 2 GHz Xeon vCPU).
-# Below this count each address gets its own SeedSequence, so single draws
-# (a ``design`` run, a one-seed ``verify`` config) keep their cost.
-SEED_HASH_MIN_KEYS = 8
 
 
 class EveMode(Enum):
@@ -201,8 +193,11 @@ def _seed_words(master_seed, keys) -> np.ndarray:
 
     ``master_seed`` is one seed or one per key; ``keys`` are nonempty spawn
     keys, of any lengths.  All keys are hashed together: a key shorter than
-    the longest stops mixing at its own last word.  Returns (K, 4) uint64.
+    the longest stops mixing at its own last word.  Returns (K, 4) uint64,
+    (0, 4) for no keys.
     """
+    if not keys:
+        return np.empty((0, _POOL_SIZE), np.uint64)
     entropy, sizes = _entropy(master_seed, keys)
     steps = _mix_schedule(len(entropy))
     pool = _hashmix(entropy[:_POOL_SIZE], *steps[0])
@@ -232,39 +227,18 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _seed_sequences(master_seeds, keys) -> list[ISeedSequence]:
-    """One seed sequence per (master seed, spawn key), each seeding PCG64 as ``SeedSequence`` does.
+def _normals(words, count: int, length: int) -> np.ndarray:
+    """The first ``length`` standard normals of the next ``count`` streams of ``words``: (count, length).
 
-    ``master_seeds`` holds one seed per key and ``keys`` one spawn key
-    tuple per address.  A batch of at least ``SEED_HASH_MIN_KEYS`` keys is
-    hashed in one pass into ``_StateWords``; a smaller one gets a
-    ``SeedSequence`` per key.  A sequence seeds any number of generators,
-    each drawing the same stream.
-    """
-    if len(keys) >= SEED_HASH_MIN_KEYS:
-        return [_StateWords(w) for w in _seed_words(master_seeds, keys)]
-    return [
-        np.random.SeedSequence(entropy=seed, spawn_key=key)
-        for seed, key in zip(master_seeds, keys)
-    ]
-
-
-def _seeded(seqs) -> Iterator[np.random.Generator]:
-    """A fresh PCG64 generator per seed sequence, made one at a time as the caller iterates."""
-    return (np.random.default_rng(seq) for seq in seqs)
-
-
-def _normals(seqs, count: int, length: int) -> np.ndarray:
-    """The first ``length`` standard normals of the next ``count`` seed sequences' streams: (count, length).
-
-    Each stream fills its own row with one ``standard_normal`` call.  Rows
-    without entries draw nothing, so no sequence is taken from ``seqs`` and
-    no generator is made.
+    ``words`` iterates over ``_seed_words`` rows.  Each row seeds a PCG64
+    generator that fills its own row of the result with one
+    ``standard_normal`` call.  Rows without entries draw nothing, so no
+    row is taken from ``words`` and no generator is made.
     """
     z = np.empty((count, length))
     if length:
-        for row, gen in zip(z, _seeded(seqs)):
-            gen.standard_normal(out=row)
+        for row, state in zip(z, words):
+            np.random.default_rng(_StateWords(state)).standard_normal(out=row)
     return z
 
 
@@ -393,8 +367,8 @@ class TrialNormals:
         )
         seeded = [keys for length, keys in domains if length]
         masters = [r.master_seed for r in rngs] * len(seeded)
-        seqs = iter(_seed_sequences(masters, list(itertools.chain.from_iterable(seeded))))
-        return cls(*(_normals(seqs, len(rngs), length) for length, _ in domains))
+        words = iter(_seed_words(masters, list(itertools.chain.from_iterable(seeded))))
+        return cls(*(_normals(words, len(rngs), length) for length, _ in domains))
 
     def channels(self, config: AntennaConfig) -> ChannelRealization:
         """The channel realization of ``config`` on these trials: ``sample_channels`` bit for bit."""
@@ -453,11 +427,11 @@ def channel_uses(
     # The odd addresses stay unused, so the pinned draws (DRAW_DIGEST in the
     # tests), and the Monte Carlo results that rest on them, keep their values.
     _, length = draw_lengths(config)
-    seqs = []  # an absent eavesdropper draws nothing and seeds nothing
+    words = ()  # an absent eavesdropper draws nothing and seeds nothing
     if length:
         keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], 2 * use) for r in trial_rngs for use in uses]
-        seqs = _seed_sequences([r.master_seed for r in trial_rngs for _ in uses], keys)
-    z = _normals(seqs, trials * len(uses), length)
+        words = _seed_words([r.master_seed for r in trial_rngs for _ in uses], keys)
+    z = _normals(words, trials * len(uses), length)
     drawn = _complex_gaussian_pairs(z, config.n_e, config.m1, config.m2)
     g1, g2 = (g.reshape(trials, len(uses), *g.shape[1:]) for g in drawn)
     return ChannelRealization(trial_ch.h1, trial_ch.h2, g1, g2)

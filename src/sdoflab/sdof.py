@@ -442,8 +442,7 @@ def regime_table(max_antennas: int) -> list[tuple[AntennaConfig, RegimeLabel, SD
     ``classify`` cross-checks every row's case value against the closed
     form, so building the table doubles as a consistency sweep.
     """
-    if max_antennas < 1:
-        raise ValueError("max_antennas must be at least 1")
+    check_count("max_antennas", max_antennas)
     return [(config, classify(config), sum_sdof(config)) for config in _antenna_grid(max_antennas)]
 
 

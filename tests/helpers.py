@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from sdoflab import simulate
+from sdoflab import channel, simulate
 from sdoflab.sdof import allocate_jamming
 
 
@@ -96,3 +96,20 @@ def bound_stacks(monkeypatch, config, trials: int, mode) -> None:
     """
     build = simulate._stack_bytes(config, allocate_jamming(config), mode).build
     monkeypatch.setattr(simulate, "STACK_BYTES_MAX", simulate._STACK_FIXED_BYTES + trials * build)
+
+
+def count_generators(monkeypatch) -> list:
+    """Record the state words of every generator the channel module seeds from now on.
+
+    Each stream's generator is seeded from its own ``_StateWords``, so the
+    returned list grows by one per generator made.
+    """
+    made = []
+
+    class Counting(channel._StateWords):
+        def __init__(self, words):
+            made.append(words)
+            super().__init__(words)
+
+    monkeypatch.setattr(channel, "_StateWords", Counting)
+    return made

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import crandn, elimination_rank, member, real2
+from helpers import count_generators, crandn, elimination_rank, member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -15,10 +15,8 @@ from sdoflab import (
 )
 from sdoflab import channel
 from sdoflab.channel import (
-    SEED_HASH_MIN_KEYS,
     TrialNormals,
     _normals,
-    _seed_sequences,
     _seed_words,
     _spawn_key,
     channel_uses,
@@ -44,8 +42,8 @@ def _use(config, trial_stack, rng, use, mode):
 
 def _stream(rng, domain, length):
     """The first ``length`` normals of ``rng``'s address in ``domain``, as the library's draws read them."""
-    seqs = _seed_sequences([rng.master_seed], [_spawn_key(domain, *rng.stream_id)])
-    return _normals(seqs, 1, length)[0]
+    words = _seed_words(rng.master_seed, [_spawn_key(domain, *rng.stream_id)])
+    return _normals(words, 1, length)[0]
 
 
 class TestRngStream:
@@ -91,15 +89,7 @@ class TestSampleChannels:
         # Generators made per trial by the draw, by 17 channel uses (use 0
         # draws the trial's eavesdropper again) and by the eavesdropper rows
         # of TrialNormals: with n_e = 0 only the legitimate draw seeds one.
-        made = []
-        real = channel._seeded
-
-        def counting(seqs):
-            for gen in real(seqs):
-                made.append(gen)
-                yield gen
-
-        monkeypatch.setattr(channel, "_seeded", counting)
+        made = count_generators(monkeypatch)
         config, mode = AntennaConfig(2, 2, 3, n_e), EveMode.TIME_VARYING
         rngs = [RngStream(5, (t, 0)) for t in range(12)]
         counts = [0]
@@ -290,7 +280,7 @@ class TestSeedWords:
     """The vectorised hash against NumPy's own SeedSequence."""
 
     masters = [0, 2**32 - 1, 2**32, 2**64 - 1, 12_345, 2**40 + 17, 9_876_543_210_123_456_789]
-    counts = [1, SEED_HASH_MIN_KEYS - 1, SEED_HASH_MIN_KEYS, 40]
+    counts = [1, 7, 8, 40]
 
     @pytest.mark.parametrize("master", masters)
     @pytest.mark.parametrize("count", counts)
@@ -315,7 +305,7 @@ class TestSeedWords:
     def test_streams_draw_as_seed_sequence_ones(self, count):
         keys = _keys(count, seed=99)
         masters = [(3 * i) << 33 for i in range(count)]
-        drawn = _normals(_seed_sequences(masters, keys), count, 6)
+        drawn = _normals(_seed_words(masters, keys), count, 6)
         for m, k, z in zip(masters, keys, drawn):
             oracle = np.random.default_rng(np.random.SeedSequence(entropy=m, spawn_key=k))
             assert np.array_equal(z, oracle.standard_normal(6))
@@ -325,7 +315,7 @@ class TestTrialNormals:
     """Each row is its address's stream alone, and a shorter row is a prefix of a longer one."""
 
     @pytest.mark.parametrize("mode", list(EveMode))
-    @pytest.mark.parametrize("count", [1, SEED_HASH_MIN_KEYS + 3])
+    @pytest.mark.parametrize("count", [1, 11])
     def test_rows_match_each_stream_alone(self, count, mode):
         # Domain keys: legitimate (0, trial), eavesdropper (1, trial) or
         # (1, trial, use) when time-varying, jamming (2, trial).
@@ -340,7 +330,7 @@ class TestTrialNormals:
                 assert np.array_equal(row, getattr(alone, name)[0]), name
                 assert np.array_equal(row, oracle.standard_normal(len(row))), name
 
-    @pytest.mark.parametrize("count", [1, SEED_HASH_MIN_KEYS + 3])
+    @pytest.mark.parametrize("count", [1, 11])
     def test_shorter_rows_are_prefixes_of_longer_ones(self, count):
         rngs = [RngStream(11, (t, 0)) for t in range(count)]
         short = TrialNormals.draw(rngs, EveMode.STATIC, 4, 1, 6)
@@ -350,18 +340,15 @@ class TestTrialNormals:
             assert np.array_equal(got, longer[:, : got.shape[1]]), name
 
     def test_an_empty_domain_seeds_nothing(self, monkeypatch):
-        made = []
-        real = channel._seeded
-
-        def counting(seqs):
-            for gen in real(seqs):
-                made.append(gen)
-                yield gen
-
-        monkeypatch.setattr(channel, "_seeded", counting)
-        rngs = [RngStream(3, (t, 0)) for t in range(SEED_HASH_MIN_KEYS + 1)]
+        made = count_generators(monkeypatch)
+        rngs = [RngStream(3, (t, 0)) for t in range(9)]
         normals = TrialNormals.draw(rngs, EveMode.STATIC, legit=4, jamming=2)
         assert len(made) == 2 * len(rngs) and normals.eve.shape == (len(rngs), 0)
+
+    def test_no_streams_seed_nothing(self, monkeypatch):
+        made = count_generators(monkeypatch)
+        normals = TrialNormals.draw([], EveMode.TIME_VARYING, 4, 3, 2)
+        assert made == [] and normals.legit.shape == (0, 4) and normals.jamming.shape == (0, 2)
 
     def test_a_draw_reads_the_prefix_it_needs(self):
         config = AntennaConfig(3, 2, 4, 2)
@@ -375,10 +362,10 @@ class TestTrialNormals:
 
 
 class TestStackedDraws:
-    """Stacked draws equal the per-address calls member by member, on both sides of the crossover."""
+    """Stacked draws equal the per-address calls member by member, for one trial and for a stack."""
 
     @pytest.mark.parametrize("mode", list(EveMode))
-    @pytest.mark.parametrize("trials", [1, 3, SEED_HASH_MIN_KEYS + 2])
+    @pytest.mark.parametrize("trials", [1, 3, 10])
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (3, 2, 4, 1), (2, 1, 2, 0)])
     def test_sample_channels(self, cfg, trials, mode):
         config = AntennaConfig(*cfg)
@@ -391,7 +378,7 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("offset", [1, 2])
-    @pytest.mark.parametrize("trials", [1, SEED_HASH_MIN_KEYS + 1])
+    @pytest.mark.parametrize("trials", [1, 9])
     def test_channel_uses(self, trials, offset, mode):
         # Offset 1 runs uses 0, 1 and 4, starting with the trial draw; offset
         # 2 runs uses 1, 2 and 5, all fresh draws.

@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import max_abs, real2
+from helpers import bound_stacks, max_abs, real2
 import sdoflab
-from sdoflab import cli
+from sdoflab import cli, simulate
 
 
 def run_cli(args):
@@ -169,12 +170,23 @@ SIMULATE_OUTPUTS_DIGEST = "bb7da0f799b34f2798e8de016c64d7b3fc9db525143c80546bd36
 SIMULATE_CONFIGS = ((2, 2, 3, 1), (3, 3, 4, 2))
 
 
-def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers):
+def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
+    # Stacks of at most 2 trials: 5 trials take 3 stacks, so every threads-2
+    # leg runs on a pool of 2 workers.
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
     digest = hashlib.sha256()
     csv_path, summary_path = tmp_path / "sweep.csv", tmp_path / "summary.json"
     for cfg, mode, threads in itertools.product(
         SIMULATE_CONFIGS, ("time_varying_eve", "static_eve"), ("1", "2")
     ):
+        bound_stacks(monkeypatch, sdoflab.AntennaConfig(*cfg), 2, sdoflab.EveMode(mode))
         assert run_cli(
             ["simulate", *_antenna_flags(*cfg), "--mode", mode, "--threads", threads,
              "--trials", "5", "--seed", "7", "--csv", str(csv_path), "--summary", str(summary_path)]
@@ -182,6 +194,7 @@ def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers):
         digest.update(csv_path.read_bytes())
         digest.update(summary_path.read_bytes())
     assert digest.hexdigest() == SIMULATE_OUTPUTS_DIGEST
+    assert pools == [2] * 4
 
 
 class TestSimulateCommand:

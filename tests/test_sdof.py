@@ -259,6 +259,11 @@ class TestRegimeTable:
         assert len(rows) == expected
         assert all(value.as_fraction <= config.n for config, _, value in rows)
 
+    @pytest.mark.parametrize("max_antennas", [0, -1, 2.5, True, "3"])
+    def test_the_cap_is_a_positive_integer(self, max_antennas):
+        with pytest.raises(ValueError, match="max_antennas must be an integer of at least 1"):
+            regime_table(max_antennas)
+
     def test_all_allocations_audit_clean_up_to_six(self):
         for config, _, _ in regime_table(6):
             report = audit_allocation(allocate_jamming(config), config)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import bound_stacks, member, real2
+from helpers import bound_stacks, count_generators, member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -574,9 +574,11 @@ class TestStackedSweep:
 
 
 class TestChunkDraws:
-    def test_time_varying_chunks_construct_no_seed_sequence_per_eavesdropper_draw(self, monkeypatch):
-        # A chunk of 16 trials seeds its trial, per-use and jamming draws in
-        # batches above the crossover: no SeedSequence per address.
+    def test_time_varying_chunks_construct_no_seed_sequence_per_eavesdropper_draw(self, monkeypatch, capsys):
+        # Every batch of addresses, one address or many, is hashed: neither
+        # a 16-trial chunk, its per-use draws and its jamming streams, nor a
+        # 1-trial draw, a 1-seed check or a ``design`` run builds a
+        # SeedSequence.
         spawn_keys = []
         real = np.random.SeedSequence
 
@@ -585,9 +587,13 @@ class TestChunkDraws:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        assert 16 >= channel.SEED_HASH_MIN_KEYS  # the smallest batch: 16 jamming streams
-        sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 16, 5, EveMode.TIME_VARYING)
-        assert [key for key in spawn_keys if key[:1] == (1,)] == []
+        config = AntennaConfig(2, 2, 3, 1)
+        sweep(config, SignalParams(1.0), [60.0, 70.0, 80.0], 16, 5, EveMode.TIME_VARYING)
+        sample_channels(config, [RngStream(5)], EveMode.TIME_VARYING)
+        verify.check_config(config, 1)
+        assert cli.main(["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert spawn_keys == []
 
 
 class TestWorkerCap:
@@ -686,10 +692,12 @@ class TestFailureAddress:
         with pytest.raises(InvalidMatrix, match=re.escape(f"{config} seed 2: stack member 2: h2")):
             verify.check_config(config, 4)
 
-    def test_check_config_rejects_an_empty_stack(self):
+    def test_check_config_rejects_an_empty_stack(self, monkeypatch):
+        made = count_generators(monkeypatch)
         config = AntennaConfig(2, 2, 3, 2)
         with pytest.raises(InvalidMatrix, match=re.escape(f"{config}: h1 is an empty stack")):
             verify.check_config(config, 0)
+        assert made == []  # no seeds: nothing is hashed or seeded
 
     def test_check_config_writes_one_line_per_failing_seed(self, monkeypatch):
         # The gates compare all seeds at once; each failing seed still gets

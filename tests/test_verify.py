@@ -23,6 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import count_generators
 from sdoflab import (
     AntennaConfig,
     EveMode,
@@ -35,7 +36,6 @@ from sdoflab import (
     sdof,
     verify,
 )
-from sdoflab import channel
 from sdoflab.channel import TrialNormals, draw_lengths
 from sdoflab.precoding import DrawFactors, audit_set
 
@@ -151,19 +151,13 @@ def test_nothing_outlives_a_call(monkeypatch):
     for name in ("build_precoders", "audit_set", "ranks", "allocate_jamming"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
     monkeypatch.setattr(TrialNormals, "channels", counting("channels", TrialNormals.channels))
-    real_seeded = channel._seeded
-
-    def seeded(seqs):
-        for gen in real_seeded(seqs):
-            counts["generators"] += 1
-            yield gen
-
-    monkeypatch.setattr(channel, "_seeded", seeded)
+    made = count_generators(monkeypatch)
     calls = []
     for _ in range(2):
         counts.clear()
+        made.clear()
         assert verify.run_verification(2, 2)["passed"]
-        calls.append(dict(counts))
+        calls.append(dict(counts, generators=len(made)))
     # Up to two antennas: 8 families, each drawing its channels once; 24
     # precoder configurations, each built and audited once, their ranks
     # decided in one call per distinct shape of rank matrix; 32
