@@ -83,11 +83,24 @@ class RngStream:
     stream_id: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit nonnegative integer")
+        if not _is_word(self.master_seed):
+            raise ValueError(
+                f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed!r}"
+            )
         trial, use = self.stream_id
-        if not (0 <= trial < 2**64 and 0 <= use < 2**64):
-            raise ValueError("stream_id components must be 64-bit nonnegative integers")
+        if not (_is_word(trial) and _is_word(use)):
+            raise ValueError(
+                f"stream_id components must be 64-bit nonnegative integers, got {self.stream_id!r}"
+            )
+
+
+def _is_word(value) -> bool:
+    """Whether ``value`` is an integer in [0, 2**64): a NumPy integer too, a bool or a float never.
+
+    The seed hash casts to uint64, so a fractional or boolean value would
+    silently seed the integer it truncates to.
+    """
+    return (type(value) is int or isinstance(value, np.integer)) and 0 <= value < 2**64
 
 
 def _spawn_key(domain: int, trial: int, use: int | None = None) -> tuple[int, ...]:
@@ -244,15 +257,16 @@ def _normals(words, count: int, length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignalParams:
-    """Total transmit power (linear), jamming power fraction and noise variance.
+    """Total transmit power (linear) and jamming power fraction, over unit noise.
 
-    ``p`` is one power or a 1-D array of them, one per point of a power
-    grid; every point shares ``alpha`` and ``sigma2``.
+    The noise is N(0, 1/2) per real dimension, unit power per complex
+    dimension, so ``p`` is the signal-to-noise ratio: one power or a 1-D
+    array of them, one per point of a power grid; every point shares
+    ``alpha``.
     """
 
     p: float | np.ndarray
     alpha: float = 0.5
-    sigma2: float = 1.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -262,11 +276,9 @@ class SignalParams:
             raise ValueError("p must be finite and nonnegative, one power or a 1-D grid of them")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
-            raise ValueError("sigma2 must be finite and positive")
 
     @classmethod
-    def from_db(cls, p_db, alpha: float = 0.5, sigma2: float = 1.0) -> "SignalParams":
+    def from_db(cls, p_db, alpha: float = 0.5) -> "SignalParams":
         """The signal at one power level in dB or, given a sequence of levels, at each of them.
 
         Each level converts as a Python float: ``np.power`` differs in the
@@ -277,7 +289,7 @@ class SignalParams:
             powers = [10.0 ** (level / 10.0) for level in levels.ravel().tolist()]
         except OverflowError:
             raise ValueError(f"power {np.nanmax(levels)} dB is past the float range") from None
-        return cls(np.reshape(powers, levels.shape) if levels.ndim else powers[0], alpha, sigma2)
+        return cls(np.reshape(powers, levels.shape) if levels.ndim else powers[0], alpha)
 
 
 @dataclass(frozen=True)

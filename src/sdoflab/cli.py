@@ -39,7 +39,6 @@ from .simulate import _stream_snrs, estimate_dof, sweep
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
-_DEFAULT_MODE = EveMode.TIME_VARYING.value
 _DEFAULT_GRID = (60.0, 100.0, 10.0)
 _DEFAULT_WINDOW = (60.0, 100.0)
 _DEFAULT_SLOPE_TOL = 0.15
@@ -97,9 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="build one precoder design and report it")
     _antenna_args(p_design)
     p_design.add_argument("--seed", type=int, default=0, help="master seed")
-    p_design.add_argument(
-        "--mode", choices=sorted(_MODES), default=_DEFAULT_MODE, help="eavesdropper model"
-    )
     p_design.add_argument("--out", default="-", help="output path for the JSON report ('-' = stdout)")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo power sweep")
@@ -109,9 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p_sim.add_argument("--mode", choices=sorted(_MODES), default=None)
     p_sim.add_argument("--alpha", type=float, default=None, help="jamming power fraction (default 0.5)")
-    p_sim.add_argument("--sigma2", type=float, default=None, help="noise variance (default 1.0)")
-    p_sim.add_argument("--p-start", type=float, default=None, help="grid start in dB (default 60)")
-    p_sim.add_argument("--p-stop", type=float, default=None, help="grid stop in dB (default 100)")
+    p_sim.add_argument("--p-start", type=float, default=None, help="grid start, SNR in dB (default 60)")
+    p_sim.add_argument("--p-stop", type=float, default=None, help="grid stop, SNR in dB (default 100)")
     p_sim.add_argument("--p-step", type=float, default=None, help="grid step in dB (default 10)")
     p_sim.add_argument("--window-lo", type=float, default=None, help="regression window low edge (dB)")
     p_sim.add_argument("--window-hi", type=float, default=None, help="regression window high edge (dB)")
@@ -201,24 +196,22 @@ def cmd_sdof(args) -> int:
 
 def cmd_design(args) -> int:
     config = _parse_config_arg(args)
-    mode = _MODES[args.mode]
     try:
         rngs = [RngStream(args.seed, (0, 0))]
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    # A stack of one trial: the report shows member 0 of every array.
-    ch = sample_channels(config, rngs, mode)
+    # A stack of one trial: the report shows member 0 of every array, and
+    # the eavesdropper of channel use 0, as a sweep's first use sees it.
+    ch = sample_channels(config, rngs, EveMode.TIME_VARYING)
     alloc = allocate_jamming(config)
     audit = audit_allocation(alloc, config)
     factors = DrawFactors(ch)
     pre = build_precoders(ch, alloc, rngs, _factors=factors)
-    # The eavesdropper of channel use 0 is the draw's in either mode.
     set_audit = audit_set(factors, pre, ch)
     u_rank, legit_rank, eve_rank = set_audit.ranks()[:, 0].tolist()
     doc = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
         "seed": args.seed,
-        "mode": mode.value,
         "sdof": str(sum_sdof(config)),
         "allocation": {
             "tx1": [[m.value, paper_units(c)] for m, c in alloc.tx1],
@@ -264,8 +257,8 @@ def cmd_design(args) -> int:
 def _merge_run_settings(args) -> dict:
     settings = {
         "m1": None, "m2": None, "n": None, "ne": None,
-        "trials": 30, "master_seed": 0, "mode": _DEFAULT_MODE,
-        "alpha": 0.5, "sigma2": 1.0,
+        "trials": 30, "master_seed": 0, "mode": EveMode.TIME_VARYING.value,
+        "alpha": 0.5,
         "p_start_db": _DEFAULT_GRID[0], "p_stop_db": _DEFAULT_GRID[1],
         "p_step_db": _DEFAULT_GRID[2],
         "window_db": list(_DEFAULT_WINDOW),
@@ -290,7 +283,7 @@ def _merge_run_settings(args) -> dict:
     overrides = {
         "m1": args.m1, "m2": args.m2, "n": args.n, "ne": args.ne,
         "trials": args.trials, "master_seed": args.seed, "mode": args.mode,
-        "alpha": args.alpha, "sigma2": args.sigma2,
+        "alpha": args.alpha,
         "p_start_db": args.p_start, "p_stop_db": args.p_stop, "p_step_db": args.p_step,
         "slope_tolerance": args.tolerance, "threads": args.threads,
         "csv_out": args.csv, "summary_out": args.summary,
@@ -390,9 +383,7 @@ def _validate_run(settings) -> _RunPlan:
         config = AntennaConfig(*counts)
         RngStream(seed)
         # Every grid point must be a float power ...
-        sig = SignalParams.from_db(
-            grid, _setting(settings, "alpha", float), _setting(settings, "sigma2", float)
-        )
+        sig = SignalParams.from_db(grid, _setting(settings, "alpha", float))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.

@@ -415,6 +415,27 @@ def audit_set(
 _build_with_report = build_precoders
 
 
+def check_pairing(ch: ChannelRealization, pre: PrecoderSet, eavesdropper: bool) -> None:
+    """Raise DimensionMismatch unless ``ch`` holds the trials of ``pre`` in the layout its reader needs.
+
+    The legitimate h1 and h2 are (trials, n, m) stacks, or with
+    ``eavesdropper`` the g1 and g2 of ``channel_uses`` are (trials, uses,
+    n_e, m) stacks, with as many trials as the set.  NumPy would otherwise
+    broadcast a stack of one trial over the set, or pair each trial's
+    eavesdropper with every trial's set.
+    """
+    names, ndim = (("g1", "g2"), 4) if eavesdropper else (("h1", "h2"), 3)
+    trials = len(pre.u)
+    for name in names:
+        shape = np.shape(getattr(ch, name))
+        if len(shape) != ndim or shape[0] != trials:
+            layout = "channel_uses" if eavesdropper else "sample_channels or channel_uses"
+            raise DimensionMismatch(
+                f"{name} of shape {shape} does not pair with a set of {trials} trials: "
+                f"pass the {layout} realization of the draw the set was built on"
+            )
+
+
 def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> np.ndarray:
     """Rank of the eavesdropper-received jamming matrix [g1 v1_j | g2 v2_j], per trial and use.
 
@@ -426,8 +447,10 @@ def leakage_rank(ch: ChannelRealization, pre: PrecoderSet) -> np.ndarray:
     stack of each eavesdropper channel (``channel_uses``).  Returns a
     (trials, uses) int array from one stacked rank decision.
     InvalidMatrix means ``ch.g1`` or ``ch.g2`` is not a finite stack; its
-    ``member`` names the trial.
+    ``member`` names the trial, and DimensionMismatch that ``ch`` is not
+    ``pre``'s (``check_pairing``).
     """
+    check_pairing(ch, pre, eavesdropper=True)
     if ch.g1.shape[-2] == 0:
         return np.zeros(ch.g1.shape[:-2], dtype=int)
     g1, g2 = real_form(ch.g1, "g1"), real_form(ch.g2, "g2")

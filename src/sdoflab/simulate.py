@@ -9,9 +9,10 @@ and one SVD per matrix gives its log-determinant at every grid point of a
 block: one stacked SVD for the legitimate rate and one for each side of the
 leakage ratio, over the trials and, when the eavesdropper varies per
 channel use, the block's uses.  Signals are real (``channel.real_form``)
-and noise is N(0, sigma2 / 2) per real dimension.  Rates are (trials, grid)
-arrays in bits per real dimension, half the mutual information per complex
-channel use, so their slope against 0.5 log2 P is the degrees of freedom.
+and noise is N(0, 1/2) per real dimension, so a power level is the SNR.
+Rates are (trials, grid) arrays in bits per real dimension, half the
+mutual information per complex channel use, so their slope against
+0.5 log2 P is the degrees of freedom.
 Trials are independent work items keyed by (master seed, trial index), and
 every draw and SVD is per matrix, so the sweep can run them in any chunks
 and blocks on any number of threads with bit-identical results.  What a
@@ -44,7 +45,7 @@ from .channel import (
     sample_channels,
 )
 from .errors import InsufficientData, NumericalFailure, SdofLabError, located
-from .precoding import PrecoderSet, build_precoders
+from .precoding import PrecoderSet, build_precoders, check_pairing
 from .sdof import AntennaConfig, JammingAllocation, allocate_jamming, check_count
 
 __all__ = [
@@ -174,7 +175,7 @@ def per_stream_powers(legit_cols: int, jam_cols: int, sig: SignalParams) -> tupl
 
 
 def _stream_snrs(legit_cols: int, jam_cols: int, sig: SignalParams) -> np.ndarray:
-    """Per-stream (legitimate, jamming) powers over the real noise variance sigma2 / 2, (2, grid).
+    """Per-stream (legitimate, jamming) powers over the real noise variance 1/2, (2, grid).
 
     These scale the unit-power log-determinants of the rates.  An
     overflowed value is ``inf``.
@@ -182,7 +183,7 @@ def _stream_snrs(legit_cols: int, jam_cols: int, sig: SignalParams) -> np.ndarra
     snrs = np.empty((2, np.size(sig.p)))
     with np.errstate(over="ignore"):  # an overflow is inf, as in floats
         snrs[0], snrs[1] = per_stream_powers(legit_cols, jam_cols, sig)
-        return snrs / (0.5 * sig.sigma2)
+        return snrs / 0.5
 
 
 def _snrs(pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
@@ -196,15 +197,17 @@ def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> n
 
     Returns a (trials, grid) array, one rate per trial of the stack and
     power level p_k of ``sig`` (a scalar ``sig.p`` is a grid of one):
-    0.25 * log2 det(I + (2 / sigma2) U H Q_k H^T U) with H the real form of
+    0.25 * log2 det(I + 2 U H Q_k H^T U) with H the real form of
     [h1 | h2] and Q_k the legitimate transmit covariance at p_k, which is
     half the mutual information per complex channel use, from one stacked
     SVD of the unit-power effective matrices.  ``ch`` holds the complex
     channels (``sample_channels`` or ``channel_uses``); InvalidMatrix means
     ``ch.h1`` or ``ch.h2`` is not a finite stack, and its ``member`` names
-    the trial.  Zero power, zero legitimate streams or a zero projector all
-    give exactly 0 bits.
+    the trial, and DimensionMismatch that ``ch`` is not ``pre``'s
+    (``check_pairing``).  Zero power, zero legitimate streams or a zero
+    projector all give exactly 0 bits.
     """
+    check_pairing(ch, pre, eavesdropper=False)
     p_legit, _ = _snrs(pre, sig)
     h1, h2 = real_form(ch.h1, "h1"), real_form(ch.h2, "h2")
     received = ((pre.u @ h1)[:, None], (pre.u @ h2)[:, None])
@@ -220,15 +223,18 @@ def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> 
     max(0, 0.25 * (log2 det(I + S_k) - log2 det(I + J_k))), with S_k and
     J_k the eavesdropper's received legitimate and jamming covariances at
     p_k, on the real forms of g1 and g2, over the real noise variance
-    sigma2 / 2.  The mutual information (halved, as for ``legit_rate``) is
+    1/2.  The mutual information (halved, as for ``legit_rate``) is
     0.25 * (log2 det(I + S + J) - log2 det(I + J)), which is at least this
     value; making the two agree is an open item of ROADMAP.md.  ``ch``
     holds the eavesdropper channels over the grid (``channel_uses``): a
     static eavesdropper's use axis of length 1 is held over the grid, a
     time-varying one has an entry per grid point.  InvalidMatrix means
     ``ch.g1`` or ``ch.g2`` is not a finite stack, and its ``member`` names
-    the trial.  One stacked SVD per side serves every trial and grid point.
+    the trial, and DimensionMismatch that ``ch`` is not ``pre``'s
+    (``check_pairing``).  One stacked SVD per side serves every trial and
+    grid point.
     """
+    check_pairing(ch, pre, eavesdropper=True)
     p_legit, p_jam = _snrs(pre, sig)
     if ch.g1.shape[-2] == 0:
         return np.zeros((len(ch.g1), len(p_legit)))
@@ -337,10 +343,10 @@ def sweep(
 ) -> SweepResult:
     """Monte Carlo rates over a power grid, one row per trial and column per point.
 
-    Only ``alpha`` and ``sigma2`` of ``sig_template`` are read: the power
-    levels are those of ``p_grid_db``, which must all be valid.  Per trial:
-    one channel draw and precoder build, then rates at each grid point k on
-    channel use k under eavesdropper model ``mode``.  The trials are split
+    Only ``alpha`` of ``sig_template`` is read: the power levels are those
+    of ``p_grid_db``, which must all be valid.  Per trial: one channel draw
+    and precoder build, then rates at each grid point k on channel use k
+    under eavesdropper model ``mode``.  The trials are split
     into as few contiguous chunks as keep each build within
     ``STACK_BYTES_MAX``, run on up to ``threads`` worker threads: no more
     than ``usable_cpus()`` or the chunks, and the chunk count rounded up to
@@ -356,7 +362,8 @@ def sweep(
     rows of the result.  A trial's draws, set and rates do not depend on its
     chunk or block, so the output, its rows in trial order, depends only on
     the arguments, never on thread count.  ``trials`` and ``threads`` must
-    be integers of at least 1.  An InfeasibleAllocation from any trial
+    be integers of at least 1, and ``master_seed`` one of at least 0, all
+    checked before any draw.  An InfeasibleAllocation from any trial
     aborts the sweep: feasibility is generic, so a failure indicates an
     allocation bug rather than bad luck.  A failing build or rate evaluation
     raises its own error type, its message naming the config, the trial and
@@ -369,14 +376,15 @@ def sweep(
         raise ValueError("p_grid_db must be strictly increasing")
     check_count("trials", trials)
     check_count("threads", threads)
-    alpha, sigma2 = sig_template.alpha, sig_template.sigma2
-    SignalParams.from_db(grid, alpha, sigma2)  # every power level is valid before any draw
+    check_count("master_seed", master_seed, 0)
+    alpha = sig_template.alpha
+    SignalParams.from_db(grid, alpha)  # every power level is valid before any draw
 
     alloc = allocate_jamming(config)
     held = _stack_bytes(config, alloc, mode)
 
     def signal(points: range) -> SignalParams:
-        return SignalParams.from_db(grid[points.start : points.stop], alpha, sigma2)
+        return SignalParams.from_db(grid[points.start : points.stop], alpha)
 
     legit = np.empty((trials, len(grid)))
     leakage = np.empty((trials, len(grid)))

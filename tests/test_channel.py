@@ -52,6 +52,16 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(3, (-1, 0))
+        # The seed hash casts to uint64: a float or a bool would silently
+        # seed the integer it truncates to.
+        for seed, stream_id in ((2.5, (0, 0)), (True, (0, 0)), (np.True_, (0, 0)),
+                                (3, (1.5, 0)), (3, (0, 2.0)), (3, (False, 0))):
+            with pytest.raises(ValueError, match="64-bit nonnegative integer"):
+                RngStream(seed, stream_id)
+        # NumPy integers are integers.
+        assert _stream(RngStream(np.uint64(3), (np.int64(1), 0)), 0, 8).tobytes() == (
+            _stream(RngStream(3, (1, 0)), 0, 8).tobytes()
+        )
 
     def test_same_address_same_draws(self):
         a = _stream(RngStream(42, (5, 3)), 0, 8)
@@ -138,8 +148,6 @@ class TestSignalParams:
             SignalParams(-1.0)
         with pytest.raises(ValueError):
             SignalParams(1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            SignalParams(1.0, sigma2=0.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             SignalParams([1.0, -1.0, 2.0])  # every grid point is checked
         with pytest.raises(ValueError, match="1-D grid"):
@@ -151,8 +159,8 @@ class TestSignalParams:
             SignalParams.from_db([60.0, 3090.0])
         # A grid's powers are byte for byte those of one level at a time.
         grid = [60.0 + 2.5 * i for i in range(17)]
-        sig = SignalParams.from_db(grid, alpha=0.3, sigma2=0.7)
-        assert (sig.alpha, sig.sigma2) == (0.3, 0.7)
+        sig = SignalParams.from_db(grid, alpha=0.3)
+        assert sig.alpha == 0.3
         assert sig.p.dtype == np.float64 and sig.p.shape == (17,)
         assert sig.p.tobytes() == np.array([SignalParams.from_db(p).p for p in grid]).tobytes()
 

@@ -325,12 +325,14 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (_SIM, {"master_seed": False}),
         (_SIM, {"window_db": [True, 100.0]}),
         (_SIM, {"rank_rel_tol": 1e-6}),
+        (_SIM, {"sigma2": 1.0}),
         (_SIM, {"threads": 1.5}),
         (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
                  "--window-hi", "3100"], None),
-        (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--alpha", "0.9",
-          "--sigma2", "0.5", "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060",
-          "--window-hi", "3080", "--trials", "1"], None),
+        # p is finite at 3080 dB, but the one legitimate real stream of
+        # (1, 1, 1, 1) has SNR 0.9 p / (1/2) at alpha = 0.1, past the float range.
+        (_SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
+                 "--window-lo", "3060", "--window-hi", "3080"], None),
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
           "--p-stop=1e308", "--trials", "1"], None),
         (["simulate"], {"m1": 2, "m2": 2, "n": 3, "ne": 1, "p_start_db": -1e308,
@@ -345,7 +347,8 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
     ids=["threads-0", "design-seed-negative", "window-not-a-pair",
          "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
          "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
-         "config-bool-seed", "config-bool-window", "config-rank-rel-tol", "config-threads-fractional",
+         "config-bool-seed", "config-bool-window", "config-rank-rel-tol", "config-sigma2",
+         "config-threads-fractional",
          "power-overflow", "per-stream-overflow", "grid-span-overflow",
          "config-grid-span-overflow", "grid-over-point-cap", "grid-step-below-spacing"],
 )

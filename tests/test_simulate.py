@@ -13,6 +13,7 @@ from helpers import bound_stacks, count_generators, member, real2
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
+    DimensionMismatch,
     EveMode,
     InsufficientData,
     InvalidMatrix,
@@ -24,6 +25,7 @@ from sdoflab import (
     build_precoders,
     estimate_dof,
     eve_leakage,
+    leakage_rank,
     legit_rate,
     sample_channels,
     sum_sdof,
@@ -132,12 +134,12 @@ class TestRateUnit:
     """On real forms of complex precoders the rates are half the complex mutual information.
 
     The oracle works on the complex matrices in mpmath: 0.5 * log2 det(I +
-    p E E^H / sigma2) with p the power of one complex stream, which is two
-    real streams' worth.
+    p E E^H) with p the power of one complex stream, which is two real
+    streams' worth, over unit complex noise.
     """
 
     config = AntennaConfig(3, 2, 3, 2)
-    sig = SignalParams.from_db((0.0, 20.0, 60.0), alpha=0.3, sigma2=0.7)
+    sig = SignalParams.from_db((0.0, 20.0, 60.0), alpha=0.3)
 
     def draw(self, seed):
         gen = np.random.default_rng(seed)
@@ -152,7 +154,7 @@ class TestRateUnit:
         sig = self.sig
         for p_k, value in zip(sig.p, legit_rate(ch, pre, sig)[0]):
             p = (1 - sig.alpha) * p_k / e.shape[1]
-            assert abs(value - _complex_half_logdet(e, p / sig.sigma2)) <= 1e-12
+            assert abs(value - _complex_half_logdet(e, p)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_eve_leakage(self, seed):
@@ -162,8 +164,8 @@ class TestRateUnit:
         j = np.hstack([trial.g1 @ v1_j, trial.g2 @ v2_j])
         sig = self.sig
         for p_k, value in zip(sig.p, eve_leakage(seen, pre, sig)[0]):
-            p_s = (1 - sig.alpha) * p_k / s.shape[1] / sig.sigma2
-            p_j = sig.alpha * p_k / j.shape[1] / sig.sigma2
+            p_s = (1 - sig.alpha) * p_k / s.shape[1]
+            p_j = sig.alpha * p_k / j.shape[1]
             expected = max(0.0, _complex_half_logdet(s, p_s) - _complex_half_logdet(j, p_j))
             assert abs(value - expected) <= 1e-12
 
@@ -207,16 +209,16 @@ class TestLegitRate:
     def test_matches_slogdet_oracle(self, cfg):
         # E = [U H1 V1l | U H2 V2l] built here from the trial draw with
         # np.block real forms, not the library's; the (2, 2, 3, 1) set has
-        # a half-integer allocation.  Real noise has variance sigma2 / 2.
+        # a half-integer allocation.  Real noise has variance 1/2.
         config, ch, stack = _build(cfg, seed=4)
         pre = member(stack, 0)
         trial = member(sample_channels(config, [RngStream(4)], EveMode.TIME_VARYING), 0)
         h1, h2 = real2(trial.h1), real2(trial.h2)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
-        sig = SignalParams.from_db((20.0, 30.0, 40.0), alpha=0.4, sigma2=2.0)
+        sig = SignalParams.from_db((20.0, 30.0, 40.0), alpha=0.4)
         p_legit, _ = per_stream_powers(*_columns(pre), sig)
         for p_k, value in zip(p_legit, legit_rate(ch, stack, sig)[0]):
-            gram = np.eye(e.shape[0]) + (2.0 * p_k / sig.sigma2) * e @ e.T
+            gram = np.eye(e.shape[0]) + (2.0 * p_k) * e @ e.T
             sign, logdet = np.linalg.slogdet(gram)
             assert sign > 0
             expected = 0.25 * logdet / np.log(2.0)
@@ -255,15 +257,54 @@ class TestEveLeakage:
             assert _at(eve_leakage, seen, pre, sig) == _at(eve_leakage, held, pre, sig)
 
     def test_overflowed_power_is_an_error(self):
-        # The jamming SNR 0.9 p / 2 real streams / (sigma2 / 2) overflows to
-        # inf at sigma2 = 0.5; that must fail, not clamp a NaN leakage to 0.
-        config, ch, pre = _build((2, 2, 3, 1))
+        # At unit noise a jamming SNR is at most alpha p, as every allocation
+        # sends at least 2 real jamming streams, but (1, 1, 1, 1) sends one
+        # legitimate real stream: its SNR 0.9 p / (1/2) overflows to inf at
+        # alpha = 0.1.  That must fail, not clamp a NaN leakage to 0.
+        config, ch, pre = _build((1, 1, 1, 1))
         with pytest.raises(NumericalFailure):
-            _at(eve_leakage, ch, pre, SignalParams(1.7e308, alpha=0.9, sigma2=0.5))
+            _at(eve_leakage, ch, pre, SignalParams.from_db(3080.0, alpha=0.1))
 
     def test_clamped_at_zero(self):
         _, ch, pre = _build((1, 1, 1, 1))
         assert _at(eve_leakage, ch, pre, SignalParams.from_db(80.0)) >= 0.0
+
+
+class TestPairing:
+    """The rate and rank functions refuse channels that are not their precoder set's trials and uses."""
+
+    config = AntennaConfig(2, 2, 3, 1)
+    mode = EveMode.TIME_VARYING
+
+    def draw(self, trials):
+        rngs = [RngStream(3, (t, 0)) for t in range(trials)]
+        return rngs, sample_channels(self.config, rngs, self.mode)
+
+    def call(self, function, ch, pre, points):
+        if function is leakage_rank:
+            return function(ch, pre)
+        return function(ch, pre, SignalParams.from_db(60.0 + 10.0 * np.arange(points)))
+
+    @pytest.mark.parametrize("points", [2, 3])
+    @pytest.mark.parametrize("function", [eve_leakage, leakage_rank])
+    def test_a_draw_has_no_use_axis(self, function, points):
+        # Broadcast, the draw's (3, n_e, m) eavesdropper would pair trial
+        # i's eavesdropper with trial j's set.
+        rngs, ch = self.draw(3)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        with pytest.raises(DimensionMismatch, match="channel_uses"):
+            self.call(function, ch, pre, points)
+        seen = channel_uses(self.config, ch, rngs, range(points), self.mode)
+        assert self.call(function, seen, pre, points).shape == (3, points)
+
+    @pytest.mark.parametrize("function", [legit_rate, eve_leakage, leakage_rank])
+    def test_one_trial_does_not_pair_with_three(self, function):
+        rngs, ch = self.draw(3)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        one_rngs, one = self.draw(1)
+        seen = channel_uses(self.config, one, one_rngs, range(3), self.mode)
+        with pytest.raises(DimensionMismatch, match="channel_uses"):
+            self.call(function, seen, pre, 3)
 
 
 class TestSweep:
@@ -380,6 +421,9 @@ class TestSweep:
         ("verify", {"seeds": 1.5}),
         ("verify", {"seeds": True}),
         ("verify", {"max_antennas": 2.5}),
+        ("sweep", {"master_seed": 2.5}),
+        ("sweep", {"master_seed": True}),
+        ("sweep", {"master_seed": -1}),
     ],
 )
 def test_a_count_that_is_not_an_integer_is_refused_before_any_draw(
@@ -393,8 +437,8 @@ def test_a_count_that_is_not_an_integer_is_refused_before_any_draw(
     name = next(iter(counts))
     with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
         if run == "sweep":
-            sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0], master_seed=0,
-                  mode=EveMode.STATIC, **{"trials": 4, "threads": 2, **counts})
+            sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0], mode=EveMode.STATIC,
+                  **{"trials": 4, "threads": 2, "master_seed": 0, **counts})
         else:
             verify.run_verification(**{"max_antennas": 2, "seeds": 1, **counts})
 
@@ -750,12 +794,13 @@ class TestFailureAddress:
         assert "g1 contains non-finite entries" in str(exc.value)
 
     def test_rate_failure_names_trial_and_seed(self):
-        # At 3080 dB the jamming SNR 0.9 p / 2 real streams / (sigma2 / 2)
-        # overflows at sigma2 = 0.5, for every trial: the first is named.
-        config = AntennaConfig(2, 2, 3, 1)
-        sig = SignalParams(1.0, alpha=0.9, sigma2=0.5)
-        with pytest.raises(NumericalFailure, match=re.escape(f"{config} trial 0 master seed 5:")):
-            sweep(config, sig, [3079.0, 3080.0], 2, 5, EveMode.STATIC)
+        # At 3080 dB the one legitimate real stream of (1, 1, 1, 1) has SNR
+        # 0.9 p / (1/2), which overflows at alpha = 0.1 for every trial: the
+        # first is named.
+        config = AntennaConfig(1, 1, 1, 1)
+        sig = SignalParams(1.0, alpha=0.1)
+        with pytest.raises(NumericalFailure, match=re.escape(f"{config} trial 0 master seed 7:")):
+            sweep(config, sig, [3079.0, 3080.0], 2, 7, EveMode.STATIC)
 
 
 def _one_trial(grid, legit, leakage):
