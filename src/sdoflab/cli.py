@@ -39,9 +39,6 @@ from .simulate import _stream_snrs, estimate_dof, sweep
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
-_DEFAULT_GRID = (60.0, 100.0, 10.0)
-_DEFAULT_WINDOW = (60.0, 100.0)
-_DEFAULT_SLOPE_TOL = 0.15
 # Most points a power grid may have, far above any useful sweep.
 _GRID_POINTS_MAX = 10_000
 
@@ -73,11 +70,11 @@ def decode_matrix(doc: dict) -> np.ndarray:
     return out.reshape(doc["rows"], doc["cols"])
 
 
-def _antenna_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--m1", type=int, required=required, help="transmitter 1 antennas")
-    parser.add_argument("--m2", type=int, required=required, help="transmitter 2 antennas")
-    parser.add_argument("--n", type=int, required=required, help="receiver antennas")
-    parser.add_argument("--ne", type=int, required=required, help="eavesdropper antenna bound")
+def _antenna_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m1", type=int, required=True, help="transmitter 1 antennas")
+    parser.add_argument("--m2", type=int, required=True, help="transmitter 2 antennas")
+    parser.add_argument("--n", type=int, required=True, help="receiver antennas")
+    parser.add_argument("--ne", type=int, required=True, help="eavesdropper antenna bound")
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,27 +96,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--out", default="-", help="output path for the JSON report ('-' = stdout)")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo power sweep")
-    _antenna_args(p_sim, required=False)
-    p_sim.add_argument("--config", help="JSON run configuration (flags override its values)")
-    p_sim.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (default 30)")
-    p_sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p_sim.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p_sim.add_argument("--alpha", type=float, default=None, help="jamming power fraction (default 0.5)")
-    p_sim.add_argument("--p-start", type=float, default=None, help="grid start, SNR in dB (default 60)")
-    p_sim.add_argument("--p-stop", type=float, default=None, help="grid stop, SNR in dB (default 100)")
-    p_sim.add_argument("--p-step", type=float, default=None, help="grid step in dB (default 10)")
-    p_sim.add_argument("--window-lo", type=float, default=None, help="regression window low edge (dB)")
-    p_sim.add_argument("--window-hi", type=float, default=None, help="regression window high edge (dB)")
+    _antenna_args(p_sim)
+    p_sim.add_argument("--trials", type=int, default=30, help="Monte Carlo trials (default %(default)s)")
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     p_sim.add_argument(
-        "--tolerance", type=float, default=None,
-        help=f"slope pass tolerance in DoF (default {_DEFAULT_SLOPE_TOL})",
+        "--mode", choices=sorted(_MODES), default=EveMode.TIME_VARYING.value,
+        help="eavesdropper model (default %(default)s)",
+    )
+    p_sim.add_argument("--alpha", type=float, default=0.5, help="jamming power fraction (default %(default)s)")
+    p_sim.add_argument("--p-start", type=float, default=60.0, help="grid start, SNR in dB (default %(default)s)")
+    p_sim.add_argument("--p-stop", type=float, default=100.0, help="grid stop, SNR in dB (default %(default)s)")
+    p_sim.add_argument("--p-step", type=float, default=10.0, help="grid step in dB (default %(default)s)")
+    p_sim.add_argument(
+        "--window-lo", type=float, default=60.0, help="regression window low edge in dB (default %(default)s)"
     )
     p_sim.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads, at most the CPUs this process may use and one per stack of trials (default 1)",
+        "--window-hi", type=float, default=100.0, help="regression window high edge in dB (default %(default)s)"
     )
-    p_sim.add_argument("--csv", default=None, help="CSV output path ('-' = stdout, default)")
-    p_sim.add_argument("--summary", default=None, help="JSON summary path ('-' = stdout, default)")
+    p_sim.add_argument(
+        "--tolerance", type=float, default=0.15, help="slope pass tolerance in DoF (default %(default)s)"
+    )
+    p_sim.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads, at most the CPUs this process may use and one per stack of trials "
+        "(default %(default)s)",
+    )
+    p_sim.add_argument("--csv", default="-", help="CSV output path, '-' for stdout (default %(default)s)")
+    p_sim.add_argument("--summary", default="-", help="JSON summary path, '-' for stdout (default %(default)s)")
 
     p_verify = sub.add_parser(
         "verify",
@@ -254,105 +257,30 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _merge_run_settings(args) -> dict:
-    settings = {
-        "m1": None, "m2": None, "n": None, "ne": None,
-        "trials": 30, "master_seed": 0, "mode": EveMode.TIME_VARYING.value,
-        "alpha": 0.5,
-        "p_start_db": _DEFAULT_GRID[0], "p_stop_db": _DEFAULT_GRID[1],
-        "p_step_db": _DEFAULT_GRID[2],
-        "window_db": list(_DEFAULT_WINDOW),
-        "slope_tolerance": _DEFAULT_SLOPE_TOL,
-        "threads": 1,
-        "csv_out": "-", "summary_out": "-",
-    }
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise _UsageError(f"cannot read run config: {exc}") from exc
-        except ValueError as exc:
-            raise _UsageError(f"run config is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise _UsageError("run config must be a JSON object")
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise _UsageError(f"unknown run-config keys: {sorted(unknown)}")
-        settings.update(loaded)
-    overrides = {
-        "m1": args.m1, "m2": args.m2, "n": args.n, "ne": args.ne,
-        "trials": args.trials, "master_seed": args.seed, "mode": args.mode,
-        "alpha": args.alpha,
-        "p_start_db": args.p_start, "p_stop_db": args.p_stop, "p_step_db": args.p_step,
-        "slope_tolerance": args.tolerance, "threads": args.threads,
-        "csv_out": args.csv, "summary_out": args.summary,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    window = settings["window_db"]
-    if not isinstance(window, list) or len(window) != 2:
-        raise _UsageError(f"window_db must be a [low, high] pair in dB, got {window!r}")
-    settings["window_db"] = [
-        window[0] if args.window_lo is None else args.window_lo,
-        window[1] if args.window_hi is None else args.window_hi,
-    ]
-    return settings
-
-
-def _setting(settings, key, kind):
-    """settings[key] converted by ``kind`` (int or float), or a usage error.
-
-    A JSON ``true``/``false`` is not a number, a fractional value is
-    rejected as an integer rather than truncated, and a float must be finite.
-    """
-    value = settings[key]
-    try:
-        converted = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        converted = None
-    if kind is int and isinstance(value, float) and converted != value:
-        converted = None
-    if kind is float and converted is not None and not math.isfinite(converted):
-        converted = None
-    if converted is None:
-        noun = "an integer" if kind is int else "a finite number"
-        raise _UsageError(f"{key} must be {noun}, got {value!r}")
-    return converted
+def _finite(value: float, flag: str) -> float:
+    """``value`` of the float ``flag``, or a usage error unless it is finite."""
+    if not math.isfinite(value):
+        raise _UsageError(f"{flag} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class _RunPlan:
-    """A fully validated simulate run."""
+    """What a simulate run derives from its validated flags."""
 
     config: AntennaConfig
-    trials: int
-    seed: int
-    mode: EveMode
     grid: list
     sig: SignalParams
     window: tuple
-    threads: int
-    slope_tolerance: float
 
 
-def _validate_run(settings) -> _RunPlan:
+def _validate_run(args) -> _RunPlan:
     """Check every run setting before any sampling; the first bad one is a usage error."""
-    for key in ("m1", "m2", "n", "ne"):
-        if settings[key] is None:
-            raise _UsageError(f"missing antenna count '{key}' (flag or run config)")
-    counts = [_setting(settings, key, int) for key in ("m1", "m2", "n", "ne")]
-    trials = _setting(settings, "trials", int)
-    if trials < 1:
+    if args.trials < 1:
         raise _UsageError("trials must be at least 1")
-    seed = _setting(settings, "master_seed", int)
-    mode = settings["mode"]
-    if not isinstance(mode, str) or mode not in _MODES:
-        raise _UsageError(f"mode must be one of {sorted(_MODES)}")
-    start, stop, step = (
-        _setting(settings, key, float) for key in ("p_start_db", "p_stop_db", "p_step_db")
-    )
+    start = _finite(args.p_start, "--p-start")
+    stop = _finite(args.p_stop, "--p-stop")
+    step = _finite(args.p_step, "--p-step")
     if step <= 0 or stop < start:
         raise _UsageError("power grid requires p_start_db <= p_stop_db and p_step_db > 0")
     # Counted before the list is built; a span past the float range counts inf.
@@ -365,25 +293,16 @@ def _validate_run(settings) -> _RunPlan:
     grid = [start + i * step for i in range(int(points))]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise _UsageError(f"power grid step of {step} dB is below the float spacing at {start} dB")
-    slope_tolerance = _setting(settings, "slope_tolerance", float)
-    if slope_tolerance < 0:
-        raise _UsageError(f"slope_tolerance must be nonnegative, got {slope_tolerance!r}")
-    try:
-        # A JSON true/false edge is dropped, so the pair fails to unpack.
-        lo, hi = (float(edge) for edge in settings["window_db"] if not isinstance(edge, bool))
-    except (TypeError, ValueError):
-        raise _UsageError(f"window_db must hold two numbers, got {settings['window_db']!r}") from None
-    threads = _setting(settings, "threads", int)
-    if threads < 1:
+    tolerance = _finite(args.tolerance, "--tolerance")
+    if tolerance < 0:
+        raise _UsageError(f"slope_tolerance must be nonnegative, got {tolerance!r}")
+    if args.threads < 1:
         raise _UsageError("threads must be at least 1")
-    for key in ("csv_out", "summary_out"):
-        if not isinstance(settings[key], str):
-            raise _UsageError(f"{key} must be a path string, got {settings[key]!r}")
     try:
-        config = AntennaConfig(*counts)
-        RngStream(seed)
+        config = AntennaConfig(args.m1, args.m2, args.n, args.ne)
+        RngStream(args.seed)
         # Every grid point must be a float power ...
-        sig = SignalParams.from_db(grid, _setting(settings, "alpha", float))
+        sig = SignalParams.from_db(grid, _finite(args.alpha, "--alpha"))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.
@@ -391,28 +310,27 @@ def _validate_run(settings) -> _RunPlan:
     finite = np.isfinite(_stream_snrs(alloc.d_total, alloc.total_streams, sig)).all(axis=0)
     if not finite.all():
         raise _UsageError(f"per-stream SNR at {grid[np.argmin(finite)]} dB is past the float range")
+    lo, hi = args.window_lo, args.window_hi
     covered = sum(1 for p in grid if lo <= p <= hi)
     if covered < 3:
         raise _UsageError(
             f"regression window [{lo}, {hi}] dB covers {covered} grid point(s), need at least 3"
         )
-    return _RunPlan(
-        config, trials, seed, _MODES[mode], grid, sig, (lo, hi), threads, slope_tolerance
-    )
+    return _RunPlan(config, grid, sig, (lo, hi))
 
 
 def cmd_simulate(args) -> int:
-    settings = _merge_run_settings(args)
-    plan = _validate_run(settings)
+    plan = _validate_run(args)
     config = plan.config
+    mode = _MODES[args.mode]
     result = sweep(
         config,
         plan.sig,
         plan.grid,
-        trials=plan.trials,
-        master_seed=plan.seed,
-        mode=plan.mode,
-        threads=plan.threads,
+        trials=args.trials,
+        master_seed=args.seed,
+        mode=mode,
+        threads=args.threads,
     )
     csv_text = render_csv(result)
 
@@ -421,9 +339,9 @@ def cmd_simulate(args) -> int:
     difference = abs(legit.slope - theory.value)
     summary = {
         "config": {"m1": config.m1, "m2": config.m2, "n": config.n, "ne": config.n_e},
-        "mode": plan.mode.value,
-        "trials": plan.trials,
-        "master_seed": plan.seed,
+        "mode": mode.value,
+        "trials": args.trials,
+        "master_seed": args.seed,
         "p_grid_db": plan.grid,
         "window_db": list(plan.window),
         "legit_slope": legit.slope,
@@ -432,11 +350,11 @@ def cmd_simulate(args) -> int:
         "theory_value": theory.value,
         "theory_value_exact": str(theory),
         "abs_difference": difference,
-        "tolerance": plan.slope_tolerance,
-        "passed": difference <= plan.slope_tolerance,
+        "tolerance": args.tolerance,
+        "passed": difference <= args.tolerance,
     }
-    _write_text(settings["csv_out"], csv_text)
-    _write_text(settings["summary_out"], json.dumps(summary, indent=2) + "\n")
+    _write_text(args.csv, csv_text)
+    _write_text(args.summary, json.dumps(summary, indent=2) + "\n")
     return 0
 
 

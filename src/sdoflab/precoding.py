@@ -415,14 +415,18 @@ def audit_set(
 _build_with_report = build_precoders
 
 
-def check_pairing(ch: ChannelRealization, pre: PrecoderSet, eavesdropper: bool) -> None:
+def check_pairing(
+    ch: ChannelRealization, pre: PrecoderSet, eavesdropper: bool, points: int | None = None
+) -> None:
     """Raise DimensionMismatch unless ``ch`` holds the trials of ``pre`` in the layout its reader needs.
 
     The legitimate h1 and h2 are (trials, n, m) stacks, or with
     ``eavesdropper`` the g1 and g2 of ``channel_uses`` are (trials, uses,
-    n_e, m) stacks, with as many trials as the set.  NumPy would otherwise
-    broadcast a stack of one trial over the set, or pair each trial's
-    eavesdropper with every trial's set.
+    n_e, m) stacks, with as many trials as the set and, given a grid of
+    ``points`` power levels, one use held over the grid or one use per
+    point.  NumPy would otherwise broadcast a stack of one trial over the
+    set, pair each trial's eavesdropper with every trial's set, or fail on
+    the rates' shapes.
     """
     names, ndim = (("g1", "g2"), 4) if eavesdropper else (("h1", "h2"), 3)
     trials = len(pre.u)
@@ -433,6 +437,11 @@ def check_pairing(ch: ChannelRealization, pre: PrecoderSet, eavesdropper: bool) 
             raise DimensionMismatch(
                 f"{name} of shape {shape} does not pair with a set of {trials} trials: "
                 f"pass the {layout} realization of the draw the set was built on"
+            )
+        if points is not None and shape[1] not in (1, points):
+            raise DimensionMismatch(
+                f"{name} holds {shape[1]} channel uses, which do not pair with a grid of "
+                f"{points} point(s): pass one use, or one per grid point"
             )
 
 

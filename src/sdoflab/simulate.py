@@ -230,11 +230,11 @@ def eve_leakage(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> 
     static eavesdropper's use axis of length 1 is held over the grid, a
     time-varying one has an entry per grid point.  InvalidMatrix means
     ``ch.g1`` or ``ch.g2`` is not a finite stack, and its ``member`` names
-    the trial, and DimensionMismatch that ``ch`` is not ``pre``'s
-    (``check_pairing``).  One stacked SVD per side serves every trial and
-    grid point.
+    the trial, and DimensionMismatch that ``ch`` is not ``pre``'s or that
+    its uses are neither one nor the grid's (``check_pairing``).  One
+    stacked SVD per side serves every trial and grid point.
     """
-    check_pairing(ch, pre, eavesdropper=True)
+    check_pairing(ch, pre, eavesdropper=True, points=np.size(sig.p))
     p_legit, p_jam = _snrs(pre, sig)
     if ch.g1.shape[-2] == 0:
         return np.zeros((len(ch.g1), len(p_legit)))

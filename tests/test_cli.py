@@ -255,34 +255,16 @@ class TestSimulateCommand:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_run_config_file(self, tmp_path):
-        config = {
-            "m1": 2, "m2": 2, "n": 3, "ne": 2,
-            "trials": 3, "master_seed": 5, "mode": "static_eve",
-            "p_start_db": 60.0, "p_stop_db": 80.0, "p_step_db": 10.0,
-            "csv_out": str(tmp_path / "out.csv"),
-            "summary_out": str(tmp_path / "out.json"),
-        }
+    def test_config_flag_is_refused(self, tmp_path, capsys):
+        # Flags are the one way to set a run: a run file is an unrecognised argument.
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
-        assert run_cli(["simulate", "--config", str(cfg_path)]) == 0
-        summary = json.loads((tmp_path / "out.json").read_text())
-        assert summary["mode"] == "static_eve"
-        assert summary["p_grid_db"] == [60.0, 70.0, 80.0]
-
-    def test_flag_overrides_config(self, tmp_path):
-        config = {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2,
-                  "csv_out": str(tmp_path / "c.csv"), "summary_out": str(tmp_path / "s.json")}
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
-        assert run_cli(["simulate", "--config", str(cfg_path), "--trials", "3"]) == 0
-        summary = json.loads((tmp_path / "s.json").read_text())
-        assert summary["trials"] == 3
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"m1": 1, "m2": 1, "n": 1, "ne": 1, "bogus": 2}))
-        assert run_cli(["simulate", "--config", str(cfg_path)]) == 2
+        cfg_path.write_text(json.dumps({"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(_SIM + ["--config", str(cfg_path), "--csv", str(tmp_path / "c.csv"),
+                            "--summary", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -310,63 +292,65 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        (_SIM + ["--threads", "0"], None),
-        (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None),
-        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "window_db": 5}),
-        (_SIM + ["--window-lo", "90"], None),
-        (_SIM + ["--seed", "-3"], None),
-        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": "many"}),
-        (["simulate"], {"m1": 1, "m2": 1, "n": 1, "ne": 1, "trials": 2.5}),
-        (_SIM + ["--config", "no-such-run.json"], None),
-        (_SIM + ["--tolerance", "-1"], None),
-        (["simulate"], {"m1": True, "m2": 1, "n": 1, "ne": 1}),
-        (_SIM, {"master_seed": False}),
-        (_SIM, {"window_db": [True, 100.0]}),
-        (_SIM, {"rank_rel_tol": 1e-6}),
-        (_SIM, {"sigma2": 1.0}),
-        (_SIM, {"threads": 1.5}),
-        (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
-                 "--window-hi", "3100"], None),
+        _SIM + ["--threads", "0"],
+        ["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"],
+        _SIM + ["--window-lo", "90"],
+        _SIM + ["--seed", "-3"],
+        _SIM + ["--tolerance", "-1"],
+        _SIM + ["--tolerance", "nan"],
+        _SIM + ["--alpha", "nan"],
+        _SIM + ["--p-step", "inf"],
+        _SIM + ["--p-stop", "inf"],
+        _SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
+                "--window-hi", "3100"],
         # p is finite at 3080 dB, but the one legitimate real stream of
         # (1, 1, 1, 1) has SNR 0.9 p / (1/2) at alpha = 0.1, past the float range.
-        (_SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
-                 "--window-lo", "3060", "--window-hi", "3080"], None),
-        (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
-          "--p-stop=1e308", "--trials", "1"], None),
-        (["simulate"], {"m1": 2, "m2": 2, "n": 3, "ne": 1, "p_start_db": -1e308,
-                        "p_stop_db": 1e308, "trials": 1}),
+        _SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
+                "--window-lo", "3060", "--window-hi", "3080"],
+        ["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
+         "--p-stop=1e308", "--trials", "1"],
         # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
-        (_SIM + ["--p-step", "0.004"], None),
+        _SIM + ["--p-step", "0.004"],
         # A step below the float spacing at 60 dB repeats grid points.
-        (["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
-          "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
-          "--window-lo", "60", "--window-hi", "61"], None),
+        ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
+         "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
+         "--window-lo", "60", "--window-hi", "61"],
     ],
-    ids=["threads-0", "design-seed-negative", "window-not-a-pair",
-         "window-under-3-points", "simulate-seed-negative", "trials-not-integer",
-         "trials-fractional", "config-missing", "tolerance-negative", "config-bool-count",
-         "config-bool-seed", "config-bool-window", "config-rank-rel-tol", "config-sigma2",
-         "config-threads-fractional",
-         "power-overflow", "per-stream-overflow", "grid-span-overflow",
-         "config-grid-span-overflow", "grid-over-point-cap", "grid-step-below-spacing"],
+    ids=["threads-0", "design-seed-negative", "window-under-3-points", "simulate-seed-negative",
+         "tolerance-negative", "tolerance-nan", "alpha-nan", "p-step-inf", "p-stop-inf",
+         "power-overflow", "per-stream-overflow", "grid-span-overflow", "grid-over-point-cap",
+         "grid-step-below-spacing"],
 )
-def test_bad_input_is_usage_error_before_sampling(argv, config, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_usage_error_before_sampling(argv, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started before the input was validated")
 
     monkeypatch.setattr(cli, "sample_channels", no_sampling)
     monkeypatch.setattr(cli, "sweep", no_sampling)
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config))
-        argv = argv + ["--config", str(path)]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--trials", "2"],
+        _SIM + ["--trials", "many"],
+        _SIM + ["--trials", "2.5"],
+        _SIM + ["--threads", "1.5"],
+    ],
+    ids=["ne-missing", "trials-not-integer", "trials-fractional", "threads-fractional"],
+)
+def test_malformed_flag_is_refused_by_the_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -306,6 +306,16 @@ class TestPairing:
         with pytest.raises(DimensionMismatch, match="channel_uses"):
             self.call(function, seen, pre, 3)
 
+    @pytest.mark.parametrize("points", [1, 2, 4])
+    def test_uses_that_are_not_the_grid_do_not_pair(self, points):
+        # An eavesdropper over 3 uses pairs with a 3-point grid only.
+        rngs, ch = self.draw(2)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        seen = channel_uses(self.config, ch, rngs, range(3), self.mode)
+        with pytest.raises(DimensionMismatch, match="3 channel uses"):
+            self.call(eve_leakage, seen, pre, points)
+        assert self.call(eve_leakage, seen, pre, 3).shape == (2, 3)
+
 
 class TestSweep:
     def test_single_point_single_trial(self):
