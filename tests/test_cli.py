@@ -167,12 +167,21 @@ class TestDesignCommand:
 # with NumPy 2.4.6; it pins the rates across commits, where criterion 8 only
 # compares reruns within one.
 SIMULATE_OUTPUTS_DIGEST = "bb7da0f799b34f2798e8de016c64d7b3fc9db525143c80546bd36daa30bf4441"
+# The same runs' ``p_db,trial,legit_rate_bits`` columns alone: a change to
+# the leakage leaves it as it is.
+LEGIT_COLUMNS_DIGEST = "a56099db4cfafe25b211a1c7773bbba806e4ac0def608a43db89cd0cdfb949c5"
+# The static-mode runs alone, CSV and summary without its ``mode`` field: a
+# change to the time-varying eavesdropper leaves it as it is.
+STATIC_OUTPUTS_DIGEST = "648f3a6cc664471de2837020b1531dbf6d74a486cd16530605c981a9ca4fd27c"
 SIMULATE_CONFIGS = ((2, 2, 3, 1), (3, 3, 4, 2))
 
 
-def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
-    # Stacks of at most 2 trials: 5 trials take 3 stacks, so every threads-2
-    # leg runs on a pool of 2 workers.
+def _simulate_legs(tmp_path, monkeypatch, modes=("time_varying_eve", "static_eve")):
+    """The (CSV, summary) bytes of each of SIMULATE_CONFIGS in ``modes`` at 1 and 2 threads, and the pools made.
+
+    Stacks hold at most 2 trials: 5 trials take 3 stacks, so every threads-2
+    leg runs on a pool of 2 workers.
+    """
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -181,20 +190,46 @@ def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
-    digest = hashlib.sha256()
+    legs = []
     csv_path, summary_path = tmp_path / "sweep.csv", tmp_path / "summary.json"
-    for cfg, mode, threads in itertools.product(
-        SIMULATE_CONFIGS, ("time_varying_eve", "static_eve"), ("1", "2")
-    ):
+    for cfg, mode, threads in itertools.product(SIMULATE_CONFIGS, modes, ("1", "2")):
         bound_stacks(monkeypatch, sdoflab.AntennaConfig(*cfg), 2, sdoflab.EveMode(mode))
         assert run_cli(
             ["simulate", *_antenna_flags(*cfg), "--mode", mode, "--threads", threads,
              "--trials", "5", "--seed", "7", "--csv", str(csv_path), "--summary", str(summary_path)]
         ) == 0
-        digest.update(csv_path.read_bytes())
-        digest.update(summary_path.read_bytes())
+        legs.append((csv_path.read_bytes(), summary_path.read_bytes()))
+    return legs, pools
+
+
+def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
+    legs, pools = _simulate_legs(tmp_path, monkeypatch)
+    digest = hashlib.sha256()
+    for csv, summary in legs:
+        digest.update(csv)
+        digest.update(summary)
     assert digest.hexdigest() == SIMULATE_OUTPUTS_DIGEST
     assert pools == [2] * 4
+
+
+def test_simulate_legit_columns_are_pinned(tmp_path, uncapped_workers, monkeypatch):
+    legs, _ = _simulate_legs(tmp_path, monkeypatch)
+    digest = hashlib.sha256()
+    for csv, _ in legs:
+        for line in csv.decode().splitlines():
+            digest.update(line.rsplit(",", 1)[0].encode() + b"\n")
+    assert digest.hexdigest() == LEGIT_COLUMNS_DIGEST
+
+
+def test_static_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
+    legs, _ = _simulate_legs(tmp_path, monkeypatch, ("static_eve",))
+    digest = hashlib.sha256()
+    for csv, summary in legs:
+        fields = json.loads(summary)
+        del fields["mode"]
+        digest.update(csv)
+        digest.update(json.dumps(fields, indent=2).encode())
+    assert digest.hexdigest() == STATIC_OUTPUTS_DIGEST
 
 
 class TestSimulateCommand:
