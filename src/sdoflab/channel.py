@@ -4,7 +4,8 @@ Every function here works on a stack of trials: it takes one ``RngStream``
 per trial and returns matrices with a leading trial axis.  A trial draws
 its complex channels once, at address (trial, 0); ``channel_uses`` gives
 the channels a precoder set sees in a run of channel uses, redrawing a
-time-varying eavesdropper for use k at (trial, 2k).  All draws are pure
+time-varying eavesdropper for use k at (trial, 2k), where use 0 reuses
+the trial's own draw.  All draws are pure
 functions of (master seed, trial index, address), so a trial's draws do
 not depend on its stack, and trials can run in any order or in parallel
 with identical results.
@@ -21,9 +22,9 @@ Every address seeds its own PCG64 generator as NumPy's ``SeedSequence``
 of the master seed and a spawn key (domain, trial[, use]) would.  Each
 batch of addresses (a stack of trials in ``sample_channels``, the uses of
 ``channel_uses``, the jamming streams of a stacked build) is hashed in one
-vectorised pass that reproduces ``SeedSequence`` bit for bit, and each
-generator is seeded straight from its state words; an empty batch hashes
-nothing.
+vectorised pass over integer arrays of its master seeds, domains, trials
+and uses that reproduces ``SeedSequence`` bit for bit, and each generator
+is seeded straight from its state words; an empty batch hashes nothing.
 
 Every draw reads the leading standard normals of its streams, one
 generator per address filling a row with one ``standard_normal`` call
@@ -37,7 +38,6 @@ draw is the same.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -101,11 +101,6 @@ def _is_word(value) -> bool:
     silently seed the integer it truncates to.
     """
     return (type(value) is int or isinstance(value, np.integer)) and 0 <= value < 2**64
-
-
-def _spawn_key(domain: int, trial: int, use: int | None = None) -> tuple[int, ...]:
-    """The ``SeedSequence`` spawn key of address (trial[, use]) in ``domain``."""
-    return (domain, trial) if use is None else (domain, trial, use)
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -174,44 +169,50 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _entropy(master_seed, keys) -> tuple[np.ndarray, np.ndarray]:
-    """``SeedSequence``'s assembled entropy of every key: (words, K) uint32 and each key's length.
+def _entropy(seeds, keys, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """``SeedSequence``'s assembled entropy of every key: (words, K) uint32 and each key's size.
 
-    The master seed (below 2**64) is padded to the pool size, as NumPy does
-    when a spawn key follows, so it takes rows 0-3 whether it has one word
-    or two.  Each key component then adds one word, or two from 2**32 on.
-    ``keys`` is a sequence of tuples of any lengths.
+    ``seeds`` is (K,) and ``keys`` (K, L).  The master seed (below 2**64)
+    is padded to the pool size, as NumPy does when a spawn key follows, so
+    it takes rows 0-3 whether it has one word or two.  Each key component
+    then adds one word, or two from 2**32 on; key k ends after its first
+    ``lengths[k]`` components (all L if None).
     """
-    count = len(keys)
-    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=count)
-    flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.uint64, count=lengths.sum())
-    wide = flat > _LOW32
-    words = 1 + wide
-    owner = np.repeat(np.arange(count), lengths)
-    before = np.cumsum(words) - words  # words of all earlier components
-    first = np.cumsum(lengths) - lengths  # each key's first component
-    at = _POOL_SIZE + before - before[first][owner]
-    sizes = _POOL_SIZE + np.bincount(owner, weights=words, minlength=count).astype(np.intp)
-    rows = np.zeros((sizes.max(), count), np.uint32)
-    rows[at, owner] = flat & _LOW32
-    rows[at[wide] + 1, owner[wide]] = flat[wide] >> np.uint64(32)
-    seeds = np.broadcast_to(np.asarray(master_seed, dtype=np.uint64), (count,))
-    rows[0] = seeds & _LOW32
+    components = keys.T  # (L, K), one row per component
+    words = 1 + (components > _LOW32).view(np.uint8)
+    ends = _POOL_SIZE + np.cumsum(words, axis=0, dtype=np.intp)
+    column = np.arange(len(seeds))
+    sizes = ends[-1] if lengths is None else ends[lengths - 1, column]
+    # A uint32 row takes the low word of what it is given.  Every component
+    # writes its high word after its low one, where a narrow component's
+    # (zero) is overwritten by the next component's low word; the entries
+    # past a key's end write rows its hash never reads.
+    rows = np.zeros((ends[-1].max() + 1, len(seeds)), np.uint32)
+    rows[ends - words + 1, column] = components >> np.uint64(32)
+    rows[ends - words, column] = components
+    rows[0] = seeds
     rows[1] = seeds >> np.uint64(32)
-    return rows, sizes
+    return rows[: sizes.max()], sizes
 
 
-def _seed_words(master_seed, keys) -> np.ndarray:
+def _seed_words(master_seed, keys, lengths=None) -> np.ndarray:
     """``SeedSequence(master_seed, spawn_key=key).generate_state(4, uint64)`` for every key.
 
-    ``master_seed`` is one seed or one per key; ``keys`` are nonempty spawn
-    keys, of any lengths.  All keys are hashed together: a key shorter than
-    the longest stops mixing at its own last word.  Returns (K, 4) uint64,
-    (0, 4) for no keys.
+    ``keys`` is an (..., L) integer array, a spawn key along its last axis:
+    the first ``lengths`` entries (all L when None, at least one), below
+    2**64.  ``master_seed`` and ``lengths`` broadcast against the leading
+    axes.  All keys are hashed together: a key shorter than the longest
+    stops mixing at its own last word.  Returns (K, 4) uint64, the keys in
+    C order, (0, 4) for no keys.
     """
-    if not keys:
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not keys.size:
         return np.empty((0, _POOL_SIZE), np.uint64)
-    entropy, sizes = _entropy(master_seed, keys)
+    lead = keys.shape[:-1]
+    seeds = np.broadcast_to(np.asarray(master_seed, dtype=np.uint64), lead).ravel()
+    if lengths is not None:
+        lengths = np.broadcast_to(lengths, lead).ravel()
+    entropy, sizes = _entropy(seeds, keys.reshape(len(seeds), -1), lengths)
     steps = _mix_schedule(len(entropy))
     pool = _hashmix(entropy[:_POOL_SIZE], *steps[0])
     for src in range(_POOL_SIZE):
@@ -229,13 +230,12 @@ def _seed_words(master_seed, keys) -> np.ndarray:
 
 
 class _StateWords(ISeedSequence):
-    """A seed sequence already hashed: hands PCG64 the four words it asks for."""
+    """A seed sequence already hashed: hands PCG64 the four words it asks for, those of ``words``."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    words: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+        if n_words != _POOL_SIZE or dtype is not np.uint64:
             raise ValueError("hashed seed words serve generate_state(4, np.uint64) only")
         return self.words
 
@@ -244,15 +244,24 @@ def _normals(words, count: int, length: int) -> np.ndarray:
     """The first ``length`` standard normals of the next ``count`` streams of ``words``: (count, length).
 
     ``words`` iterates over ``_seed_words`` rows.  Each row seeds a PCG64
-    generator that fills its own row of the result with one
-    ``standard_normal`` call.  Rows without entries draw nothing, so no
-    row is taken from ``words`` and no generator is made.
+    generator, through one ``_StateWords`` pointed at each row in turn,
+    that fills its own row of the result with one ``standard_normal``
+    call.  Rows without entries draw nothing, so no row is taken from
+    ``words`` and no generator is made.
     """
     z = np.empty((count, length))
     if length:
+        generator, pcg64, seed = np.random.Generator, np.random.PCG64, _StateWords()
         for row, state in zip(z, words):
-            np.random.default_rng(_StateWords(state)).standard_normal(out=row)
+            seed.words = state
+            generator(pcg64(seed)).standard_normal(out=row)
     return z
+
+
+def _stream_columns(rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The master seeds, trial indices and channel uses of ``rngs``, as three uint64 arrays."""
+    columns = np.array([(r.master_seed, *r.stream_id) for r in rngs], np.uint64).reshape(-1, 3)
+    return columns[:, 0], columns[:, 1], columns[:, 2]
 
 
 @dataclass(frozen=True)
@@ -327,13 +336,6 @@ def _complex_gaussian_pairs(z: np.ndarray, rows: int, cols1: int, cols2: int):
     return first.reshape(len(z), rows, cols1), second.reshape(len(z), rows, cols2)
 
 
-def _eve_keys(rngs: Sequence[RngStream], mode: EveMode) -> list[tuple[int, ...]]:
-    """The spawn keys of the eavesdropper draws at the addresses of ``rngs``."""
-    if mode.varies_per_use:
-        return [_spawn_key(_DOMAIN_EVE, *r.stream_id) for r in rngs]
-    return [_spawn_key(_DOMAIN_EVE, r.stream_id[0]) for r in rngs]
-
-
 def draw_lengths(config: AntennaConfig) -> tuple[int, int]:
     """Normals a draw of ``config`` reads from each trial's legitimate and eavesdropper streams."""
     m = config.m1 + config.m2
@@ -372,15 +374,20 @@ class TrialNormals:
         eavesdropper addresses: (trial) when static, (trial, use) when
         time-varying.
         """
+        seeds, trial, use = _stream_columns(rngs)
+        # Spawn keys (domain, trial, use): only a time-varying eavesdropper reads the use.
         domains = (
-            (legit, [_spawn_key(_DOMAIN_LEGIT, r.stream_id[0]) for r in rngs]),
-            (eve, _eve_keys(rngs, mode)),
-            (jamming, [_spawn_key(_DOMAIN_JAMMING, r.stream_id[0]) for r in rngs]),
+            (legit, _DOMAIN_LEGIT, 2),
+            (eve, _DOMAIN_EVE, 3 if mode.varies_per_use else 2),
+            (jamming, _DOMAIN_JAMMING, 2),
         )
-        seeded = [keys for length, keys in domains if length]
-        masters = [r.master_seed for r in rngs] * len(seeded)
-        words = iter(_seed_words(masters, list(itertools.chain.from_iterable(seeded))))
-        return cls(*(_normals(words, len(rngs), length) for length, _ in domains))
+        seeded = [(domain, key_length) for length, domain, key_length in domains if length]
+        keys = np.empty((len(seeded), len(rngs), 3), np.uint64)
+        keys[..., 0] = np.reshape([domain for domain, _ in seeded], (-1, 1))
+        keys[..., 1] = trial
+        keys[..., 2] = use
+        words = iter(_seed_words(seeds, keys, [[key_length] for _, key_length in seeded]))
+        return cls(*(_normals(words, len(rngs), length) for length, _, _ in domains))
 
     def channels(self, config: AntennaConfig) -> ChannelRealization:
         """The channel realization of ``config`` on these trials: ``sample_channels`` bit for bit."""
@@ -420,32 +427,42 @@ def channel_uses(
     """The realizations a precoder set sees in channel uses ``uses``, per trial.
 
     ``trial_ch`` is ``sample_channels(config, trial_rngs, mode)``, each
-    stream at address (trial, 0), and ``uses`` is nonempty and strictly
-    increasing.  Every matrix of the result has a leading trial axis; g1
+    stream at address (trial, 0), and ``uses`` is nonempty, strictly
+    increasing and within [0, 2**63).  Every matrix of the result has a leading trial axis; g1
     and g2 also carry a use axis after it.  The legitimate matrices are
     the trials'.  A static eavesdropper is too, on a use axis of length 1
     that broadcasts over ``uses``.  A time-varying one has one entry per
     use of ``uses``: use k holds CN(0, 1) eavesdropper matrices drawn at
-    address (trial, 2k), so use 0 draws the trial's own eavesdropper again,
-    and every draw of the stack is seeded in one batch (none when n_e = 0).
+    address (trial, 2k).  Use 0 is the trial's own eavesdropper, read from
+    ``trial_ch`` and not drawn again; every other draw of the stack is
+    hashed from address arrays in one batch (none when n_e = 0).
     """
     if any(r.stream_id[1] != 0 for r in trial_rngs):
         raise ValueError("trial_rngs must address channel use 0 of their trials")
     trials, uses = len(trial_rngs), list(uses)
-    if not uses or any(b <= a for a, b in zip(uses, uses[1:])):
-        raise ValueError("uses must be a nonempty, strictly increasing sequence")
+    if not uses or uses[0] < 0 or uses[-1] >= 2**63 or any(b <= a for a, b in zip(uses, uses[1:])):
+        raise ValueError("uses must be a nonempty, strictly increasing sequence in [0, 2**63)")
     if not mode.varies_per_use:
         return ChannelRealization(trial_ch.h1, trial_ch.h2, trial_ch.g1[:, None], trial_ch.g2[:, None])
-    # The odd addresses stay unused, so the pinned draws (DRAW_DIGEST in the
-    # tests), and the Monte Carlo results that rest on them, keep their values.
+    # Use k is drawn at address 2k, and use 0 is the trial's own draw.  The odd
+    # addresses stay unused, so the pinned draws (DRAW_DIGEST in the tests),
+    # and the Monte Carlo results that rest on them, keep their values.
+    own = uses[0] == 0
+    addresses = 2 * np.array(uses[own:], np.uint64)  # of the uses still to draw
     _, length = draw_lengths(config)
     words = ()  # an absent eavesdropper draws nothing and seeds nothing
     if length:
-        keys = [_spawn_key(_DOMAIN_EVE, r.stream_id[0], 2 * use) for r in trial_rngs for use in uses]
-        words = _seed_words([r.master_seed for r in trial_rngs for _ in uses], keys)
-    z = _normals(words, trials * len(uses), length)
+        seeds, trial, _ = _stream_columns(trial_rngs)
+        keys = np.empty((trials, len(addresses), 3), np.uint64)
+        keys[..., 0] = _DOMAIN_EVE
+        keys[..., 1] = trial[:, None]
+        keys[..., 2] = addresses
+        words = _seed_words(seeds[:, None], keys)
+    z = _normals(words, trials * len(addresses), length)
     drawn = _complex_gaussian_pairs(z, config.n_e, config.m1, config.m2)
-    g1, g2 = (g.reshape(trials, len(uses), *g.shape[1:]) for g in drawn)
+    g1, g2 = (g.reshape(trials, len(addresses), *g.shape[1:]) for g in drawn)
+    if own:
+        g1, g2 = (np.concatenate([g[:, None], d], axis=1) for g, d in ((trial_ch.g1, g1), (trial_ch.g2, g2)))
     return ChannelRealization(trial_ch.h1, trial_ch.h2, g1, g2)
 
 

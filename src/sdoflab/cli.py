@@ -277,12 +277,14 @@ class _RunPlan:
 def _validate_run(args) -> _RunPlan:
     """Check every run setting before any sampling; the first bad one is a usage error."""
     if args.trials < 1:
-        raise _UsageError("trials must be at least 1")
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     start = _finite(args.p_start, "--p-start")
     stop = _finite(args.p_stop, "--p-stop")
     step = _finite(args.p_step, "--p-step")
-    if step <= 0 or stop < start:
-        raise _UsageError("power grid requires p_start_db <= p_stop_db and p_step_db > 0")
+    if step <= 0:
+        raise _UsageError(f"--p-step must be positive, got {step!r}")
+    if stop < start:
+        raise _UsageError(f"--p-stop must be at least --p-start ({start!r}), got {stop!r}")
     # Counted before the list is built; a span past the float range counts inf.
     points = np.floor((stop - start) / step + 1e-9) + 1
     if not points <= _GRID_POINTS_MAX:
@@ -295,9 +297,9 @@ def _validate_run(args) -> _RunPlan:
         raise _UsageError(f"power grid step of {step} dB is below the float spacing at {start} dB")
     tolerance = _finite(args.tolerance, "--tolerance")
     if tolerance < 0:
-        raise _UsageError(f"slope_tolerance must be nonnegative, got {tolerance!r}")
+        raise _UsageError(f"--tolerance must be nonnegative, got {tolerance!r}")
     if args.threads < 1:
-        raise _UsageError("threads must be at least 1")
+        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     try:
         config = AntennaConfig(args.m1, args.m2, args.n, args.ne)
         RngStream(args.seed)

@@ -82,8 +82,13 @@ STACK_BYTES_MAX = 800_000
 #   per legitimate channel entry n (m1 + m2) and 80 per eavesdropper entry
 #   n_e (m1 + m2) (least squares), and 1.4 kB, the constant that covers the
 #   largest residual;
-# - a time-varying use is seeded in 420 B (its address, seed words
-#   and generator) and drawn in up to 64 B per eavesdropper entry;
+# - a time-varying use is seeded in 260 B (its key row, entropy words,
+#   hash pool and seed words) and drawn in up to 64 B per eavesdropper
+#   entry (its normals and complex temporaries).  One-call peaks of
+#   ``channel_uses`` over 256 to 32,000 uses read at most 155 B above the
+#   draw term (209-283 B per use in all at (1, 1, 1, 1)); the seeding term
+#   is rounded up to where a 16-trial stack on a dense grid still works in
+#   under twice the memory of one trial (1.76x; 2.19x at 160 B);
 # - a rate's log-determinant holds 26 B per singular value and grid point
 #   (three float temporaries and two masks) and 24 B of results;
 # - a block's ``SignalParams`` takes up to 64 B per grid point while it is
@@ -98,7 +103,7 @@ _BUILD_SQUARE_BYTES = 42
 _BUILD_LEGIT_BYTES = 110
 _BUILD_EVE_BYTES = 80
 _BUILD_FIXED_BYTES = 1_400
-_USE_SEED_BYTES = 420
+_USE_SEED_BYTES = 260
 _USE_DRAW_BYTES = 64
 _RATE_VALUE_BYTES = 26
 _RATE_POINT_BYTES = 24

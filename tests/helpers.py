@@ -101,15 +101,15 @@ def bound_stacks(monkeypatch, config, trials: int, mode) -> None:
 def count_generators(monkeypatch) -> list:
     """Record the state words of every generator the channel module seeds from now on.
 
-    Each stream's generator is seeded from its own ``_StateWords``, so the
-    returned list grows by one per generator made.
+    Each stream's generator reads its state words from a ``_StateWords``
+    once, so the returned list grows by one per generator made.
     """
     made = []
 
     class Counting(channel._StateWords):
-        def __init__(self, words):
-            made.append(words)
-            super().__init__(words)
+        def generate_state(self, n_words, dtype=np.uint32):
+            made.append(self.words)
+            return super().generate_state(n_words, dtype)
 
     monkeypatch.setattr(channel, "_StateWords", Counting)
     return made

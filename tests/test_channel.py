@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from sdoflab.channel import (
     TrialNormals,
     _normals,
     _seed_words,
-    _spawn_key,
     channel_uses,
     draw_lengths,
     real_form,
@@ -45,7 +45,7 @@ def _use(config, trial_stack, rng, use, mode):
 
 def _stream(rng, domain, length):
     """The first ``length`` normals of ``rng``'s address in ``domain``, as the library's draws read them."""
-    words = _seed_words(rng.master_seed, [_spawn_key(domain, *rng.stream_id)])
+    words = _seed_words(rng.master_seed, [(domain, *rng.stream_id)])
     return _normals(words, 1, length)[0]
 
 
@@ -97,11 +97,11 @@ class TestSampleChannels:
         ch = sample_channels(AntennaConfig(2, 1, 2, 0), [RngStream(1)], EveMode.STATIC)
         assert ch.g1.shape == (1, 0, 2)
 
-    @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 17, 1])])
+    @pytest.mark.parametrize("n_e, per_trial", [(0, [1, 0, 0]), (1, [2, 16, 1])])
     def test_an_absent_eavesdropper_seeds_no_generator(self, n_e, per_trial, monkeypatch):
         # Generators made per trial by the draw, by 17 channel uses (use 0
-        # draws the trial's eavesdropper again) and by the eavesdropper rows
-        # of TrialNormals: with n_e = 0 only the legitimate draw seeds one.
+        # is the trial's own eavesdropper, drawn once) and by the eavesdropper
+        # rows of TrialNormals: with n_e = 0 only the legitimate draw seeds one.
         made = count_generators(monkeypatch)
         config, mode = AntennaConfig(2, 2, 3, n_e), EveMode.TIME_VARYING
         rngs = [RngStream(5, (t, 0)) for t in range(12)]
@@ -259,6 +259,13 @@ class TestChannelUse:
         assert np.array_equal(seen.h1, trial.h1) and np.array_equal(seen.h2, trial.h2)
         assert np.array_equal(seen.g1, oracle.g1) and np.array_equal(seen.g2, oracle.g2)
 
+    @pytest.mark.parametrize("uses", [[], [2, 1], [1, 1], [-1, 0], [2**63]])
+    def test_uses_are_increasing_addresses(self, uses):
+        # Use k is drawn at address 2k: from use 2**63 on that is past 64 bits.
+        rng, stack, _ = self.trial_draw(EveMode.TIME_VARYING)
+        with pytest.raises(ValueError, match="uses must be a nonempty, strictly increasing"):
+            channel_uses(self.config, stack, [rng], uses, EveMode.TIME_VARYING)
+
     def test_trial_rng_must_address_use_0(self):
         later = RngStream(self.seed, (self.trial, 1))
         with pytest.raises(ValueError):
@@ -287,8 +294,17 @@ def _keys(count, seed):
     return [tuple(pick() for _ in range(int(gen.integers(2, 4)))) for _ in range(count)]
 
 
+def _key_array(keys, pad=0):
+    """Spawn keys of lengths 2 and 3 as ``_seed_words`` takes them: (K, 3) rows and the lengths.
+
+    ``pad`` fills a row past its key's end.
+    """
+    rows = np.array([k + (pad,) * (3 - len(k)) for k in keys], np.uint64).reshape(-1, 3)
+    return rows, [len(k) for k in keys]
+
+
 class TestSeedWords:
-    """The vectorised hash against NumPy's own SeedSequence."""
+    """The array-keyed hash against NumPy's own SeedSequence."""
 
     masters = [0, 2**32 - 1, 2**32, 2**64 - 1, 12_345, 2**40 + 17, 9_876_543_210_123_456_789]
     counts = [1, 7, 8, 40]
@@ -297,7 +313,21 @@ class TestSeedWords:
     @pytest.mark.parametrize("count", counts)
     def test_matches_seed_sequence(self, master, count):
         keys = _keys(count, seed=count + master % 1000)
-        assert np.array_equal(_seed_words(master, keys), _seed_sequence_words(master, keys))
+        assert np.array_equal(_seed_words(master, *_key_array(keys)), _seed_sequence_words(master, keys))
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_every_component_in_every_place(self, length):
+        # Every key of _COMPONENTS of this length, in one batch: each component
+        # one or two words wide, after components of either width.
+        keys = list(itertools.product(_COMPONENTS, repeat=length))
+        got = _seed_words(2**33 + 1, np.array(keys, np.uint64))
+        assert np.array_equal(got, _seed_sequence_words(2**33 + 1, keys))
+
+    def test_entries_past_a_key_are_not_read(self):
+        keys = _keys(40, seed=5)
+        ones = _seed_words(3, *_key_array(keys, pad=2**64 - 1))
+        assert np.array_equal(ones, _seed_words(3, *_key_array(keys)))
+        assert np.array_equal(ones, _seed_sequence_words(3, keys))
 
     @pytest.mark.parametrize("length", [2, 3])
     def test_a_master_seed_per_key(self, length):
@@ -305,21 +335,23 @@ class TestSeedWords:
         keys = gen.integers(0, 2**63, size=(25, length), dtype=np.uint64)
         keys[::4, -1] = np.uint64(2**64 - 1)
         keys[1::4, 0] = 5
-        masters = gen.integers(0, 2**63, size=25, dtype=np.uint64).tolist()
+        masters = gen.integers(0, 2**63, size=25, dtype=np.uint64)
         masters[0] = 2**64 - 1
-        keys = [tuple(k) for k in keys.tolist()]
         got = _seed_words(masters, keys)
-        for m, k, words in zip(masters, keys, got):
+        for m, k, words in zip(masters.tolist(), keys.tolist(), got):
             assert np.array_equal(words, _seed_sequence_words(m, [k])[0])
 
     @pytest.mark.parametrize("count", counts)
     def test_streams_draw_as_seed_sequence_ones(self, count):
         keys = _keys(count, seed=99)
         masters = [(3 * i) << 33 for i in range(count)]
-        drawn = _normals(_seed_words(masters, keys), count, 6)
+        drawn = _normals(_seed_words(np.array(masters, np.uint64), *_key_array(keys)), count, 6)
         for m, k, z in zip(masters, keys, drawn):
             oracle = np.random.default_rng(np.random.SeedSequence(entropy=m, spawn_key=k))
             assert np.array_equal(z, oracle.standard_normal(6))
+
+    def test_no_keys_hash_nothing(self):
+        assert _seed_words(7, np.empty((0, 3), np.uint64)).shape == (0, 4)
 
 
 class TestTrialNormals:

@@ -277,6 +277,7 @@ class TestSimulateCommand:
             ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "0"]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: --trials must be at least 1, got 0\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -327,38 +328,40 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        _SIM + ["--threads", "0"],
-        ["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"],
-        _SIM + ["--window-lo", "90"],
-        _SIM + ["--seed", "-3"],
-        _SIM + ["--tolerance", "-1"],
-        _SIM + ["--tolerance", "nan"],
-        _SIM + ["--alpha", "nan"],
-        _SIM + ["--p-step", "inf"],
-        _SIM + ["--p-stop", "inf"],
-        _SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
-                "--window-hi", "3100"],
+        (_SIM + ["--threads", "0"], "--threads"),
+        (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None),
+        (_SIM + ["--window-lo", "90"], None),
+        (_SIM + ["--seed", "-3"], None),
+        (_SIM + ["--tolerance", "-1"], "--tolerance"),
+        (_SIM + ["--tolerance", "nan"], "--tolerance"),
+        (_SIM + ["--alpha", "nan"], "--alpha"),
+        (_SIM + ["--p-step", "inf"], "--p-step"),
+        (_SIM + ["--p-stop", "inf"], "--p-stop"),
+        (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
+                 "--window-hi", "3100"], None),
         # p is finite at 3080 dB, but the one legitimate real stream of
         # (1, 1, 1, 1) has SNR 0.9 p / (1/2) at alpha = 0.1, past the float range.
-        _SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
-                "--window-lo", "3060", "--window-hi", "3080"],
-        ["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
-         "--p-stop=1e308", "--trials", "1"],
+        (_SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
+                 "--window-lo", "3060", "--window-hi", "3080"], None),
+        (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
+          "--p-stop=1e308", "--trials", "1"], None),
         # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
-        _SIM + ["--p-step", "0.004"],
+        (_SIM + ["--p-step", "0.004"], None),
         # A step below the float spacing at 60 dB repeats grid points.
-        ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
-         "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
-         "--window-lo", "60", "--window-hi", "61"],
+        (["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
+          "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
+          "--window-lo", "60", "--window-hi", "61"], None),
+        (_SIM + ["--p-step", "0"], "--p-step"),
+        (_SIM + ["--p-start", "80", "--p-stop", "70"], "--p-stop"),
     ],
     ids=["threads-0", "design-seed-negative", "window-under-3-points", "simulate-seed-negative",
          "tolerance-negative", "tolerance-nan", "alpha-nan", "p-step-inf", "p-stop-inf",
          "power-overflow", "per-stream-overflow", "grid-span-overflow", "grid-over-point-cap",
-         "grid-step-below-spacing"],
+         "grid-step-below-spacing", "p-step-zero", "p-stop-below-p-start"],
 )
-def test_bad_input_is_usage_error_before_sampling(argv, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_usage_error_before_sampling(argv, flag, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started before the input was validated")
 
@@ -369,6 +372,8 @@ def test_bad_input_is_usage_error_before_sampling(argv, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if flag is not None:
+        assert err.startswith(f"error: {flag} "), err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from sdoflab import (
 from sdoflab.channel import (
     _DOMAIN_JAMMING,
     TrialNormals,
-    _spawn_key,
     channel_uses,
 )
 from sdoflab.precoding import (
@@ -81,7 +80,7 @@ class TestRandomJamming:
         rngs = [RngStream(7, (t, 0)) for t in range(trials)]
         rows = _jamming_rows(rngs, 4 * 2 + 3 * 3)
         for rng, row in zip(rngs, rows):
-            key = _spawn_key(_DOMAIN_JAMMING, rng.stream_id[0])
+            key = (_DOMAIN_JAMMING, rng.stream_id[0])
             gen = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
             blocks = [gen.standard_normal((4, 2)), gen.standard_normal((3, 3))]
             assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), row)

@@ -649,6 +649,27 @@ class TestChunkDraws:
         capsys.readouterr()
         assert spawn_keys == []
 
+    def test_each_eavesdropper_address_is_hashed_and_drawn_once(self, monkeypatch):
+        # Use 0 of a time-varying sweep is the trial's own eavesdropper, at
+        # address (1, t, 0), read from its draw: 16 trials over 3 points hash
+        # 48 eavesdropper keys and make 80 generators (16 legitimate, 48
+        # eavesdropper, 16 jamming), none of them twice.
+        hashed = []
+        real = channel._seed_words
+
+        def recording(master_seed, keys, lengths=None):
+            words = real(master_seed, keys, lengths)
+            flat = np.asarray(keys, np.uint64).reshape(len(words), -1)
+            cut = np.broadcast_to(flat.shape[1] if lengths is None else lengths, np.shape(keys)[:-1])
+            hashed.extend(tuple(k[:n]) for k, n in zip(flat.tolist(), cut.ravel().tolist()) if k[0] == 1)
+            return words
+
+        monkeypatch.setattr(channel, "_seed_words", recording)
+        made = count_generators(monkeypatch)
+        sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), [60.0, 70.0, 80.0], 16, 5, EveMode.TIME_VARYING)
+        assert sorted(hashed) == [(1, t, 2 * k) for t in range(16) for k in range(3)]
+        assert len(made) == 16 * 5 and len({words.tobytes() for words in made}) == len(made)
+
 
 class TestWorkerCap:
     """``sweep`` starts no more worker threads than the process may use CPUs."""
