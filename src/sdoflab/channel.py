@@ -1,14 +1,15 @@
 """Random channel realizations, the eavesdropper model and the Gaussian signal model.
 
 Every function here works on a stack of trials: it takes one ``RngStream``
-per trial and returns matrices with a leading trial axis.  A trial draws
-its complex channels once, at address (trial, 0); ``channel_uses`` gives
-the channels a precoder set sees in a run of channel uses, redrawing a
-time-varying eavesdropper for use k at (trial, 2k), where use 0 reuses
-the trial's own draw.  All draws are pure
-functions of (master seed, trial index, address), so a trial's draws do
-not depend on its stack, and trials can run in any order or in parallel
-with identical results.
+(master seed, trial index) per trial and returns matrices with a leading
+trial axis.  A trial draws its complex channels once; ``channel_uses``
+gives the channels a precoder set sees in a run of channel uses,
+redrawing a time-varying eavesdropper for use k at address 2k of its
+trial, where use 0 reuses the trial's own draw.  ``channel_uses`` is the
+one place a channel use is named.  All draws are pure functions of
+(master seed, trial index, address), so a trial's draws do not depend on
+its stack, and trials can run in any order or in parallel with identical
+results.
 
 Signals are real-valued (asymmetric complex signalling): a precoder acts
 on ``real_form`` of each complex channel, [[Re H, -Im H], [Im H, Re H]],
@@ -19,8 +20,9 @@ the one place a channel enters the library: it rejects non-finite
 entries and empty stacks.
 
 Every address seeds its own PCG64 generator as NumPy's ``SeedSequence``
-of the master seed and a spawn key (domain, trial[, use]) would.  Each
-batch of addresses (a stack of trials in ``sample_channels``, the uses of
+of the master seed and a spawn key (domain, trial) would, or (domain,
+trial, 2k) for use k of a time-varying eavesdropper.  Each batch of
+addresses (a stack of trials in ``sample_channels``, the uses of
 ``channel_uses``, the jamming streams of a stacked build) is hashed in one
 vectorised pass over integer arrays of its master seeds, domains, trials
 and uses that reproduces ``SeedSequence`` bit for bit, and each generator
@@ -77,21 +79,19 @@ class EveMode(Enum):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable randomness: a master seed plus (trial, channel-use) id."""
+    """Addressable randomness: a master seed plus a trial index.
+
+    The trial's channel uses are addressed by ``channel_uses``.
+    """
 
     master_seed: int
-    stream_id: tuple[int, int] = (0, 0)
+    trial: int = 0
 
     def __post_init__(self):
-        if not _is_word(self.master_seed):
-            raise ValueError(
-                f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed!r}"
-            )
-        trial, use = self.stream_id
-        if not (_is_word(trial) and _is_word(use)):
-            raise ValueError(
-                f"stream_id components must be 64-bit nonnegative integers, got {self.stream_id!r}"
-            )
+        for name in ("master_seed", "trial"):
+            value = getattr(self, name)
+            if not _is_word(value):
+                raise ValueError(f"{name} must be a 64-bit nonnegative integer, got {value!r}")
 
 
 def _is_word(value) -> bool:
@@ -258,10 +258,10 @@ def _normals(words, count: int, length: int) -> np.ndarray:
     return z
 
 
-def _stream_columns(rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The master seeds, trial indices and channel uses of ``rngs``, as three uint64 arrays."""
-    columns = np.array([(r.master_seed, *r.stream_id) for r in rngs], np.uint64).reshape(-1, 3)
-    return columns[:, 0], columns[:, 1], columns[:, 2]
+def _stream_columns(rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+    """The master seeds and trial indices of ``rngs``, as two uint64 arrays."""
+    columns = np.array([(r.master_seed, r.trial) for r in rngs], np.uint64).reshape(-1, 2)
+    return columns[:, 0], columns[:, 1]
 
 
 @dataclass(frozen=True)
@@ -371,21 +371,20 @@ class TrialNormals:
 
         All the addresses of nonempty rows are seeded in one batch; a
         domain that draws nothing seeds nothing.  ``mode`` picks the
-        eavesdropper addresses: (trial) when static, (trial, use) when
-        time-varying.
+        eavesdropper addresses: (trial) when static, and (trial, 0), the
+        address of channel use 0 in ``channel_uses``, when time-varying.
         """
-        seeds, trial, use = _stream_columns(rngs)
-        # Spawn keys (domain, trial, use): only a time-varying eavesdropper reads the use.
+        seeds, trial = _stream_columns(rngs)
+        # Spawn keys (domain, trial[, 0]): only a time-varying eavesdropper reads the 0.
         domains = (
             (legit, _DOMAIN_LEGIT, 2),
             (eve, _DOMAIN_EVE, 3 if mode.varies_per_use else 2),
             (jamming, _DOMAIN_JAMMING, 2),
         )
         seeded = [(domain, key_length) for length, domain, key_length in domains if length]
-        keys = np.empty((len(seeded), len(rngs), 3), np.uint64)
+        keys = np.zeros((len(seeded), len(rngs), 3), np.uint64)
         keys[..., 0] = np.reshape([domain for domain, _ in seeded], (-1, 1))
         keys[..., 1] = trial
-        keys[..., 2] = use
         words = iter(_seed_words(seeds, keys, [[key_length] for _, key_length in seeded]))
         return cls(*(_normals(words, len(rngs), length) for length, _, _ in domains))
 
@@ -402,12 +401,13 @@ class TrialNormals:
 def sample_channels(
     config: AntennaConfig, rngs: Sequence[RngStream], mode: EveMode
 ) -> ChannelRealization:
-    """Draw the channel realization of every (trial, channel use) address of ``rngs``.
+    """Draw the channel realization of every trial of ``rngs``.
 
     Entries are i.i.d. circularly-symmetric complex Gaussian CN(0, 1), which
-    makes all subspace positions generic almost surely.  The legitimate
-    matrices depend only on the trial index; the eavesdropper matrices also
-    depend on the channel-use index in time-varying mode.  Every matrix is
+    makes all subspace positions generic almost surely.  The matrices
+    depend only on the master seed and the trial index; a time-varying
+    eavesdropper's are those of the trial's channel use 0
+    (``channel_uses``), a static one's its own.  Every matrix is
     stacked along a leading trial axis, one member per stream, and all the
     addresses are seeded in one batch; each member equals the draw at its
     own stream, whatever the rest of the stack.  With n_e = 0 the
@@ -426,19 +426,17 @@ def channel_uses(
 ) -> ChannelRealization:
     """The realizations a precoder set sees in channel uses ``uses``, per trial.
 
-    ``trial_ch`` is ``sample_channels(config, trial_rngs, mode)``, each
-    stream at address (trial, 0), and ``uses`` is nonempty, strictly
-    increasing and within [0, 2**63).  Every matrix of the result has a leading trial axis; g1
-    and g2 also carry a use axis after it.  The legitimate matrices are
-    the trials'.  A static eavesdropper is too, on a use axis of length 1
-    that broadcasts over ``uses``.  A time-varying one has one entry per
-    use of ``uses``: use k holds CN(0, 1) eavesdropper matrices drawn at
-    address (trial, 2k).  Use 0 is the trial's own eavesdropper, read from
+    ``trial_ch`` is ``sample_channels(config, trial_rngs, mode)`` and
+    ``uses`` is nonempty, strictly increasing and within [0, 2**63).
+    Every matrix of the result has a leading trial axis; g1 and g2 also
+    carry a use axis after it.  The legitimate matrices are the trials'.
+    A static eavesdropper is too, on a use axis of length 1 that
+    broadcasts over ``uses``.  A time-varying one has one entry per use of
+    ``uses``: use k holds CN(0, 1) eavesdropper matrices drawn at spawn
+    key (1, trial, 2k).  Use 0 is the trial's own eavesdropper, read from
     ``trial_ch`` and not drawn again; every other draw of the stack is
     hashed from address arrays in one batch (none when n_e = 0).
     """
-    if any(r.stream_id[1] != 0 for r in trial_rngs):
-        raise ValueError("trial_rngs must address channel use 0 of their trials")
     trials, uses = len(trial_rngs), list(uses)
     if not uses or uses[0] < 0 or uses[-1] >= 2**63 or any(b <= a for a, b in zip(uses, uses[1:])):
         raise ValueError("uses must be a nonempty, strictly increasing sequence in [0, 2**63)")
@@ -452,7 +450,7 @@ def channel_uses(
     _, length = draw_lengths(config)
     words = ()  # an absent eavesdropper draws nothing and seeds nothing
     if length:
-        seeds, trial, _ = _stream_columns(trial_rngs)
+        seeds, trial = _stream_columns(trial_rngs)
         keys = np.empty((trials, len(addresses), 3), np.uint64)
         keys[..., 0] = _DOMAIN_EVE
         keys[..., 1] = trial[:, None]

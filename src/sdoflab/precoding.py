@@ -371,9 +371,7 @@ def _build_stack(h1, h2, factors: DrawFactors, alloc: JammingAllocation, jamming
     return PrecoderSet(v1_l, v1_j, v2_l, v2_j, u, report)
 
 
-def audit_set(
-    factors: DrawFactors, pre: PrecoderSet, draw: ChannelRealization | None = None
-) -> SetAudit:
+def audit_set(factors: DrawFactors, pre: PrecoderSet, draw: ChannelRealization) -> SetAudit:
     """Unitarity and zero-forcing residuals and the rank matrices of a set, per trial.
 
     ``factors`` is the ``DrawFactors`` of the legitimate draw ``pre`` was
@@ -383,9 +381,9 @@ def audit_set(
     [v_l | v_j] from the identity over both transmitters and the
     zero-forcing residual the largest entry of u [h1 v1_j | h2 v2_j].  The
     rank matrices are u, u [h1 v1_l | h2 v2_l] and the eavesdropper's
-    received jamming [g1 v1_j | g2 v2_j], all in real dimensions; without
-    ``draw``, or with n_e = 0, the last has no rows.  Nothing of the build
-    reads them; ``verify`` and ``design`` do.
+    received jamming [g1 v1_j | g2 v2_j], all in real dimensions; with
+    n_e = 0 the last has no rows.  Nothing of the build reads them;
+    ``verify`` and ``design`` do.
     """
     h1, h2 = factors.real(1), factors.real(2)
     received_jam = _hstack([h1 @ pre.v1_j, h2 @ pre.v2_j])
@@ -399,7 +397,7 @@ def audit_set(
             )
     jam_cols = pre.v1_j.shape[-1] + pre.v2_j.shape[-1]
     eve_jam = np.zeros((len(pre.u), 0, jam_cols))
-    if draw is not None and draw.g1.shape[-2]:
+    if draw.g1.shape[-2]:
         g1, g2 = real_form(draw.g1, "g1"), real_form(draw.g2, "g2")
         eve_jam = _hstack([g1 @ pre.v1_j, g2 @ pre.v2_j])
     return SetAudit(

@@ -349,9 +349,10 @@ def sweep(
     """Monte Carlo rates over a power grid, one row per trial and column per point.
 
     Only ``alpha`` of ``sig_template`` is read: the power levels are those
-    of ``p_grid_db``, which must all be valid.  Per trial: one channel draw
-    and precoder build, then rates at each grid point k on channel use k
-    under eavesdropper model ``mode``.  The trials are split
+    of ``p_grid_db``, which must all be valid.  Per trial t: one channel
+    draw from ``RngStream(master_seed, t)`` and one precoder build, then
+    rates at each grid point k on channel use k of ``channel_uses`` under
+    eavesdropper model ``mode``.  The trials are split
     into as few contiguous chunks as keep each build within
     ``STACK_BYTES_MAX``, run on up to ``threads`` worker threads: no more
     than ``usable_cpus()`` or the chunks, and the chunk count rounded up to
@@ -398,7 +399,7 @@ def sweep(
         return f"{config} trial {trial} master seed {master_seed}"
 
     def run_chunk(chunk: range) -> None:
-        rngs = [RngStream(master_seed, (trial, 0)) for trial in chunk]
+        rngs = [RngStream(master_seed, trial) for trial in chunk]
         rows = slice(chunk.start, chunk.stop)
         draws = sample_channels(config, rngs, mode)
         try:

@@ -213,19 +213,16 @@ def _decide_ranks(matrices) -> list[np.ndarray]:
     return decided
 
 
-def _seed_streams(seeds: int, allocs=None):
+def _seed_streams(seeds: int, allocs: dict[AntennaConfig, JammingAllocation]):
     """The trial streams of channel seeds 0 .. seeds - 1 and their ``TrialNormals``.
 
     The rows are as long as any configuration of ``allocs``, a dict of
-    allocations, reads: by default every configuration of the precoder grid.
+    allocations, reads.
     """
-    if allocs is None:
-        grid = _antenna_grid(PRECODER_ANTENNA_CAP, include_all_ne=False)
-        allocs = {config: allocate_jamming(config) for config in grid}
     lengths = np.array([
         (*draw_lengths(c), jamming_length(a, 2 * c.m1, 2 * c.m2)) for c, a in allocs.items()
     ])
-    rngs = [RngStream(seed, (0, 0)) for seed in range(seeds)]
+    rngs = [RngStream(seed) for seed in range(seeds)]
     return rngs, TrialNormals.draw(rngs, EveMode.STATIC, *lengths.max(axis=0).tolist())
 
 

@@ -71,6 +71,22 @@ def ks_statistic(samples, cdf) -> float:
                                    np.abs(theoretical - empirical_lo))))
 
 
+def seed_sequence_eavesdropper(config, seed: int, key) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_e, m1) g1 and (n_e, m2) g2 CN(0, 1) matrices of one eavesdropper address, from NumPy alone.
+
+    ``key`` is the address's spawn key: NumPy's ``SeedSequence(seed,
+    spawn_key=key)`` seeds a ``default_rng`` whose leading standard
+    normals are the real and then the imaginary parts of g1, row by row,
+    then those of g2, each complex entry scaled by sqrt(1/2).
+    """
+    a, b = config.n_e * config.m1, config.n_e * config.m2
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    re1, im1, re2, im2 = np.split(gen.standard_normal(2 * (a + b)), [a, 2 * a, 2 * a + b])
+    g1 = np.sqrt(0.5) * (re1 + 1j * im1)
+    g2 = np.sqrt(0.5) * (re2 + 1j * im2)
+    return g1.reshape(config.n_e, config.m1), g2.reshape(config.n_e, config.m2)
+
+
 def member(stack, t: int):
     """Member ``t`` of a trial-stacked dataclass: every array and nested dataclass indexed at ``t``.
 

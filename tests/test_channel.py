@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import count_generators, crandn, elimination_rank, member, real2
+from helpers import count_generators, crandn, elimination_rank, member, real2, seed_sequence_eavesdropper
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -45,7 +45,7 @@ def _use(config, trial_stack, rng, use, mode):
 
 def _stream(rng, domain, length):
     """The first ``length`` normals of ``rng``'s address in ``domain``, as the library's draws read them."""
-    words = _seed_words(rng.master_seed, [(domain, *rng.stream_id)])
+    words = _seed_words(rng.master_seed, [(domain, rng.trial)])
     return _normals(words, 1, length)[0]
 
 
@@ -54,33 +54,32 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(-1)
         with pytest.raises(ValueError):
-            RngStream(3, (-1, 0))
+            RngStream(3, -1)
         # The seed hash casts to uint64: a float or a bool would silently
         # seed the integer it truncates to.
-        for seed, stream_id in ((2.5, (0, 0)), (True, (0, 0)), (np.True_, (0, 0)),
-                                (3, (1.5, 0)), (3, (0, 2.0)), (3, (False, 0))):
+        for seed, trial in ((2.5, 0), (True, 0), (np.True_, 0), (3, 1.5), (3, 2.0), (3, False)):
             with pytest.raises(ValueError, match="64-bit nonnegative integer"):
-                RngStream(seed, stream_id)
+                RngStream(seed, trial)
         # NumPy integers are integers.
-        assert _stream(RngStream(np.uint64(3), (np.int64(1), 0)), 0, 8).tobytes() == (
-            _stream(RngStream(3, (1, 0)), 0, 8).tobytes()
+        assert _stream(RngStream(np.uint64(3), np.int64(1)), 0, 8).tobytes() == (
+            _stream(RngStream(3, 1), 0, 8).tobytes()
         )
 
     def test_same_address_same_draws(self):
-        a = _stream(RngStream(42, (5, 3)), 0, 8)
-        b = _stream(RngStream(42, (5, 3)), 0, 8)
+        a = _stream(RngStream(42, 5), 0, 8)
+        b = _stream(RngStream(42, 5), 0, 8)
         assert np.array_equal(a, b)
 
     def test_components_fit_64_bits(self):
-        RngStream(2**64 - 1, (2**64 - 1, 2**64 - 1))
+        RngStream(2**64 - 1, 2**64 - 1)
         with pytest.raises(ValueError):
-            RngStream(3, (2**64, 0))
+            RngStream(3, 2**64)
         with pytest.raises(ValueError):
-            RngStream(3, (0, 2**64))
+            RngStream(2**64, 3)
 
     def test_domains_are_distinct(self):
-        a = _stream(RngStream(42, (5, 3)), 0, 8)
-        b = _stream(RngStream(42, (5, 3)), 1, 8)
+        a = _stream(RngStream(42, 5), 0, 8)
+        b = _stream(RngStream(42, 5), 1, 8)
         assert not np.array_equal(a, b)
 
 
@@ -104,7 +103,7 @@ class TestSampleChannels:
         # rows of TrialNormals: with n_e = 0 only the legitimate draw seeds one.
         made = count_generators(monkeypatch)
         config, mode = AntennaConfig(2, 2, 3, n_e), EveMode.TIME_VARYING
-        rngs = [RngStream(5, (t, 0)) for t in range(12)]
+        rngs = [RngStream(5, t) for t in range(12)]
         counts = [0]
         draws = sample_channels(config, rngs, mode)
         counts.append(len(made))
@@ -117,23 +116,17 @@ class TestSampleChannels:
 
     def test_determinism(self):
         config = AntennaConfig(3, 2, 4, 1)
-        first = sample_channels(config, [RngStream(9, (2, 1))], EveMode.STATIC)
-        second = sample_channels(config, [RngStream(9, (2, 1))], EveMode.STATIC)
+        first = sample_channels(config, [RngStream(9, 2)], EveMode.STATIC)
+        second = sample_channels(config, [RngStream(9, 2)], EveMode.STATIC)
         assert np.array_equal(first.h1, second.h1)
         assert np.array_equal(first.g2, second.g2)
 
     def test_legit_static_across_uses_eve_varies(self):
-        config = AntennaConfig(2, 2, 3, 2)
-        use0 = sample_channels(config, [RngStream(7, (0, 0))], EveMode.TIME_VARYING)
-        use1 = sample_channels(config, [RngStream(7, (0, 1))], EveMode.TIME_VARYING)
-        assert np.array_equal(use0.h1, use1.h1)
-        assert not np.array_equal(use0.g1, use1.g1)
-
-    def test_static_eve_ignores_use_index(self):
-        config = AntennaConfig(2, 2, 3, 2)
-        use0 = sample_channels(config, [RngStream(7, (0, 0))], EveMode.STATIC)
-        use1 = sample_channels(config, [RngStream(7, (0, 5))], EveMode.STATIC)
-        assert np.array_equal(use0.g1, use1.g1)
+        config, rngs, mode = AntennaConfig(2, 2, 3, 2), [RngStream(7)], EveMode.TIME_VARYING
+        draw = sample_channels(config, rngs, mode)
+        seen = channel_uses(config, draw, rngs, [0, 1], mode)
+        assert np.array_equal(seen.h1, draw.h1)
+        assert not np.array_equal(seen.g1[:, 0], seen.g1[:, 1])
 
     def test_empirical_moments(self):
         # pool ~1e5 entries from one large draw
@@ -200,23 +193,23 @@ class TestRealForm:
 
 
 class TestChannelUse:
-    """One trial's ``channel_uses`` against oracles drawn here with sample_channels."""
+    """One trial's ``channel_uses`` against oracles drawn here with NumPy's SeedSequence."""
 
     config = AntennaConfig(2, 2, 3, 2)
     seed, trial = 7, 3
 
     def trial_draw(self, mode):
         """The trial's stream, its draw as a stack of one, and that draw's matrices."""
-        rng = RngStream(self.seed, (self.trial, 0))
+        rng = RngStream(self.seed, self.trial)
         return (rng, *_draw(self.config, rng, mode))
 
     def draw_at(self, address):
-        rng = RngStream(self.seed, (self.trial, address))
-        return _draw(self.config, rng, EveMode.TIME_VARYING)[1]
+        """The eavesdropper (g1, g2) at spawn key (1, trial, address), drawn without the library."""
+        return seed_sequence_eavesdropper(self.config, self.seed, (1, self.trial, address))
 
-    def seen(self, mode, use, rng=None):
-        trial_rng, stack, _ = self.trial_draw(mode)
-        return _use(self.config, stack, rng or trial_rng, use, mode)
+    def seen(self, mode, use):
+        rng, stack, _ = self.trial_draw(mode)
+        return _use(self.config, stack, rng, use, mode)
 
     @pytest.mark.parametrize("use", [0, 1, 4])
     def test_time_varying_slot_s_of_use_k_is_the_draw_at_2k_plus_s(self, use):
@@ -225,17 +218,17 @@ class TestChannelUse:
         seen = self.seen(EveMode.TIME_VARYING, use)
         after = self.seen(EveMode.TIME_VARYING, use + 1)
         ne, m1, m2 = self.config.n_e, self.config.m1, self.config.m2
-        a, skipped, b = (self.draw_at(2 * use + s) for s in range(3))
-        assert np.array_equal(seen.g1, a.g1) and np.array_equal(seen.g2, a.g2)
-        assert np.array_equal(after.g1, b.g1) and np.array_equal(after.g2, b.g2)
+        (a1, a2), (skipped, _), (b1, b2) = (self.draw_at(2 * use + s) for s in range(3))
+        assert np.array_equal(seen.g1, a1) and np.array_equal(seen.g2, a2)
+        assert np.array_equal(after.g1, b1) and np.array_equal(after.g2, b2)
         assert seen.g1.shape == (ne, m1) and seen.g2.shape == (ne, m2)
-        assert not np.array_equal(skipped.g1, seen.g1) and not np.array_equal(skipped.g1, after.g1)
+        assert not np.array_equal(skipped, seen.g1) and not np.array_equal(skipped, after.g1)
 
     def test_slot_a_of_use_0_is_the_trial_draw(self):
         _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
         seen = self.seen(EveMode.TIME_VARYING, 0)
         assert np.array_equal(seen.g1, trial.g1) and np.array_equal(seen.g2, trial.g2)
-        assert np.array_equal(seen.g1, self.draw_at(0).g1)
+        assert np.array_equal(seen.g1, self.draw_at(0)[0])
 
     @pytest.mark.parametrize("use", [0, 2])
     def test_static_slots_carry_the_trial_eavesdropper(self, use):
@@ -251,13 +244,14 @@ class TestChannelUse:
         assert np.array_equal(seen.h1, trial.h1)
         assert np.array_equal(seen.h2, trial.h2)
 
-    @pytest.mark.parametrize("use", [0, 3])
+    # From use 2**31 on, the address 2k takes two words of the seed hash.
+    @pytest.mark.parametrize("use", [0, 3, 2**31 + 5])
     def test_single_slot_use_k_is_the_draw_at_2k(self, use):
         _, _, trial = self.trial_draw(EveMode.TIME_VARYING)
         seen = self.seen(EveMode.TIME_VARYING, use)
-        oracle = self.draw_at(2 * use)
+        g1, g2 = self.draw_at(2 * use)
         assert np.array_equal(seen.h1, trial.h1) and np.array_equal(seen.h2, trial.h2)
-        assert np.array_equal(seen.g1, oracle.g1) and np.array_equal(seen.g2, oracle.g2)
+        assert np.array_equal(seen.g1, g1) and np.array_equal(seen.g2, g2)
 
     @pytest.mark.parametrize("uses", [[], [2, 1], [1, 1], [-1, 0], [2**63]])
     def test_uses_are_increasing_addresses(self, uses):
@@ -265,11 +259,6 @@ class TestChannelUse:
         rng, stack, _ = self.trial_draw(EveMode.TIME_VARYING)
         with pytest.raises(ValueError, match="uses must be a nonempty, strictly increasing"):
             channel_uses(self.config, stack, [rng], uses, EveMode.TIME_VARYING)
-
-    def test_trial_rng_must_address_use_0(self):
-        later = RngStream(self.seed, (self.trial, 1))
-        with pytest.raises(ValueError):
-            self.seen(EveMode.TIME_VARYING, 0, rng=later)
 
 
 def _seed_sequence_words(master, keys):
@@ -360,13 +349,13 @@ class TestTrialNormals:
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("count", [1, 11])
     def test_rows_match_each_stream_alone(self, count, mode):
-        # Domain keys: legitimate (0, trial), eavesdropper (1, trial) or
-        # (1, trial, use) when time-varying, jamming (2, trial).
-        rngs = [RngStream(8, (t, 3 * t)) for t in range(count)]
+        # Domain keys: legitimate (0, trial), eavesdropper (1, trial) or,
+        # when time-varying, (1, trial, 0) of its channel use 0, jamming (2, trial).
+        rngs = [RngStream(8, t) for t in range(count)]
         rows = TrialNormals.draw(rngs, mode, 5, 7, 9)
         for t, rng in enumerate(rngs):
             alone = TrialNormals.draw([rng], mode, 5, 7, 9)
-            eve_key = (1, t, 3 * t) if mode.varies_per_use else (1, t)
+            eve_key = (1, t, 0) if mode.varies_per_use else (1, t)
             for name, key in (("legit", (0, t)), ("eve", eve_key), ("jamming", (2, t))):
                 row = getattr(rows, name)[t]
                 oracle = np.random.default_rng(np.random.SeedSequence(8, spawn_key=key))
@@ -375,7 +364,7 @@ class TestTrialNormals:
 
     @pytest.mark.parametrize("count", [1, 11])
     def test_shorter_rows_are_prefixes_of_longer_ones(self, count):
-        rngs = [RngStream(11, (t, 0)) for t in range(count)]
+        rngs = [RngStream(11, t) for t in range(count)]
         short = TrialNormals.draw(rngs, EveMode.STATIC, 4, 1, 6)
         long = TrialNormals.draw(rngs, EveMode.STATIC, 90, 33, 140)
         for name in ("legit", "eve", "jamming"):
@@ -384,7 +373,7 @@ class TestTrialNormals:
 
     def test_an_empty_domain_seeds_nothing(self, monkeypatch):
         made = count_generators(monkeypatch)
-        rngs = [RngStream(3, (t, 0)) for t in range(9)]
+        rngs = [RngStream(3, t) for t in range(9)]
         normals = TrialNormals.draw(rngs, EveMode.STATIC, legit=4, jamming=2)
         assert len(made) == 2 * len(rngs) and normals.eve.shape == (len(rngs), 0)
 
@@ -395,7 +384,7 @@ class TestTrialNormals:
 
     def test_a_draw_reads_the_prefix_it_needs(self):
         config = AntennaConfig(3, 2, 4, 2)
-        rngs = [RngStream(6, (t, 0)) for t in range(3)]
+        rngs = [RngStream(6, t) for t in range(3)]
         drawn = TrialNormals.draw(rngs, EveMode.STATIC, 100, 90).channels(config)
         own = sample_channels(config, rngs, EveMode.STATIC)
         for name in ("h1", "h2", "g1", "g2"):
@@ -412,7 +401,7 @@ class TestStackedDraws:
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (3, 2, 4, 1), (2, 1, 2, 0)])
     def test_sample_channels(self, cfg, trials, mode):
         config = AntennaConfig(*cfg)
-        rngs = [RngStream(2**40 + 3, (2**32 + t, 2 * t)) for t in range(trials)]
+        rngs = [RngStream(2**40 + 3, 2**32 + t) for t in range(trials)]
         stacked = sample_channels(config, rngs, mode)
         for i, rng in enumerate(rngs):
             _, alone = _draw(config, rng, mode)
@@ -426,7 +415,7 @@ class TestStackedDraws:
         # Offset 1 runs uses 0, 1 and 4, starting with the trial draw; offset
         # 2 runs uses 1, 2 and 5, all fresh draws.
         config = AntennaConfig(3, 2, 4, 2)
-        rngs = [RngStream(17, (t, 0)) for t in range(trials)]
+        rngs = [RngStream(17, t) for t in range(trials)]
         draws = sample_channels(config, rngs, mode)
         uses = [offset - 1, offset, offset + 3]
         seen = channel_uses(config, draws, rngs, uses, mode)
@@ -449,7 +438,7 @@ def _draw_digest(modes=tuple(EveMode)) -> str:
         config = AntennaConfig(*cfg)
         for seed, trial in ((0, 0), (11, 4)):
             for mode in modes:
-                rng = RngStream(seed, (trial, 0))
+                rng = RngStream(seed, trial)
                 stack, trial_ch = _draw(config, rng, mode)
                 seen = [_use(config, stack, rng, use, mode) for use in (0, 1, 3)]
                 for ch in (trial_ch, *seen):

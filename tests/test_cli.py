@@ -264,7 +264,7 @@ class TestSimulateCommand:
         summary_path = tmp_path / "summary.json"
         code = run_cli(
             ["simulate", *_antenna_flags(2, 2, 3, 1), "--alpha", "0.9",
-             "--p-start", "3060", "--p-stop", "3080", "--window-lo", "3060", "--window-hi", "3080",
+             "--p-start", "3060", "--p-stop", "3080",
              "--trials", "1", "--csv", str(tmp_path / "sweep.csv"), "--summary", str(summary_path)]
         )
         assert code == 0
@@ -332,34 +332,32 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
     [
         (_SIM + ["--threads", "0"], "--threads"),
         (["design", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "2", "--seed", "-1"], None),
-        (_SIM + ["--window-lo", "90"], None),
+        # The slope is regressed over the whole grid: 60 and 90 dB are too few points.
+        (_SIM + ["--p-step", "30"], None),
         (_SIM + ["--seed", "-3"], None),
-        (_SIM + ["--tolerance", "-1"], "--tolerance"),
-        (_SIM + ["--tolerance", "nan"], "--tolerance"),
         (_SIM + ["--alpha", "nan"], "--alpha"),
         (_SIM + ["--p-step", "inf"], "--p-step"),
         (_SIM + ["--p-stop", "inf"], "--p-stop"),
-        (_SIM + ["--p-start", "3070", "--p-stop", "3100", "--window-lo", "3070",
-                 "--window-hi", "3100"], None),
+        (_SIM + ["--p-start", "3070", "--p-stop", "3100"], None),
         # p is finite at 3080 dB, but the one legitimate real stream of
         # (1, 1, 1, 1) has SNR 0.9 p / (1/2) at alpha = 0.1, past the float range.
-        (_SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080",
-                 "--window-lo", "3060", "--window-hi", "3080"], None),
+        (_SIM + ["--alpha", "0.1", "--p-start", "3060", "--p-stop", "3080"], None),
         (["simulate", "--m1", "2", "--m2", "2", "--n", "3", "--ne", "1", "--p-start=-1e308",
           "--p-stop=1e308", "--trials", "1"], None),
         # 40 dB in steps of 0.004 dB is 10,001 points, one past the cap.
         (_SIM + ["--p-step", "0.004"], None),
         # A step below the float spacing at 60 dB repeats grid points.
         (["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "1",
-          "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15",
-          "--window-lo", "60", "--window-hi", "61"], None),
+          "--p-start", "60", "--p-stop", "60.00000000001", "--p-step", "1e-15"], None),
         (_SIM + ["--p-step", "0"], "--p-step"),
         (_SIM + ["--p-start", "80", "--p-stop", "70"], "--p-stop"),
+        # 5 x 10**15 samples: the rate arrays alone would take 80 PB.
+        (_SIM + ["--trials", "1000000000000000"], "--trials"),
     ],
-    ids=["threads-0", "design-seed-negative", "window-under-3-points", "simulate-seed-negative",
-         "tolerance-negative", "tolerance-nan", "alpha-nan", "p-step-inf", "p-stop-inf",
+    ids=["threads-0", "design-seed-negative", "grid-under-3-points", "simulate-seed-negative",
+         "alpha-nan", "p-step-inf", "p-stop-inf",
          "power-overflow", "per-stream-overflow", "grid-span-overflow", "grid-over-point-cap",
-         "grid-step-below-spacing", "p-step-zero", "p-stop-below-p-start"],
+         "grid-step-below-spacing", "p-step-zero", "p-stop-below-p-start", "samples-over-cap"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, flag, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
@@ -383,8 +381,13 @@ def test_bad_input_is_usage_error_before_sampling(argv, flag, tmp_path, monkeypa
         _SIM + ["--trials", "many"],
         _SIM + ["--trials", "2.5"],
         _SIM + ["--threads", "1.5"],
+        # The regression window is the grid and the slope tolerance fixed: neither is a flag.
+        _SIM + ["--window-lo", "60"],
+        _SIM + ["--window-hi", "100"],
+        _SIM + ["--tolerance", "0.15"],
     ],
-    ids=["ne-missing", "trials-not-integer", "trials-fractional", "threads-fractional"],
+    ids=["ne-missing", "trials-not-integer", "trials-fractional", "threads-fractional",
+         "window-lo", "window-hi", "tolerance"],
 )
 def test_malformed_flag_is_refused_by_the_parser(argv, capsys):
     with pytest.raises(SystemExit) as exc:

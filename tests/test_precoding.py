@@ -77,10 +77,10 @@ class TestRandomJamming:
     def test_rows_read_as_successive_block_draws(self, trials):
         # The build reads its blocks from one row in turn; a generator
         # drawing each (m, k) block by itself draws the same numbers.
-        rngs = [RngStream(7, (t, 0)) for t in range(trials)]
+        rngs = [RngStream(7, t) for t in range(trials)]
         rows = _jamming_rows(rngs, 4 * 2 + 3 * 3)
         for rng, row in zip(rngs, rows):
-            key = (_DOMAIN_JAMMING, rng.stream_id[0])
+            key = (_DOMAIN_JAMMING, rng.trial)
             gen = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
             blocks = [gen.standard_normal((4, 2)), gen.standard_normal((3, 3))]
             assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), row)
@@ -359,7 +359,7 @@ class TestLeakageRank:
 
 def _trial_stack(config, trials, seed=4, mode=EveMode.TIME_VARYING):
     """The trials' RNG streams and their draws, stacked along a leading trial axis."""
-    rngs = [RngStream(seed, (t, 0)) for t in trials]
+    rngs = [RngStream(seed, t) for t in trials]
     return rngs, sample_channels(config, rngs, mode)
 
 

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import bound_stacks, count_generators, member, real2
+from helpers import bound_stacks, count_generators, member, real2, seed_sequence_eavesdropper
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -277,7 +277,7 @@ class TestPairing:
     mode = EveMode.TIME_VARYING
 
     def draw(self, trials):
-        rngs = [RngStream(3, (t, 0)) for t in range(trials)]
+        rngs = [RngStream(3, t) for t in range(trials)]
         return rngs, sample_channels(self.config, rngs, self.mode)
 
     def call(self, function, ch, pre, points):
@@ -360,14 +360,14 @@ class TestSweep:
         real = channel.sample_channels
 
         def counting(config, rngs, *args, **kwargs):
-            addresses.extend(r.stream_id for r in rngs)
+            addresses.extend(r.trial for r in rngs)
             return real(config, rngs, *args, **kwargs)
 
         monkeypatch.setattr(channel, "sample_channels", counting)
         monkeypatch.setattr(simulate, "sample_channels", counting)
         grid = [60.0, 70.0, 80.0]
         sweep(AntennaConfig(2, 2, 3, 1), SignalParams(1.0), grid, 4, 5, EveMode.TIME_VARYING)
-        assert sorted(addresses) == [(t, 0) for t in range(4)]
+        assert sorted(addresses) == list(range(4))
 
     @pytest.mark.parametrize("mode", list(EveMode))
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
@@ -394,12 +394,12 @@ class TestSweep:
         config, grid, seed = AntennaConfig(2, 2, 3, 1), [60.0, 80.0], 5
         result = sweep(config, SignalParams(1.0), grid, 2, seed, EveMode.TIME_VARYING)
         for t, k in itertools.product(range(2), range(len(grid))):
-            rngs = [RngStream(seed, (t, 0))]
+            rngs = [RngStream(seed, t)]
             trial = sample_channels(config, rngs, EveMode.TIME_VARYING)
             pre = build_precoders(trial, allocate_jamming(config), rngs)
             held = member(trial, 0)
-            eve = member(sample_channels(config, [RngStream(seed, (t, 2 * k))], EveMode.TIME_VARYING), 0)
-            seen = _one_use(ChannelRealization(held.h1, held.h2, eve.g1, eve.g2))
+            g1, g2 = seed_sequence_eavesdropper(config, seed, (1, t, 2 * k))
+            seen = _one_use(ChannelRealization(held.h1, held.h2, g1, g2))
             sig = SignalParams.from_db(grid[k])
             assert result.legit[t, k] == pytest.approx(_at(legit_rate, seen, pre, sig), rel=1e-12)
             assert result.leakage[t, k] == pytest.approx(
@@ -470,7 +470,7 @@ class TestStackedSweep:
         real = simulate.build_precoders
 
         def counting(ch, alloc, rngs):
-            stacks.append([rng.stream_id[0] for rng in rngs])
+            stacks.append([rng.trial for rng in rngs])
             return real(ch, alloc, rngs)
 
         monkeypatch.setattr(simulate, "build_precoders", counting)
@@ -722,7 +722,7 @@ class TestFailureAddress:
 
         def poisoned(config, rngs, mode):
             ch = real(config, rngs, mode)
-            trials = [rng.stream_id[0] for rng in rngs]
+            trials = [rng.trial for rng in rngs]
             if 3 in trials:
                 h1 = ch.h1.copy()
                 h1[trials.index(3), 0, 0] = np.nan
@@ -808,7 +808,7 @@ class TestFailureAddress:
 
         def poisoned(config, trial_ch, rngs, *args):
             seen = real(config, trial_ch, rngs, *args)
-            trials = [rng.stream_id[0] for rng in rngs]
+            trials = [rng.trial for rng in rngs]
             if 3 in trials:
                 g1 = seen.g1.copy()
                 g1[trials.index(3), :, 0, 0] = np.inf

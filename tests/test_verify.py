@@ -70,7 +70,7 @@ class TestFamilyPremise:
     @pytest.mark.parametrize("trials", [1, 9])  # below and above the batch-hash threshold
     def test_trial_normals_draw_as_sample_channels(self, trials, mode):
         # Rows as long as the family's longest draw serve every n_e of it.
-        rngs = [RngStream(40 + t, (t, 0)) for t in range(trials)]
+        rngs = [RngStream(40 + t, t) for t in range(trials)]
         family = _family(3, 2, 4)
         normals = TrialNormals.draw(rngs, mode, *draw_lengths(family[-1]))
         for config in family:
@@ -97,8 +97,8 @@ class TestFamilyBuilds:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_each_set_is_the_build_on_its_own_draw(self, family):
         configs = _family(*family)
-        rngs, seeds = verify._seed_streams(3)
         allocs = {config: allocate_jamming(config) for config in configs}
+        rngs, seeds = verify._seed_streams(3, allocs)
         built = list(verify._family_builds(configs, rngs, allocs, seeds))
         assert [config for config, _, _, _ in built] == configs
         for config, draw, factors, pre in built:
@@ -113,7 +113,7 @@ class TestFamilyBuilds:
             for field in dataclasses.fields(pre.report):
                 got, want = getattr(pre.report, field.name), getattr(alone.report, field.name)
                 assert _same_bits(got, want), (config, field.name)
-            audit, alone_audit = audit_set(factors, pre), audit_set(DrawFactors(own), alone)
+            audit, alone_audit = audit_set(factors, pre, draw), audit_set(DrawFactors(own), alone, own)
             for field in dataclasses.fields(audit):
                 got, want = getattr(audit, field.name), getattr(alone_audit, field.name)
                 assert _same_bits(got, want), (config, field.name)
@@ -132,7 +132,7 @@ class TestFamilyBuilds:
         assert walked == [[config]]
         family = _family(3, 3, 4)
         allocs = {c: allocate_jamming(c) for c in family}
-        whole = dict(verify._checks([family], *verify._seed_streams(2), allocs))
+        whole = dict(verify._checks([family], *verify._seed_streams(2, allocs), allocs))
         assert whole[config] == result
 
 
