@@ -169,30 +169,51 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _entropy(seeds, keys, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """``SeedSequence``'s assembled entropy of every key: (words, K) uint32 and each key's size.
+def _key_entropy(keys, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy words ``SeedSequence`` assembles from every spawn key: (words, K) uint32, and each key's size.
 
-    ``seeds`` is (K,) and ``keys`` (K, L).  The master seed (below 2**64)
-    is padded to the pool size, as NumPy does when a spawn key follows, so
-    it takes rows 0-3 whether it has one word or two.  Each key component
-    then adds one word, or two from 2**32 on; key k ends after its first
-    ``lengths[k]`` components (all L if None).
+    ``keys`` is (K, L).  The master seed (below 2**64) is padded to the
+    pool size, as NumPy does when a spawn key follows, so it takes words
+    0-3 whether it has one word or two (``_seed_pools``); row w here is
+    word 4 + w.  Each key component then adds one word, or two from 2**32
+    on; key k ends after its first ``lengths[k]`` components (all L if
+    None).  A size counts every word of its key, the master seed's four too.
     """
     components = keys.T  # (L, K), one row per component
     words = 1 + (components > _LOW32).view(np.uint8)
-    ends = _POOL_SIZE + np.cumsum(words, axis=0, dtype=np.intp)
-    column = np.arange(len(seeds))
+    ends = np.cumsum(words, axis=0, dtype=np.intp)
+    column = np.arange(len(keys))
     sizes = ends[-1] if lengths is None else ends[lengths - 1, column]
     # A uint32 row takes the low word of what it is given.  Every component
     # writes its high word after its low one, where a narrow component's
     # (zero) is overwritten by the next component's low word; the entries
     # past a key's end write rows its hash never reads.
-    rows = np.zeros((ends[-1].max() + 1, len(seeds)), np.uint32)
+    rows = np.zeros((ends[-1].max() + 1, len(keys)), np.uint32)
     rows[ends - words + 1, column] = components >> np.uint64(32)
     rows[ends - words, column] = components
-    rows[0] = seeds
-    rows[1] = seeds >> np.uint64(32)
-    return rows[: sizes.max()], sizes
+    return rows[: sizes.max()], _POOL_SIZE + sizes
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_pools(seeds: bytes) -> np.ndarray:
+    """The hash pool of every master seed of ``seeds``, packed uint64 words, once its own words are mixed: (4, S) uint32.
+
+    Every key hashed under a master seed starts from its pool, so the pools
+    of the last call's seeds are kept: all the batches of a sweep share one
+    master seed.  The array is read-only.
+    """
+    seeds = np.frombuffer(seeds, np.uint64)
+    entropy = np.zeros((_POOL_SIZE, len(seeds)), np.uint32)
+    entropy[0] = seeds
+    entropy[1] = seeds >> np.uint64(32)
+    steps = _mix_schedule(_POOL_SIZE)
+    pool = _hashmix(entropy, *steps[0])
+    for src in range(_POOL_SIZE):
+        mixed = _mix(pool, _hashmix(pool[src], *steps[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    pool.flags.writeable = False
+    return pool
 
 
 def _seed_words(master_seed, keys, lengths=None) -> np.ndarray:
@@ -201,9 +222,10 @@ def _seed_words(master_seed, keys, lengths=None) -> np.ndarray:
     ``keys`` is an (..., L) integer array, a spawn key along its last axis:
     the first ``lengths`` entries (all L when None, at least one), below
     2**64.  ``master_seed`` and ``lengths`` broadcast against the leading
-    axes.  All keys are hashed together: a key shorter than the longest
-    stops mixing at its own last word.  Returns (K, 4) uint64, the keys in
-    C order, (0, 4) for no keys.
+    axes.  All keys are hashed together, each from the pool of its master
+    seed, which is mixed once per distinct seed (``_seed_pools``): a key
+    shorter than the longest stops mixing at its own last word.  Returns
+    (K, 4) uint64, the keys in C order, (0, 4) for no keys.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if not keys.size:
@@ -212,16 +234,13 @@ def _seed_words(master_seed, keys, lengths=None) -> np.ndarray:
     seeds = np.broadcast_to(np.asarray(master_seed, dtype=np.uint64), lead).ravel()
     if lengths is not None:
         lengths = np.broadcast_to(lengths, lead).ravel()
-    entropy, sizes = _entropy(seeds, keys.reshape(len(seeds), -1), lengths)
-    steps = _mix_schedule(len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], *steps[0])
-    for src in range(_POOL_SIZE):
-        mixed = _mix(pool, _hashmix(pool[src], *steps[1 + src]))
-        mixed[src] = pool[src]
-        pool = mixed
+    entropy, sizes = _key_entropy(keys.reshape(len(seeds), -1), lengths)
+    steps = _mix_schedule(_POOL_SIZE + len(entropy))
+    distinct, inverse = np.unique(seeds, return_inverse=True)
+    pool = _seed_pools(distinct.tobytes())[:, inverse]
     shortest = sizes.min()
-    for word in range(_POOL_SIZE, len(entropy)):
-        mixed = _mix(pool, _hashmix(entropy[word], *steps[1 + word]))
+    for word, row in enumerate(entropy, _POOL_SIZE):
+        mixed = _mix(pool, _hashmix(row, *steps[1 + word]))
         pool = mixed if word < shortest else np.where(word < sizes, mixed, pool)
     state = _hashmix(np.concatenate([pool, pool]), *_STATE_CONSTANTS).astype(np.uint64)
     # Little-endian pairs of uint32 words, as generate_state views them;

@@ -45,6 +45,15 @@ _GRID_POINTS_MAX = 10_000
 # float64 (trials, grid) rate arrays, 1.6 GB at this bound, far above any
 # useful run: a larger one would fail in allocation, not as a usage error.
 _SAMPLES_MAX = 10**8
+# Most channel seeds ``verify`` may check.  A walk's memory grows with its
+# seeds: each seed's streams hold about 4 kB of normals through the run,
+# and each stacked build its share of the largest configurations'
+# temporaries, about 50 kB a seed at the peak (tracemalloc of a
+# one-process ``run_verification(5, seeds)``: 58 kB at 100 seeds, 50 kB
+# at 200).  The bound keeps that peak within 1 GB: a larger run would
+# fail in allocation, or run for hours, not stop as a usage error.
+_SEED_BYTES = 50_000
+_SEEDS_MAX = 10**9 // _SEED_BYTES
 # Largest |legit slope - D_s| a run passes with, in degrees of freedom: the
 # slack the default 60-100 dB grid needs for draws not yet at high SNR.
 _SLOPE_TOLERANCE = 0.15
@@ -116,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p-step", type=float, default=10.0, help="grid step in dB (default %(default)s)")
     p_sim.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads, at most the CPUs this process may use and one per stack of trials "
-        "(default %(default)s)",
+        help="worker processes, this one and forked ones, at most the CPUs this process may use "
+        "and one per stack of trials (default %(default)s)",
     )
     p_sim.add_argument("--csv", default="-", help="CSV output path, '-' for stdout (default %(default)s)")
     p_sim.add_argument("--summary", default="-", help="JSON summary path, '-' for stdout (default %(default)s)")
@@ -133,7 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_verify.add_argument("--max-antennas", type=int, default=5)
-    p_verify.add_argument("--seeds", type=int, default=20)
+    p_verify.add_argument(
+        "--seeds", type=int, default=20,
+        help=f"channel seeds per configuration, 1 to {_SEEDS_MAX} (default %(default)s)",
+    )
     p_verify.add_argument("--full", action="store_true", help="include Monte Carlo slope smoke tests")
     p_verify.add_argument("--out", default=None, help="also write the JSON report here")
 
@@ -363,6 +375,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_antennas < 1 or args.seeds < 1:
         raise _UsageError("--max-antennas and --seeds must be at least 1")
+    if args.seeds > _SEEDS_MAX:
+        raise _UsageError(f"--seeds must be at most {_SEEDS_MAX}, got {args.seeds}")
     report = run_verification(args.max_antennas, args.seeds, args.full)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

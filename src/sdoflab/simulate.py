@@ -15,22 +15,26 @@ mutual information per complex channel use, so their slope against
 0.5 log2 P is the degrees of freedom.
 Trials are independent work items keyed by (master seed, trial index), and
 every draw and SVD is per matrix, so the sweep can run them in any chunks
-and blocks on any number of threads with bit-identical results.  What a
-stack holds at once stays within ``STACK_BYTES_MAX``: its trial count is
-set by what a build holds, and each block's length by what a grid point
-(for a time-varying eavesdropper, a channel use) holds next to the
-stack's draws and precoders.  Short grids, and the time-varying grids of
-small stacks, are one block.  Memory alone sizes the stacks: a sweep that
-fits one stack runs in one, on one thread, whatever thread count it is
-given, since each further stack pays its own build and seed batches.
+and blocks on any number of worker processes with bit-identical results.
+What a stack holds at once stays within ``STACK_BYTES_MAX``: its trial
+count is set by what a build holds, and each block's length by what a
+grid point (for a time-varying eavesdropper, a channel use) holds next to
+the stack's draws and precoders.  Short grids, and the time-varying grids
+of small stacks, are one block.  Memory alone sizes the stacks: a sweep
+that fits one stack runs in one, in this process, whatever worker count
+it is given, since each further stack pays its own build and seed
+batches.  Workers are forked (``_in_workers``), the calling process being
+the first; ``verify`` walks its families on the same helper.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from signal import SIGKILL
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -292,7 +296,7 @@ def _stack_bytes(config: AntennaConfig, alloc: JammingAllocation, mode: EveMode)
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on.
+    """The number of CPUs this process may run on, and so the most worker processes worth forking.
 
     That is its affinity set where the platform has one, so a ``taskset``
     or cpuset limit counts, else ``os.cpu_count()``, and 1 when that is
@@ -307,6 +311,82 @@ def _ranges(items: int, count: int) -> list[range]:
     """``range(items)`` split into ``count`` contiguous ranges, their lengths within one of each other."""
     bounds = [items * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _can_fork() -> bool:
+    """Whether ``_in_workers`` may fork its workers here.
+
+    Forking needs ``os.fork``, and is unsafe while another thread runs:
+    the child would inherit any lock that thread holds, and nothing would
+    ever release it.
+    """
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _serve(fn: Callable, share, write: int) -> NoReturn:
+    """A forked worker's whole life: send ``(True, fn(share))``, or ``(False, what it raised)``, to ``write``.
+
+    A reply that does not pickle is not sent, and the parent reads an
+    empty pipe.
+    """
+    try:
+        try:
+            reply = (True, fn(share))
+        except BaseException as exc:
+            reply = (False, exc)
+        payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _in_workers(fn: Callable, shares: Sequence) -> list:
+    """``[fn(share) for share in shares]``, every share but the first in a forked worker process.
+
+    Share 0 runs in this process while the others run in children forked
+    first, each sending back its result, or the exception it raised,
+    through a pipe; a child always ends in ``os._exit``.  The results are
+    read in share order, and the first share in that order that raised
+    has its exception raised here (a child's without its traceback).
+    Every child is reaped before this returns or raises; on any exception,
+    KeyboardInterrupt included, the children are killed first.  Where
+    ``_can_fork()`` is False, and for one share, every share runs here in
+    turn.
+    """
+    if len(shares) < 2 or not _can_fork():
+        return [fn(share) for share in shares]
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, share, write)
+            finally:
+                os.close(write)  # in this process: the child never returns
+            pids.append(pid)
+        results = [fn(shares[0])]
+        for pipe in pipes:
+            try:
+                done, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("a worker process ended without sending its result") from None
+            if not done:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _chunks(trials: int, threads: int, trial_bytes: int) -> tuple[int, list[range]]:
@@ -352,12 +432,15 @@ def sweep(
     of ``p_grid_db``, which must all be valid.  Per trial t: one channel
     draw from ``RngStream(master_seed, t)`` and one precoder build, then
     rates at each grid point k on channel use k of ``channel_uses`` under
-    eavesdropper model ``mode``.  The trials are split
-    into as few contiguous chunks as keep each build within
-    ``STACK_BYTES_MAX``, run on up to ``threads`` worker threads: no more
-    than ``usable_cpus()`` or the chunks, and the chunk count rounded up to
-    a multiple of the workers so that each gets as many.  Each chunk draws
-    its trials' channels in one ``sample_channels`` call, seeding all its
+    eavesdropper model ``mode``.  The trials are split into as few
+    contiguous chunks as keep each build within ``STACK_BYTES_MAX``, run
+    on up to ``threads`` worker processes: no more than ``usable_cpus()``
+    or the chunks, and the chunk count rounded up to a multiple of the
+    workers so that each gets as many.  Each worker takes a contiguous run
+    of chunks and hands back its rows of the result; the first is this
+    process and the others are forked (``_in_workers``), unless another
+    thread is running, when every chunk runs here.  Each chunk draws its
+    trials' channels in one ``sample_channels`` call, seeding all its
     addresses in one batch, and builds its precoder set in one stacked
     ``build_precoders`` call.  It then evaluates ``legit_rate`` and then
     ``eve_leakage`` over as few contiguous blocks of grid points as keep
@@ -365,15 +448,16 @@ def sweep(
     block, with one ``SignalParams`` of the block's levels; a
     time-varying eavesdropper's uses of a block are drawn in one
     ``channel_uses`` call.  Each block writes its columns of the chunk's
-    rows of the result.  A trial's draws, set and rates do not depend on its
-    chunk or block, so the output, its rows in trial order, depends only on
-    the arguments, never on thread count.  ``trials`` and ``threads`` must
-    be integers of at least 1, and ``master_seed`` one of at least 0, all
-    checked before any draw.  An InfeasibleAllocation from any trial
-    aborts the sweep: feasibility is generic, so a failure indicates an
-    allocation bug rather than bad luck.  A failing build or rate evaluation
-    raises its own error type, its message naming the config, the trial and
-    the master seed that reproduce it.
+    rows of the result.  A trial's draws, set and rates do not depend on
+    its chunk, block or worker, so the output, its rows in trial order,
+    depends only on the arguments, never on the worker count.  ``trials``
+    and ``threads`` must be integers of at least 1, and ``master_seed`` one
+    of at least 0, all checked before any draw.  An InfeasibleAllocation
+    from any trial aborts the sweep: feasibility is generic, so a failure
+    indicates an allocation bug rather than bad luck.  A failing build or
+    rate evaluation raises its own error type, its message naming the
+    config, the trial and the master seed that reproduce it; with several
+    failing chunks, the first chunk's error is raised.
     """
     grid = np.array([float(p) for p in p_grid_db])  # returned with the rates: no working memory
     if len(grid) == 0:
@@ -413,13 +497,16 @@ def sweep(
             # A failure that is not one member's fails every trial alike.
             raise located(exc, where(chunk[exc.member or 0])) from exc
 
-    workers, chunks = _chunks(trials, threads, held.build)
-    if workers == 1:
-        for chunk in chunks:
+    def run_share(share: list[range]) -> tuple[slice, np.ndarray, np.ndarray]:
+        for chunk in share:
             run_chunk(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
+        rows = slice(share[0].start, share[-1].stop)
+        return rows, legit[rows], leakage[rows]
+
+    workers, chunks = _chunks(trials, threads, held.build)
+    shares = [chunks[r.start : r.stop] for r in _ranges(len(chunks), workers)]
+    for rows, share_legit, share_leakage in _in_workers(run_share, shares):
+        legit[rows], leakage[rows] = share_legit, share_leakage
     return SweepResult(grid, legit, leakage)
 
 

@@ -19,23 +19,23 @@ decided in one stacked SVD per shape, and every configuration is then
 judged in walk order, so the first failure and the worst residual are
 those of a walk that stops there.  Nothing is kept past the call.
 
-The families are walked in forked worker processes, as many as the CPUs
-this process may run on (``simulate.usable_cpus``) and at most one per
-family.  Each task is a contiguous run of families, ``_TASKS_PER_WORKER``
-tasks per worker while the families last, their lengths within one of
-each other (``simulate._ranges``).  The parent takes the tasks' results
-in walk order, so the report does not depend on the number of workers.
-A walk of one family (``check_config``), a process on one CPU or with
-another thread running, and a platform without the ``fork`` start method
-stay in process, and no worker outlives the call.
+The families are walked in worker processes, as many as the CPUs this
+process may run on (``simulate.usable_cpus``) and at most one per family,
+on the helper ``sweep`` runs its stacks on (``simulate._in_workers``):
+this process is the first worker and the others are forked.  Families
+are dealt round-robin, family i to worker i mod W, so the large-antenna
+families at the end of the walk are shared out, and each worker runs one
+``_checks`` over its families.  The parent puts the results back in walk
+order, so the report does not depend on the number of workers.  A walk
+of one family (``check_config``), a process on one CPU or with another
+thread running, and a platform without ``os.fork`` stay in process, and
+no worker outlives the call.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,7 +60,7 @@ from .sdof import (
     regime_table,
     sum_sdof,
 )
-from .simulate import _ranges, estimate_dof, sweep, usable_cpus
+from .simulate import _in_workers, estimate_dof, sweep, usable_cpus
 from .subspaces import ranks
 
 __all__ = ["CheckResult", "run_verification"]
@@ -79,10 +79,6 @@ PRECODER_ANTENNA_CAP = 5
 # that a one-seed walk stacks a few families' matrices per SVD, few enough
 # that a many-seed walk holds about one family's.
 _RANK_QUEUE_BYTES = 50_000
-
-# Tasks per worker process of a parallel walk: enough that a worker that
-# drew cheap families takes more, few enough that each pays its transfer.
-_TASKS_PER_WORKER = 4
 
 _SLOPE_SMOKE_CONFIGS = ((2, 2, 3, 2), (4, 1, 2, 1), (2, 2, 3, 1))
 _SLOPE_SMOKE_TOLERANCE = 0.25
@@ -266,85 +262,41 @@ def _checks(families, rngs, normals, allocs):
     yield from judged()
 
 
-def _fork_context():
-    """The ``fork`` multiprocessing context, or None where forking is unsafe or unavailable.
-
-    Forking is unsafe while another thread runs: the child would inherit
-    any lock that thread holds, and nothing would ever release it.
-    """
-    if threading.active_count() > 1:
-        return None
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-# The walk a forked worker process takes its tasks from (``_adopt``).
-_adopted = None
-
-
-def _adopt(*walk) -> None:
-    global _adopted
-    _adopted = walk
-
-
-def _tasks(families: int, workers: int) -> list[range]:
-    """Contiguous runs of family indices, ``_TASKS_PER_WORKER`` per worker while the families last."""
-    return _ranges(families, min(families, _TASKS_PER_WORKER * workers))
-
-
-def _checked_task(task: range):
-    """A worker's task: ``_checks`` of the adopted walk's families at the indices of ``task``.
-
-    Returns the (config, result) pairs it finished and the SdofLabError
-    that stopped it, or None.
-    """
-    families, *walk = _adopted
-    pairs = []
-    try:
-        pairs.extend(_checks([families[i] for i in task], *walk))
-    except SdofLabError as exc:
-        return pairs, exc
-    return pairs, None
-
-
 def _walk(families, rngs, normals, allocs):
-    """``_checks`` of ``families``, split over worker processes where that can pay.
+    """``_checks`` of ``families``, in walk order, split over worker processes where that can pay.
 
     The workers are as many as the CPUs this process may run on
-    (``usable_cpus``), at most one per family.  Each is forked, so it
-    inherits the walk (the rows of ``normals`` and ``allocs``) and
-    nothing large is pickled; each task is a contiguous run of families,
-    and the tasks are consumed in walk order.  A task hands back the
-    configurations it finished and the build error that stopped it, and
-    that error is raised once they have been yielded, so the order of
-    results and errors is the one-process walk's.  One family, one CPU,
-    another running thread or no ``fork`` start method walks in this
-    process.  The pool is shut down, its unstarted tasks cancelled, when
-    the generator is exhausted, raises or is closed.
+    (``usable_cpus``), at most one per family, and worker w runs one
+    ``_checks`` of families w, w + W, w + 2W, ... (``_in_workers``).  Each
+    forked worker inherits the walk (the rows of ``normals`` and
+    ``allocs``), so nothing large is pickled, and hands back the
+    (config, result) pairs it finished and the build error that stopped
+    it, or None.  The pairs are yielded in walk order up to the first
+    error in walk order, which is then raised, so the order of results
+    and errors is the one-process walk's.
     """
     workers = min(usable_cpus(), len(families))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        yield from _checks(families, rngs, normals, allocs)
-        return
-    from concurrent.futures.process import ProcessPoolExecutor
+    shares = [families[w::workers] for w in range(workers)]
+    order = {config: i for i, config in enumerate(itertools.chain(*families))}
 
-    pool = ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_adopt,
-        initargs=(families, rngs, normals, allocs),
-    )
-    try:
-        tasks = [pool.submit(_checked_task, task) for task in _tasks(len(families), workers)]
-        for task in tasks:
-            pairs, error = task.result()
-            yield from pairs
-            if error is not None:
-                raise error
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def checked(share):
+        pairs = []
+        try:
+            pairs.extend(_checks(share, rngs, normals, allocs))
+        except SdofLabError as exc:
+            return pairs, exc
+        return pairs, None
+
+    pairs, errors = [], []
+    for share, (done, error) in zip(shares, _in_workers(checked, shares)):
+        pairs += done
+        if error is not None:  # raised at the share's first configuration not done
+            errors.append((order[list(itertools.chain(*share))[len(done)]], error))
+    stop, error = min(errors, default=(len(order), None))
+    pairs.sort(key=lambda pair: order[pair[0]])
+    yield from (pair for pair in pairs if order[pair[0]] < stop)
+    if error is not None:
+        raise error
 
 
 def check_config(config: AntennaConfig, seeds: int):
@@ -386,12 +338,11 @@ def check_precoders(
     rngs, normals = _seed_streams(seeds, {config: allocs[config] for config in grid})
     worst = 0.0
     builds = 0
-    with contextlib.closing(_walk(families, rngs, normals, allocs)) as walked:
-        for config, (config_worst, failures) in walked:
-            builds += seeds
-            worst = max(worst, *config_worst.values())
-            if failures:
-                return CheckResult("precoder_invariants", False, failures[0], worst)
+    for config, (config_worst, failures) in _walk(families, rngs, normals, allocs):
+        builds += seeds
+        worst = max(worst, *config_worst.values())
+        if failures:
+            return CheckResult("precoder_invariants", False, failures[0], worst)
     return CheckResult("precoder_invariants", True, f"{builds} precoder sets checked", worst)
 
 

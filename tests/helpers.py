@@ -7,6 +7,7 @@ they verify.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def member(stack, t: int):
 def bound_stacks(monkeypatch, config, trials: int, mode) -> None:
     """Bound every stack of a sweep of ``config`` at ``trials`` trials.
 
-    A sweep then needs more stacks, and so may start more worker threads,
+    A sweep then needs more stacks, and so may fork more worker processes,
     than its trials alone would.
     """
     build = simulate._stack_bytes(config, allocate_jamming(config), mode).build
@@ -129,3 +130,16 @@ def count_generators(monkeypatch) -> list:
 
     monkeypatch.setattr(channel, "_StateWords", Counting)
     return made
+
+
+def no_children() -> bool:
+    """Whether this process has no child process, running or unreaped.
+
+    ``multiprocessing.active_children()`` sees only the processes that
+    ``multiprocessing`` started, not raw forks.
+    """
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -330,6 +330,17 @@ class TestSeedWords:
         for m, k, words in zip(masters.tolist(), keys.tolist(), got):
             assert np.array_equal(words, _seed_sequence_words(m, [k])[0])
 
+    def test_two_master_seeds_interleaved_in_one_batch(self):
+        # Each distinct master seed's pool is mixed once and spread over its
+        # keys; a batch of the same keys under one seed reads the same rows.
+        keys = _keys(12, seed=3)
+        masters = np.array([7, 2**40 + 1] * 6, np.uint64)
+        got = _seed_words(masters, *_key_array(keys))
+        for m, k, words in zip(masters.tolist(), keys, got):
+            assert np.array_equal(words, _seed_sequence_words(m, [k])[0])
+        alone = _seed_words(2**40 + 1, *_key_array(keys[1::2]))
+        assert np.array_equal(alone, got[1::2])
+
     @pytest.mark.parametrize("count", counts)
     def test_streams_draw_as_seed_sequence_ones(self, count):
         keys = _keys(count, seed=99)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -176,44 +175,39 @@ STATIC_OUTPUTS_DIGEST = "648f3a6cc664471de2837020b1531dbf6d74a486cd16530605c981a
 SIMULATE_CONFIGS = ((2, 2, 3, 1), (3, 3, 4, 2))
 
 
-def _simulate_legs(tmp_path, monkeypatch, modes=("time_varying_eve", "static_eve")):
-    """The (CSV, summary) bytes of each of SIMULATE_CONFIGS in ``modes`` at 1 and 2 threads, and the pools made.
+def _simulate_legs(tmp_path, monkeypatch, forks, modes=("time_varying_eve", "static_eve")):
+    """The (CSV, summary) bytes of each of SIMULATE_CONFIGS in ``modes`` at 1 and 2 threads, and each leg's workers.
 
     Stacks hold at most 2 trials: 5 trials take 3 stacks, so every threads-2
-    leg runs on a pool of 2 workers.
+    leg runs on 2 worker processes, this one and one forked.  ``forks`` is
+    the fixture of that name.
     """
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
-    legs = []
+    legs, workers = [], []
     csv_path, summary_path = tmp_path / "sweep.csv", tmp_path / "summary.json"
     for cfg, mode, threads in itertools.product(SIMULATE_CONFIGS, modes, ("1", "2")):
         bound_stacks(monkeypatch, sdoflab.AntennaConfig(*cfg), 2, sdoflab.EveMode(mode))
+        forks.clear()
         assert run_cli(
             ["simulate", *_antenna_flags(*cfg), "--mode", mode, "--threads", threads,
              "--trials", "5", "--seed", "7", "--csv", str(csv_path), "--summary", str(summary_path)]
         ) == 0
         legs.append((csv_path.read_bytes(), summary_path.read_bytes()))
-    return legs, pools
+        workers.append(1 + len(forks))
+    return legs, workers
 
 
-def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
-    legs, pools = _simulate_legs(tmp_path, monkeypatch)
+def test_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch, forks):
+    legs, workers = _simulate_legs(tmp_path, monkeypatch, forks)
     digest = hashlib.sha256()
     for csv, summary in legs:
         digest.update(csv)
         digest.update(summary)
     assert digest.hexdigest() == SIMULATE_OUTPUTS_DIGEST
-    assert pools == [2] * 4
+    assert workers == [1, 2] * 4
 
 
-def test_simulate_legit_columns_are_pinned(tmp_path, uncapped_workers, monkeypatch):
-    legs, _ = _simulate_legs(tmp_path, monkeypatch)
+def test_simulate_legit_columns_are_pinned(tmp_path, uncapped_workers, monkeypatch, forks):
+    legs, _ = _simulate_legs(tmp_path, monkeypatch, forks)
     digest = hashlib.sha256()
     for csv, _ in legs:
         for line in csv.decode().splitlines():
@@ -221,8 +215,8 @@ def test_simulate_legit_columns_are_pinned(tmp_path, uncapped_workers, monkeypat
     assert digest.hexdigest() == LEGIT_COLUMNS_DIGEST
 
 
-def test_static_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch):
-    legs, _ = _simulate_legs(tmp_path, monkeypatch, ("static_eve",))
+def test_static_simulate_outputs_are_pinned(tmp_path, uncapped_workers, monkeypatch, forks):
+    legs, _ = _simulate_legs(tmp_path, monkeypatch, forks, ("static_eve",))
     digest = hashlib.sha256()
     for csv, summary in legs:
         fields = json.loads(summary)
@@ -408,6 +402,20 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == {
             "theory_consistency", "allocation_audits", "precoder_invariants",
         }
+
+    @pytest.mark.parametrize("seeds", [cli._SEEDS_MAX + 1, 10**12], ids=["one-over-cap", "10^12"])
+    def test_seeds_over_cap_is_usage_error(self, seeds, monkeypatch, capsys):
+        # Refused before any seed's streams are drawn: the walk's memory
+        # grows with the seeds.
+        def refuse(*args, **kwargs):
+            raise AssertionError("verification started before --seeds was checked")
+
+        monkeypatch.setattr(cli, "run_verification", refuse)
+        assert run_cli(["verify", "--seeds", str(seeds)]) == 2
+        assert capsys.readouterr().err == f"error: --seeds must be at most {cli._SEEDS_MAX}, got {seeds}\n"
+        with pytest.raises(SystemExit):
+            run_cli(["verify", "--help"])
+        assert f"1 to {cli._SEEDS_MAX}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_console_entry_point():

@@ -1,15 +1,16 @@
 import dataclasses
 import itertools
+import os
 import re
-import sys
 import threading
+import time
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from helpers import bound_stacks, count_generators, member, real2, seed_sequence_eavesdropper
+from helpers import bound_stacks, count_generators, member, no_children, real2, seed_sequence_eavesdropper
 from sdoflab import (
     AntennaConfig,
     ChannelRealization,
@@ -346,12 +347,13 @@ class TestSweep:
         result = sweep(AntennaConfig(5, 1, 2, 5), SignalParams(1.0), [60.0, 80.0], 3, 4, mode)
         assert np.isfinite(result.legit).all() and np.isfinite(result.leakage).all()
 
-    def test_thread_count_does_not_change_results(self, monkeypatch, uncapped_workers):
+    def test_thread_count_does_not_change_results(self, monkeypatch, uncapped_workers, forks):
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 70.0, 80.0], 6, 5, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
         bound_stacks(monkeypatch, args[0], 2, EveMode.STATIC)  # three stacks, three workers
-        threaded = sweep(*args, threads=4)
-        assert _result_bytes(sequential) == _result_bytes(threaded)
+        forked = sweep(*args, threads=4)
+        assert _result_bytes(sequential) == _result_bytes(forked)
+        assert len(forks) == 2
 
     def test_time_varying_two_slot_draws_once_per_trial(self, monkeypatch):
         # Per grid point only the eavesdropper is redrawn; sample_channels
@@ -465,7 +467,7 @@ class TestStackedSweep:
 
     @pytest.fixture
     def stacks(self, monkeypatch):
-        """The trial indices of each stacked build ``sweep`` makes, in call order."""
+        """The trial indices of each stacked build ``sweep`` makes in this process, in call order."""
         stacks = []
         real = simulate.build_precoders
 
@@ -494,11 +496,11 @@ class TestStackedSweep:
         [(7, 1, 64, 1), (7, 2, 64, 1), (7, 3, 64, 1), (7, 1, 3, 3), (2, 4, 64, 1), (7, 2, 3, 4)],
     )
     def test_one_stacked_build_per_chunk(
-        self, trials, threads, cap, builds, stacks, monkeypatch, uncapped_workers
+        self, trials, threads, cap, builds, stacks, monkeypatch, uncapped_workers, in_process
     ):
         # (7, 2, 64, 1): trials that fit one stack are built in one, whatever
-        # the threads.  (7, 2, 3, 4): stacks of at most 3 trials, two per
-        # worker thread.
+        # the workers.  (7, 2, 3, 4): stacks of at most 3 trials, two per
+        # worker, each worker's run here in turn.
         bound_stacks(monkeypatch, AntennaConfig(2, 2, 3, 2), cap, EveMode.STATIC)
         self.run((2, 2, 3, 2), trials, EveMode.STATIC, threads)
         assert len(stacks) == builds
@@ -510,11 +512,12 @@ class TestStackedSweep:
     def test_a_sweep_that_fits_one_stack_starts_no_thread(
         self, threads, stacks, monkeypatch, uncapped_workers
     ):
-        # A second stack would pay its own build and seed batches.
-        def no_threads(self):
-            raise AssertionError("a thread was started")
+        # Nor any process: a second stack would pay its own build and seed batches.
+        def refuse(*args):
+            raise AssertionError("a thread was started or a process forked")
 
-        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         self.run((2, 2, 3, 2), 7, EveMode.STATIC, threads)
         assert stacks == [list(range(7))]
 
@@ -563,19 +566,15 @@ class TestStackedSweep:
             assert _result_bytes(self.run(cfg, 3, mode, grid=grid)) == _result_bytes(whole)
             assert blocks == per_stack * 3
 
-    def test_worker_threads_write_only_their_own_blocks(self, monkeypatch, uncapped_workers):
-        # Twelve one-trial stacks of 2-use blocks on more workers than cores,
-        # switching often: a lost or misplaced block would change the bytes.
+    def test_workers_write_only_their_own_blocks(self, monkeypatch, uncapped_workers, forks):
+        # Twelve one-trial stacks of 2-use blocks, four on each of three
+        # workers: a lost or misplaced block or row would change the bytes.
         cfg, mode, grid = (2, 2, 3, 1), EveMode.TIME_VARYING, [60.0 + 5.0 * i for i in range(7)]
         sequential = self.run(cfg, 12, mode, grid=grid)
         self.bound_blocks(monkeypatch, cfg, 2, mode)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = self.run(cfg, 12, mode, threads=6, grid=grid)
-        finally:
-            sys.setswitchinterval(interval)
-        assert _result_bytes(threaded) == _result_bytes(sequential)
+        forked = self.run(cfg, 12, mode, threads=3, grid=grid)
+        assert _result_bytes(forked) == _result_bytes(sequential)
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("points, trials", [(17, 16), (201, 8), (1000, 4)])
     @pytest.mark.parametrize("cfg", [(3, 3, 4, 2), (5, 1, 2, 5), (2, 2, 3, 1), (4, 4, 6, 3)])
@@ -672,36 +671,20 @@ class TestChunkDraws:
 
 
 class TestWorkerCap:
-    """``sweep`` starts no more worker threads than the process may use CPUs."""
+    """``sweep`` runs on no more worker processes than the process may use CPUs."""
 
     @pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
-    def test_workers_are_capped_at_the_cpu_count(self, cpus, workers, monkeypatch):
-        # 3: an affinity set of 3 of the host's 64 CPUs.  None: no affinity
-        # call and an unknown CPU count, which ``usable_cpus`` reads as 1.
-        pools = []
-
-        class InlinePool:
-            """Records its size and runs every task in the calling thread."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
+    def test_workers_are_capped_at_the_cpu_count(self, cpus, workers, monkeypatch, forks):
+        # 3: an affinity set of 3 of the host's 64 CPUs, so two forks beside
+        # this process.  None: no affinity call and an unknown CPU count,
+        # which ``usable_cpus`` reads as 1, so no fork.  ``workers`` lists
+        # the worker count of each sweep that forked.
         def no_threads(self):
             raise AssertionError("a thread was started")
 
         args = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 80.0], 7, 4, EveMode.STATIC)
         sequential = sweep(*args, threads=1)
         bound_stacks(monkeypatch, args[0], 1, EveMode.STATIC)  # seven stacks
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         if cpus is None:
             monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
@@ -710,7 +693,87 @@ class TestWorkerCap:
             monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         assert _result_bytes(sweep(*args, threads=100_000)) == _result_bytes(sequential)
-        assert pools == workers
+        assert ([1 + len(forks)] if forks else []) == workers
+
+
+class TestWorkers:
+    """The fork helper that ``sweep`` and ``verify`` share: results in share order, and no child left."""
+
+    ARGS = (AntennaConfig(2, 2, 3, 2), SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.STATIC)
+
+    @pytest.fixture
+    def nan_at(self, monkeypatch):
+        """Poison the draws of the given trials with a NaN; return the setter."""
+        real = simulate.sample_channels
+        poisoned_trials = set()
+
+        def poisoned(config, rngs, mode):
+            ch = real(config, rngs, mode)
+            h1 = ch.h1.copy()
+            for row, rng in enumerate(rngs):
+                if rng.trial in poisoned_trials:
+                    h1[row, 0, 0] = np.nan
+            return dataclasses.replace(ch, h1=h1)
+
+        monkeypatch.setattr(simulate, "sample_channels", poisoned)
+        return poisoned_trials.update
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch, uncapped_workers):
+        # Stacks of 2 trials: chunks [0], [1], [2], [3, 4], two per worker.
+        bound_stacks(monkeypatch, self.ARGS[0], 2, EveMode.STATIC)
+
+    def test_results_come_in_share_order(self, forks):
+        assert simulate._in_workers(lambda share: share * 10, [0, 1, 2]) == [0, 10, 20]
+        assert len(forks) == 2 and no_children()
+
+    @pytest.mark.parametrize("failing, named", [((), None), ((0,), 0), ((3,), 3), ((0, 3), 0), ((2, 4), 2)])
+    def test_no_process_outlives_a_sweep(self, failing, named, nan_at, two_workers, forks):
+        # Trials 0 and 1 are this process's share, 2 to 4 the child's, whose
+        # chunks are [2] and [3, 4]; the first failing chunk is reported.
+        nan_at(failing)
+        if named is None:
+            assert np.isfinite(sweep(*self.ARGS, threads=2).legit).all()
+        else:
+            with pytest.raises(InvalidMatrix, match=re.escape(f"trial {named} master seed 11:")):
+                sweep(*self.ARGS, threads=2)
+        assert forks == [1] and no_children()
+
+    def test_a_worker_that_sends_nothing_is_an_error(self, forks):
+        def fn(share):
+            if share:
+                os._exit(3)
+            return share
+
+        with pytest.raises(ChildProcessError, match="ended without sending its result"):
+            simulate._in_workers(fn, [0, 1])
+        assert forks == [1] and no_children()
+
+    def test_an_interrupt_kills_the_workers(self, forks):
+        # The child would sleep a minute; it is killed and reaped at once.
+        def fn(share):
+            if share:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulate._in_workers(fn, [0, 1])
+        assert time.monotonic() - start < 30
+        assert forks == [1] and no_children()
+
+    def test_a_sweep_beside_a_live_thread_forks_nothing(self, two_workers, forks):
+        sequential = sweep(*self.ARGS, threads=1)
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait, args=(60,))
+        waiting.start()
+        try:
+            beside = sweep(*self.ARGS, threads=2)
+        finally:
+            done.set()
+            waiting.join(60)
+        assert not waiting.is_alive() and forks == []
+        assert _result_bytes(beside) == _result_bytes(sequential)
 
 
 class TestFailureAddress:
@@ -732,15 +795,18 @@ class TestFailureAddress:
         monkeypatch.setattr(simulate, "sample_channels", poisoned)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_build_failure_names_trial_and_seed(self, nan_trial_3, threads, monkeypatch, uncapped_workers):
+    def test_build_failure_names_trial_and_seed(
+        self, nan_trial_3, threads, monkeypatch, uncapped_workers, forks
+    ):
         config = AntennaConfig(2, 2, 3, 2)
-        if threads > 1:  # four stacks on two workers, trial 3 opening the last
+        if threads > 1:  # four stacks on two workers, trial 3 opening the forked one's last
             bound_stacks(monkeypatch, config, 2, EveMode.STATIC)
         with pytest.raises(InvalidMatrix) as exc:
             sweep(config, SignalParams(1.0), [60.0, 80.0], 5, 11, EveMode.STATIC, threads=threads)
         message = str(exc.value)
         assert f"{config} trial 3 master seed 11:" in message
         assert "h1 contains non-finite entries" in message
+        assert len(forks) == threads - 1
 
     def test_cli_exit_code_is_unchanged(self, nan_trial_3, tmp_path, capsys):
         code = cli.main(

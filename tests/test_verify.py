@@ -13,8 +13,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import multiprocessing
-import os
 import re
 import threading
 import time
@@ -23,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import count_generators
+from helpers import count_generators, no_children
 from sdoflab import (
     AntennaConfig,
     EveMode,
@@ -299,18 +297,10 @@ class TestWorkerPool:
     FAILING = TestBatchedRanks.FAILING
 
     @pytest.fixture
-    def forks(self, monkeypatch):
+    def forks(self, forks, monkeypatch):
         """Run the walk on 2 workers whatever the host; return the list of forks made."""
-        forked = []
-        real = os.fork
-
-        def fork():
-            forked.append(1)
-            return real()
-
         monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", fork)
-        return forked
+        return forks
 
     def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch):
         reports = {}
@@ -324,12 +314,13 @@ class TestWorkerPool:
         assert digest.hexdigest() == VERIFY_REPORT_DIGEST
 
     def test_an_earlier_task_failure_outranks_a_later_task_build_error(self, monkeypatch, forks, tmp_path):
-        # The failing configuration's task waits until the second task,
-        # running on the other worker, has refused its first build.
+        # Families are dealt round-robin, so the failing configuration's
+        # family and the next one run on different workers; the failure
+        # waits until the other worker has refused the next family's first
+        # build.
         families = [list(f) for _, f in itertools.groupby(GRID, key=lambda c: (c.m1, c.m2, c.n))]
-        first, second = verify._tasks(len(families), 2)[:2]
-        later = families[second.start][0]
-        assert any(self.FAILING in families[i] for i in first)
+        at = next(i for i, family in enumerate(families) if self.FAILING in family)
+        later = families[at + 1][0]
         allocs = _grid_allocs()
         refused = tmp_path / "refused"
         refuse_build_at(monkeypatch, later, allocs, refused)
@@ -344,16 +335,17 @@ class TestWorkerPool:
         assert pooled.detail.startswith(f"{self.FAILING} seed 0: legit rank 0")
 
     def test_no_process_outlives_a_call(self, monkeypatch, forks):
+        # Raw forks: ``multiprocessing.active_children()`` would not see them.
         assert verify.run_verification(2, 1)["passed"]
-        assert forks and multiprocessing.active_children() == []
+        assert forks and no_children()
         allocs = _grid_allocs()
         zero_legit_at(monkeypatch, self.FAILING)
         assert not verify.check_precoders(2, 1, allocs).passed
-        assert multiprocessing.active_children() == []
+        assert no_children()
         refuse_build_at(monkeypatch, AntennaConfig(1, 1, 1, 0), allocs)
         with pytest.raises(InfeasibleAllocation):
             verify.check_precoders(2, 1, allocs)
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     def test_a_one_family_walk_starts_no_process(self, forks):
         assert verify.check_config(AntennaConfig(3, 3, 4, 2), 2)[1] == []
