@@ -319,6 +319,25 @@ class SignalParams:
             raise ValueError(f"power {np.nanmax(levels)} dB is past the float range") from None
         return cls(np.reshape(powers, levels.shape) if levels.ndim else powers[0], alpha)
 
+    def stream_snrs(self, legit_cols: int, jam_cols: int) -> np.ndarray:
+        """Per-stream (legitimate, jamming) signal-to-noise ratios at each power level, (2, grid).
+
+        The legitimate budget (1 - alpha) p is split evenly over the
+        ``legit_cols`` legitimate real streams and the jamming budget
+        alpha p over the ``jam_cols`` jamming real streams, so the transmit
+        covariances have trace p per channel use; each stream's power is
+        then taken over the real noise variance 1/2.  A zero-stream budget
+        gives 0 and an overflowed value ``inf``.  A scalar ``p`` is a grid
+        of one.
+        """
+        snrs = np.zeros((2, np.size(self.p)))
+        with np.errstate(over="ignore"):  # an overflow is inf, as in floats
+            if legit_cols:
+                snrs[0] = (1.0 - self.alpha) * self.p / legit_cols
+            if jam_cols:
+                snrs[1] = self.alpha * self.p / jam_cols
+            return snrs / 0.5
+
 
 @dataclass(frozen=True)
 class ChannelRealization:

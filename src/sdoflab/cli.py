@@ -35,10 +35,14 @@ from .sdof import (
     sum_sdof,
     upper_bounds,
 )
-from .simulate import _stream_snrs, estimate_dof, sweep
+from .simulate import estimate_dof, sweep, trial_bytes
 from .verify import run_verification
 
 _MODES = {m.value: m for m in EveMode}
+# Most bytes a command may plan to hold at once.  The caps below keep what
+# a run holds within it: a larger run would fail in allocation, or run for
+# hours, not stop as a usage error.
+_MEMORY_BYTES_MAX = 10**9
 # Most points a power grid may have, far above any useful sweep.
 _GRID_POINTS_MAX = 10_000
 # Most samples (trials x grid points) a run may ask for.  A sweep holds two
@@ -50,10 +54,16 @@ _SAMPLES_MAX = 10**8
 # and each stacked build its share of the largest configurations'
 # temporaries, about 50 kB a seed at the peak (tracemalloc of a
 # one-process ``run_verification(5, seeds)``: 58 kB at 100 seeds, 50 kB
-# at 200).  The bound keeps that peak within 1 GB: a larger run would
-# fail in allocation, or run for hours, not stop as a usage error.
+# at 200).
 _SEED_BYTES = 50_000
-_SEEDS_MAX = 10**9 // _SEED_BYTES
+_SEEDS_MAX = _MEMORY_BYTES_MAX // _SEED_BYTES
+# Largest --max-antennas of ``verify``.  For A antennas it holds the A^3 (A + 2)
+# rows of ``regime_table`` and an allocation for each, about 700 bytes a row
+# (tracemalloc at A = 15: 40 MB over 57,375 rows, made in about 4.5 s).
+_REGIME_ROW_BYTES = 700
+_ANTENNAS_MAX = max(
+    a for a in range(1, 100) if a**3 * (a + 2) * _REGIME_ROW_BYTES <= _MEMORY_BYTES_MAX
+)
 # Largest |legit slope - D_s| a run passes with, in degrees of freedom: the
 # slack the default 60-100 dB grid needs for draws not yet at high SNR.
 _SLOPE_TOLERANCE = 0.15
@@ -141,7 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "this process may run on; the report does not depend on their number."
         ),
     )
-    p_verify.add_argument("--max-antennas", type=int, default=5)
+    p_verify.add_argument(
+        "--max-antennas", type=int, default=5,
+        help=f"largest antenna count checked, 1 to {_ANTENNAS_MAX} (default %(default)s)",
+    )
     p_verify.add_argument(
         "--seeds", type=int, default=20,
         help=f"channel seeds per configuration, 1 to {_SEEDS_MAX} (default %(default)s)",
@@ -157,6 +170,19 @@ def _parse_config_arg(args) -> AntennaConfig:
         return AntennaConfig(args.m1, args.m2, args.n, args.ne)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _sampled_config(args) -> AntennaConfig:
+    """The antenna flags' config, refused unless one trial's draw and build fit ``_MEMORY_BYTES_MAX``."""
+    config = _parse_config_arg(args)
+    need = trial_bytes(config, allocate_jamming(config))
+    if need > _MEMORY_BYTES_MAX:
+        raise _UsageError(
+            f"--m1 {config.m1} --m2 {config.m2} --n {config.n} --ne {config.n_e}: one trial's "
+            f"channels and precoder build take about {need / 1e9:.3g} GB, more than the "
+            f"{_MEMORY_BYTES_MAX / 1e9:g} GB a run may hold"
+        )
+    return config
 
 
 class _UsageError(Exception):
@@ -208,7 +234,7 @@ def cmd_sdof(args) -> int:
 
 
 def cmd_design(args) -> int:
-    config = _parse_config_arg(args)
+    config = _sampled_config(args)
     try:
         rngs = [RngStream(args.seed)]
     except ValueError as exc:
@@ -316,8 +342,8 @@ def _validate_run(args) -> _RunPlan:
         raise _UsageError(f"power grid step of {step} dB is below the float spacing at {start} dB")
     if args.threads < 1:
         raise _UsageError(f"--threads must be at least 1, got {args.threads}")
+    config = _sampled_config(args)
     try:
-        config = AntennaConfig(args.m1, args.m2, args.n, args.ne)
         RngStream(args.seed)
         # Every grid point must be a float power ...
         sig = SignalParams.from_db(grid, _finite(args.alpha, "--alpha"))
@@ -325,7 +351,7 @@ def _validate_run(args) -> _RunPlan:
         raise _UsageError(str(exc)) from exc
     # ... and so must the per-stream signal-to-noise ratios it splits into.
     alloc = allocate_jamming(config)
-    finite = np.isfinite(_stream_snrs(alloc.d_total, alloc.total_streams, sig)).all(axis=0)
+    finite = np.isfinite(sig.stream_snrs(alloc.d_total, alloc.total_streams)).all(axis=0)
     if not finite.all():
         raise _UsageError(f"per-stream SNR at {grid[np.argmin(finite)]} dB is past the float range")
     return _RunPlan(config, grid, sig)
@@ -375,6 +401,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_antennas < 1 or args.seeds < 1:
         raise _UsageError("--max-antennas and --seeds must be at least 1")
+    if args.max_antennas > _ANTENNAS_MAX:
+        raise _UsageError(f"--max-antennas must be at most {_ANTENNAS_MAX}, got {args.max_antennas}")
     if args.seeds > _SEEDS_MAX:
         raise _UsageError(f"--seeds must be at most {_SEEDS_MAX}, got {args.seeds}")
     report = run_verification(args.max_antennas, args.seeds, args.full)

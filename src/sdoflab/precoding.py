@@ -422,19 +422,33 @@ def check_pairing(
     ``eavesdropper`` the g1 and g2 of ``channel_uses`` are (trials, uses,
     n_e, m) stacks, with as many trials as the set and, given a grid of
     ``points`` power levels, one use held over the grid or one use per
-    point.  NumPy would otherwise broadcast a stack of one trial over the
-    set, pair each trial's eavesdropper with every trial's set, or fail on
-    the rates' shapes.
+    point.  Each channel has as many antennas m as its transmitter's
+    precoders have (half their real rows), and h1 and h2 as many rows n as
+    the projector u; the eavesdropper's n_e is free.  NumPy would
+    otherwise broadcast a stack of one trial over the set, pair each
+    trial's eavesdropper with every trial's set, or fail on the rates'
+    shapes.
     """
     names, ndim = (("g1", "g2"), 4) if eavesdropper else (("h1", "h2"), 3)
     trials = len(pre.u)
-    for name in names:
+    precoders = ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j))
+    for name, (v_l, v_j) in zip(names, precoders):
         shape = np.shape(getattr(ch, name))
         if len(shape) != ndim or shape[0] != trials:
             layout = "channel_uses" if eavesdropper else "sample_channels or channel_uses"
             raise DimensionMismatch(
                 f"{name} of shape {shape} does not pair with a set of {trials} trials: "
                 f"pass the {layout} realization of the draw the set was built on"
+            )
+        if not 2 * shape[-1] == v_l.shape[-2] == v_j.shape[-2]:
+            raise DimensionMismatch(
+                f"{name} of shape {shape} has {shape[-1]} antenna column(s), the set's "
+                f"precoders {v_l.shape[-2]} and {v_j.shape[-2]} real rows"
+            )
+        if not eavesdropper and 2 * shape[-2] != pre.u.shape[-1]:
+            raise DimensionMismatch(
+                f"{name} of shape {shape} has {shape[-2]} receive row(s), the set's "
+                f"projector {pre.u.shape[-1]} real columns"
             )
         if points is not None and shape[1] not in (1, points):
             raise DimensionMismatch(

@@ -95,9 +95,12 @@ STACK_BYTES_MAX = 800_000
 #   under twice the memory of one trial (1.76x; 2.19x at 160 B);
 # - a rate's log-determinant holds 26 B per singular value and grid point
 #   (three float temporaries and two masks) and 24 B of results;
-# - a block's ``SignalParams`` takes up to 64 B per grid point while it is
-#   made (the levels and powers as Python floats, then as an array), and
-#   its powers and SNRs 24 B through the rates.
+# - a block's ``SignalParams`` is a view of the sweep's powers, converted
+#   from dB once and held, like the grid, through the sweep; its per-stream
+#   SNRs take 33 B per grid point while ``stream_snrs`` makes them
+#   (tracemalloc on 1,000 to 10,000 points) and 16 B through the rates.
+#   The model keeps 64 B: the sweeps below were measured at the block
+#   lengths it gives.
 # One-thread sweeps of each of those configurations, in both modes, with 1
 # to 160 trials on 17 to 1,000 points (seven cases each) peaked at 768 kB
 # or less.
@@ -169,36 +172,10 @@ def _unit_blocks(channels, precoders) -> np.ndarray:
     return np.concatenate([ch @ v[:, None] for ch, v in zip(channels, precoders)], axis=-1)
 
 
-def per_stream_powers(legit_cols: int, jam_cols: int, sig: SignalParams) -> tuple[float, float]:
-    """Per-stream legitimate and jamming powers of a scheme, at each power level of ``sig``.
-
-    The legitimate budget (1 - alpha) p is split evenly over the
-    ``legit_cols`` legitimate real streams and the jamming budget alpha p
-    over the ``jam_cols`` jamming real streams, so the transmit covariances
-    have trace p per channel use.  Zero-stream budgets give zero power.
-    Each power has the shape of ``sig.p``: a float, or an array over the grid.
-    """
-    p_legit = (1.0 - sig.alpha) * sig.p / legit_cols if legit_cols else 0.0
-    p_jam = sig.alpha * sig.p / jam_cols if jam_cols else 0.0
-    return p_legit, p_jam
-
-
-def _stream_snrs(legit_cols: int, jam_cols: int, sig: SignalParams) -> np.ndarray:
-    """Per-stream (legitimate, jamming) powers over the real noise variance 1/2, (2, grid).
-
-    These scale the unit-power log-determinants of the rates.  An
-    overflowed value is ``inf``.
-    """
-    snrs = np.empty((2, np.size(sig.p)))
-    with np.errstate(over="ignore"):  # an overflow is inf, as in floats
-        snrs[0], snrs[1] = per_stream_powers(legit_cols, jam_cols, sig)
-        return snrs / 0.5
-
-
 def _snrs(pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
-    """``_stream_snrs`` of the real streams of ``pre``."""
+    """``sig.stream_snrs`` of the real streams of ``pre``: the scales of the unit-power log-determinants."""
     legit_cols = pre.v1_l.shape[-1] + pre.v2_l.shape[-1]
-    return _stream_snrs(legit_cols, pre.v1_j.shape[-1] + pre.v2_j.shape[-1], sig)
+    return sig.stream_snrs(legit_cols, pre.v1_j.shape[-1] + pre.v2_j.shape[-1])
 
 
 def legit_rate(ch: ChannelRealization, pre: PrecoderSet, sig: SignalParams) -> np.ndarray:
@@ -293,6 +270,16 @@ def _stack_bytes(config: AntennaConfig, alloc: JammingAllocation, mode: EveMode)
     else:
         leakage = (held + eve_use, eve_point)
     return _StackBytes(build, (legit_base, legit_point), leakage)
+
+
+def trial_bytes(config: AntennaConfig, alloc: JammingAllocation) -> int:
+    """What one trial of ``config`` holds at the peak of its draw and precoder build under ``alloc``, in bytes.
+
+    This is the ``build`` term of the stack model (``_stack_bytes``), the
+    same under either eavesdropper model.  A stack holds at least one
+    trial, so no sweep of ``config`` holds less.
+    """
+    return _stack_bytes(config, alloc, EveMode.STATIC).build
 
 
 def usable_cpus() -> int:
@@ -409,7 +396,8 @@ def _blocks(points: int, trials: int, held: tuple[int, int]) -> list[range]:
 
     ``held`` is what each trial holds through a block and per point of it
     (``_StackBytes``); each point also costs ``_SIGNAL_BYTES`` for its
-    power in the block's ``SignalParams``.  Each block holds at least 1.
+    per-stream SNRs (``SignalParams.stream_snrs``).  Each block holds at
+    least 1.
     """
     base, per_point = held
     room = STACK_BYTES_MAX - _STACK_FIXED_BYTES - trials * base
@@ -445,7 +433,8 @@ def sweep(
     ``build_precoders`` call.  It then evaluates ``legit_rate`` and then
     ``eve_leakage`` over as few contiguous blocks of grid points as keep
     the stack within ``STACK_BYTES_MAX``, one call over all its trials per
-    block, with one ``SignalParams`` of the block's levels; a
+    block, with one ``SignalParams`` of the block's slice of the grid's
+    powers, converted from dB once before any draw; a
     time-varying eavesdropper's uses of a block are drawn in one
     ``channel_uses`` call.  Each block writes its columns of the chunk's
     rows of the result.  A trial's draws, set and rates do not depend on
@@ -468,13 +457,13 @@ def sweep(
     check_count("threads", threads)
     check_count("master_seed", master_seed, 0)
     alpha = sig_template.alpha
-    SignalParams.from_db(grid, alpha)  # every power level is valid before any draw
+    powers = SignalParams.from_db(grid, alpha).p  # every power level is valid before any draw
 
     alloc = allocate_jamming(config)
     held = _stack_bytes(config, alloc, mode)
 
     def signal(points: range) -> SignalParams:
-        return SignalParams.from_db(grid[points.start : points.stop], alpha)
+        return SignalParams(powers[points.start : points.stop], alpha)
 
     legit = np.empty((trials, len(grid)))
     leakage = np.empty((trials, len(grid)))

@@ -223,22 +223,24 @@ def _seed_streams(seeds: int, allocs: dict[AntennaConfig, JammingAllocation]):
 
 
 def _checks(families, rngs, normals, allocs):
-    """``check_config`` of every configuration of ``families``, in order, as (config, result).
+    """``check_config`` of every configuration of ``families``, in order: (its (config, result) pairs, error).
 
     ``families`` is a sequence of family config lists (``_family_builds``).
     The residuals of each configuration are taken as it is built; its
     rank matrices wait in a queue that is decided in one ``ranks`` call
     per distinct shape at a family boundary, once the queue holds
-    ``_RANK_QUEUE_BYTES``, and at the end.  A build that fails raises its
-    error once every configuration queued before it has been yielded.
+    ``_RANK_QUEUE_BYTES``, and at the end.  A build that fails stops the
+    walk: the pairs are then those of every configuration before it, and
+    the error is the build's; else it is None.
     """
-    queue, queued_bytes = [], 0
+    pairs, queue, queued_bytes = [], [], 0
 
-    def judged():
+    def judge_queue():
         nonlocal queued_bytes
         decided = _decide_ranks([m for _, _, matrices in queue for m in matrices])
         for i, (config, residuals, _) in enumerate(queue):
-            yield config, _judge(config, allocs[config], residuals, np.array(decided[3 * i : 3 * i + 3]))
+            ranked = np.array(decided[3 * i : 3 * i + 3])
+            pairs.append((config, _judge(config, allocs[config], residuals, ranked)))
         queue.clear()
         queued_bytes = 0
 
@@ -254,12 +256,13 @@ def _checks(families, rngs, normals, allocs):
                 ])
                 queue.append((config, residuals, audit.rank_matrices))
                 queued_bytes += sum(m.nbytes for m in audit.rank_matrices)
-        except SdofLabError:
-            yield from judged()
-            raise
+        except SdofLabError as exc:
+            judge_queue()
+            return pairs, exc
         if queued_bytes >= _RANK_QUEUE_BYTES:
-            yield from judged()
-    yield from judged()
+            judge_queue()
+    judge_queue()
+    return pairs, None
 
 
 def _walk(families, rngs, normals, allocs):
@@ -269,34 +272,23 @@ def _walk(families, rngs, normals, allocs):
     (``usable_cpus``), at most one per family, and worker w runs one
     ``_checks`` of families w, w + W, w + 2W, ... (``_in_workers``).  Each
     forked worker inherits the walk (the rows of ``normals`` and
-    ``allocs``), so nothing large is pickled, and hands back the
-    (config, result) pairs it finished and the build error that stopped
-    it, or None.  The pairs are yielded in walk order up to the first
-    error in walk order, which is then raised, so the order of results
-    and errors is the one-process walk's.
+    ``allocs``), so nothing large is pickled, and hands back its
+    ``_checks`` pairs and error.  Returns the pairs in walk order up to
+    the first error in walk order, and that error or None, so the order
+    of results and errors is the one-process walk's.
     """
     workers = min(usable_cpus(), len(families))
     shares = [families[w::workers] for w in range(workers)]
     order = {config: i for i, config in enumerate(itertools.chain(*families))}
-
-    def checked(share):
-        pairs = []
-        try:
-            pairs.extend(_checks(share, rngs, normals, allocs))
-        except SdofLabError as exc:
-            return pairs, exc
-        return pairs, None
-
+    results = _in_workers(lambda share: _checks(share, rngs, normals, allocs), shares)
     pairs, errors = [], []
-    for share, (done, error) in zip(shares, _in_workers(checked, shares)):
+    for share, (done, error) in zip(shares, results):
         pairs += done
         if error is not None:  # raised at the share's first configuration not done
             errors.append((order[list(itertools.chain(*share))[len(done)]], error))
     stop, error = min(errors, default=(len(order), None))
     pairs.sort(key=lambda pair: order[pair[0]])
-    yield from (pair for pair in pairs if order[pair[0]] < stop)
-    if error is not None:
-        raise error
+    return [pair for pair in pairs if order[pair[0]] < stop], error
 
 
 def check_config(config: AntennaConfig, seeds: int):
@@ -314,7 +306,10 @@ def check_config(config: AntennaConfig, seeds: int):
     InvalidMatrix.
     """
     allocs = {config: allocate_jamming(config)}
-    ((_, result),) = _checks([[config]], *_seed_streams(seeds, allocs), allocs)
+    pairs, error = _checks([[config]], *_seed_streams(seeds, allocs), allocs)
+    if error is not None:
+        raise error
+    ((_, result),) = pairs
     return result
 
 
@@ -336,13 +331,16 @@ def check_precoders(
         for _, family in itertools.groupby(grid, key=lambda c: (c.m1, c.m2, c.n))
     ]
     rngs, normals = _seed_streams(seeds, {config: allocs[config] for config in grid})
+    pairs, error = _walk(families, rngs, normals, allocs)
     worst = 0.0
     builds = 0
-    for config, (config_worst, failures) in _walk(families, rngs, normals, allocs):
+    for config, (config_worst, failures) in pairs:
         builds += seeds
         worst = max(worst, *config_worst.values())
         if failures:
             return CheckResult("precoder_invariants", False, failures[0], worst)
+    if error is not None:
+        raise error
     return CheckResult("precoder_invariants", True, f"{builds} precoder sets checked", worst)
 
 

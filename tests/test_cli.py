@@ -319,6 +319,8 @@ class TestExitCodes:
 
 
 _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials", "2"]
+_HUGE = ["--m1", "1000000", "--m2", "1", "--n", "1000000", "--ne", "1"]
+_OVER_BUDGET = ["--m1", "1500", "--m2", "1500", "--n", "1500", "--ne", "750"]
 
 
 @pytest.mark.parametrize(
@@ -347,11 +349,15 @@ _SIM = ["simulate", "--m1", "1", "--m2", "1", "--n", "1", "--ne", "1", "--trials
         (_SIM + ["--p-start", "80", "--p-stop", "70"], "--p-stop"),
         # 5 x 10**15 samples: the rate arrays alone would take 80 PB.
         (_SIM + ["--trials", "1000000000000000"], "--trials"),
+        # One trial's draw and build: 232,000 GB, then 1.13 GB, against 1 GB.
+        (["design"] + _HUGE, "--m1"),
+        (["simulate"] + _OVER_BUDGET, "--m1"),
     ],
     ids=["threads-0", "design-seed-negative", "grid-under-3-points", "simulate-seed-negative",
          "alpha-nan", "p-step-inf", "p-stop-inf",
          "power-overflow", "per-stream-overflow", "grid-span-overflow", "grid-over-point-cap",
-         "grid-step-below-spacing", "p-step-zero", "p-stop-below-p-start", "samples-over-cap"],
+         "grid-step-below-spacing", "p-step-zero", "p-stop-below-p-start", "samples-over-cap",
+         "design-trial-over-memory", "simulate-trial-over-memory"],
 )
 def test_bad_input_is_usage_error_before_sampling(argv, flag, tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
@@ -366,6 +372,26 @@ def test_bad_input_is_usage_error_before_sampling(argv, flag, tmp_path, monkeypa
     assert err.startswith("error: ") and err.count("\n") == 1
     if flag is not None:
         assert err.startswith(f"error: {flag} "), err
+
+
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_antennas_whose_trial_fits_in_memory_reach_sampling(command, monkeypatch):
+    # A (1400, 1400, 1400, 700) trial's draw and build model 0.99 GB.
+    class Sampled(Exception):
+        pass
+
+    def sampled(*args, **kwargs):
+        raise Sampled
+
+    monkeypatch.setattr(cli, "sample_channels", sampled)
+    monkeypatch.setattr(cli, "sweep", sampled)
+    with pytest.raises(Sampled):
+        run_cli([command, "--m1", "1400", "--m2", "1400", "--n", "1400", "--ne", "700"])
+
+
+def test_sdof_has_no_antenna_bound(capsys):
+    assert run_cli(["sdof"] + _HUGE) == 0
+    assert capsys.readouterr().out.startswith("D_s = 1999999/2 ")
 
 
 @pytest.mark.parametrize(
@@ -402,6 +428,25 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == {
             "theory_consistency", "allocation_audits", "precoder_invariants",
         }
+
+    def test_max_antennas_over_cap_is_usage_error(self, monkeypatch, capsys):
+        # The theory table holds A^3 (A + 2) rows of about 700 B: 34 is the
+        # largest A within 1 GB, and it is refused before the table is built.
+        started = []
+
+        def record(max_antennas, seeds, full):
+            started.append(max_antennas)
+            return {"checks": [], "passed": True}
+
+        monkeypatch.setattr(cli, "run_verification", record)
+        assert cli._ANTENNAS_MAX == 34
+        assert run_cli(["verify", "--max-antennas", "35"]) == 2
+        assert capsys.readouterr().err == "error: --max-antennas must be at most 34, got 35\n"
+        assert run_cli(["verify", "--max-antennas", "34"]) == 0
+        assert started == [34]
+        with pytest.raises(SystemExit):
+            run_cli(["verify", "--help"])
+        assert "1 to 34" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("seeds", [cli._SEEDS_MAX + 1, 10**12], ids=["one-over-cap", "10^12"])
     def test_seeds_over_cap_is_usage_error(self, seeds, monkeypatch, capsys):

@@ -197,7 +197,7 @@ class TestBuildPrecoders:
         assert audit.ranks()[1] == 4
         assert pre.report.alignment_residual < 1e-8
 
-    def test_two_slot_extension(self):
+    def test_half_integer_allocation_is_whole_in_real_streams(self):
         # A half-integer allocation (aligned 1/2 per transmitter) is whole
         # in real streams, in one channel use.
         config, ch, alloc, pre, audit = self.build((2, 2, 3, 1))
@@ -331,7 +331,7 @@ class TestLeakageRank:
             leakage_rank(dataclasses.replace(seen, g1=g1), pre)
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
-    def test_default_second_slot_matches_oracle(self, cfg):
+    def test_static_leakage_rank_matches_oracle(self, cfg):
         # The static model against test-built real forms of the trial's
         # eavesdropper and the elimination rank.
         config = AntennaConfig(*cfg)

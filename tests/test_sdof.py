@@ -175,7 +175,7 @@ class TestAllocate:
         assert alloc.j_s == 2
         assert alloc.d_total == 2
 
-    def test_two_slot_half_streams(self):
+    def test_half_integer_counts_are_whole_real_streams(self):
         # Half-integer paper counts are whole numbers of real streams.
         alloc = allocate_jamming(AntennaConfig(2, 2, 3, 1))
         assert alloc.method_streams(1, JammingMethod.ALIGNED) == 1

@@ -35,7 +35,7 @@ from sdoflab import (
 from sdoflab import channel, cli, kernels, precoding, simulate, verify
 from sdoflab.channel import TrialNormals, channel_uses
 from sdoflab.precoding import BuildReport, PrecoderSet
-from sdoflab.simulate import HALF_LOG2_PER_DB, per_stream_powers
+from sdoflab.simulate import HALF_LOG2_PER_DB
 
 
 def _result_bytes(result):
@@ -61,6 +61,11 @@ def _build(cfg, seed=0, mode=EveMode.TIME_VARYING):
 def _columns(pre):
     """Legitimate and jamming real column counts of a precoder set."""
     return pre.v1_l.shape[-1] + pre.v2_l.shape[-1], pre.v1_j.shape[-1] + pre.v2_j.shape[-1]
+
+
+def _powers(pre, sig):
+    """Per-stream legitimate and jamming powers of a precoder set over ``sig``'s grid: its SNRs at noise 1/2."""
+    return 0.5 * sig.stream_snrs(*_columns(pre))
 
 
 def _at(rate, ch, pre, sig):
@@ -109,26 +114,36 @@ class TestPerStreamPowers:
         _, _, pre = _trial(AntennaConfig(2, 2, 3, 2), 11, EveMode.STATIC)
         pre = member(pre, 0)
         sig = SignalParams(7.0, alpha=0.25)
-        p_legit, p_jam = per_stream_powers(*_columns(pre), sig)
+        p_legit, p_jam = _powers(pre, sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
             cov = p_legit * (vl @ vl.T) + p_jam * (vj @ vj.T)
             total += float(np.trace(cov))
         assert total == pytest.approx(sig.p, rel=1e-9)
 
-    def test_transmit_power_accounting_two_slot(self):
+    def test_transmit_power_accounting_half_integer_allocation(self):
         # The half-integer allocation of (2, 2, 3, 1): one real jamming
         # stream per transmitter.
         _, _, pre = _trial(AntennaConfig(2, 2, 3, 1), 19, EveMode.STATIC)
         pre = member(pre, 0)
         assert _columns(pre) == (5, 2)
         sig = SignalParams(3.0, alpha=0.5)
-        p_legit, p_jam = per_stream_powers(*_columns(pre), sig)
+        p_legit, p_jam = _powers(pre, sig)
         total = 0.0
         for vl, vj in ((pre.v1_l, pre.v1_j), (pre.v2_l, pre.v2_j)):
             cov = p_legit * (vl @ vl.T) + p_jam * (vj @ vj.T)
             total += float(np.trace(cov))
         assert total == pytest.approx(sig.p, rel=1e-9)
+
+    def test_stream_snrs_split_each_budget_over_its_streams(self):
+        sig = SignalParams.from_db([0.0, 3080.0], alpha=0.1)
+        with np.errstate(over="raise"):
+            snrs = sig.stream_snrs(1, 0)
+        assert snrs.shape == (2, 2)
+        assert snrs[0, 0] == (1.0 - 0.1) * 1.0 / 1 / 0.5
+        assert snrs[0, 1] == np.inf  # 0.9 p / (1/2) is past the float range
+        assert (snrs[1] == 0.0).all()  # no jamming streams
+        assert SignalParams(2.0).stream_snrs(0, 4).tolist() == [[0.0], [0.5]]
 
 
 class TestRateUnit:
@@ -217,7 +232,7 @@ class TestLegitRate:
         h1, h2 = real2(trial.h1), real2(trial.h2)
         e = np.hstack([pre.u @ h1 @ pre.v1_l, pre.u @ h2 @ pre.v2_l])
         sig = SignalParams.from_db((20.0, 30.0, 40.0), alpha=0.4)
-        p_legit, _ = per_stream_powers(*_columns(pre), sig)
+        p_legit, _ = _powers(pre, sig)
         for p_k, value in zip(p_legit, legit_rate(ch, stack, sig)[0]):
             gram = np.eye(e.shape[0]) + (2.0 * p_k) * e @ e.T
             sign, logdet = np.linalg.slogdet(gram)
@@ -246,7 +261,7 @@ class TestEveLeakage:
         assert high > low + 5.0
 
     @pytest.mark.parametrize("cfg", [(2, 2, 3, 2), (2, 2, 3, 1)])
-    def test_default_second_slot_is_the_same_draw(self, cfg):
+    def test_static_eavesdropper_is_the_same_in_every_use(self, cfg):
         # The static model holds the trial's eavesdropper in every channel
         # use.
         config = AntennaConfig(*cfg)
@@ -317,6 +332,34 @@ class TestPairing:
             self.call(eve_leakage, seen, pre, points)
         assert self.call(eve_leakage, seen, pre, 3).shape == (2, 3)
 
+    def test_other_receive_antennas_do_not_pair(self):
+        # The projector u of a (2, 2, 3, 1) set is 6 x 6; h1 of n = 4 has 8 real rows.
+        rngs, ch = self.draw(2)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        theirs = sample_channels(AntennaConfig(2, 2, 4, 1), rngs, self.mode)
+        with pytest.raises(DimensionMismatch, match="receive row"):
+            legit_rate(theirs, pre, SignalParams(1.0))
+
+    @pytest.mark.parametrize("cfg", [(3, 2, 3, 1), (2, 3, 3, 1)])
+    @pytest.mark.parametrize("function", [legit_rate, eve_leakage, leakage_rank])
+    def test_other_transmit_antennas_do_not_pair(self, function, cfg):
+        rngs, ch = self.draw(2)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        other = AntennaConfig(*cfg)
+        theirs = channel_uses(other, sample_channels(other, rngs, self.mode), rngs, range(2), self.mode)
+        with pytest.raises(DimensionMismatch, match="antenna column"):
+            self.call(function, theirs, pre, 2)
+
+    @pytest.mark.parametrize("function", [eve_leakage, leakage_rank])
+    def test_an_eavesdropper_of_other_antennas_pairs(self, function):
+        # The set's n_e bounds the eavesdropper it was designed for; one
+        # with more antennas is still a valid input.
+        rngs, ch = self.draw(2)
+        pre = build_precoders(ch, allocate_jamming(self.config), rngs)
+        other = AntennaConfig(2, 2, 3, 2)
+        seen = channel_uses(other, sample_channels(other, rngs, self.mode), rngs, range(3), self.mode)
+        assert self.call(function, seen, pre, 3).shape == (2, 3)
+
 
 class TestSweep:
     def test_single_point_single_trial(self):
@@ -355,7 +398,7 @@ class TestSweep:
         assert _result_bytes(sequential) == _result_bytes(forked)
         assert len(forks) == 2
 
-    def test_time_varying_two_slot_draws_once_per_trial(self, monkeypatch):
+    def test_time_varying_sweep_samples_channels_once_per_trial(self, monkeypatch):
         # Per grid point only the eavesdropper is redrawn; sample_channels
         # runs once per trial, at the trial address.
         addresses = []
@@ -565,6 +608,22 @@ class TestStackedSweep:
             self.bound_blocks(monkeypatch, cfg, uses, mode)
             assert _result_bytes(self.run(cfg, 3, mode, grid=grid)) == _result_bytes(whole)
             assert blocks == per_stack * 3
+
+    def test_a_sweep_converts_its_grid_from_db_once(self, blocks, monkeypatch):
+        # Every block's SignalParams slices the powers converted before the draws.
+        conversions = []
+        real = SignalParams.from_db
+
+        def counting(cls, p_db, alpha=0.5):
+            conversions.append(np.asarray(p_db).tolist())
+            return real(p_db, alpha)
+
+        monkeypatch.setattr(SignalParams, "from_db", classmethod(counting))
+        grid = [60.0 + 5.0 * i for i in range(7)]
+        self.bound_blocks(monkeypatch, (2, 2, 3, 1), 2, EveMode.TIME_VARYING)
+        self.run((2, 2, 3, 1), 2, EveMode.TIME_VARYING, grid=grid)
+        assert len(blocks) > 1
+        assert conversions == [grid]
 
     def test_workers_write_only_their_own_blocks(self, monkeypatch, uncapped_workers, forks):
         # Twelve one-trial stacks of 2-use blocks, four on each of three

@@ -130,7 +130,7 @@ class TestFamilyBuilds:
         assert walked == [[config]]
         family = _family(3, 3, 4)
         allocs = {c: allocate_jamming(c) for c in family}
-        whole = dict(verify._checks([family], *verify._seed_streams(2, allocs), allocs))
+        whole = dict(verify._checks([family], *verify._seed_streams(2, allocs), allocs)[0])
         assert whole[config] == result
 
 
